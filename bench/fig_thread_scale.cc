@@ -3,26 +3,33 @@
  * Intra-run thread scaling anchor (host-perf bench, not a paper
  * figure): replays the same LeaFTL run with a shard pool of 1, 2, 4
  * and 8 workers and reports host wall-clock speedup over the serial
- * engine. The simulated results are deterministic by construction --
- * the pool only computes read-only translation probes and disjoint
- * per-group learns between conservative barriers -- so the bench
- * hard-fails if any simulated metric differs across worker counts;
- * the speedup column is informational (it depends on the host's core
- * count, which CI containers often cap at 1).
+ * engine. The pool fans out the two batch shapes that pay -- per-group
+ * learns and whole-table compaction -- between barriers, so the
+ * simulated results are deterministic by construction and the bench
+ * hard-fails if any simulated metric differs across worker counts.
+ *
+ * Timing: one discarded warm-up round, then 5 timed rounds (3 with
+ * --fast). Each round runs every worker count once, so slow drift of
+ * the host hits all counts alike. Rows report the median wall time and
+ * its interquartile range (IQR); speedup is the ratio of medians. Rows
+ * with more workers than the host has hardware threads are marked
+ * oversubscribed -- their speedup measures contention, not scaling.
  *
  * A write-heavy skewed mix keeps the learned table busy: buffer
- * flushes batch hundreds of translation probes per window, which is
- * where the pool earns its keep.
+ * flushes learn runs that span many groups, and compaction runs
+ * regularly.
  */
 
 #include <cinttypes>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hh"
 #include "sim/reporter.hh"
 #include "sim/shard_runner.hh"
+#include "util/stats.hh"
 #include "workload/synthetic.hh"
 
 namespace
@@ -35,8 +42,8 @@ threadMixSpec(const leaftl::bench::BenchScale &s)
     spec.name = "thread-mix";
     spec.working_set_pages = s.working_set_pages;
     spec.num_requests = s.requests;
-    // Write-heavy: flush-time invalidation probes and learns dominate,
-    // the paths the worker pool parallelizes.
+    // Write-heavy: flush-time learns and compactions dominate, the
+    // paths the worker pool parallelizes.
     spec.read_ratio = 0.4;
     spec.p_seq = 0.2;
     spec.seq_len_mean = 32;
@@ -70,77 +77,95 @@ main(int argc, char **argv)
 
     BenchScale s = parseScale(argc, argv);
     if (!s.from_config && !s.fast && s.requests == 200'000) {
-        // Four full replays; trim the default a bit.
+        // Many full replays; trim the default a bit.
         s.requests = 80'000;
         s.working_set_pages = 32 * 1024;
     }
     s.gamma = s.gamma ? s.gamma : 4;
     s.queue_depth = std::max(s.queue_depth, 8u);
+    const uint32_t reps = s.fast ? 3 : 5;
 
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     banner("fig_thread_scale",
            "host wall-clock vs. --threads (simulated results must not "
            "move)");
-    std::printf("host hardware threads: %u\n\n",
-                std::max(1u, std::thread::hardware_concurrency()));
+    std::printf("host hardware threads: %u; %u timed rep(s) per count "
+                "after one warm-up round\n\n",
+                hw, reps);
 
-    TextTable table({"threads", "wall_ms", "speedup", "MB/s(sim)",
-                     "p99_read_us", "waf", "mapping_KB"});
-
-    SimFingerprint reference;
-    double base_wall_ms = 0.0;
-    bool diverged = false;
     const std::vector<uint32_t> counts = {1, 2, 4, 8};
-    for (const uint32_t threads : counts) {
-        SsdConfig cfg = benchConfig(FtlKind::LeaFTL, s);
-        Ssd ssd(cfg);
-        std::unique_ptr<ShardPool> pool;
-        RunOptions opts;
-        if (threads > 1) {
-            pool = std::make_unique<ShardPool>(threads);
-            ssd.attachShardPool(pool.get());
-            opts.pool = pool.get();
+    const SsdConfig cfg = benchConfig(FtlKind::LeaFTL, s);
+    std::vector<SampleSet> wall_ms(counts.size());
+    std::vector<RunResult> last(counts.size());
+    SimFingerprint reference;
+    bool have_reference = false;
+    bool diverged = false;
+    for (uint32_t round = 0; round <= reps; round++) {
+        for (size_t c = 0; c < counts.size(); c++) {
+            Ssd ssd(cfg);
+            std::unique_ptr<ShardPool> pool;
+            if (counts[c] > 1) {
+                pool = std::make_unique<ShardPool>(counts[c]);
+                ssd.attachShardPool(pool.get());
+            }
+            auto wl = std::make_unique<MixWorkload>(threadMixSpec(s));
+            RunOptions opts;
+            opts.prefill_pages = s.working_set_pages;
+            opts.mixed_prefill = true;
+            opts.queue_depth = s.queue_depth;
+
+            HostTimer timer;
+            RunResult res = Runner::replay(ssd, *wl, opts);
+            const double ms = timer.elapsedNs() / 1e6;
+            if (round > 0) // Round 0 is the warm-up.
+                wall_ms[c].add(ms);
+
+            const SimFingerprint fp{res.sim_time_ns,
+                                    res.pages_touched,
+                                    res.mapping_bytes,
+                                    res.waf,
+                                    res.mispredict_ratio,
+                                    res.p99_read_latency_us,
+                                    res.avg_latency_us};
+            if (!have_reference) {
+                reference = fp;
+                have_reference = true;
+            } else if (!(fp == reference)) {
+                diverged = true;
+            }
+            last[c] = std::move(res);
         }
-        auto wl = std::make_unique<MixWorkload>(threadMixSpec(s));
-        opts.prefill_pages = s.working_set_pages;
-        opts.mixed_prefill = true;
-        opts.queue_depth = s.queue_depth;
+    }
 
-        HostTimer timer;
-        const RunResult res = Runner::replay(ssd, *wl, opts);
-        const double wall_ms = timer.elapsedNs() / 1e6;
-        if (threads == counts.front())
-            base_wall_ms = wall_ms;
-
-        const SimFingerprint fp{res.sim_time_ns,
-                                res.pages_touched,
-                                res.mapping_bytes,
-                                res.waf,
-                                res.mispredict_ratio,
-                                res.p99_read_latency_us,
-                                res.avg_latency_us};
-        if (threads == counts.front())
-            reference = fp;
-        else if (!(fp == reference))
-            diverged = true;
-
+    TextTable table({"threads", "wall_ms_p50", "wall_ms_iqr", "speedup",
+                     "oversub", "MB/s(sim)", "p99_read_us", "waf",
+                     "mapping_KB"});
+    const double base_ms = wall_ms[0].percentile(50.0);
+    for (size_t c = 0; c < counts.size(); c++) {
+        const RunResult &res = last[c];
+        const double p50 = wall_ms[c].percentile(50.0);
+        const double iqr =
+            wall_ms[c].percentile(75.0) - wall_ms[c].percentile(25.0);
         const double sim_s = static_cast<double>(res.sim_time_ns) /
                              static_cast<double>(kSecond);
         const double mbps =
             sim_s > 0.0 ? static_cast<double>(res.pages_touched) *
                               cfg.geometry.page_size / sim_s / (1 << 20)
                         : 0.0;
-        table.addRow({std::to_string(threads), TextTable::fmt(wall_ms),
-                      TextTable::fmt(wall_ms > 0.0 ? base_wall_ms / wall_ms
-                                                   : 0.0),
-                      TextTable::fmt(mbps),
+        table.addRow({std::to_string(counts[c]), TextTable::fmt(p50),
+                      TextTable::fmt(iqr),
+                      TextTable::fmt(p50 > 0.0 ? base_ms / p50 : 0.0),
+                      counts[c] > hw ? "yes" : "no", TextTable::fmt(mbps),
                       TextTable::fmt(res.p99_read_latency_us),
                       TextTable::fmt(res.waf),
                       std::to_string(res.mapping_bytes >> 10)});
     }
     table.print();
-    std::printf("\nspeedup is host wall clock vs. --threads 1 (depends on "
-                "the machine's core\ncount); every simulated column is "
-                "barrier-deterministic and must be identical.\n");
+    std::printf("\nspeedup is the median host wall clock of --threads 1 "
+                "over that of the row\n(depends on the machine's core "
+                "count; oversubscribed rows measure contention);\nevery "
+                "simulated column is barrier-deterministic and must be "
+                "identical.\n");
 
     if (diverged) {
         std::printf("\nFAIL: simulated results changed with the worker "
@@ -148,6 +173,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("\nsimulated results identical across threads {1, 2, 4, "
-                "8}: OK\n");
+                "8} and every rep: OK\n");
     return 0;
 }

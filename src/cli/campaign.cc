@@ -178,6 +178,18 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
 {
     const config::ExperimentSpec &spec = campaign.exp;
 
+    // Every grid point shares the spec's crash schedule, so one FTL
+    // without a recovery model rejects the whole campaign before any
+    // run (or its directory) exists.
+    {
+        std::string err;
+        if (!config::checkCrashSupport(spec, err)) {
+            std::cerr << "leaftl_sim: campaign '" << campaign.name
+                      << "': " << err << '\n';
+            return 2;
+        }
+    }
+
     // Same up-front validation as the inline sweep: resolve every
     // workload (parsing traces once into the shared cache) and
     // reject rate-driven modes without a positive rate.
@@ -281,8 +293,6 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
             if (spec.threads > 1) {
                 run_pool = std::make_unique<ShardPool>(spec.threads);
                 ssd.attachShardPool(run_pool.get());
-                ropts.pool = run_pool.get();
-                ropts.barrier_quantum = spec.barrier_quantum;
             }
             ShaperSpec shaper;
             shaper.rate_iops = p.rate;

@@ -42,7 +42,8 @@ expandCampaignGrid(const config::ExperimentSpec &spec);
  * campaign.exp.jobs worker threads, then write
  * <dir>/BENCH_<name>.json. @a log gets the human progress/summary
  * lines.
- * @return process exit code (0 = every run present and summarized).
+ * @return process exit code (0 = every run present and summarized,
+ *         2 = the spec is not runnable, e.g. crash-at on DFTL/SFTL).
  */
 int runCampaign(const config::CampaignSpec &campaign, std::ostream &log);
 

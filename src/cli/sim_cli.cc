@@ -178,9 +178,6 @@ usage()
         << "  --threads N      intra-run replay workers per run\n"
         << "                   (default 1; results are bit-identical\n"
         << "                   for any value -- wall clock only)\n"
-        << "  --quantum N      requests per intra-run barrier window\n"
-        << "                   (default " << kDefaultBarrierQuantum
-        << "; results do not depend on it)\n"
         << "  --campaign-diff A B  compare two BENCH_<name>.json\n"
         << "                   summaries by run fingerprint and print\n"
         << "                   per-run throughput/p99 deltas\n"
@@ -204,6 +201,7 @@ usage()
         << "                   monolithic snapshot pipeline)\n"
         << "  --crash-at LIST  comma list of request indices where the\n"
         << "                   replay crashes and recovers the device\n"
+        << "                   (LeaFTL only; DFTL/SFTL are rejected)\n"
         << "  --output PATH    write CSV to PATH instead of stdout\n"
         << "  --list           print known workloads and exit\n"
         << "  --help           this text\n";
@@ -268,7 +266,6 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         {"--burst-duty", "burst-duty"},
         {"--jobs", "jobs"},
         {"--threads", "threads"},
-        {"--quantum", "quantum"},
         {"--requests", "requests"},
         {"--ws", "ws"},
         {"--dram-mb", "dram-mb"},
@@ -710,8 +707,6 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
                         run_pool =
                             std::make_unique<ShardPool>(opts.threads);
                         ssd.attachShardPool(run_pool.get());
-                        ropts.pool = run_pool.get();
-                        ropts.barrier_quantum = opts.barrier_quantum;
                     }
                     wl = applyMode(std::move(wl), t.mode, t.rate, opts,
                                    ropts);
@@ -827,6 +822,10 @@ simMain(int argc, const char *const *argv)
         return runCampaign(camp, std::cout);
     }
 
+    if (!config::checkCrashSupport(opts, err)) {
+        std::cerr << "leaftl_sim: " << err << '\n';
+        return 2;
+    }
     if (!opts.output.empty()) {
         std::ofstream file(opts.output);
         if (!file.good()) {

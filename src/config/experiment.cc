@@ -71,12 +71,28 @@ modeUsesRate(const std::string &mode)
     return mode == "fixed" || mode == "poisson" || mode == "burst";
 }
 
+bool
+checkCrashSupport(const ExperimentSpec &spec, std::string &err)
+{
+    if (spec.crash_points.empty())
+        return true;
+    for (const FtlKind ftl : spec.ftls) {
+        if (ftl != FtlKind::LeaFTL) {
+            err = std::string("crash-at needs an FTL with a recovery "
+                              "model (LeaFTL); ") +
+                  ftlKindName(ftl) + " has none";
+            return false;
+        }
+    }
+    return true;
+}
+
 std::vector<std::string>
 knownExperimentKeys()
 {
     return {"ftl",     "workload",     "gamma",      "qd",
             "device",  "mode",         "rate",       "burst-duty",
-            "trace-strict", "jobs",    "threads",    "quantum",
+            "trace-strict", "jobs",    "threads",
             "requests", "ws",
             "dram-mb", "dram-bytes",   "prefill",    "read-ratio",
             "interarrival", "seed",
@@ -243,15 +259,6 @@ applyExperimentKey(ExperimentSpec &spec, const std::string &raw_key,
             return false;
         }
         spec.threads = static_cast<unsigned>(v);
-        return true;
-    }
-    if (key == "quantum") {
-        uint64_t v;
-        if (!parseU64(value, v) || v > (1u << 20)) {
-            err = "bad quantum '" + value + "'";
-            return false;
-        }
-        spec.barrier_quantum = static_cast<uint32_t>(v);
         return true;
     }
     if (key == "requests") {

@@ -94,8 +94,6 @@ struct ExperimentSpec
      * run fingerprint.
      */
     unsigned threads = 1;
-    /** Key "quantum": requests per barrier window (0 = default). */
-    uint32_t barrier_quantum = 0;
 
     uint64_t requests = 100'000;              ///< Key "requests".
     uint64_t working_set_pages = 64 * 1024;   ///< Key "ws".
@@ -154,6 +152,16 @@ std::string nearestExperimentKey(const std::string &key);
  */
 bool applyExperimentKey(ExperimentSpec &spec, const std::string &key,
                         const std::string &value, std::string &err);
+
+/**
+ * Reject crash injection on an FTL without a recovery model: only
+ * LeaFTL persists and restores its mapping, so a crash on DFTL/SFTL
+ * would be a silent no-op. Checked on the whole spec after every key
+ * is applied, since "ftl" and "crash-at" may come in either order.
+ * @return true when the spec is runnable; false with the problem
+ *         (naming the FTL) in @a err.
+ */
+bool checkCrashSupport(const ExperimentSpec &spec, std::string &err);
 
 /**
  * Lower the resolved @a section of @a file into @a spec (on top of

@@ -35,7 +35,6 @@ class LeaFtl : public Ftl
     LeaFtl(FtlOps &ops, uint32_t gamma, uint32_t page_size);
 
     TranslateResult translate(Lpa lpa) override;
-    TranslateResult translateHinted(Lpa lpa, const RawLookup &raw) override;
     void setShardPool(ShardPool *pool) override;
     void trim(Lpa lpa) override;
     void recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run) override;

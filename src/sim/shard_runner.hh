@@ -1,31 +1,23 @@
 /**
  * @file
- * Intra-run parallelism: a persistent worker pool that fans read-only
- * or disjoint-state batch work out across threads between conservative
- * barriers, plus the oversubscription clamp the CLI front ends share.
+ * Intra-run parallelism: a persistent worker pool that fans
+ * disjoint-state batch work out across threads between barriers, plus
+ * the oversubscription clamp the CLI front ends share.
  *
- * Concurrency discipline (quiescent-state RCU): the simulation itself
- * advances on exactly one thread -- the commit thread that owns the
- * device. Workers only ever run inside a parallelFor() window, and
- * every window is bracketed by barriers on the commit thread, so
- * mutation (learns, compaction, GC, accounting) and concurrent reads
- * never overlap. Readers therefore never lock; a mutation simply
- * waits for the current read window to drain (it already has: the
- * commit thread cannot mutate while it is parked inside parallelFor),
- * bumps the LearnedTable epoch, and retires any outstanding raw-probe
- * hints by epoch mismatch instead of by freeing memory -- group
- * objects never move and are never deleted, so a stale hint is
- * detected, never dangling.
+ * Concurrency discipline: the simulation itself advances on exactly
+ * one thread -- the commit thread that owns the device. Workers only
+ * ever run inside a parallelFor() window, and the commit thread is
+ * parked inside that call until every stripe finishes, so worker
+ * writes never overlap any other access to the state they touch.
  *
- * Three batch shapes ride on this pool, all provably bit-identical to
- * the single-thread engine:
+ * Two batch shapes ride on this pool, both bit-identical to the
+ * single-thread engine:
  *   - per-group segment learns (disjoint Group objects, commutative
  *     table totals, per-worker creation tallies merged in worker
  *     order);
- *   - whole-table compaction (same disjointness argument);
- *   - raw translation probes for buffer flushes and read lookahead
- *     windows (pure reads, consumed serially through the hint path
- *     that replays the lookup cache exactly).
+ *   - whole-table compaction (same disjointness argument).
+ * Translation lookups stay serial: the paper's lookup (§3.4) is one
+ * level scan per request, and fanning it out did not pay.
  */
 
 #pragma once
@@ -125,9 +117,6 @@ class ShardPool
     void *job_ctx_ = nullptr;
     bool stop_ = false;
 };
-
-/** Default read-lookahead window (the barrier quantum), in requests. */
-constexpr uint32_t kDefaultBarrierQuantum = 256;
 
 /**
  * Oversubscription clamp shared by the sweep and campaign front ends:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ftl/leaftl.hh"
-#include "sim/shard_runner.hh"
 
 namespace leaftl
 {
@@ -137,7 +136,7 @@ Ssd::resolveExact(Lpa lpa, Ppa predicted, bool already_read)
 }
 
 Tick
-Ssd::read(Lpa lpa, Tick now, const RawLookup *hint)
+Ssd::read(Lpa lpa, Tick now)
 {
     LEAFTL_ASSERT(lpa < cfg_.hostPages(), "host read beyond capacity");
     stats_.host_reads++;
@@ -158,8 +157,7 @@ Ssd::read(Lpa lpa, Tick now, const RawLookup *hint)
         return lat;
     }
 
-    TranslateResult tr =
-        hint ? ftl_->translateHinted(lpa, *hint) : ftl_->translate(lpa);
+    TranslateResult tr = ftl_->translate(lpa);
     if (!tr.found) {
         // Never-written page: served as zeros.
         stats_.unmapped_reads++;
@@ -234,16 +232,14 @@ Ssd::write(Lpa lpa, Tick now)
 }
 
 Tick
-Ssd::submit(const IoRequest &req, Tick now, const RawLookup *page_hints)
+Ssd::submit(const IoRequest &req, Tick now)
 {
     const uint64_t host_pages = cfg_.hostPages();
     Tick done = now;
     for (uint32_t i = 0; i < req.npages; i++) {
         const Lpa lpa = static_cast<Lpa>((req.lpa + i) % host_pages);
         const Tick lat =
-            req.op == Op::Read
-                ? read(lpa, now, page_hints ? &page_hints[i] : nullptr)
-                : write(lpa, now);
+            req.op == Op::Read ? read(lpa, now) : write(lpa, now);
         done = std::max(done, now + lat);
     }
     return done;
@@ -252,7 +248,6 @@ Ssd::submit(const IoRequest &req, Tick now, const RawLookup *page_hints)
 void
 Ssd::attachShardPool(ShardPool *pool)
 {
-    pool_ = pool;
     ftl_->setShardPool(pool);
 }
 
@@ -366,22 +361,8 @@ Ssd::invalidateOldLocations(const std::vector<Lpa> &lpas)
     // Invalidate the old locations of overwritten LPAs, keeping
     // BVC/PVT exact. Approximate translations are verified through
     // the same OOB path as reads (charged on mispredict only).
-    LearnedTable *table = pool_ ? ftl_->learnedTable() : nullptr;
-    const RawLookup *hints = nullptr;
-    if (table && lpas.size() > 1) {
-        raw_scratch_.resize(lpas.size());
-        pool_->parallelFor(lpas.size(),
-                           [&](size_t begin, size_t end, uint32_t) {
-                               for (size_t i = begin; i < end; i++)
-                                   raw_scratch_[i] =
-                                       table->lookupRaw(lpas[i]);
-                           });
-        hints = raw_scratch_.data();
-    }
-    for (size_t i = 0; i < lpas.size(); i++) {
-        const Lpa lpa = lpas[i];
-        TranslateResult tr = hints ? ftl_->translateHinted(lpa, hints[i])
-                                   : ftl_->translate(lpa);
+    for (const Lpa lpa : lpas) {
+        TranslateResult tr = ftl_->translate(lpa);
         if (!tr.found)
             continue;
         stats_.translations++;

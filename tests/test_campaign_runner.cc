@@ -184,6 +184,50 @@ TEST(CampaignRun, HalfWrittenCsvDoesNotCountAsDone)
         << log.str();
 }
 
+TEST(CampaignRun, CrashAtOnFtlWithoutRecoveryIsRejectedUpFront)
+{
+    // The grid crosses every FTL with the shared crash schedule, so a
+    // DFTL point would be a silent no-op recovery: exit 2 before any
+    // run CSV or summary exists.
+    const TempDir dir;
+    config::CampaignSpec camp;
+    camp.name = "crash";
+    camp.dir = dir.path() + "/out";
+    camp.exp = tinySpec(); // LeaFTL + DFTL.
+    camp.exp.crash_points = {50};
+
+    testing::internal::CaptureStderr();
+    std::ostringstream log;
+    EXPECT_EQ(runCampaign(camp, log), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DFTL"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(camp.dir));
+
+    // The same rejection through the CLI: a campaign file plus a
+    // --set override that adds the crash schedule.
+    const std::string conf = dir.path() + "/crash.conf";
+    {
+        std::ofstream out(conf);
+        out << "[experiment]\nftl = leaftl,sftl\ndevice = tiny\n"
+               "ws = 2048\nrequests = 200\n\n[campaign]\nname = crash\n";
+    }
+    const std::string campaign_dir = dir.path() + "/cli";
+    const char *argv[] = {"leaftl_sim",       "--campaign",
+                          conf.c_str(),       "--campaign-dir",
+                          campaign_dir.c_str(), "--set",
+                          "crash-at=20"};
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(simMain(7, argv), 2);
+    const std::string cli_err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(cli_err.find("SFTL"), std::string::npos) << cli_err;
+    EXPECT_FALSE(fs::exists(campaign_dir));
+
+    // LeaFTL-only campaigns keep their crash schedule.
+    camp.exp.ftls = {FtlKind::LeaFTL};
+    std::string check_err;
+    EXPECT_TRUE(config::checkCrashSupport(camp.exp, check_err)) << check_err;
+}
+
 } // namespace
 } // namespace cli
 } // namespace leaftl

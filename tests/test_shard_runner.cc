@@ -2,11 +2,9 @@
  * @file
  * Tests for intra-run parallelism: the ShardPool barrier/striping
  * contract, the exact histogram merges per-worker accumulators rely
- * on, the RCU-style concurrent LearnedTable read path (raw probes,
- * hinted consumption, epoch retirement, a multi-threaded stress), the
- * oversubscription clamp, bit-identical parallel learn/compact, full
- * replay parity between --threads 1 and --threads N, and the
- * --campaign-diff comparator.
+ * on, the oversubscription clamp, bit-identical parallel
+ * learn/compact, full replay parity between --threads 1 and
+ * --threads N, and the --campaign-diff comparator.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +15,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "cli/campaign.hh"
@@ -170,8 +167,7 @@ TEST(HistogramMerge, LatencyHistogramAnyPartitionEqualsSerial)
 }
 
 // --------------------------------------------------------------------
-// LearnedTable: parallel learn/compact equivalence and the raw/hinted
-// read path.
+// LearnedTable: parallel learn/compact equivalence.
 
 std::vector<std::pair<Lpa, Ppa>>
 randomRun(Rng &rng, uint32_t len, Lpa span, Ppa base)
@@ -226,138 +222,6 @@ TEST(ParallelLearn, BitIdenticalToSerialAcrossWorkerCounts)
     }
 }
 
-TEST(RawLookup, MatchesLookupResults)
-{
-    LearnedTable t(4);
-    Rng rng(5);
-    for (int i = 0; i < 20; i++)
-        t.learn(randomRun(rng, 300, 1 << 14, static_cast<Ppa>(i) << 12));
-
-    // Twin table answers lookup() without raw probes disturbing the
-    // twin's cache state (lookupRaw touches no mutable state, but the
-    // comparison is cleaner against an untouched twin).
-    auto twin = LearnedTable::deserialize(t.serialize());
-    for (Lpa lpa = 0; lpa < (1 << 14); lpa += 3) {
-        const RawLookup raw = t.lookupRaw(lpa);
-        const auto ref = twin->lookup(lpa);
-        ASSERT_EQ(raw.found, ref.has_value()) << lpa;
-        if (ref) {
-            EXPECT_EQ(raw.ppa, ref->ppa);
-            EXPECT_EQ(raw.approximate, ref->approximate);
-            EXPECT_EQ(raw.levels_visited, ref->levels_visited);
-        }
-    }
-}
-
-TEST(LookupHinted, ReplaysLookupExactlyIncludingCacheStats)
-{
-    // Drive one table through lookupHinted(fresh probes) and a twin
-    // through plain lookup() over the same LPA sequence: results AND
-    // statistics (including cache-hit counters) must match bit for
-    // bit -- the hint path replays the lookup protocol exactly.
-    LearnedTable hinted(4);
-    Rng rng(21);
-    for (int i = 0; i < 20; i++)
-        hinted.learn(randomRun(rng, 300, 1 << 14,
-                               static_cast<Ppa>(i) << 12));
-    auto plain = LearnedTable::deserialize(hinted.serialize());
-
-    Rng walk(7);
-    Lpa lpa = 0;
-    for (int i = 0; i < 20000; i++) {
-        // Mixed sequential/hot/random walk to exercise the last-hit
-        // cache in all its modes.
-        const uint32_t mode = walk.nextBounded(10);
-        if (mode < 6)
-            lpa = (lpa + 1) % (1 << 14);
-        else if (mode < 8)
-            lpa = lpa % (1 << 14);
-        else
-            lpa = walk.nextBounded(1 << 14);
-        const RawLookup raw = hinted.lookupRaw(lpa);
-        const auto got = hinted.lookupHinted(lpa, raw);
-        const auto ref = plain->lookup(lpa);
-        ASSERT_EQ(got.has_value(), ref.has_value()) << lpa;
-        if (ref) {
-            EXPECT_EQ(got->ppa, ref->ppa);
-            EXPECT_EQ(got->approximate, ref->approximate);
-            EXPECT_EQ(got->levels_visited, ref->levels_visited);
-        }
-    }
-    const auto &a = plain->stats();
-    const auto &b = hinted.stats();
-    EXPECT_EQ(b.lookups, a.lookups);
-    EXPECT_EQ(b.lookup_cache_hits, a.lookup_cache_hits);
-    EXPECT_EQ(b.lookup_levels_total, a.lookup_levels_total);
-    EXPECT_GT(b.lookup_cache_hits, 0u); // The walk actually hit it.
-}
-
-TEST(LookupHinted, StaleEpochFallsBackToFullLookup)
-{
-    LearnedTable t(0);
-    std::vector<std::pair<Lpa, Ppa>> run;
-    for (uint32_t i = 0; i < 512; i++)
-        run.emplace_back(i, 1000 + i);
-    t.learn(run);
-    const Lpa probe_lpa = 100;
-    const RawLookup raw = t.lookupRaw(probe_lpa);
-    EXPECT_TRUE(raw.found);
-    EXPECT_EQ(raw.epoch, t.epoch());
-
-    // Mutate: the probe's epoch is retired, and the mapping changes.
-    t.learn({{probe_lpa, 777}});
-    EXPECT_NE(raw.epoch, t.epoch());
-
-    const auto got = t.lookupHinted(probe_lpa, raw);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->ppa, 777u); // The fallback saw the new mapping.
-}
-
-TEST(RawLookup, ConcurrentReadersMatchSerialUnderQuiescentWindows)
-{
-    // The stress: alternate mutation phases (commit thread only) with
-    // read windows where many raw std::threads hammer lookupRaw
-    // concurrently. Every concurrent answer must equal the serial
-    // lookup of a twin table built from the same content. Run under
-    // TSan this also proves the read path is race-free.
-    LearnedTable t(4);
-    Rng rng(31);
-    const Lpa span = 1 << 13;
-    for (int phase = 0; phase < 8; phase++) {
-        t.learn(randomRun(rng, 500, span, static_cast<Ppa>(phase) << 14));
-        if (phase == 5)
-            t.compact();
-
-        // Each reader verifies against its own twin: lookup() advances
-        // the mutable last-hit cache, so a shared twin would itself be
-        // a data race -- exactly what lookupRaw exists to avoid.
-        const std::vector<uint8_t> blob = t.serialize();
-        const uint64_t epoch_before = t.epoch();
-        constexpr int kReaders = 4;
-        std::atomic<uint64_t> mismatches{0};
-        std::vector<std::thread> readers;
-        for (int r = 0; r < kReaders; r++) {
-            readers.emplace_back([&, r] {
-                auto twin = LearnedTable::deserialize(blob);
-                Rng reader_rng(1000 + phase * kReaders + r);
-                for (int i = 0; i < 4000; i++) {
-                    const Lpa lpa = reader_rng.nextBounded(span);
-                    const RawLookup raw = t.lookupRaw(lpa);
-                    const auto ref = twin->lookup(lpa);
-                    if (raw.found != ref.has_value() ||
-                        (ref && (raw.ppa != ref->ppa ||
-                                 raw.levels_visited != ref->levels_visited)))
-                        mismatches.fetch_add(1);
-                }
-            });
-        }
-        for (auto &th : readers)
-            th.join();
-        EXPECT_EQ(mismatches.load(), 0u) << "phase " << phase;
-        EXPECT_EQ(t.epoch(), epoch_before); // Reads never mutate.
-    }
-}
-
 // --------------------------------------------------------------------
 // Oversubscription clamp.
 
@@ -393,55 +257,47 @@ TEST(ClampSweepJobs, SerialRunsKeepExplicitJobs)
 
 TEST(ThreadedReplay, SweepCsvIdenticalAcrossThreadCounts)
 {
-    SimOptions base;
-    base.ftls = {FtlKind::LeaFTL};
-    base.workloads = {"synthetic:zipf"};
-    base.gammas = {0, 4};
-    base.queue_depths = {1, 8};
-    base.requests = 4000;
-    base.working_set_pages = 8192;
-    base.prefill_frac = 0.5;
-    base.jobs = 1;
+    SimOptions zipf;
+    zipf.ftls = {FtlKind::LeaFTL};
+    zipf.workloads = {"synthetic:zipf"};
+    zipf.gammas = {0, 4};
+    zipf.queue_depths = {1, 8};
+    zipf.requests = 4000;
+    zipf.working_set_pages = 8192;
+    zipf.prefill_frac = 0.5;
+    zipf.jobs = 1;
 
-    SimOptions serial = base;
-    serial.threads = 1;
-    std::ostringstream serial_out;
-    ASSERT_EQ(runSweep(serial, serial_out), 0);
+    // Mixed sequential/strided/log/zipf traffic at qd 8: learns and
+    // compactions interleave with overlapping inflight requests.
+    SimOptions mix = zipf;
+    mix.workloads = {"synthetic:mix"};
+    mix.gammas = {4};
+    mix.queue_depths = {8};
+    mix.requests = 3000;
 
-    for (unsigned threads : {2u, 4u}) {
-        SimOptions par = base;
-        par.threads = threads;
-        std::ostringstream par_out;
-        ASSERT_EQ(runSweep(par, par_out), 0);
-        EXPECT_EQ(stripWallNs(par_out.str()), stripWallNs(serial_out.str()))
-            << "threads=" << threads;
-    }
-}
+    // Read-heavy qd 8: reads dominate, so the pool sees only the rare
+    // flush-time learns and compactions between long serial stretches.
+    SimOptions read_heavy = zipf;
+    read_heavy.gammas = {4};
+    read_heavy.queue_depths = {8};
+    read_heavy.read_ratio = 0.95;
 
-TEST(ThreadedReplay, QuantumDoesNotChangeResults)
-{
-    SimOptions base;
-    base.ftls = {FtlKind::LeaFTL};
-    base.workloads = {"synthetic:mix"};
-    base.gammas = {4};
-    base.queue_depths = {8};
-    base.requests = 3000;
-    base.working_set_pages = 8192;
-    base.prefill_frac = 0.5;
-    base.jobs = 1;
-    base.threads = 4;
+    for (const SimOptions &base : {zipf, mix, read_heavy}) {
+        SimOptions serial = base;
+        serial.threads = 1;
+        std::ostringstream serial_out;
+        ASSERT_EQ(runSweep(serial, serial_out), 0);
 
-    std::string reference;
-    for (uint32_t quantum : {1u, 16u, 256u, 4096u}) {
-        SimOptions opts = base;
-        opts.barrier_quantum = quantum;
-        std::ostringstream out;
-        ASSERT_EQ(runSweep(opts, out), 0);
-        if (reference.empty())
-            reference = stripWallNs(out.str());
-        else
-            EXPECT_EQ(stripWallNs(out.str()), reference)
-                << "quantum=" << quantum;
+        for (unsigned threads : {2u, 4u}) {
+            SimOptions par = base;
+            par.threads = threads;
+            std::ostringstream par_out;
+            ASSERT_EQ(runSweep(par, par_out), 0);
+            EXPECT_EQ(stripWallNs(par_out.str()),
+                      stripWallNs(serial_out.str()))
+                << base.workloads[0] << " read_ratio=" << base.read_ratio
+                << " threads=" << threads;
+        }
     }
 }
 

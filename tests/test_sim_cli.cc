@@ -151,6 +151,61 @@ TEST(SimCliParse, RejectsBadInput)
     }
 }
 
+/** Run simMain on @a args; @return its exit code, stderr in @a err. */
+int
+runMain(std::initializer_list<const char *> args, std::string &err)
+{
+    std::vector<const char *> argv = {"leaftl_sim"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    testing::internal::CaptureStderr();
+    const int rc = simMain(static_cast<int>(argv.size()), argv.data());
+    err = testing::internal::GetCapturedStderr();
+    return rc;
+}
+
+TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
+{
+    // Only LeaFTL models crash recovery; on DFTL/SFTL a crash point
+    // would be a silent no-op counted as a recovery. Flags (in either
+    // order), --set and --config files all reject it with exit 2 and
+    // an error naming the FTL, before any run writes output.
+    const std::string tag = std::to_string(::getpid());
+    const std::string out = "/tmp/leaftl_sim_cli_crash." + tag + ".csv";
+    const std::string conf = "/tmp/leaftl_sim_cli_crash." + tag + ".conf";
+    {
+        std::ofstream file(conf);
+        file << "[experiment]\nftl = sftl\ncrash-at = 5\n";
+    }
+    std::string err;
+    EXPECT_EQ(runMain({"--ftl", "leaftl,dftl", "--crash-at", "10",
+                       "--requests", "100", "--output", out.c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("DFTL"), std::string::npos) << err;
+    EXPECT_EQ(runMain({"--crash-at", "10", "--ftl", "sftl", "--output",
+                       out.c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("SFTL"), std::string::npos) << err;
+    EXPECT_EQ(runMain({"--ftl", "dftl", "--set", "crash-at=3", "--output",
+                       out.c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("DFTL"), std::string::npos) << err;
+    EXPECT_EQ(runMain({"--config", conf.c_str(), "--output", out.c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("SFTL"), std::string::npos) << err;
+    EXPECT_FALSE(std::ifstream(out).good()) << "a rejected sweep ran";
+    std::remove(conf.c_str());
+
+    // LeaFTL alone, or any FTL without crash points, stays runnable.
+    SimOptions opts = parse({"--ftl", "leaftl", "--crash-at", "10"});
+    EXPECT_TRUE(config::checkCrashSupport(opts, err)) << err;
+    opts = parse({"--ftl", "leaftl,dftl,sftl"});
+    EXPECT_TRUE(config::checkCrashSupport(opts, err)) << err;
+}
+
 TEST(SimCliWorkloads, ResolvesEveryKnownFamily)
 {
     SimOptions opts;

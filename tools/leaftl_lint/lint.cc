@@ -614,27 +614,6 @@ ruleFloatFormat(const PathInfo &p, const ScannedFile &f, Findings &out)
 }
 
 /**
- * concurrency/epoch-access: LearnedTable's mutation epoch is the RCU
- * linchpin -- exactly one writer, readers validate by equality, and
- * the barrier provides the ordering. Any direct epoch_ access from
- * outside the table's own translation unit bypasses that protocol;
- * external code must use the epoch() accessor and the RawLookup
- * validation path.
- */
-void
-ruleEpochAccess(const PathInfo &p, const ScannedFile &f, Findings &out)
-{
-    if (startsWith(p.path, "src/learned/learned_table."))
-        return;
-    for (int line = 1; line <= f.lineCount(); line++) {
-        if (hasIdent(f.codeAt(line), "epoch_"))
-            add(out, p, line, "epoch-access",
-                "raw epoch_ access outside LearnedTable's translation "
-                "unit; use epoch()/RawLookup validation");
-    }
-}
-
-/**
  * concurrency/hot-path-std-function: the PR 4 learn-path overhaul
  * removed std::function from the per-mapping path (template visitors
  * instead); these headers are the translation/replay hot path where
@@ -663,20 +642,20 @@ ruleHotPathStdFunction(const PathInfo &p, const ScannedFile &f, Findings &out)
 
 /**
  * concurrency/parallel-mutation: inside a ShardPool::parallelFor
- * window only quiescent-state reads (lookupRaw) and disjoint
- * per-group work are legal; calling a LearnedTable mutation or
- * stats-advancing entry point from a worker races the commit
- * thread's protocol. learned_table.cc itself is exempt -- it owns
- * the disjoint-group fan-out (per-group update/compact with
- * per-worker arenas).
+ * window only disjoint per-group work and reads of state no worker
+ * writes are legal; calling a LearnedTable mutation or
+ * stats-advancing entry point (lookup() advances the last-hit cache)
+ * from a worker races every other worker. learned_table.cc itself is
+ * exempt -- it owns the disjoint-group fan-out (per-group
+ * update/compact with per-worker arenas).
  */
 void
 ruleParallelMutation(const PathInfo &p, const ScannedFile &f, Findings &out)
 {
     if (p.path == "src/learned/learned_table.cc")
         return;
-    static const char *banned[] = {"lookup",      "lookupHinted", "learn",
-                                   "compact",     "setShardPool", "restore"};
+    static const char *banned[] = {"lookup",       "learn",  "compact",
+                                   "setShardPool", "restore"};
     // Track parallelFor(...) argument extents, which usually span
     // lines (the body is a lambda); any line touching an open extent
     // is checked for banned member calls.
@@ -707,7 +686,8 @@ ruleParallelMutation(const PathInfo &p, const ScannedFile &f, Findings &out)
                     add(out, p, line, "parallel-mutation",
                         std::string("LearnedTable entry point '") + id +
                             "()' called inside a parallelFor body; "
-                            "workers may only lookupRaw()");
+                            "workers may only touch disjoint per-group "
+                            "state");
                 }
             }
         }
@@ -893,9 +873,6 @@ rules()
         {{"float-format", "determinism",
           "printf-family float conversions must pin their precision"},
          ruleFloatFormat},
-        {{"epoch-access", "concurrency",
-          "no raw epoch_ access outside LearnedTable's translation unit"},
-         ruleEpochAccess},
         {{"parallel-mutation", "concurrency",
           "no LearnedTable mutation entry points inside parallelFor "
           "bodies"},

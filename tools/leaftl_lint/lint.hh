@@ -4,15 +4,16 @@
  * the project's determinism and concurrency disciplines.
  *
  * The repo's headline guarantees -- byte-identical sweep CSVs across
- * --jobs/--threads/config layouts, and the quiescent-state RCU
- * protocol on LearnedTable -- are invariants of the *source*, not of
- * any one test run: a single stray wall-clock read, unordered-map
- * iteration in a serializer, or table mutation inside a parallelFor
- * window silently breaks reproducibility. This pass tokenizes every
- * source file (comments and literal contents stripped, so prose never
- * triggers rules) and enforces the invariants as named rules, in the
- * src/config diagnostic idiom: every finding is "origin:line: ..."
- * located, and intentional exceptions are suppressed in place with
+ * --jobs/--threads/config layouts, and disjoint-only mutation inside
+ * the worker pool's parallelFor windows -- are invariants of the
+ * *source*, not of any one test run: a single stray wall-clock read,
+ * unordered-map iteration in a serializer, or table mutation inside a
+ * parallelFor window silently breaks reproducibility. This pass
+ * tokenizes every source file (comments and literal contents
+ * stripped, so prose never triggers rules) and enforces the
+ * invariants as named rules, in the src/config diagnostic idiom:
+ * every finding is "origin:line: ..." located, and intentional
+ * exceptions are suppressed in place with
  *
  *     // leaftl-lint: allow(<rule>[,<rule>...])   (this + next line)
  *     // leaftl-lint: allow-file(<rule>)          (whole file)
