@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli/sim_cli.hh"
 #include "config/experiment.hh"
 #include "flash/presets.hh"
 #include "sim/runner.hh"
@@ -39,10 +40,9 @@ struct BenchScale
     /** Fraction of host pages prefilled to warm the device (GC runs). */
     double prefill_frac = 0.85;
     /**
-     * 0 = derive from the working set: the paper's regime has the
-     * page-level mapping table ~4x the SSD DRAM, so DRAM defaults to
-     * half the DFTL table size (mapping pressure is what Figs. 16/21/
-     * 22 measure). Override with --dram-mb= for absolute sizes.
+     * 0 = derive from the working set (cli::makeConfig's default: DRAM
+     * holds half the page-level mapping table, the paper's mapping-
+     * pressure regime). Override with --dram-mb= for absolute sizes.
      */
     uint64_t dram_bytes = 0;
     uint32_t gamma = 0;
@@ -62,15 +62,6 @@ struct BenchScale
     config::ExperimentSpec spec;
     /** True once --config=FILE populated the spec. */
     bool from_config = false;
-
-    uint64_t
-    dramBytes() const
-    {
-        if (dram_bytes > 0)
-            return dram_bytes;
-        return std::max<uint64_t>(128ull << 10,
-                                  working_set_pages * kMapEntryBytes / 2);
-    }
 };
 
 /** Collapse the spec's scalars (and each axis' first entry) into @a s. */
@@ -149,58 +140,24 @@ parseScale(int argc, char **argv, std::string *free_arg = nullptr)
 }
 
 /**
- * The scaled device (paper Table 1, shrunk ~1000x). The flash
- * capacity is derived from the working set -- the workload occupies
- * ~75% of the host space, so its own churn keeps GC busy and the
- * measured mapping table reflects the workload's access pattern (as
- * in the paper, where trace footprints dwarf the warm-up).
+ * The scaled device: leaftl_sim's device for the same working set,
+ * DRAM budget and preset (cli::makeConfig -- with no preset the
+ * flash is sized so the workload occupies ~75% of the host space and
+ * its own churn keeps GC busy), with the bench's DRAM split policy
+ * and page size.
  */
 inline SsdConfig
 benchConfig(FtlKind ftl, const BenchScale &s,
             DramPolicy policy = DramPolicy::MappingFirst,
             uint32_t page_size = 4096)
 {
-    SsdConfig cfg;
-    const DevicePreset *preset =
-        s.device.empty() ? nullptr : findDevicePreset(s.device);
-    if (preset) {
-        cfg.geometry = preset->geometry;
-        cfg.geometry.page_size = page_size;
-    } else {
-        cfg.geometry.num_channels = 16;
-        cfg.geometry.pages_per_block = 256;
-        cfg.geometry.page_size = page_size;
-        cfg.geometry.oob_size = 128;
-
-        // Size the device so host pages ~= ws * 4/3.
-        const uint64_t host_pages = s.working_set_pages * 4 / 3;
-        const uint64_t raw_pages =
-            static_cast<uint64_t>(host_pages / (1.0 - 0.20)) + 1;
-        const uint64_t blocks =
-            ceilDiv(raw_pages, cfg.geometry.pages_per_block);
-        cfg.geometry.blocks_per_channel = static_cast<uint32_t>(
-            std::max<uint64_t>(8,
-                               ceilDiv(blocks, cfg.geometry.num_channels)));
-    }
-
-    cfg.ftl = ftl;
-    cfg.gamma = s.gamma;
-    // A preset is a complete device: its recommended DRAM applies
-    // unless --dram-mb= overrides (as the leaftl_sim CLI does, so one
-    // preset name means the same device everywhere).
-    cfg.dram_bytes = s.dram_bytes > 0 ? s.dram_bytes
-                     : preset         ? preset->dram_bytes
-                                      : s.dramBytes();
+    config::ExperimentSpec spec;
+    spec.working_set_pages = s.working_set_pages;
+    spec.dram_bytes = s.dram_bytes;
+    SsdConfig cfg = cli::makeConfig(ftl, s.gamma, spec,
+                                    s.device.empty() ? "auto" : s.device);
     cfg.dram_policy = policy;
-    cfg.write_buffer_bytes =
-        preset ? preset->write_buffer_bytes : 8ull << 20;
-    // The paper compacts every 1M writes on a 512M-page device; scale
-    // the interval with the device so compaction fires at the same
-    // relative frequency. Preset devices have a fixed size, so derive
-    // from their geometry; ws-derived devices scale with the ws.
-    cfg.compaction_interval =
-        preset ? std::max<uint64_t>(cfg.geometry.totalPages() / 512, 2048)
-               : std::max<uint64_t>(s.working_set_pages / 8, 2048);
+    cfg.geometry.page_size = page_size;
     return cfg;
 }
 

@@ -9,6 +9,7 @@
 if(NOT SIM_BIN)
     message(FATAL_ERROR "SIM_BIN not set")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CsvCell.cmake)
 
 execute_process(
     COMMAND ${SIM_BIN}
@@ -47,12 +48,10 @@ set(row_idx 1)
 foreach(want_mode IN LISTS want_modes)
     list(GET sim_lines ${row_idx} line)
     math(EXPR row_idx "${row_idx} + 1")
-    string(REPLACE "," ";" cells "${line}")
-    # 0-based columns: 22 mode, 26 p50, 28 p99, 29 p99.9.
-    list(GET cells 22 mode)
-    list(GET cells 26 p50)
-    list(GET cells 28 p99)
-    list(GET cells 29 p999)
+    csv_cell(mode "${header}" "${line}" mode)
+    csv_cell(p50 "${header}" "${line}" p50_lat_e2e_us)
+    csv_cell(p99 "${header}" "${line}" p99_lat_e2e_us)
+    csv_cell(p999 "${header}" "${line}" p999_lat_e2e_us)
     if(NOT mode STREQUAL want_mode)
         message(FATAL_ERROR
             "expected mode '${want_mode}', got '${mode}' in: ${line}")

@@ -11,6 +11,7 @@
 if(NOT SIM_BIN)
     message(FATAL_ERROR "SIM_BIN not set")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CsvCell.cmake)
 
 execute_process(
     COMMAND ${SIM_BIN}
@@ -44,18 +45,17 @@ if(NOT header MATCHES "^ftl,workload,gamma,qd,")
     message(FATAL_ERROR "CSV header lacks the qd column: ${header}")
 endif()
 
-# Column 8 (1-based) is throughput_mbps, printed with exactly four
-# decimals; dropping the dot scales both values by 10^4 so they can be
-# compared as integers (CMake's numeric if() is integer-only).
+# throughput_mbps is printed with exactly four decimals; dropping the
+# dot scales both values by 10^4 so they can be compared as integers
+# (CMake's numeric if() is integer-only).
 set(tp_1 "")
 set(tp_8 "")
 foreach(line IN LISTS sim_lines)
     if(line MATCHES "^ftl,")
         continue()
     endif()
-    string(REPLACE "," ";" cells "${line}")
-    list(GET cells 3 qd)
-    list(GET cells 7 tp)
+    csv_cell(qd "${header}" "${line}" qd)
+    csv_cell(tp "${header}" "${line}" throughput_mbps)
     if(NOT tp MATCHES "^[0-9]+\\.[0-9][0-9][0-9][0-9]$")
         message(FATAL_ERROR "malformed throughput '${tp}' in: ${line}")
     endif()

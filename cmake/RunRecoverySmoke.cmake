@@ -8,6 +8,7 @@
 if(NOT SIM_BIN)
     message(FATAL_ERROR "SIM_BIN not set")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CsvCell.cmake)
 
 set(common_flags
     --ftl leaftl
@@ -72,14 +73,9 @@ if(NOT header MATCHES "recov_scanned_pages,recov_journal_records,recov_applied_d
     message(FATAL_ERROR
         "recovery columns missing from the CSV header:\n${header}")
 endif()
-string(REPLACE "," ";" cells "${row}")
-list(LENGTH cells n_cells)
-math(EXPR idx_pages "${n_cells} - 8")
-math(EXPR idx_records "${n_cells} - 7")
-math(EXPR idx_ms "${n_cells} - 5")
-list(GET cells ${idx_pages} recov_pages)
-list(GET cells ${idx_records} recov_records)
-list(GET cells ${idx_ms} recov_ms)
+csv_cell(recov_pages "${header}" "${row}" recov_scanned_pages)
+csv_cell(recov_records "${header}" "${row}" recov_journal_records)
+csv_cell(recov_ms "${header}" "${row}" recovery_ms)
 if(recov_records EQUAL 0)
     message(FATAL_ERROR
         "three crash points replayed zero journal records -- the "

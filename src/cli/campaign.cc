@@ -7,16 +7,11 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <thread>
 
 #include "cli/sim_cli.hh"
-#include "sim/runner.hh"
 #include "sim/shard_runner.hh"
-#include "ssd/ssd.hh"
-#include "util/host_clock.hh"
-#include "workload/arrival.hh"
 
 namespace leaftl
 {
@@ -28,12 +23,10 @@ namespace
 
 namespace fs = std::filesystem;
 
-/** Columns (0-based) the JSON summary lifts out of a run's CSV row. */
-constexpr int kColThroughput = 7;
-constexpr int kColP99Read = 11;
-constexpr int kColAchievedIops = 25;
-constexpr int kColP99E2e = 28;
-constexpr int kColWallNs = 40;
+/** CSV columns a BENCH json run entry carries, under the same names. */
+constexpr const char *kBenchFields[] = {"throughput_mbps", "achieved_iops",
+                                        "p99_read_lat_us", "p99_lat_e2e_us",
+                                        "wall_ns"};
 
 std::vector<std::string>
 splitCsv(const std::string &line)
@@ -135,85 +128,25 @@ jsonStringArray(const std::vector<std::string> &items)
 
 } // namespace
 
-std::vector<config::RunPoint>
-expandCampaignGrid(const config::ExperimentSpec &spec)
-{
-    // Same loop nest as runSweep so runs land in sweep order; unlike
-    // the sweep (one row per combination) a campaign keeps only the
-    // unique simulations -- combinations whose canonical configs
-    // collide are literally the same run and share one CSV.
-    std::vector<config::RunPoint> runs;
-    std::set<std::string> seen;
-    for (const FtlKind ftl : spec.ftls) {
-        for (const std::string &wl : spec.workloads) {
-            for (const std::string &device : spec.devices) {
-                for (const uint32_t gamma : spec.gammas) {
-                    for (const uint32_t qd : spec.queue_depths) {
-                        for (const std::string &mode : spec.modes) {
-                            for (const double rate : spec.rates) {
-                                config::RunPoint p;
-                                p.ftl = ftl;
-                                p.workload = wl;
-                                p.gamma = gamma;
-                                p.qd = qd;
-                                p.device = device;
-                                p.mode = mode;
-                                p.rate = rate;
-                                if (seen
-                                        .insert(runFingerprint(spec, p))
-                                        .second)
-                                    runs.push_back(std::move(p));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return runs;
-}
-
 int
 runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
 {
     const config::ExperimentSpec &spec = campaign.exp;
 
-    // Every grid point shares the spec's crash schedule, so one FTL
-    // without a recovery model rejects the whole campaign before any
-    // run (or its directory) exists.
-    {
-        std::string err;
-        if (!config::checkCrashSupport(spec, err)) {
-            std::cerr << "leaftl_sim: campaign '" << campaign.name
-                      << "': " << err << '\n';
-            return 2;
-        }
-    }
-
-    // Same up-front validation as the inline sweep: resolve every
-    // workload (parsing traces once into the shared cache) and
-    // reject rate-driven modes without a positive rate.
+    // Every grid point shares the spec's workloads, rates and crash
+    // schedule, so one unrunnable point rejects the whole campaign
+    // before any run (or its directory) exists.
     TraceCache trace_cache;
-    for (const std::string &wl : spec.workloads) {
-        std::string err;
-        if (!makeWorkload(wl, spec, err, &trace_cache)) {
-            std::cerr << "leaftl_sim: " << err << '\n';
-            return 1;
-        }
-    }
-    for (const std::string &mode : spec.modes) {
-        if (!config::modeUsesRate(mode))
-            continue;
-        for (const double rate : spec.rates) {
-            if (rate <= 0.0) {
-                std::cerr << "leaftl_sim: mode '" << mode
-                          << "' needs rate > 0\n";
-                return 1;
-            }
-        }
+    std::string spec_err;
+    if (const int rc = validateSpec(spec, trace_cache, spec_err)) {
+        std::cerr << "leaftl_sim: campaign '" << campaign.name
+                  << "': " << spec_err << '\n';
+        return rc;
     }
 
-    const std::vector<config::RunPoint> runs = expandCampaignGrid(spec);
+    const SweepGrid grid = expandGrid(spec);
+    const std::vector<config::RunPoint> &runs = grid.runs;
+    const std::vector<std::string> &fingerprints = grid.fingerprints;
     if (runs.empty()) {
         std::cerr << "leaftl_sim: campaign '" << campaign.name
                   << "' expands to zero runs\n";
@@ -229,11 +162,9 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
         return 1;
     }
 
-    std::vector<std::string> fingerprints(runs.size());
     std::vector<uint8_t> resumed(runs.size(), 0);
     std::vector<size_t> pending;
     for (size_t i = 0; i < runs.size(); i++) {
-        fingerprints[i] = runFingerprint(spec, runs[i]);
         if (runCsvComplete(dir / runCsvName(fingerprints[i])))
             resumed[i] = 1;
         else
@@ -272,59 +203,20 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
                           << " / mode=" << p.mode << " / rate=" << p.rate
                           << " ...\n";
             }
+            RunResult res;
             std::string err;
-            auto wl = makeWorkload(p.workload, spec, err, &trace_cache);
-            if (!wl) {
+            if (!executeRun(spec, p, &trace_cache, res, err)) {
                 std::lock_guard<std::mutex> lock(mutex);
                 if (first_error.empty())
                     first_error = err;
                 return;
             }
-            const SsdConfig cfg =
-                makeConfig(p.ftl, p.gamma, spec, p.device);
-            std::unique_ptr<ShardPool> run_pool;
-            Ssd ssd(cfg);
-            RunOptions ropts;
-            ropts.prefill_pages = static_cast<uint64_t>(
-                spec.prefill_frac * spec.working_set_pages);
-            ropts.mixed_prefill = true;
-            ropts.queue_depth = p.qd;
-            ropts.crash_points = spec.crash_points;
-            if (spec.threads > 1) {
-                run_pool = std::make_unique<ShardPool>(spec.threads);
-                ssd.attachShardPool(run_pool.get());
-            }
-            ShaperSpec shaper;
-            shaper.rate_iops = p.rate;
-            shaper.seed = spec.seed;
-            shaper.duty = spec.burst_duty;
-            if (p.mode == "closed") {
-                ropts.admission = Admission::Closed;
-            } else {
-                ropts.admission = Admission::Open;
-                if (p.mode == "open")
-                    shaper.kind = ShaperKind::AsRecorded;
-                else if (p.mode == "fixed")
-                    shaper.kind = ShaperKind::FixedRate;
-                else if (p.mode == "poisson")
-                    shaper.kind = ShaperKind::Poisson;
-                else
-                    shaper.kind = ShaperKind::Burst;
-                wl = shapeArrivals(std::move(wl), shaper);
-            }
-            HostTimer timer;
-            RunResult res = Runner::replay(ssd, *wl, ropts);
-            res.host_wall_ns = timer.elapsedNs();
-            res.mode = p.mode;
-            res.rate_iops = config::modeUsesRate(p.mode) ? p.rate : 0.0;
 
             const fs::path path = dir / runCsvName(fingerprints[i]);
-            const fs::path tmp =
-                path.string() + ".tmp" + std::to_string(i);
+            const fs::path tmp = path.string() + ".tmp" + std::to_string(i);
             {
                 std::ofstream out(tmp);
-                out << csvHeader() << '\n'
-                    << csvRow(res, p.ftl, p.gamma, cfg, p.device) << '\n';
+                out << csvHeader() << '\n' << csvRow(spec, p, res) << '\n';
                 if (!out.good()) {
                     std::lock_guard<std::mutex> lock(mutex);
                     if (first_error.empty())
@@ -379,13 +271,13 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
             return 1;
         }
         const std::vector<std::string> cells = splitCsv(row);
-        if (cells.size() <= static_cast<size_t>(kColWallNs)) {
+        if (cells.size() != csvColumns().size()) {
             std::cerr << "leaftl_sim: short campaign CSV row: " << path
                       << '\n';
             return 1;
         }
         if (!resumed[i])
-            wall_ns_executed += std::stoull(cells[kColWallNs]);
+            wall_ns_executed += std::stoull(cells[csvColumnIndex("wall_ns")]);
         if (i)
             run_rows << ",\n";
         run_rows << "    {\"fingerprint\": \"" << fingerprints[i]
@@ -397,12 +289,14 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
                  << "\", \"gamma\": " << p.gamma << ", \"qd\": " << p.qd
                  << ", \"device\": \"" << jsonEscape(p.device)
                  << "\", \"mode\": \"" << p.mode
-                 << "\", \"rate\": " << jsonNumber(p.rate)
-                 << ",\n     \"throughput_mbps\": " << cells[kColThroughput]
-                 << ", \"achieved_iops\": " << cells[kColAchievedIops]
-                 << ", \"p99_read_lat_us\": " << cells[kColP99Read]
-                 << ", \"p99_lat_e2e_us\": " << cells[kColP99E2e]
-                 << ", \"wall_ns\": " << cells[kColWallNs] << "}";
+                 << "\", \"rate\": " << jsonNumber(p.rate);
+        const char *sep = ",\n     ";
+        for (const char *field : kBenchFields) {
+            run_rows << sep << '"' << field
+                     << "\": " << cells[csvColumnIndex(field)];
+            sep = ", ";
+        }
+        run_rows << "}";
     }
 
     // The campaign's config hash: order-independent over the runs'

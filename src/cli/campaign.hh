@@ -1,10 +1,10 @@
 /**
  * @file
  * Fingerprinted campaign runner: expand a campaign config's sweep
- * grid into unique runs (one per canonical-config fingerprint), run
- * the ones whose run-<fingerprint>.csv is not already on disk, and
- * write a BENCH_<campaign>.json summary — the repo's perf-trajectory
- * artifact.
+ * grid into unique runs (cli::expandGrid, one per canonical-config
+ * fingerprint), run the ones whose run-<fingerprint>.csv is not
+ * already on disk, and write a BENCH_<campaign>.json summary — the
+ * repo's perf-trajectory artifact.
  *
  * Resume contract: a run is "done" iff <dir>/run-<fingerprint>.csv
  * exists with the current CSV header and a data row. CSVs are
@@ -28,14 +28,6 @@ namespace leaftl
 {
 namespace cli
 {
-
-/**
- * The unique runs of @a spec's sweep grid, in sweep order by first
- * appearance: grid points whose fingerprints collide (gamma on a
- * non-learned FTL, rate on a non-rate mode) are one run.
- */
-std::vector<config::RunPoint>
-expandCampaignGrid(const config::ExperimentSpec &spec);
 
 /**
  * Run @a campaign: execute the missing fingerprints on

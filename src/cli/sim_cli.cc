@@ -9,7 +9,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <tuple>
 
 #include "cli/campaign.hh"
 #include "flash/presets.hh"
@@ -124,6 +123,27 @@ fmt(double v)
     std::snprintf(buf, sizeof(buf), "%.4f", v);
     return buf;
 }
+
+std::string
+num(uint64_t v)
+{
+    return std::to_string(v);
+}
+
+double
+simSeconds(const RunResult &res)
+{
+    return static_cast<double>(res.sim_time_ns) / static_cast<double>(kSecond);
+}
+
+/** Percentile @a p of @a hist (ns samples) in us. */
+std::string
+pctUs(const LatencyHistogram &hist, double p)
+{
+    return fmt(hist.percentile(p) / 1000.0);
+}
+
+using R = const CsvRowInput &;
 
 } // namespace
 
@@ -499,230 +519,231 @@ makeConfig(FtlKind ftl, uint32_t gamma, const config::ExperimentSpec &opts,
     return cfg;
 }
 
+const std::vector<CsvColumn> &
+csvColumns()
+{
+    static const std::vector<CsvColumn> columns = {
+        {"ftl", [](R r) { return std::string(ftlKindName(r.point.ftl)); }},
+        {"workload", [](R r) { return r.res.workload; }},
+        {"gamma", [](R r) { return num(r.point.gamma); }},
+        {"qd", [](R r) { return num(r.res.queue_depth); }},
+        {"requests", [](R r) { return num(r.res.requests); }},
+        {"pages", [](R r) { return num(r.res.pages_touched); }},
+        {"sim_seconds", [](R r) { return fmt(simSeconds(r.res)); }},
+        {"throughput_mbps",
+         [](R r) {
+             const double sim_s = simSeconds(r.res);
+             const double bytes =
+                 static_cast<double>(r.res.pages_touched) * r.page_size;
+             return fmt(sim_s > 0.0 ? bytes / sim_s / (1 << 20) : 0.0);
+         }},
+        {"avg_lat_us", [](R r) { return fmt(r.res.avg_latency_us); }},
+        {"avg_read_lat_us", [](R r) { return fmt(r.res.avg_read_latency_us); }},
+        {"p50_read_lat_us",
+         [](R r) { return pctUs(r.res.ssd.read_latency, 50.0); }},
+        {"p99_read_lat_us", [](R r) { return fmt(r.res.p99_read_latency_us); }},
+        {"avg_write_lat_us",
+         [](R r) { return fmt(r.res.avg_write_latency_us); }},
+        {"mapping_bytes", [](R r) { return num(r.res.mapping_bytes); }},
+        {"resident_bytes", [](R r) { return num(r.res.resident_bytes); }},
+        {"waf", [](R r) { return fmt(r.res.waf); }},
+        {"mispredict_ratio", [](R r) { return fmt(r.res.mispredict_ratio); }},
+        {"cache_hit_ratio", [](R r) { return fmt(r.res.cache_hit_ratio); }},
+        {"avg_lookup_levels", [](R r) { return fmt(r.res.avg_lookup_levels); }},
+        {"avg_queue_wait_us", [](R r) { return fmt(r.res.avg_queue_wait_us); }},
+        {"mean_inflight", [](R r) { return fmt(r.res.mean_inflight); }},
+        {"device", [](R r) { return r.point.device; }},
+        {"mode", [](R r) { return r.point.mode; }},
+        {"rate_iops",
+         [](R r) {
+             return fmt(config::modeUsesRate(r.point.mode) ? r.point.rate
+                                                           : 0.0);
+         }},
+        {"offered_iops", [](R r) { return fmt(r.res.offered_iops); }},
+        {"achieved_iops", [](R r) { return fmt(r.res.achieved_iops); }},
+        {"p50_lat_e2e_us", [](R r) { return pctUs(r.res.e2e_all, 50.0); }},
+        {"p95_lat_e2e_us", [](R r) { return pctUs(r.res.e2e_all, 95.0); }},
+        {"p99_lat_e2e_us", [](R r) { return pctUs(r.res.e2e_all, 99.0); }},
+        {"p999_lat_e2e_us", [](R r) { return pctUs(r.res.e2e_all, 99.9); }},
+        {"p99_read_e2e_us", [](R r) { return pctUs(r.res.e2e_read, 99.0); }},
+        {"p99_write_e2e_us", [](R r) { return pctUs(r.res.e2e_write, 99.0); }},
+        {"recov_scanned_pages",
+         [](R r) { return num(r.res.recovery.scanned_pages); }},
+        {"recov_journal_records",
+         [](R r) { return num(r.res.recovery.replayed_journal_records); }},
+        {"recov_applied_deltas",
+         [](R r) { return num(r.res.recovery.applied_deltas); }},
+        {"recovery_ms",
+         [](R r) {
+             return fmt(static_cast<double>(r.res.recovery.recovery_time) /
+                        1.0e6);
+         }},
+        {"cache_hits", [](R r) { return num(r.res.cache_hits); }},
+        {"cache_misses", [](R r) { return num(r.res.cache_misses); }},
+        {"gc_pick_calls", [](R r) { return num(r.res.gc_pick_calls); }},
+        {"gc_pick_scanned", [](R r) { return num(r.res.gc_pick_scanned); }},
+        {"wall_ns", [](R r) { return num(r.res.host_wall_ns); }},
+    };
+    return columns;
+}
+
+size_t
+csvColumnIndex(const std::string &name)
+{
+    const auto &columns = csvColumns();
+    for (size_t i = 0; i < columns.size(); i++) {
+        if (name == columns[i].name)
+            return i;
+    }
+    LEAFTL_PANIC("csvColumnIndex: no CSV column '" + name + "'");
+}
+
 std::string
 csvHeader()
 {
-    // New columns are appended after the pre-existing ones so every
-    // historical column keeps its index (downstream scripts parse by
-    // position). wall_ns is the host wall-clock time of the run -- the
-    // only nondeterministic column, kept trailing so stripping it
-    // recovers a reproducible row; the open-loop columns (mode through
-    // p99_write_e2e_us), the recovery columns (recov_scanned_pages
-    // through recovery_ms), and the device hot-path counters
-    // (cache_hits through gc_pick_scanned) sit between device and
-    // wall_ns.
-    return "ftl,workload,gamma,qd,requests,pages,sim_seconds,"
-           "throughput_mbps,avg_lat_us,avg_read_lat_us,p50_read_lat_us,"
-           "p99_read_lat_us,avg_write_lat_us,mapping_bytes,resident_bytes,"
-           "waf,mispredict_ratio,cache_hit_ratio,avg_lookup_levels,"
-           "avg_queue_wait_us,mean_inflight,device,"
-           "mode,rate_iops,offered_iops,achieved_iops,p50_lat_e2e_us,"
-           "p95_lat_e2e_us,p99_lat_e2e_us,p999_lat_e2e_us,"
-           "p99_read_e2e_us,p99_write_e2e_us,recov_scanned_pages,"
-           "recov_journal_records,recov_applied_deltas,recovery_ms,"
-           "cache_hits,cache_misses,gc_pick_calls,gc_pick_scanned,"
-           "wall_ns";
+    std::string header;
+    for (const CsvColumn &col : csvColumns())
+        header += (header.empty() ? "" : ",") + std::string(col.name);
+    return header;
 }
 
 std::string
-csvRow(const RunResult &res, FtlKind ftl, uint32_t gamma,
-       const SsdConfig &cfg, const std::string &device)
+csvRow(const config::ExperimentSpec &spec, const config::RunPoint &point,
+       const RunResult &res)
 {
-    const double sim_s =
-        static_cast<double>(res.sim_time_ns) / static_cast<double>(kSecond);
-    const double bytes = static_cast<double>(res.pages_touched) *
-                         cfg.geometry.page_size;
-    const double mbps = sim_s > 0.0 ? bytes / sim_s / (1 << 20) : 0.0;
+    const uint32_t page_size =
+        makeConfig(point.ftl, point.gamma, spec, point.device)
+            .geometry.page_size;
+    const CsvRowInput row{point, res, page_size};
+    std::string out;
+    for (const CsvColumn &col : csvColumns())
+        out += (out.empty() ? "" : ",") + col.cell(row);
+    return out;
+}
 
-    std::ostringstream row;
-    row << ftlKindName(ftl) << ',' << res.workload << ',' << gamma << ','
-        << res.queue_depth << ',' << res.requests << ','
-        << res.pages_touched << ',' << fmt(sim_s) << ',' << fmt(mbps)
-        << ',' << fmt(res.avg_latency_us) << ','
-        << fmt(res.avg_read_latency_us) << ','
-        << fmt(res.ssd.read_latency.percentile(50.0) / 1000.0) << ','
-        << fmt(res.p99_read_latency_us) << ','
-        << fmt(res.avg_write_latency_us) << ',' << res.mapping_bytes << ','
-        << res.resident_bytes << ',' << fmt(res.waf) << ','
-        << fmt(res.mispredict_ratio) << ',' << fmt(res.cache_hit_ratio)
-        << ',' << fmt(res.avg_lookup_levels) << ','
-        << fmt(res.avg_queue_wait_us) << ',' << fmt(res.mean_inflight)
-        << ',' << device << ',' << res.mode << ',' << fmt(res.rate_iops)
-        << ',' << fmt(res.offered_iops) << ',' << fmt(res.achieved_iops)
-        << ',' << fmt(res.e2e_all.percentile(50.0) / 1000.0) << ','
-        << fmt(res.e2e_all.percentile(95.0) / 1000.0) << ','
-        << fmt(res.e2e_all.percentile(99.0) / 1000.0) << ','
-        << fmt(res.e2e_all.percentile(99.9) / 1000.0) << ','
-        << fmt(res.e2e_read.percentile(99.0) / 1000.0) << ','
-        << fmt(res.e2e_write.percentile(99.0) / 1000.0) << ','
-        << res.recovery.scanned_pages << ','
-        << res.recovery.replayed_journal_records << ','
-        << res.recovery.applied_deltas << ','
-        << fmt(static_cast<double>(res.recovery.recovery_time) / 1.0e6)
-        << ',' << res.cache_hits << ',' << res.cache_misses << ','
-        << res.gc_pick_calls << ',' << res.gc_pick_scanned << ','
-        << res.host_wall_ns;
-    return row.str();
+SweepGrid
+expandGrid(const config::ExperimentSpec &spec)
+{
+    SweepGrid grid;
+    std::map<std::string, size_t> run_index;
+    auto add = [&](const config::RunPoint &p) {
+        std::string fp = config::runFingerprint(spec, p);
+        const auto [it, inserted] = run_index.emplace(fp, grid.runs.size());
+        if (inserted) {
+            grid.runs.push_back(p);
+            grid.fingerprints.push_back(std::move(fp));
+        }
+        grid.points.push_back(p);
+        grid.run_of.push_back(it->second);
+    };
+    for (const FtlKind ftl : spec.ftls)
+        for (const std::string &wl : spec.workloads)
+            for (const std::string &device : spec.devices)
+                for (const uint32_t gamma : spec.gammas)
+                    for (const uint32_t qd : spec.queue_depths)
+                        for (const std::string &mode : spec.modes)
+                            for (const double rate : spec.rates)
+                                add({ftl, wl, gamma, qd, device, mode, rate});
+    return grid;
 }
 
 int
-runSweep(const config::ExperimentSpec &opts, std::ostream &out)
+validateSpec(const config::ExperimentSpec &spec, TraceCache &trace_cache,
+             std::string &err)
 {
-    // Resolve all specs before running anything so a bad spec leaves
-    // the output empty. Every run then builds its own source from
-    // (spec, seed), which reproduces the exact same request sequence
-    // -- that is what keeps parallel runs independent and the sweep
-    // deterministic for any --jobs value. Trace files are parsed once
-    // here; the runs share the immutable request vectors through the
-    // cache (read-only after this loop, so no locking).
-    TraceCache trace_cache;
-    for (const std::string &spec : opts.workloads) {
-        std::string err;
-        auto wl = makeWorkload(spec, opts, err, &trace_cache);
-        if (!wl) {
-            std::cerr << "leaftl_sim: " << err << '\n';
+    if (!config::checkCrashSupport(spec, err))
+        return 2;
+    for (const std::string &wl : spec.workloads) {
+        if (!makeWorkload(wl, spec, err, &trace_cache))
             return 1;
-        }
     }
-
-    // A rate-driven mode without a positive rate cannot produce an
-    // arrival process; reject the sweep up front.
-    for (const std::string &mode : opts.modes) {
-        if (!modeUsesRate(mode))
+    for (const std::string &mode : spec.modes) {
+        if (!config::modeUsesRate(mode))
             continue;
-        for (const double rate : opts.rates) {
+        for (const double rate : spec.rates) {
             if (rate <= 0.0) {
-                std::cerr << "leaftl_sim: mode '" << mode
-                          << "' needs --rate > 0\n";
+                err = "mode '" + mode + "' needs rate > 0";
                 return 1;
             }
         }
     }
+    return 0;
+}
 
-    // Enumerate output rows in sweep order, deduplicating the actual
-    // simulations: gamma only changes LeaFTL and --rate only changes
-    // the rate-driven modes, so each insensitive combination runs once
-    // and every requested value reuses the result -- the output still
-    // has one row per combination.
-    struct Task
-    {
-        FtlKind ftl;
-        std::string spec;
-        uint32_t gamma;
-        uint32_t qd;
-        std::string device;
-        std::string mode;
-        double rate;
-    };
-    struct Row
-    {
-        FtlKind ftl;
-        std::string spec;
-        uint32_t gamma;
-        std::string device;
-        std::string mode;
-        double rate;
-        size_t task;
-    };
-    constexpr uint32_t kAnyGamma = 0xFFFFFFFFu;
-    constexpr double kAnyRate = -1.0;
-    std::vector<Task> tasks;
-    std::vector<Row> rows;
-    std::map<std::tuple<int, std::string, std::string, uint32_t, uint32_t,
-                        std::string, double>,
-             size_t>
-        seen;
-    for (const FtlKind ftl : opts.ftls) {
-        for (const std::string &spec : opts.workloads) {
-            for (const std::string &device : opts.devices) {
-                for (const uint32_t gamma : opts.gammas) {
-                    for (const uint32_t qd : opts.queue_depths) {
-                        for (const std::string &mode : opts.modes) {
-                            for (const double rate : opts.rates) {
-                                const bool gamma_sensitive =
-                                    ftl == FtlKind::LeaFTL;
-                                const bool rate_sensitive =
-                                    modeUsesRate(mode);
-                                const auto key = std::make_tuple(
-                                    static_cast<int>(ftl), spec, device,
-                                    gamma_sensitive ? gamma : kAnyGamma,
-                                    qd, mode,
-                                    rate_sensitive ? rate : kAnyRate);
-                                const auto [it, inserted] =
-                                    seen.emplace(key, tasks.size());
-                                if (inserted)
-                                    tasks.push_back({ftl, spec, gamma, qd,
-                                                     device, mode, rate});
-                                rows.push_back({ftl, spec, gamma, device,
-                                                mode, rate, it->second});
-                            }
-                        }
-                    }
-                }
-            }
-        }
+bool
+executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
+           TraceCache *trace_cache, RunResult &res, std::string &err)
+{
+    auto wl = makeWorkload(p.workload, spec, err, trace_cache);
+    if (!wl)
+        return false;
+    std::unique_ptr<ShardPool> run_pool;
+    Ssd ssd(makeConfig(p.ftl, p.gamma, spec, p.device));
+    RunOptions ropts;
+    ropts.prefill_pages =
+        static_cast<uint64_t>(spec.prefill_frac * spec.working_set_pages);
+    ropts.mixed_prefill = true;
+    ropts.queue_depth = p.qd;
+    ropts.crash_points = spec.crash_points;
+    if (spec.threads > 1) {
+        run_pool = std::make_unique<ShardPool>(spec.threads);
+        ssd.attachShardPool(run_pool.get());
     }
+    wl = applyMode(std::move(wl), p.mode, p.rate, spec, ropts);
+    HostTimer timer;
+    res = Runner::replay(ssd, *wl, ropts);
+    res.host_wall_ns = timer.elapsedNs();
+    return true;
+}
 
-    // Fan the independent runs out over a small thread pool while the
-    // calling thread streams finished rows in sweep order: each row is
-    // written (and flushed) as soon as its task -- and every task an
-    // earlier row needs -- has completed, so an interrupted sweep
-    // still leaves a usable prefix and a failing task aborts the rest.
-    std::vector<RunResult> results(tasks.size());
-    std::vector<std::string> errors(tasks.size());
-    std::vector<uint8_t> task_done(tasks.size(), 0);
+namespace
+{
+
+/**
+ * The sweep of an already validated @a opts: runs fan out over a
+ * small thread pool while the calling thread streams finished rows in
+ * sweep order. Each row is written (and flushed) as soon as its run
+ * -- and every run an earlier row needs -- has completed, so an
+ * interrupted sweep still leaves a usable prefix and a failing run
+ * aborts the rest. Every run builds its own source from (spec, seed),
+ * which reproduces the exact same request sequence; that keeps runs
+ * independent and the CSV identical for any --jobs value. Validation
+ * already parsed every trace into @a trace_cache, so the workers only
+ * read it (no locking).
+ */
+int
+sweepValidated(const config::ExperimentSpec &opts, TraceCache &trace_cache,
+               std::ostream &out)
+{
+    const SweepGrid grid = expandGrid(opts);
+    std::vector<RunResult> results(grid.runs.size());
+    std::vector<std::string> errors(grid.runs.size());
+    std::vector<uint8_t> run_done(grid.runs.size(), 0);
     std::atomic<size_t> next{0};
     std::atomic<bool> abort{false};
-    std::mutex mutex; // Guards task_done and the stderr progress log.
+    std::mutex mutex; // Guards run_done and the stderr progress log.
     std::condition_variable done_cv;
 
     auto worker = [&]() {
         for (;;) {
             const size_t i = next.fetch_add(1);
-            if (i >= tasks.size())
+            if (i >= grid.runs.size())
                 return;
-            const Task &t = tasks[i];
+            const config::RunPoint &p = grid.runs[i];
             if (!abort.load()) {
                 {
                     std::lock_guard<std::mutex> lock(mutex);
-                    std::cerr << "leaftl_sim: running "
-                              << ftlKindName(t.ftl) << " / " << t.spec
-                              << " / gamma=" << t.gamma << " / qd=" << t.qd
-                              << " / device=" << t.device << " / mode="
-                              << t.mode << " / rate=" << t.rate
+                    std::cerr << "leaftl_sim: running " << ftlKindName(p.ftl)
+                              << " / " << p.workload << " / gamma=" << p.gamma
+                              << " / qd=" << p.qd << " / device=" << p.device
+                              << " / mode=" << p.mode << " / rate=" << p.rate
                               << " ...\n";
                 }
-                std::string err;
-                auto wl = makeWorkload(t.spec, opts, err, &trace_cache);
-                if (wl) {
-                    std::unique_ptr<ShardPool> run_pool;
-                    Ssd ssd(makeConfig(t.ftl, t.gamma, opts, t.device));
-                    RunOptions ropts;
-                    ropts.prefill_pages = static_cast<uint64_t>(
-                        opts.prefill_frac * opts.working_set_pages);
-                    ropts.mixed_prefill = true;
-                    ropts.queue_depth = t.qd;
-                    ropts.crash_points = opts.crash_points;
-                    if (opts.threads > 1) {
-                        run_pool =
-                            std::make_unique<ShardPool>(opts.threads);
-                        ssd.attachShardPool(run_pool.get());
-                    }
-                    wl = applyMode(std::move(wl), t.mode, t.rate, opts,
-                                   ropts);
-                    HostTimer timer;
-                    results[i] = Runner::replay(ssd, *wl, ropts);
-                    results[i].host_wall_ns = timer.elapsedNs();
-                    results[i].mode = t.mode;
-                    results[i].rate_iops =
-                        modeUsesRate(t.mode) ? t.rate : 0.0;
-                } else {
-                    errors[i] = err;
-                }
+                executeRun(opts, p, &trace_cache, results[i], errors[i]);
             }
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                task_done[i] = 1;
+                run_done[i] = 1;
             }
             done_cv.notify_all();
         }
@@ -737,7 +758,7 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
     if (!jobs_warning.empty())
         std::cerr << "leaftl_sim: " << jobs_warning << '\n';
     jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(1, tasks.size())));
+        std::min<size_t>(jobs, std::max<size_t>(1, grid.runs.size())));
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; i++)
@@ -746,33 +767,38 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
     out << csvHeader() << '\n';
     out.flush();
     int rc = 0;
-    for (const Row &row : rows) {
+    for (size_t row = 0; row < grid.points.size(); row++) {
+        const size_t run = grid.run_of[row];
         {
             std::unique_lock<std::mutex> lock(mutex);
-            done_cv.wait(lock, [&] { return task_done[row.task] != 0; });
+            done_cv.wait(lock, [&] { return run_done[run] != 0; });
         }
-        if (!errors[row.task].empty()) {
-            std::cerr << "leaftl_sim: " << errors[row.task] << '\n';
-            abort.store(true); // Remaining tasks turn into no-ops.
+        if (!errors[run].empty()) {
+            std::cerr << "leaftl_sim: " << errors[run] << '\n';
+            abort.store(true); // Remaining runs turn into no-ops.
             rc = 1;
             break;
         }
-        const SsdConfig cfg =
-            makeConfig(row.ftl, row.gamma, opts, row.device);
-        // Like gamma, a deduplicated row echoes its own requested
-        // (mode, rate), not the shared task's. Emission is serial and
-        // the worker is done with this slot, so patching the echoed
-        // fields in place (instead of deep-copying the histograms)
-        // is safe even when several rows share one task.
-        RunResult &res = results[row.task];
-        res.mode = row.mode;
-        res.rate_iops = modeUsesRate(row.mode) ? row.rate : 0.0;
-        out << csvRow(res, row.ftl, row.gamma, cfg, row.device) << '\n';
+        out << csvRow(opts, grid.points[row], results[run]) << '\n';
         out.flush();
     }
     for (auto &th : pool)
         th.join();
     return rc;
+}
+
+} // namespace
+
+int
+runSweep(const config::ExperimentSpec &opts, std::ostream &out)
+{
+    TraceCache trace_cache;
+    std::string err;
+    if (const int rc = validateSpec(opts, trace_cache, err)) {
+        std::cerr << "leaftl_sim: " << err << '\n';
+        return rc;
+    }
+    return sweepValidated(opts, trace_cache, out);
 }
 
 int
@@ -822,9 +848,12 @@ simMain(int argc, const char *const *argv)
         return runCampaign(camp, std::cout);
     }
 
-    if (!config::checkCrashSupport(opts, err)) {
+    // Validate before opening --output, so a rejected spec leaves no
+    // file behind.
+    TraceCache trace_cache;
+    if (const int rc = validateSpec(opts, trace_cache, err)) {
         std::cerr << "leaftl_sim: " << err << '\n';
-        return 2;
+        return rc;
     }
     if (!opts.output.empty()) {
         std::ofstream file(opts.output);
@@ -833,9 +862,9 @@ simMain(int argc, const char *const *argv)
                       << opts.output << "'\n";
             return 1;
         }
-        return runSweep(opts, file);
+        return sweepValidated(opts, trace_cache, file);
     }
-    return runSweep(opts, std::cout);
+    return sweepValidated(opts, trace_cache, std::cout);
 }
 
 } // namespace cli

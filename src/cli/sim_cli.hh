@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "config/experiment.hh"
+#include "config/fingerprint.hh"
 #include "sim/metrics.hh"
 #include "ssd/config.hh"
 #include "workload/request.hh"
@@ -94,20 +95,6 @@ std::string usage();
 /** Known workload specs (for --list and error messages). */
 std::vector<std::string> knownWorkloads();
 
-/** Known --mode tokens, in presentation order. */
-inline std::vector<std::string>
-knownModes()
-{
-    return config::knownModes();
-}
-
-/** Whether @a mode consumes the --rate axis (fixed/poisson/burst). */
-inline bool
-modeUsesRate(const std::string &mode)
-{
-    return config::modeUsesRate(mode);
-}
-
 /**
  * Parsed trace files keyed by workload spec. A sweep parses each
  * trace once (serially, while validating specs) and every run then
@@ -137,17 +124,88 @@ SsdConfig makeConfig(FtlKind ftl, uint32_t gamma,
                      const config::ExperimentSpec &opts,
                      const std::string &device = "auto");
 
-/** CSV column header row (no trailing newline). */
+/**
+ * A spec's sweep grid: every (ftl, workload, device, gamma, qd, mode,
+ * rate) combination in sweep order, and the unique simulations they
+ * need. Combinations whose run fingerprints collide (gamma on a
+ * non-learned FTL, rate on a non-rate mode) share one run.
+ */
+struct SweepGrid
+{
+    /** Unique runs, in sweep order by first appearance. */
+    std::vector<config::RunPoint> runs;
+    /** config::runFingerprint() of each run. */
+    std::vector<std::string> fingerprints;
+    /** Every combination, in sweep order. */
+    std::vector<config::RunPoint> points;
+    /** points[i] is answered by runs[run_of[i]]. */
+    std::vector<size_t> run_of;
+};
+
+/** Expand the sweep axes of @a spec. */
+SweepGrid expandGrid(const config::ExperimentSpec &spec);
+
+/**
+ * Check that every run of @a spec can start: each workload resolves
+ * (trace files are parsed once, into @a trace_cache), rate-driven
+ * modes have a rate > 0, and crash points only meet FTLs that model
+ * recovery (config::checkCrashSupport).
+ * @return 0 when runnable; otherwise the process exit code (2 for an
+ *         unsupported crash schedule, 1 otherwise) with @a err set.
+ */
+int validateSpec(const config::ExperimentSpec &spec, TraceCache &trace_cache,
+                 std::string &err);
+
+/**
+ * Run grid point @a p of @a spec on a fresh device: its config, an
+ * intra-run ShardPool when spec.threads > 1, the mode's admission and
+ * arrival shaper, and the host wall clock (res.host_wall_ns).
+ * @return false with @a err set when the workload cannot be built.
+ */
+bool executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
+                TraceCache *trace_cache, RunResult &res, std::string &err);
+
+/** What a CSV row renders: a grid point and the run that answers it. */
+struct CsvRowInput
+{
+    /** The row's own point: ftl, gamma, device, mode and rate echo it. */
+    const config::RunPoint &point;
+    const RunResult &res;
+    uint32_t page_size; ///< Device page size, prices throughput_mbps.
+};
+
+/** One CSV column: its header name and its cell renderer. */
+struct CsvColumn
+{
+    const char *name;
+    std::string (*cell)(const CsvRowInput &row);
+};
+
+/**
+ * The sweep CSV layout in column order: the header, every row and the
+ * campaign's BENCH json fields derive from this one table. Columns
+ * keep their positions (downstream scripts parse by position), so new
+ * ones go right before wall_ns, the host wall clock -- the one
+ * nondeterministic cell, kept last so stripping it leaves a
+ * reproducible row.
+ */
+const std::vector<CsvColumn> &csvColumns();
+
+/** Position of column @a name in csvColumns(); panics if absent. */
+size_t csvColumnIndex(const std::string &name);
+
+/** CSV header row (no trailing newline). */
 std::string csvHeader();
 
-/** One CSV data row for a finished run (no trailing newline). */
-std::string csvRow(const RunResult &res, FtlKind ftl, uint32_t gamma,
-                   const SsdConfig &cfg, const std::string &device = "auto");
+/** The CSV row of grid point @a point answered by @a res (no newline). */
+std::string csvRow(const config::ExperimentSpec &spec,
+                   const config::RunPoint &point, const RunResult &res);
 
 /**
  * Run the whole sweep on opts.jobs worker threads and write the CSV
  * to @a out (header first, then one row per combination, in
- * combination order regardless of job count).
+ * combination order regardless of job count). A spec validateSpec()
+ * rejects writes nothing.
  * @return process exit code (0 = every combination ran).
  */
 int runSweep(const config::ExperimentSpec &opts, std::ostream &out);

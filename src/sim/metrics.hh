@@ -95,14 +95,10 @@ struct RunResult
     /** Admission model the replay ran under. */
     Admission admission = Admission::Closed;
     /**
-     * Mode label for reporting: admissionName(admission) by default;
-     * sweep drivers overwrite it with their mode token (e.g.
-     * "poisson") so the CSV names the arrival shaper, not just the
-     * admission model.
+     * Admission label, admissionName(admission). The sweep CSV's mode
+     * column names the arrival shaper instead (cli::csvColumns).
      */
     std::string mode = "closed";
-    /** Configured shaper rate in requests/s (0 = no shaper). */
-    double rate_iops = 0.0;
     /**
      * Measured arrival rate in requests/s: (requests - 1) over the
      * first-to-last arrival span. This is the load the workload

@@ -2,9 +2,9 @@
  * @file
  * Tests of the fingerprinted campaign runner (cli/campaign.hh): grid
  * expansion dedupes colliding fingerprints, a campaign writes one
- * run-<fingerprint>.csv per unique run plus a BENCH_<name>.json, and
- * an immediate rerun is a pure resume — zero re-executed runs, CSV
- * bytes untouched.
+ * run-<fingerprint>.csv per unique run plus a BENCH_<name>.json, its
+ * rows are the inline sweep's rows, and an immediate rerun is a pure
+ * resume — zero re-executed runs, CSV bytes untouched.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "cli/campaign.hh"
 #include "cli/sim_cli.hh"
+#include "csv_test_util.hh"
 
 namespace leaftl
 {
@@ -87,7 +88,7 @@ TEST(CampaignGrid, DedupesCollidingFingerprints)
 {
     // 2 ftls x 2 gammas, but DFTL ignores gamma: 3 unique runs, in
     // sweep order by first appearance.
-    const auto runs = expandCampaignGrid(tinySpec());
+    const auto runs = expandGrid(tinySpec()).runs;
     ASSERT_EQ(runs.size(), 3u);
     EXPECT_EQ(runs[0].ftl, FtlKind::LeaFTL);
     EXPECT_EQ(runs[0].gamma, 0u);
@@ -104,7 +105,7 @@ TEST(CampaignGrid, ClosedModeCollapsesTheRateAxis)
     spec.modes = {"closed", "poisson"};
     spec.rates = {25000.0, 50000.0};
     // closed ignores rate -> 1 closed + 2 poisson runs.
-    const auto runs = expandCampaignGrid(spec);
+    const auto runs = expandGrid(spec).runs;
     ASSERT_EQ(runs.size(), 3u);
     EXPECT_EQ(runs[0].mode, "closed");
     EXPECT_EQ(runs[1].mode, "poisson");
@@ -157,6 +158,57 @@ TEST(CampaignRun, ExecutesThenResumesWithIdenticalCsvs)
     EXPECT_NE(json2.find("\"runs_resumed\": 3"), std::string::npos);
 }
 
+TEST(CampaignRun, RowsMatchTheInlineSweep)
+{
+    // Each run CSV holds the sweep's row for the first combination of
+    // its fingerprint (modulo wall_ns). The first grid dedupes gamma
+    // on DFTL and closed mode across two rates and runs poisson; crash
+    // points are spec-wide and LeaFTL-only, so they get their own grid.
+    config::ExperimentSpec open_loop = tinySpec();
+    open_loop.modes = {"closed", "poisson"};
+    open_loop.rates = {20000.0, 40000.0};
+    config::ExperimentSpec crash = tinySpec();
+    crash.ftls = {FtlKind::LeaFTL};
+    crash.crash_points = {50, 120};
+
+    for (const config::ExperimentSpec &spec : {open_loop, crash}) {
+        const SweepGrid grid = expandGrid(spec);
+        std::ostringstream sweep;
+        ASSERT_EQ(runSweep(spec, sweep), 0);
+        std::istringstream lines(test::stripWallNs(sweep.str()));
+        std::string header, line;
+        ASSERT_TRUE(std::getline(lines, header));
+        std::vector<std::string> first_rows;
+        std::vector<uint8_t> seen(grid.runs.size(), 0);
+        for (const size_t run : grid.run_of) {
+            ASSERT_TRUE(std::getline(lines, line));
+            if (!seen[run]) {
+                seen[run] = 1;
+                first_rows.push_back(line);
+            }
+        }
+        EXPECT_FALSE(std::getline(lines, line)) << "extra sweep row";
+        ASSERT_EQ(first_rows.size(), grid.runs.size());
+
+        const TempDir dir;
+        config::CampaignSpec camp;
+        camp.name = "rows";
+        camp.dir = dir.path();
+        camp.exp = spec;
+        std::ostringstream log;
+        ASSERT_EQ(runCampaign(camp, log), 0) << log.str();
+        for (size_t i = 0; i < grid.runs.size(); i++) {
+            const std::string csv = slurp(
+                dir.path() + "/run-" + grid.fingerprints[i] + ".csv");
+            EXPECT_EQ(test::stripWallNs(csv),
+                      header + "\n" + first_rows[i] + "\n")
+                << "run " << grid.fingerprints[i];
+        }
+    }
+    EXPECT_EQ(expandGrid(open_loop).points.size(), 16u);
+    EXPECT_EQ(expandGrid(open_loop).runs.size(), 9u);
+}
+
 TEST(CampaignRun, HalfWrittenCsvDoesNotCountAsDone)
 {
     const TempDir dir;
@@ -167,7 +219,7 @@ TEST(CampaignRun, HalfWrittenCsvDoesNotCountAsDone)
     camp.exp.ftls = {FtlKind::DFTL};
     camp.exp.gammas = {0};
 
-    const auto runs = expandCampaignGrid(camp.exp);
+    const auto runs = expandGrid(camp.exp).runs;
     ASSERT_EQ(runs.size(), 1u);
     const std::string fp = config::runFingerprint(camp.exp, runs[0]);
 

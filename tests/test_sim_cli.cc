@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "cli/sim_cli.hh"
@@ -198,6 +199,19 @@ TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
     EXPECT_NE(err.find("SFTL"), std::string::npos) << err;
     EXPECT_FALSE(std::ifstream(out).good()) << "a rejected sweep ran";
     std::remove(conf.c_str());
+
+    // runSweep itself validates too: a direct call exits 2 and writes
+    // nothing instead of draining DFTL at each crash point.
+    SimOptions direct;
+    direct.ftls = {FtlKind::DFTL};
+    direct.crash_points = {10};
+    direct.requests = 100;
+    std::ostringstream csv;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runSweep(direct, csv), 2);
+    err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DFTL"), std::string::npos) << err;
+    EXPECT_TRUE(csv.str().empty()) << csv.str();
 
     // LeaFTL alone, or any FTL without crash points, stays runnable.
     SimOptions opts = parse({"--ftl", "leaftl", "--crash-at", "10"});
@@ -443,6 +457,22 @@ TEST(SimCliSweep, RateDrivenModeRequiresRate)
 
     std::ostringstream out;
     EXPECT_EQ(runSweep(opts, out), 1); // Default rate 0 is rejected.
+}
+
+TEST(SimCliCsv, ColumnTableDefinesTheHeader)
+{
+    const std::vector<CsvColumn> &columns = csvColumns();
+    ASSERT_FALSE(columns.empty());
+    std::set<std::string> names;
+    std::string joined;
+    for (const CsvColumn &col : columns) {
+        EXPECT_TRUE(names.insert(col.name).second)
+            << "duplicate column " << col.name;
+        joined += (joined.empty() ? "" : ",") + std::string(col.name);
+    }
+    EXPECT_EQ(std::string(columns.back().name), "wall_ns");
+    EXPECT_EQ(csvColumnIndex("wall_ns"), columns.size() - 1);
+    EXPECT_EQ(csvHeader(), joined);
 }
 
 /**
