@@ -213,12 +213,9 @@ usage()
         << "  --interarrival U override the mean request inter-arrival\n"
         << "                   gap in us (synthetic/model workloads)\n"
         << "  --seed N         workload RNG seed (default 42)\n"
-        << "  --snapshot-interval N  host writes (pages) between\n"
-        << "                   automatic mapping snapshots (default 0 =\n"
-        << "                   explicit persists only)\n"
         << "  --journal-threshold B  learn-journal bytes that trigger an\n"
-        << "                   incremental snapshot (default 0 = legacy\n"
-        << "                   monolithic snapshot pipeline)\n"
+        << "                   incremental snapshot (default 0 = no\n"
+        << "                   journal)\n"
         << "  --crash-at LIST  comma list of request indices where the\n"
         << "                   replay crashes and recovers the device\n"
         << "                   (LeaFTL only; DFTL/SFTL are rejected)\n"
@@ -293,7 +290,6 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         {"--read-ratio", "read-ratio"},
         {"--interarrival", "interarrival"},
         {"--seed", "seed"},
-        {"--snapshot-interval", "snapshot-interval"},
         {"--journal-threshold", "journal-threshold"},
         {"--crash-at", "crash-at"},
     };
@@ -514,7 +510,6 @@ makeConfig(FtlKind ftl, uint32_t gamma, const config::ExperimentSpec &opts,
     cfg.compaction_interval =
         preset ? std::max<uint64_t>(cfg.geometry.totalPages() / 512, 2048)
                : std::max<uint64_t>(opts.working_set_pages / 8, 2048);
-    cfg.snapshot_interval_writes = opts.snapshot_interval_writes;
     cfg.journal_threshold_bytes = opts.journal_threshold_bytes;
     return cfg;
 }

@@ -96,7 +96,7 @@ knownExperimentKeys()
             "requests", "ws",
             "dram-mb", "dram-bytes",   "prefill",    "read-ratio",
             "interarrival", "seed",
-            "snapshot-interval", "journal-threshold", "crash-at"};
+            "journal-threshold", "crash-at"};
 }
 
 std::string
@@ -319,13 +319,6 @@ applyExperimentKey(ExperimentSpec &spec, const std::string &raw_key,
     if (key == "seed") {
         if (!parseU64(value, spec.seed)) {
             err = "bad seed '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "snapshot-interval") {
-        if (!parseU64(value, spec.snapshot_interval_writes)) {
-            err = "bad snapshot-interval '" + value + "'";
             return false;
         }
         return true;

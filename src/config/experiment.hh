@@ -108,14 +108,8 @@ struct ExperimentSpec
     uint64_t seed = 42;                       ///< Key "seed".
 
     /**
-     * Key "snapshot-interval": host writes (pages) between automatic
-     * mapping snapshots; 0 = only explicit persists (historical).
-     */
-    uint64_t snapshot_interval_writes = 0;
-    /**
      * Key "journal-threshold": learn-journal bytes that trigger an
-     * automatic incremental snapshot; 0 keeps the legacy monolithic
-     * snapshot pipeline.
+     * automatic incremental snapshot; 0 = no journal.
      */
     uint64_t journal_threshold_bytes = 0;
     /**

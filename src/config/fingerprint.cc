@@ -63,16 +63,11 @@ canonicalRunConfig(const ExperimentSpec &spec, const RunPoint &point)
         kv.emplace_back("read-ratio", fmtDouble(spec.read_ratio));
     if (spec.interarrival_us >= 0.0)
         kv.emplace_back("interarrival", fmtDouble(spec.interarrival_us));
-    // Durability knobs only perturb LeaFTL runs, and only when set, so
-    // every historical fingerprint is preserved at the defaults.
-    if (point.ftl == FtlKind::LeaFTL) {
-        if (spec.snapshot_interval_writes > 0)
-            kv.emplace_back("snapshot-interval",
-                            std::to_string(spec.snapshot_interval_writes));
-        if (spec.journal_threshold_bytes > 0)
-            kv.emplace_back("journal-threshold",
-                            std::to_string(spec.journal_threshold_bytes));
-    }
+    // The journal knob only perturbs LeaFTL runs, and only when set,
+    // so every historical fingerprint is preserved at the default.
+    if (point.ftl == FtlKind::LeaFTL && spec.journal_threshold_bytes > 0)
+        kv.emplace_back("journal-threshold",
+                        std::to_string(spec.journal_threshold_bytes));
     if (!spec.crash_points.empty()) {
         std::string pts;
         for (const uint64_t p : spec.crash_points) {

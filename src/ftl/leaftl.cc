@@ -7,10 +7,8 @@
 namespace leaftl
 {
 
-LeaFtl::LeaFtl(FtlOps &ops, uint32_t gamma, uint32_t page_size)
-    : Ftl(ops),
-      table_(std::make_unique<LearnedTable>(gamma)),
-      page_size_(page_size)
+LeaFtl::LeaFtl(FtlOps &ops, uint32_t gamma)
+    : Ftl(ops), table_(std::make_unique<LearnedTable>(gamma))
 {
 }
 
@@ -146,22 +144,6 @@ LeaFtl::setMappingBudget(uint64_t bytes)
     evictToBudget();
 }
 
-std::vector<uint8_t>
-LeaFtl::persist()
-{
-    std::vector<uint8_t> blob = table_->serialize();
-    const uint64_t pages = ceilDiv(blob.size(), page_size_);
-    for (uint64_t i = 0; i < pages; i++)
-        ops_.chargeTransWrite();
-    return blob;
-}
-
-void
-LeaFtl::restore(const std::vector<uint8_t> &blob)
-{
-    restoreChain(blob, {});
-}
-
 void
 LeaFtl::restoreChain(const std::vector<uint8_t> &base,
                      const std::vector<std::vector<uint8_t>> &deltas)
@@ -190,8 +172,7 @@ makeFtl(const SsdConfig &cfg, FtlOps &ops)
         return std::make_unique<Sftl>(ops, cfg.geometry.page_size,
                                       cfg.dram_bytes);
       case FtlKind::LeaFTL:
-        return std::make_unique<LeaFtl>(ops, cfg.gamma,
-                                        cfg.geometry.page_size);
+        return std::make_unique<LeaFtl>(ops, cfg.gamma);
     }
     LEAFTL_PANIC("unknown FTL kind");
 }

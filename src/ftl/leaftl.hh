@@ -32,7 +32,7 @@ namespace leaftl
 class LeaFtl : public Ftl
 {
   public:
-    LeaFtl(FtlOps &ops, uint32_t gamma, uint32_t page_size);
+    LeaFtl(FtlOps &ops, uint32_t gamma);
 
     TranslateResult translate(Lpa lpa) override;
     void setShardPool(ShardPool *pool) override;
@@ -55,16 +55,6 @@ class LeaFtl : public Ftl
     }
 
     /**
-     * Persist the mapping table to translation pages (charged through
-     * FtlOps). @return The serialized blob (the device keeps it as the
-     * recovery snapshot).
-     */
-    std::vector<uint8_t> persist();
-
-    /** Replace the table from a persisted snapshot (crash recovery). */
-    void restore(const std::vector<uint8_t> &blob);
-
-    /**
      * Replace the table from a full snapshot plus an ordered chain of
      * serializeDirty() delta records (incremental recovery, §3.8).
      * Aborts on a corrupt delta -- the chain lives in the device's
@@ -83,7 +73,6 @@ class LeaFtl : public Ftl
     void refreshGroupBytes(uint32_t group_idx);
 
     std::unique_ptr<LearnedTable> table_;
-    uint32_t page_size_;
     ShardPool *pool_ = nullptr; ///< Intra-run workers (not owned).
 
     // §3.8 demand caching of segment groups (GMD + translation blocks).

@@ -78,18 +78,10 @@ struct SsdConfig
     uint32_t wear_delta_threshold = 64;
 
     /**
-     * Host writes (pages) between automatic mapping snapshots;
-     * 0 = snapshot only on explicit persistMapping() calls (the
-     * historical behavior).
-     */
-    uint64_t snapshot_interval_writes = 0;
-
-    /**
      * Learn-journal size that triggers an automatic incremental
-     * snapshot, in bytes. 0 disables journaling entirely:
-     * persistMapping() falls back to the legacy monolithic snapshot
-     * and recovery rescans every block written since it (§3.8's
-     * naive model).
+     * snapshot, in bytes. 0 = no journal: snapshots happen only on
+     * explicit persistMapping() calls (and after each recovery), and
+     * recovery scans every block written since the last one.
      */
     uint64_t journal_threshold_bytes = 0;
 

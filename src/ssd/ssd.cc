@@ -284,9 +284,7 @@ Ssd::trim(Lpa lpa, Tick now)
         // threshold either (flushes check at their end; a trim-only
         // window would otherwise be unbounded).
         journalTrim(lpa);
-        if (!in_recovery_ && journalingEnabled() &&
-            journal_.sizeBytes() >= cfg_.journal_threshold_bytes)
-            persistMappingInternal();
+        snapshotIfJournalFull();
     }
 
     cur_time_ = ack;
@@ -407,7 +405,6 @@ Ssd::flushBuffer(Tick)
     journalLearn(run);
     crashPoint(CrashSite::FlushAfterJournal);
 
-    host_writes_since_snapshot_ += lpas.size();
     writes_since_compaction_ += lpas.size();
     if (writes_since_compaction_ >= cfg_.compaction_interval) {
         writes_since_compaction_ = 0;
@@ -423,17 +420,8 @@ Ssd::flushBuffer(Tick)
         maybeWearLevel(cur_time_);
     }
 
-    // Automatic snapshotting: the journal growing past its threshold
-    // (bounds recovery replay volume) or the configured host-write
-    // interval. Both run in the background like the flush itself.
-    if (!in_recovery_) {
-        if (journalingEnabled() &&
-            journal_.sizeBytes() >= cfg_.journal_threshold_bytes)
-            persistMappingInternal();
-        else if (cfg_.snapshot_interval_writes > 0 &&
-                 host_writes_since_snapshot_ >= cfg_.snapshot_interval_writes)
-            persistMappingInternal();
-    }
+    // Automatic snapshotting runs in the background like the flush.
+    snapshotIfJournalFull();
 
     cur_time_ = host_cursor;
 }
@@ -450,7 +438,6 @@ Ssd::drainBuffer(Tick now)
         const auto &run = programBatch(lpas, cur_time_, WriteKind::Host);
         recordHostMappings(run);
         journalLearn(run);
-        host_writes_since_snapshot_ += lpas.size();
         updateDramSplit();
         maybeGc(cur_time_);
     }
@@ -619,6 +606,15 @@ Ssd::journalingEnabled() const
 }
 
 void
+Ssd::snapshotIfJournalFull()
+{
+    // The threshold bounds the recovery replay volume.
+    if (!in_recovery_ && journalingEnabled() &&
+        journal_.sizeBytes() >= cfg_.journal_threshold_bytes)
+        persistMappingInternal();
+}
+
+void
 Ssd::crashPoint(CrashSite site)
 {
     if (!crash_armed_ || in_recovery_)
@@ -706,22 +702,9 @@ Ssd::persistMappingInternal()
         return; // DFTL/SFTL translation pages already live on flash.
     LearnedTable *table = lea->learnedTable();
 
-    if (!journalingEnabled()) {
-        // Legacy monolithic snapshot (bit-identical to the historical
-        // behavior when journaling is off).
-        crashPoint(CrashSite::SnapshotBeforeCommit);
-        persisted_table_ = lea->persist();
-        persisted_deltas_.clear();
-        persisted_delta_bytes_ = 0;
-        table->clearDirty();
-        blocks_since_persist_.clear();
-        host_writes_since_snapshot_ = 0;
-        return;
-    }
-
-    // Incremental: emit only the groups dirtied since the last
-    // snapshot as a delta chained to the last full blob; fold the
-    // chain back into a full snapshot once the deltas outgrow it.
+    // Emit only the groups dirtied since the last snapshot as a delta
+    // chained to the last full blob; fold the chain back into a full
+    // snapshot once the deltas outgrow it.
     const bool full = persisted_table_.empty() ||
                       persisted_delta_bytes_ >= persisted_table_.size();
     std::vector<uint8_t> blob =
@@ -746,7 +729,6 @@ Ssd::persistMappingInternal()
     }
     journal_.clear();
     blocks_since_persist_.clear();
-    host_writes_since_snapshot_ = 0;
 }
 
 RecoveryStats
@@ -798,11 +780,7 @@ Ssd::crashAndRecover(Tick now)
     else
         lea->restoreChain(LearnedTable(cfg_.gamma).serialize(), {});
     rec.applied_deltas = persisted_deltas_.size();
-    if (journalingEnabled()) {
-        // Charge the snapshot-area reads (legacy mode keeps its
-        // historical free-snapshot-load model).
-        chargeLoadPages(snapshotBytes());
-    }
+    chargeLoadPages(snapshotBytes());
 
     // 2. Replay the learn journal in order: learn batches and trims,
     // torn/corrupt tail dropped at the first bad checksum. Records
@@ -828,8 +806,8 @@ Ssd::crashAndRecover(Tick now)
     // 3. Scan only the unjournaled tail of the blocks allocated since
     // the snapshot (channel-parallel) and relearn their mappings in
     // allocation order so newer segments land above older ones, as
-    // the original inserts did (§3.8). With journaling off max_cov is
-    // zero and this is the historical full rescan.
+    // the original inserts did (§3.8). With no journal max_cov is zero
+    // and every block since the snapshot is scanned.
     const Tick scan_now = t0;
     for (size_t bi = max_cov; bi < blocks_since_persist_.size(); bi++) {
         const uint32_t block = blocks_since_persist_[bi];
@@ -853,17 +831,14 @@ Ssd::crashAndRecover(Tick now)
             lea->recordMappingsGc(run);
     }
 
-    // 4. Checkpoint the recovered state (incremental pipeline only).
-    // Mappings relearned by the scan exist only in memory; without a
-    // checkpoint, later journal records' coverage would claim those
-    // blocks and a second crash would lose them. The snapshot delta
-    // captures exactly the replay+scan mutations (their groups are
-    // the only dirty ones on a freshly restored table) and resets the
-    // journal and the blocks-since-snapshot list. The legacy pipeline
-    // keeps its historical behavior: no checkpoint, full rescan next
-    // time.
-    if (journalingEnabled())
-        persistMappingInternal();
+    // 4. Checkpoint the recovered state. Mappings relearned by the
+    // scan exist only in memory; without a checkpoint, later journal
+    // records' coverage would claim those blocks and a second crash
+    // would lose them (with no journal, rescan them). The snapshot
+    // delta captures exactly the replay+scan mutations (their groups
+    // are the only dirty ones on a freshly restored table) and resets
+    // the journal and the blocks-since-snapshot list.
+    persistMappingInternal();
 
     rec.recovery_time = channels_.latestFree() > t0
                             ? channels_.latestFree() - t0

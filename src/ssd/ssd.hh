@@ -189,10 +189,12 @@ class Ssd : public FtlOps
      * Simulate a crash: volatile state (mapping table, caches) is
      * lost and rebuilt from the last persisted snapshot, its delta
      * chain, and the learn journal, then an OOB scan of only the
-     * blocks the journal does not cover (§3.8). With journaling off
+     * blocks the journal does not cover (§3.8). With no journal
      * (journal_threshold_bytes == 0) every block allocated since the
-     * snapshot is rescanned -- the historical naive model. The write
-     * buffer is battery-backed: power loss flushes it first.
+     * snapshot is scanned. The snapshot-area and journal loads are
+     * charged, and recovery ends with a checkpoint snapshot, so an
+     * immediate second crash scans nothing. The write buffer is
+     * battery-backed: power loss flushes it first.
      */
     RecoveryStats crashAndRecover(Tick now);
 
@@ -353,8 +355,14 @@ class Ssd : public FtlOps
     void journalTrim(Lpa lpa);
     /** Charge journal appends to flash timing/WAF, page-granular. */
     void chargeJournalBytes(size_t n);
-    /** Snapshot through the configured (legacy/incremental) pipeline. */
+    /**
+     * Snapshot the learned table: a charged full blob, or a delta of
+     * the groups dirtied since the last one. Retires the journal (if
+     * any) and the blocks-since-snapshot list.
+     */
     void persistMappingInternal();
+    /** Snapshot once the journal reaches its threshold (0 = no journal). */
+    void snapshotIfJournalFull();
     /** Throw CrashException when an armed crash matches this site. */
     void crashPoint(CrashSite site);
     /** Armed torn-append crash fires on this append. */
@@ -371,7 +379,6 @@ class Ssd : public FtlOps
     uint64_t journal_seq_ = 1; ///< Next record sequence number.
     /** Bytes appended since the last charged journal page. */
     uint64_t journal_page_fill_ = 0;
-    uint64_t host_writes_since_snapshot_ = 0;
 
     /** Crash injection (one-shot; see armCrash). */
     bool crash_armed_ = false;

@@ -3,11 +3,10 @@
  * The crash-point fuzzer: kill the device at randomized points in its
  * background machinery (mid-flush, mid-GC, mid-snapshot, torn journal
  * appends), recover, and assert every lookup matches a shadow map --
- * under the incremental snapshot+journal pipeline and under the
- * legacy monolithic one. Also fuzzes the hardened deserializers
- * (LearnedTable blobs, snapshot deltas, journal records) with
- * truncated and bit-flipped inputs: a corrupt image must produce a
- * typed error or a clean stop, never UB.
+ * with a learn journal and without one (journal threshold 0). Also
+ * fuzzes the hardened deserializers (LearnedTable blobs, snapshot
+ * deltas, journal records) with truncated and bit-flipped inputs: a
+ * corrupt image must produce a typed error or a clean stop, never UB.
  *
  * CI runs the whole binary under several seed bases via
  * LEAFTL_CRASH_FUZZ_SEED_BASE (plain and ASan/UBSan builds).
@@ -168,8 +167,11 @@ fuzzDevice(uint64_t seed, uint32_t gamma, uint64_t journal_threshold,
         }
         if (rng.nextBounded(8) == 0) {
             // Double crash: recover again immediately from the same
-            // durable state and re-verify.
-            ssd.crashAndRecover(now);
+            // durable state and re-verify. The first recovery ended
+            // with a checkpoint, so there is nothing left to scan.
+            const RecoveryStats again = ssd.crashAndRecover(now);
+            EXPECT_EQ(again.scanned_blocks, 0u)
+                << "seed=" << seed << " round=" << round;
             verifyShadow(ssd, shadow);
         }
     }
@@ -184,8 +186,8 @@ const std::vector<CrashSite> kAllSites = {
     CrashSite::Any,
 };
 
-/** Torn appends need a journal; the legacy pipeline has none. */
-const std::vector<CrashSite> kLegacySites = {
+/** Torn appends need a journal; threshold 0 appends none. */
+const std::vector<CrashSite> kJournalOffSites = {
     CrashSite::FlushAfterProgram, CrashSite::FlushAfterJournal,
     CrashSite::GcAfterProgram,    CrashSite::GcAfterErase,
     CrashSite::SnapshotBeforeCommit, CrashSite::Any,
@@ -209,13 +211,14 @@ TEST(CrashFuzz, JournaledApproximateMappingSurvives)
                50);
 }
 
-TEST(CrashFuzz, LegacySnapshotPipelineSurvives)
+TEST(CrashFuzz, JournalOffPipelineSurvives)
 {
-    // journal-threshold 0: the historical monolithic snapshot + full
-    // rescan pipeline must be equally crash-safe (no SLO there).
+    // journal-threshold 0: snapshots only on explicit persists and
+    // after recovery, and recovery scans every block since the last
+    // one. It must be equally crash-safe (no scan SLO there).
     const uint64_t base = seedBase();
-    fuzzDevice(base * 31 + 5, /*gamma=*/4, /*journal=*/0, kLegacySites,
-               50);
+    fuzzDevice(base * 31 + 5, /*gamma=*/4, /*journal=*/0,
+               kJournalOffSites, 50);
 }
 
 /** A learned table with a few hundred segments across many groups. */

@@ -35,7 +35,7 @@ seqRun(Lpa first, uint32_t n, Ppa p0)
 TEST(LeaFtlCache, FreshGroupsBornResidentWithoutFetch)
 {
     MockOps ops;
-    LeaFtl ftl(ops, 0, 4096);
+    LeaFtl ftl(ops, 0);
     ftl.recordMappings(seqRun(0, 256, 1000));
     EXPECT_EQ(ops.reads, 0u);
     EXPECT_EQ(ftl.groupFetches(), 0u);
@@ -47,7 +47,7 @@ TEST(LeaFtlCache, FreshGroupsBornResidentWithoutFetch)
 TEST(LeaFtlCache, EvictionAndRefetchCharged)
 {
     MockOps ops;
-    LeaFtl ftl(ops, 0, 4096);
+    LeaFtl ftl(ops, 0);
     // Two groups, 8 bytes each; budget for one.
     ftl.recordMappings(seqRun(0, 256, 1000));
     ftl.recordMappings(seqRun(256, 256, 2000));
@@ -70,7 +70,7 @@ TEST(LeaFtlCache, EvictionAndRefetchCharged)
 TEST(LeaFtlCache, FullTableUnaffectedByResidency)
 {
     MockOps ops;
-    LeaFtl ftl(ops, 0, 4096);
+    LeaFtl ftl(ops, 0);
     ftl.recordMappings(seqRun(0, 512, 0));
     const size_t full = ftl.fullMappingBytes();
     ftl.setMappingBudget(8);
@@ -81,7 +81,7 @@ TEST(LeaFtlCache, FullTableUnaffectedByResidency)
 TEST(LeaFtlCache, CompactionRefreshesResidentAccounting)
 {
     MockOps ops;
-    LeaFtl ftl(ops, 0, 4096);
+    LeaFtl ftl(ops, 0);
     // Layered overwrites in one group grow it; compaction shrinks it.
     for (int layer = 0; layer < 6; layer++)
         ftl.recordMappings(seqRun(0, 200, 1000 * (layer + 1)));
@@ -94,7 +94,7 @@ TEST(LeaFtlCache, CompactionRefreshesResidentAccounting)
 TEST(LeaFtlCache, GenerousBudgetKeepsAllResident)
 {
     MockOps ops;
-    LeaFtl ftl(ops, 0, 4096);
+    LeaFtl ftl(ops, 0);
     ftl.setMappingBudget(1 << 20);
     for (int g = 0; g < 20; g++)
         ftl.recordMappings(seqRun(g * 256, 256, g * 1000));

@@ -160,14 +160,46 @@ TEST(Recovery, DoubleCrashStaysConsistent)
     ssd.drainBuffer(now);
     ssd.persistMapping(now);
     ssd.crashAndRecover(now);
-    // More writes, crash again WITHOUT a fresh snapshot: recovery
-    // must replay from the old snapshot plus both scan windows.
+    // More writes, crash again WITHOUT an explicit snapshot: recovery
+    // must rebuild from the first recovery's checkpoint plus a scan
+    // of the blocks written since.
     for (Lpa l = 100; l < 250; l++) {
         written.insert(l);
         now += ssd.write(l, now);
     }
     ssd.drainBuffer(now);
     ssd.crashAndRecover(now);
+    verifyAll(ssd, written);
+}
+
+TEST(Recovery, JournalOffRecoveryChargesLoadAndCheckpoints)
+{
+    // With no journal the recovery runs the same body: the snapshot
+    // load is charged and the recovered state is checkpointed, so an
+    // immediate second crash has nothing left to scan.
+    Ssd ssd(smallConfig());
+    std::set<Lpa> written;
+    Tick now = 0;
+    for (Lpa l = 0; l < 300; l++) {
+        written.insert(l);
+        now += ssd.write(l, now);
+    }
+    ssd.drainBuffer(now);
+    ssd.persistMapping(now);
+    const auto loaded = ssd.crashAndRecover(now);
+    EXPECT_EQ(loaded.scanned_blocks, 0u);
+    EXPECT_GT(loaded.recovery_time, 0u); // Snapshot-area reads.
+
+    for (Lpa l = 100; l < 400; l++) {
+        written.insert(l);
+        now += ssd.write(l, now);
+    }
+    ssd.drainBuffer(now);
+    const auto scanned = ssd.crashAndRecover(now);
+    EXPECT_GT(scanned.scanned_blocks, 0u);
+
+    const auto again = ssd.crashAndRecover(now);
+    EXPECT_EQ(again.scanned_blocks, 0u); // Checkpointed.
     verifyAll(ssd, written);
 }
 

@@ -655,7 +655,7 @@ ruleParallelMutation(const PathInfo &p, const ScannedFile &f, Findings &out)
     if (p.path == "src/learned/learned_table.cc")
         return;
     static const char *banned[] = {"lookup",       "learn",  "compact",
-                                   "setShardPool", "restore"};
+                                   "setShardPool", "restoreChain"};
     // Track parallelFor(...) argument extents, which usually span
     // lines (the body is a lambda); any line touching an open extent
     // is checked for banned member calls.
