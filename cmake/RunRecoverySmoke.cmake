@@ -63,7 +63,8 @@ foreach(journal IN ITEMS 4096 0)
     # One leaftl row: header + data. The recovery group sits before the
     # device hot-path counters and the (stripped) wall_ns column:
     # ...,recov_scanned_pages,recov_journal_records,recov_applied_deltas,
-    # recovery_ms,cache_hits,cache_misses,gc_pick_calls,gc_pick_scanned.
+    # recovery_ms,cache_hits,cache_misses,gc_pick_calls,gc_pick_scanned,
+    # trans_reads,trans_writes.
     string(STRIP "${csv_run}" body)
     string(REPLACE "\n" ";" lines "${body}")
     list(LENGTH lines n_lines)
@@ -73,7 +74,7 @@ foreach(journal IN ITEMS 4096 0)
     endif()
     list(GET lines 0 header)
     list(GET lines 1 row)
-    if(NOT header MATCHES "recov_scanned_pages,recov_journal_records,recov_applied_deltas,recovery_ms,cache_hits,cache_misses,gc_pick_calls,gc_pick_scanned$")
+    if(NOT header MATCHES "recov_scanned_pages,recov_journal_records,recov_applied_deltas,recovery_ms,cache_hits,cache_misses,gc_pick_calls,gc_pick_scanned,trans_reads,trans_writes$")
         message(FATAL_ERROR
             "recovery columns missing from the CSV header:\n${header}")
     endif()

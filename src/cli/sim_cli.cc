@@ -577,6 +577,8 @@ csvColumns()
         {"cache_misses", [](R r) { return num(r.res.cache_misses); }},
         {"gc_pick_calls", [](R r) { return num(r.res.gc_pick_calls); }},
         {"gc_pick_scanned", [](R r) { return num(r.res.gc_pick_scanned); }},
+        {"trans_reads", [](R r) { return num(r.res.ssd.trans_reads); }},
+        {"trans_writes", [](R r) { return num(r.res.ssd.trans_writes); }},
         {"wall_ns", [](R r) { return num(r.res.host_wall_ns); }},
     };
     return columns;

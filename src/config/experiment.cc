@@ -286,10 +286,13 @@ applyExperimentKey(ExperimentSpec &spec, const std::string &raw_key,
         return true;
     }
     if (key == "dram-bytes") {
-        if (!parseU64(value, spec.dram_bytes)) {
-            err = "bad dram-bytes '" + value + "'";
+        uint64_t v;
+        if (!parseU64(value, v) || (v != 0 && v < (64u << 10))) {
+            err = "bad dram-bytes '" + value +
+                  "' (expected 0 or >= 65536 bytes)";
             return false;
         }
+        spec.dram_bytes = v;
         return true;
     }
     if (key == "prefill") {

@@ -139,6 +139,8 @@ TEST(ExperimentSpec, ValidationMatchesTheCliFlags)
               std::string::npos);
     EXPECT_NE(applyError("gamma", "-1").find("bad gamma"),
               std::string::npos);
+    EXPECT_NE(applyError("dram-bytes", "1000").find("bad dram-bytes"),
+              std::string::npos);
 }
 
 TEST(ExperimentSpec, UnknownKeySuggestsTheNearest)

@@ -5,7 +5,8 @@
  * captured before the config subsystem landed, and an equivalent
  * --config file (or --set override) must reproduce the same rows.
  * If one of these fails, the config lowering changed simulation
- * behavior — not just plumbing.
+ * behavior — not just plumbing. A second golden file pins the cached
+ * FTLs (LeaFTL, DFTL, SFTL) under DRAM pressure.
  */
 
 #include <gtest/gtest.h>
@@ -102,6 +103,30 @@ TEST(FrozenCsv, FlagsOnlySweepMatchesTheGoldenFile)
     golden << golden_in.rdbuf();
 
     EXPECT_EQ(columnPrefix(sweepCsv(opts), kGoldenColumns), golden.str());
+}
+
+TEST(FrozenCsv, DramPressureSweepMatchesTheGoldenFile)
+{
+    // The three cached FTLs under a 64 KiB DRAM budget: every row
+    // evicts (resident_bytes < mapping_bytes), so eviction order,
+    // translation-page charges and byte accounting all reach the
+    // frozen columns. Captured through trans_writes, wall_ns stripped.
+    const SimOptions opts = parse(
+        {"--ftl", "leaftl,dftl,sftl", "--workload",
+         "synthetic:rand,synthetic:zipf,synthetic:mix", "--gamma", "0,4",
+         "--requests", "30000", "--ws", "131072", "--prefill", "0.5",
+         "--set", "dram-bytes=65536", "--jobs", "4"});
+
+    std::ifstream golden_in(LEAFTL_SOURCE_DIR
+                            "/tests/data/golden_pressure.csv");
+    ASSERT_TRUE(golden_in.good())
+        << "missing checked-in golden_pressure.csv";
+    std::ostringstream golden;
+    golden << golden_in.rdbuf();
+
+    const int columns =
+        static_cast<int>(csvColumnIndex("trans_writes")) + 1;
+    EXPECT_EQ(columnPrefix(sweepCsv(opts), columns), golden.str());
 }
 
 TEST(FrozenCsv, ConfigFileReproducesTheFlagRows)
