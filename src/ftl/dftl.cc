@@ -14,35 +14,29 @@ Dftl::Dftl(FtlOps &ops, uint32_t page_size, uint64_t budget_bytes)
 TranslateResult
 Dftl::translate(Lpa lpa)
 {
-    auto it = cmt_.find(lpa);
-    if (it != cmt_.end()) {
+    if (const CmtEntry *e = cmt_.touch(lpa)) {
         cmt_hits_++;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        if (it->second.ppa == kInvalidPpa)
+        if (e->ppa == kInvalidPpa)
             return {}; // Trimmed.
-        return {true, it->second.ppa, false};
+        return {true, e->ppa, false};
     }
 
     // CMT miss: consult the GTD. A missing translation page means the
     // LPA was never mapped (no flash access needed).
     const uint32_t tvpn = tvpnOf(lpa);
-    if (tpages_.count(tvpn) == 0) {
-        auto fit = flash_map_.find(lpa);
-        LEAFTL_ASSERT(fit == flash_map_.end(),
-                      "DFTL: mapped entry without translation page");
+    if (!materialized(tvpn))
         return {};
-    }
 
     cmt_misses_++;
     ops_.chargeTransRead();
-    auto fit = flash_map_.find(lpa);
-    if (fit == flash_map_.end())
+    const Ppa ppa = tpages_[tvpn][slotOf(lpa)];
+    if (ppa == kNeverWritten)
         return {}; // Page exists but this slot was never written.
 
-    upsertCmt(lpa, fit->second, /*dirty=*/false);
-    if (fit->second == kInvalidPpa)
+    upsertCmt(lpa, ppa, /*dirty=*/false);
+    if (ppa == kInvalidPpa)
         return {}; // Trimmed tombstone.
-    return {true, fit->second, false};
+    return {true, ppa, false};
 }
 
 void
@@ -50,8 +44,7 @@ Dftl::trim(Lpa lpa)
 {
     // Record the unmapping as a dirty tombstone entry; the eventual
     // write-back persists it to the translation page.
-    const uint32_t tvpn = tvpnOf(lpa);
-    if (tpages_.count(tvpn) == 0 && cmt_.find(lpa) == cmt_.end())
+    if (!materialized(tvpnOf(lpa)) && !cmt_.peek(lpa))
         return; // Never mapped: nothing to do.
     upsertCmt(lpa, kInvalidPpa, /*dirty=*/true);
 }
@@ -59,15 +52,14 @@ Dftl::trim(Lpa lpa)
 void
 Dftl::upsertCmt(Lpa lpa, Ppa ppa, bool dirty)
 {
-    auto it = cmt_.find(lpa);
-    if (it != cmt_.end()) {
-        it->second.ppa = ppa;
-        it->second.dirty = it->second.dirty || dirty;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    auto [entry, fresh] = cmt_.insert(lpa);
+    entry.ppa = ppa;
+    entry.dirty = entry.dirty || dirty;
+    if (!fresh)
         return;
-    }
-    lru_.push_front(lpa);
-    cmt_[lpa] = CmtEntry{ppa, dirty, lru_.begin()};
+    const uint32_t tvpn = tvpnOf(lpa);
+    if (!materialized(tvpn) || tpages_[tvpn][slotOf(lpa)] == kNeverWritten)
+        mapped_++;
     evictToBudget();
 }
 
@@ -75,34 +67,39 @@ void
 Dftl::evictToBudget()
 {
     const uint64_t max_entries = budget_bytes_ / kMapEntryBytes;
-    while (cmt_.size() > max_entries && !lru_.empty()) {
-        const Lpa victim = lru_.back();
-        auto it = cmt_.find(victim);
-        LEAFTL_ASSERT(it != cmt_.end(), "DFTL: LRU out of sync");
-        if (it->second.dirty) {
+    while (cmt_.size() > max_entries) {
+        if (cmt_.lruValue().dirty) {
             // Batch write-back: flush all dirty entries of the
             // victim's translation page in one read-modify-write.
-            writebackTpage(tvpnOf(victim));
+            writebackTpage(tvpnOf(cmt_.lruKey()));
         }
-        lru_.pop_back();
-        cmt_.erase(victim);
+        cmt_.popLru();
     }
+}
+
+std::vector<Ppa> &
+Dftl::rmwTpage(uint32_t tvpn)
+{
+    if (materialized(tvpn))
+        ops_.chargeTransRead(); // RMW: read the old page.
+    ops_.chargeTransWrite();
+    if (tvpn >= tpages_.size())
+        tpages_.resize(tvpn + 1);
+    if (tpages_[tvpn].empty())
+        tpages_[tvpn].assign(entries_per_tpage_, kNeverWritten);
+    return tpages_[tvpn];
 }
 
 void
 Dftl::writebackTpage(uint32_t tvpn)
 {
-    if (tpages_.count(tvpn))
-        ops_.chargeTransRead(); // RMW: read the old page.
-    ops_.chargeTransWrite();
-    tpages_.insert(tvpn);
-
+    std::vector<Ppa> &page = rmwTpage(tvpn);
     const Lpa first = tvpn * entries_per_tpage_;
     for (uint32_t i = 0; i < entries_per_tpage_; i++) {
-        auto it = cmt_.find(first + i);
-        if (it != cmt_.end() && it->second.dirty) {
-            flash_map_[first + i] = it->second.ppa;
-            it->second.dirty = false;
+        CmtEntry *e = cmt_.peek(first + i);
+        if (e && e->dirty) {
+            page[i] = e->ppa;
+            e->dirty = false;
         }
     }
 }
@@ -118,25 +115,23 @@ void
 Dftl::recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run)
 {
     // Direct translation-page updates, one RMW per affected page.
+    // Only rmwTpage grows tpages_, so the page reference stays valid
+    // until the next page change.
+    std::vector<Ppa> *page = nullptr;
     uint32_t cur_tvpn = 0;
-    bool have_tvpn = false;
     for (const auto &[lpa, ppa] : run) {
         const uint32_t tvpn = tvpnOf(lpa);
-        if (!have_tvpn || tvpn != cur_tvpn) {
-            if (tpages_.count(tvpn))
-                ops_.chargeTransRead();
-            ops_.chargeTransWrite();
-            tpages_.insert(tvpn);
+        if (!page || tvpn != cur_tvpn) {
+            page = &rmwTpage(tvpn);
             cur_tvpn = tvpn;
-            have_tvpn = true;
         }
-        flash_map_[lpa] = ppa;
+        Ppa &slot = (*page)[slotOf(lpa)];
         // Refresh any cached copy; it is now clean w.r.t. flash.
-        auto it = cmt_.find(lpa);
-        if (it != cmt_.end()) {
-            it->second.ppa = ppa;
-            it->second.dirty = false;
-        }
+        if (CmtEntry *e = cmt_.peek(lpa))
+            *e = {ppa, false};
+        else if (slot == kNeverWritten)
+            mapped_++;
+        slot = ppa;
     }
 }
 
@@ -151,12 +146,7 @@ Dftl::fullMappingBytes() const
 {
     // Every mapped LPA costs one 8-byte entry. Entries that only live
     // in the CMT (dirty, not yet written back) still count once.
-    size_t mapped = flash_map_.size();
-    for (const auto &[lpa, e] : cmt_) {
-        if (flash_map_.find(lpa) == flash_map_.end())
-            mapped++;
-    }
-    return mapped * kMapEntryBytes;
+    return mapped_ * kMapEntryBytes;
 }
 
 void

@@ -3,10 +3,11 @@
  * DFTL baseline: demand-based page-level mapping (Gupta et al.,
  * ASPLOS'09, [20] in the paper).
  *
- * The full page-level table lives in translation pages on flash
- * (modeled by an authoritative map plus a set of materialized
- * translation virtual page numbers). A Cached Mapping Table (CMT)
- * holds recently used 8-byte entries under an LRU policy:
+ * The full page-level table lives in translation pages on flash,
+ * modeled as one entry vector per translation virtual page number
+ * (tvpn); an empty vector is a page that was never written. A Cached
+ * Mapping Table (CMT) holds recently used 8-byte entries under an
+ * LRU policy (util/flat_lru.hh):
  *
  *   - CMT miss: one translation-page read;
  *   - evicting a dirty entry: read-modify-write of its translation
@@ -17,11 +18,8 @@
 
 #pragma once
 
-#include <list>
-#include <unordered_map>
-#include <unordered_set>
-
 #include "ftl/ftl.hh"
+#include "util/flat_lru.hh"
 
 namespace leaftl
 {
@@ -54,28 +52,40 @@ class Dftl : public Ftl
   private:
     struct CmtEntry
     {
-        Ppa ppa;
-        bool dirty;
-        std::list<Lpa>::iterator lru_it;
+        Ppa ppa = kInvalidPpa; ///< kInvalidPpa = trimmed.
+        bool dirty = false;
     };
 
+    /** Translation-page slot never written (kInvalidPpa = trimmed). */
+    static constexpr Ppa kNeverWritten = kInvalidPpa - 1;
+
     uint32_t tvpnOf(Lpa lpa) const { return lpa / entries_per_tpage_; }
+    uint32_t slotOf(Lpa lpa) const { return lpa % entries_per_tpage_; }
+    bool materialized(uint32_t tvpn) const
+    {
+        return tvpn < tpages_.size() && !tpages_[tvpn].empty();
+    }
 
     /** Insert/update a CMT entry, evicting to budget. */
     void upsertCmt(Lpa lpa, Ppa ppa, bool dirty);
     void evictToBudget();
+    /**
+     * Charge a read-modify-write of translation page @a tvpn (no read
+     * for a page not yet on flash) and materialize it.
+     */
+    std::vector<Ppa> &rmwTpage(uint32_t tvpn);
     /** Write back every dirty CMT entry of @a tvpn (one RMW). */
     void writebackTpage(uint32_t tvpn);
 
     uint32_t entries_per_tpage_;
     uint64_t budget_bytes_;
 
-    std::list<Lpa> lru_; ///< Front = MRU.
-    std::unordered_map<Lpa, CmtEntry> cmt_;
+    FlatLru<CmtEntry> cmt_;
 
-    /** Authoritative on-flash translation pages. */
-    std::unordered_map<Lpa, Ppa> flash_map_;
-    std::unordered_set<uint32_t> tpages_; ///< Materialized tvpns.
+    /** Authoritative on-flash translation pages, indexed by tvpn. */
+    std::vector<std::vector<Ppa>> tpages_;
+    /** Distinct LPAs mapped on flash or in the CMT (trims included). */
+    size_t mapped_ = 0;
 
     uint64_t cmt_hits_ = 0;
     uint64_t cmt_misses_ = 0;

@@ -1,9 +1,5 @@
 #include "ftl/leaftl.hh"
 
-#include "ftl/dftl.hh"
-#include "ftl/sftl.hh"
-#include "ssd/config.hh"
-
 namespace leaftl
 {
 
@@ -13,57 +9,39 @@ LeaFtl::LeaFtl(FtlOps &ops, uint32_t gamma)
 }
 
 void
-LeaFtl::refreshGroupBytes(uint32_t group_idx)
+LeaFtl::refreshGroupBytes(uint32_t group_idx, Residency &r)
 {
-    auto it = resident_.find(group_idx);
-    if (it == resident_.end())
-        return;
     const size_t now_bytes = table_->groupBytes(group_idx);
     resident_bytes_ += now_bytes;
-    resident_bytes_ -= it->second.bytes;
-    it->second.bytes = now_bytes;
+    resident_bytes_ -= r.bytes;
+    r.bytes = now_bytes;
 }
 
 void
 LeaFtl::touchGroup(uint32_t group_idx, bool dirty)
 {
-    auto it = resident_.find(group_idx);
-    if (it != resident_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        it->second.dirty = it->second.dirty || dirty;
-        refreshGroupBytes(group_idx);
-        evictToBudget();
-        return;
-    }
+    auto [r, fresh] = resident_.insert(group_idx);
     // Group miss: fetch its segments from the translation blocks via
     // the GMD (one flash read, §3.8). Freshly learned groups are born
     // in DRAM (dirty) without a fetch.
-    if (!dirty) {
+    if (fresh && !dirty) {
         ops_.chargeTransRead();
         group_fetches_++;
     }
-    lru_.push_front(group_idx);
-    Residency r;
-    r.bytes = table_->groupBytes(group_idx);
-    r.dirty = dirty;
-    r.lru_it = lru_.begin();
-    resident_bytes_ += r.bytes;
-    resident_[group_idx] = r;
+    r.dirty = r.dirty || dirty;
+    refreshGroupBytes(group_idx, r);
     evictToBudget();
 }
 
 void
 LeaFtl::evictToBudget()
 {
-    while (resident_bytes_ > budget_bytes_ && lru_.size() > 1) {
-        const uint32_t victim = lru_.back();
-        auto it = resident_.find(victim);
-        LEAFTL_ASSERT(it != resident_.end(), "LeaFTL LRU out of sync");
-        if (it->second.dirty)
+    while (resident_bytes_ > budget_bytes_ && resident_.size() > 1) {
+        const Residency &victim = resident_.lruValue();
+        if (victim.dirty)
             ops_.chargeTransWrite();
-        resident_bytes_ -= it->second.bytes;
-        resident_.erase(it);
-        lru_.pop_back();
+        resident_bytes_ -= victim.bytes;
+        resident_.popLru();
     }
 }
 
@@ -120,8 +98,9 @@ LeaFtl::periodicMaintenance()
 {
     table_->compact();
     // Compaction changes group sizes; refresh the resident accounting.
-    for (auto &[idx, r] : resident_)
-        refreshGroupBytes(idx);
+    resident_.forEach([this](uint32_t idx, Residency &r) {
+        refreshGroupBytes(idx, r);
+    });
     evictToBudget();
 }
 
@@ -156,25 +135,8 @@ LeaFtl::restoreChain(const std::vector<uint8_t> &base,
     table->setShardPool(pool_); // The new table inherits the workers.
     table_ = std::move(table);
     // DRAM residency is gone after a crash; groups reload on demand.
-    lru_.clear();
     resident_.clear();
     resident_bytes_ = 0;
-}
-
-std::unique_ptr<Ftl>
-makeFtl(const SsdConfig &cfg, FtlOps &ops)
-{
-    switch (cfg.ftl) {
-      case FtlKind::DFTL:
-        return std::make_unique<Dftl>(ops, cfg.geometry.page_size,
-                                      cfg.dram_bytes);
-      case FtlKind::SFTL:
-        return std::make_unique<Sftl>(ops, cfg.geometry.page_size,
-                                      cfg.dram_bytes);
-      case FtlKind::LeaFTL:
-        return std::make_unique<LeaFtl>(ops, cfg.gamma);
-    }
-    LEAFTL_PANIC("unknown FTL kind");
 }
 
 } // namespace leaftl

@@ -19,11 +19,9 @@
 
 #pragma once
 
-#include <list>
-#include <unordered_map>
-
 #include "ftl/ftl.hh"
 #include "learned/learned_table.hh"
+#include "util/flat_lru.hh"
 
 namespace leaftl
 {
@@ -66,25 +64,24 @@ class LeaFtl : public Ftl
     uint32_t gamma() const { return table_->gamma(); }
 
   private:
-    /** Mark a group resident (fetch charge on miss) and dirty-able. */
-    void touchGroup(uint32_t group_idx, bool dirty);
-    void evictToBudget();
-    /** Refresh the cached byte size of a (resident) group. */
-    void refreshGroupBytes(uint32_t group_idx);
-
-    std::unique_ptr<LearnedTable> table_;
-    ShardPool *pool_ = nullptr; ///< Intra-run workers (not owned).
-
     // §3.8 demand caching of segment groups (GMD + translation blocks).
     struct Residency
     {
         size_t bytes = 0;
         bool dirty = false;
-        std::list<uint32_t>::iterator lru_it;
     };
+
+    /** Mark a group resident (fetch charge on miss) and dirty-able. */
+    void touchGroup(uint32_t group_idx, bool dirty);
+    void evictToBudget();
+    /** Refresh the cached byte size of a resident group. */
+    void refreshGroupBytes(uint32_t group_idx, Residency &r);
+
+    std::unique_ptr<LearnedTable> table_;
+    ShardPool *pool_ = nullptr; ///< Intra-run workers (not owned).
+
     uint64_t budget_bytes_ = UINT64_MAX;
-    std::list<uint32_t> lru_; ///< Resident groups, MRU first.
-    std::unordered_map<uint32_t, Residency> resident_;
+    FlatLru<Residency> resident_; ///< Resident groups.
     size_t resident_bytes_ = 0;
     uint64_t group_fetches_ = 0;
 };

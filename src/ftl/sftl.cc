@@ -26,51 +26,56 @@ Sftl::countRuns(const std::vector<Ppa> &entries)
     return runs;
 }
 
-Sftl::TPage &
+bool
 Sftl::getOrCreate(uint32_t tvpn)
 {
-    auto it = tpages_.find(tvpn);
-    if (it == tpages_.end()) {
-        TPage tp;
-        tp.entries.assign(entries_per_tpage_, kInvalidPpa);
-        it = tpages_.emplace(tvpn, std::move(tp)).first;
-        // A fresh page already costs its run-boundary bitmap.
-        full_bytes_ += compressedBytes(it->second);
-    }
-    return it->second;
+    if (exists(tvpn))
+        return true;
+    if (tvpn >= tpages_.size())
+        tpages_.resize(tvpn + 1);
+    TPage &tp = tpages_[tvpn];
+    tp.entries.assign(entries_per_tpage_, kInvalidPpa);
+    // A fresh page already costs its run-boundary bitmap.
+    full_bytes_ += compressedBytes(tp);
+    return false;
 }
 
-void
-Sftl::makeResident(uint32_t tvpn, TPage &tp, bool charge_read)
+bool
+Sftl::makeResident(uint32_t tvpn, bool charge_read)
 {
-    if (tp.resident) {
-        lru_.splice(lru_.begin(), lru_, tp.lru_it);
-        return;
-    }
+    if (!lru_.insert(tvpn).second)
+        return true; // Promoted to MRU.
     if (charge_read)
         ops_.chargeTransRead();
-    lru_.push_front(tvpn);
-    tp.lru_it = lru_.begin();
-    tp.resident = true;
-    resident_bytes_ += compressedBytes(tp);
+    resident_bytes_ += compressedBytes(tpages_[tvpn]);
     evictToBudget();
+    return false;
 }
 
 void
 Sftl::evictToBudget()
 {
     while (resident_bytes_ > budget_bytes_ && lru_.size() > 1) {
-        const uint32_t victim = lru_.back();
-        auto it = tpages_.find(victim);
-        LEAFTL_ASSERT(it != tpages_.end(), "SFTL: LRU out of sync");
-        TPage &tp = it->second;
-        if (tp.dirty) {
-            ops_.chargeTransWrite();
-            tp.dirty = false;
-        }
-        resident_bytes_ -= compressedBytes(tp);
-        tp.resident = false;
-        lru_.pop_back();
+        if (lru_.lruValue())
+            ops_.chargeTransWrite(); // Dirty victim.
+        resident_bytes_ -= compressedBytes(tpages_[lru_.lruKey()]);
+        lru_.popLru();
+    }
+}
+
+void
+Sftl::updateSlot(uint32_t tvpn, Lpa lpa, Ppa ppa, bool dirty)
+{
+    TPage &tp = tpages_[tvpn];
+    const size_t old_compressed = compressedBytes(tp);
+    full_bytes_ -= old_compressed;
+    tp.entries[slotOf(lpa)] = ppa;
+    tp.runs = countRuns(tp.entries);
+    full_bytes_ += compressedBytes(tp);
+    if (bool *resident_dirty = lru_.peek(tvpn)) {
+        resident_bytes_ += compressedBytes(tp);
+        resident_bytes_ -= old_compressed;
+        *resident_dirty = dirty;
     }
 }
 
@@ -78,16 +83,13 @@ TranslateResult
 Sftl::translate(Lpa lpa)
 {
     const uint32_t tvpn = tvpnOf(lpa);
-    auto it = tpages_.find(tvpn);
-    if (it == tpages_.end())
+    if (!exists(tvpn))
         return {};
-    TPage &tp = it->second;
-    if (tp.resident)
+    if (makeResident(tvpn, /*charge_read=*/true))
         hits_++;
     else
         misses_++;
-    makeResident(tvpn, tp, /*charge_read=*/!tp.resident);
-    const Ppa ppa = tp.entries[slotOf(lpa)];
+    const Ppa ppa = tpages_[tvpn].entries[slotOf(lpa)];
     if (ppa == kInvalidPpa)
         return {};
     return {true, ppa, false};
@@ -97,21 +99,10 @@ void
 Sftl::trim(Lpa lpa)
 {
     const uint32_t tvpn = tvpnOf(lpa);
-    auto it = tpages_.find(tvpn);
-    if (it == tpages_.end())
+    if (!exists(tvpn))
         return; // Never mapped.
-    TPage &tp = it->second;
-    makeResident(tvpn, tp, /*charge_read=*/!tp.resident);
-    const size_t old_compressed = compressedBytes(tp);
-    full_bytes_ -= old_compressed;
-    tp.entries[slotOf(lpa)] = kInvalidPpa;
-    tp.runs = countRuns(tp.entries);
-    tp.dirty = true;
-    full_bytes_ += compressedBytes(tp);
-    if (tp.resident) {
-        resident_bytes_ += compressedBytes(tp);
-        resident_bytes_ -= old_compressed;
-    }
+    makeResident(tvpn, /*charge_read=*/true);
+    updateSlot(tvpn, lpa, kInvalidPpa, /*dirty=*/true);
     evictToBudget();
 }
 
@@ -120,22 +111,10 @@ Sftl::recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run)
 {
     for (const auto &[lpa, ppa] : run) {
         const uint32_t tvpn = tvpnOf(lpa);
-        const bool existed = tpages_.count(tvpn) != 0;
-        TPage &tp = getOrCreate(tvpn);
         // Updating a page requires it resident (read when it already
         // lives on flash; fresh pages are born in DRAM).
-        makeResident(tvpn, tp, /*charge_read=*/existed && !tp.resident);
-
-        const size_t old_compressed = compressedBytes(tp);
-        full_bytes_ -= old_compressed;
-        tp.entries[slotOf(lpa)] = ppa;
-        tp.runs = countRuns(tp.entries);
-        tp.dirty = true;
-        full_bytes_ += compressedBytes(tp);
-        if (tp.resident) {
-            resident_bytes_ += compressedBytes(tp);
-            resident_bytes_ -= old_compressed;
-        }
+        makeResident(tvpn, /*charge_read=*/getOrCreate(tvpn));
+        updateSlot(tvpn, lpa, ppa, /*dirty=*/true);
         evictToBudget();
     }
 }
@@ -144,28 +123,20 @@ void
 Sftl::recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run)
 {
     // Direct RMW per affected translation page, no residency change.
+    // A resident copy is clean afterwards: flash just got it.
     uint32_t cur_tvpn = 0;
     bool have_tvpn = false;
     for (const auto &[lpa, ppa] : run) {
         const uint32_t tvpn = tvpnOf(lpa);
+        const bool existed = getOrCreate(tvpn);
         if (!have_tvpn || tvpn != cur_tvpn) {
-            if (tpages_.count(tvpn))
+            if (existed)
                 ops_.chargeTransRead();
             ops_.chargeTransWrite();
             cur_tvpn = tvpn;
             have_tvpn = true;
         }
-        TPage &tp = getOrCreate(tvpn);
-        const size_t old_compressed = compressedBytes(tp);
-        full_bytes_ -= old_compressed;
-        tp.entries[slotOf(lpa)] = ppa;
-        tp.runs = countRuns(tp.entries);
-        full_bytes_ += compressedBytes(tp);
-        if (tp.resident) {
-            resident_bytes_ += compressedBytes(tp);
-            resident_bytes_ -= old_compressed;
-            tp.dirty = false; // Flash just got the fresh copy.
-        }
+        updateSlot(tvpn, lpa, ppa, /*dirty=*/false);
     }
     evictToBudget();
 }

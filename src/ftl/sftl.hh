@@ -13,14 +13,17 @@
  * entry's run). A fully random page therefore degenerates to DFTL's
  * footprint while a fully sequential one costs one descriptor plus
  * the bitmap.
+ *
+ * The authoritative pages are one vector indexed by translation
+ * virtual page number (tvpn); a page with no entries was never
+ * written. Resident pages sit in an LRU (util/flat_lru.hh) whose
+ * payload is the page's dirty bit.
  */
 
 #pragma once
 
-#include <list>
-#include <unordered_map>
-
 #include "ftl/ftl.hh"
+#include "util/flat_lru.hh"
 
 namespace leaftl
 {
@@ -57,20 +60,30 @@ class Sftl : public Ftl
   private:
     struct TPage
     {
-        std::vector<Ppa> entries;   ///< kInvalidPpa = unmapped slot.
-        uint32_t runs = 0;          ///< Compressed descriptor count.
-        bool resident = false;
-        bool dirty = false;
-        std::list<uint32_t>::iterator lru_it;
+        std::vector<Ppa> entries; ///< kInvalidPpa = unmapped; empty = none.
+        uint32_t runs = 0;        ///< Compressed descriptor count.
     };
 
     uint32_t tvpnOf(Lpa lpa) const { return lpa / entries_per_tpage_; }
     uint32_t slotOf(Lpa lpa) const { return lpa % entries_per_tpage_; }
+    bool exists(uint32_t tvpn) const
+    {
+        return tvpn < tpages_.size() && !tpages_[tvpn].entries.empty();
+    }
 
-    TPage &getOrCreate(uint32_t tvpn);
+    /**
+     * Create page @a tvpn if needed. Growing tpages_ invalidates
+     * every TPage reference. @return whether the page existed.
+     */
+    bool getOrCreate(uint32_t tvpn);
     static uint32_t countRuns(const std::vector<Ppa> &entries);
-    /** Fetch a page into the cache (charging a read when it exists). */
-    void makeResident(uint32_t tvpn, TPage &tp, bool charge_read);
+    /**
+     * Fetch a page into the cache (charging a read on a miss when
+     * @a charge_read). @return whether it was already resident.
+     */
+    bool makeResident(uint32_t tvpn, bool charge_read);
+    /** Map one slot, keeping runs, byte totals and dirtiness in sync. */
+    void updateSlot(uint32_t tvpn, Lpa lpa, Ppa ppa, bool dirty);
     void evictToBudget();
     size_t compressedBytes(const TPage &tp) const
     {
@@ -81,8 +94,8 @@ class Sftl : public Ftl
     uint32_t entries_per_tpage_;
     uint64_t budget_bytes_;
 
-    std::unordered_map<uint32_t, TPage> tpages_; ///< Authoritative.
-    std::list<uint32_t> lru_;                    ///< Resident tvpns, MRU front.
+    std::vector<TPage> tpages_; ///< Authoritative, indexed by tvpn.
+    FlatLru<bool> lru_;         ///< Resident tvpns -> dirty.
     size_t resident_bytes_ = 0;
     size_t full_bytes_ = 0; ///< Sum of compressed sizes over all tpages.
 

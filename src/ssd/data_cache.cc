@@ -27,7 +27,7 @@ DataCache::insert(Lpa lpa)
 {
     if (capacity_ == 0)
         return;
-    if (!lru_.insert(lpa))
+    if (!lru_.insert(lpa).second)
         return; // Present: FlatLru already promoted it to MRU.
     evictToCapacity();
 }

@@ -55,7 +55,7 @@ class DataCache
     void evictToCapacity();
 
     uint64_t capacity_;
-    FlatLru lru_;
+    FlatLru<> lru_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
 };

@@ -14,7 +14,7 @@ WriteBuffer::WriteBuffer(uint32_t capacity_pages) : capacity_(capacity_pages)
 bool
 WriteBuffer::add(Lpa lpa)
 {
-    const bool fresh = set_.insert(lpa);
+    const bool fresh = set_.insert(lpa).second;
     if (fresh)
         order_.push_back(lpa);
     return fresh;
@@ -33,7 +33,7 @@ WriteBuffer::drainSorted()
 {
     std::vector<Lpa> lpas;
     lpas.reserve(set_.size());
-    set_.appendKeys(lpas);
+    set_.forEach([&](uint32_t lpa, NoPayload) { lpas.push_back(lpa); });
     std::sort(lpas.begin(), lpas.end());
     set_.clear();
     order_.clear();

@@ -64,7 +64,7 @@ class WriteBuffer
 
   private:
     uint32_t capacity_;
-    FlatLru set_;
+    FlatLru<> set_;
     std::vector<Lpa> order_; ///< Arrival order of distinct LPAs.
 };
 

@@ -1,15 +1,18 @@
 /**
  * @file
- * Flat, allocation-free LRU set of u32 keys.
+ * Flat, allocation-free LRU map from u32 keys to an optional payload.
  *
  * One open-addressing slot table (linear probing, backward-shift
  * deletion -- no tombstones, no buckets, no per-node heap
  * allocations) maps keys to dense entry indices; the entries carry
- * intrusive prev/next u32 links that maintain *exact* LRU order.
- * Because the LRU links reference entry indices -- not slots -- slot
- * relocation during deletion or rehash never perturbs the recency
- * order, which is what lets `DataCache`/`WriteBuffer` replace their
- * `std::list` + node-hash implementations bit-identically.
+ * the key, its payload and intrusive prev/next u32 links that
+ * maintain *exact* LRU order. Because the LRU links reference entry
+ * indices -- not slots -- slot relocation during deletion or rehash
+ * never perturbs the recency order, which is what lets every LRU in
+ * the simulator (the data cache and write buffer as key-only sets,
+ * DFTL's CMT, SFTL's resident translation pages and LeaFTL's
+ * resident segment groups with payloads) replace its `std::list` +
+ * node-hash implementation bit-identically.
  *
  * All storage is grow-only: a drain/clear keeps the arrays allocated,
  * so the steady-state hot path (lookup/insert/erase) performs zero
@@ -21,6 +24,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/common.hh"
@@ -28,7 +32,17 @@
 namespace leaftl
 {
 
-/** Open-addressing hash set of u32 keys with intrusive LRU links. */
+/** Payload of a key-only FlatLru (takes no space in an entry). */
+struct NoPayload
+{
+};
+
+/**
+ * Open-addressing hash map of u32 keys with intrusive LRU links. A
+ * payload moves with its key; new keys start with a value-initialized
+ * payload.
+ */
+template <typename V = NoPayload>
 class FlatLru
 {
   public:
@@ -41,31 +55,40 @@ class FlatLru
 
     bool contains(uint32_t key) const { return findEntry(key) != kNil; }
 
-    /** If present, promote to MRU. @return true on hit. */
-    bool touch(uint32_t key)
+    /** If present, promote to MRU. @return its payload, or nullptr. */
+    V *touch(uint32_t key)
     {
         const uint32_t e = findEntry(key);
         if (e == kNil)
-            return false;
+            return nullptr;
         promote(e);
-        return true;
+        return &entries_[e].value;
+    }
+
+    /** Payload of @p key without changing recency, or nullptr. */
+    V *peek(uint32_t key)
+    {
+        const uint32_t e = findEntry(key);
+        return e == kNil ? nullptr : &entries_[e].value;
     }
 
     /**
      * Single-probe insert-or-promote: a present key moves to MRU, an
-     * absent key is added as MRU.
-     * @return true if the key was newly inserted.
+     * absent key is added as MRU. The payload reference stays valid
+     * until the next insert.
+     * @return the key's payload and whether the key was newly inserted.
      */
-    bool insert(uint32_t key)
+    std::pair<V &, bool> insert(uint32_t key)
     {
         if ((size_ + 1) * 8 > slots_.size() * 5)
             growSlots();
         const size_t mask = slots_.size() - 1;
         size_t s = hashKey(key) & mask;
         while (slots_[s] != kNil) {
-            if (keys_[slots_[s]] == key) {
-                promote(slots_[s]);
-                return false;
+            const uint32_t e = slots_[s];
+            if (entries_[e].key == key) {
+                promote(e);
+                return {entries_[e].value, false};
             }
             s = (s + 1) & mask;
         }
@@ -73,7 +96,7 @@ class FlatLru
         slots_[s] = e;
         linkFront(e);
         size_++;
-        return true;
+        return {entries_[e].value, true};
     }
 
     /** Remove a key. @return true if it was present. */
@@ -83,7 +106,7 @@ class FlatLru
             return false;
         const size_t mask = slots_.size() - 1;
         size_t s = hashKey(key) & mask;
-        while (slots_[s] != kNil && keys_[slots_[s]] != key)
+        while (slots_[s] != kNil && entries_[slots_[s]].key != key)
             s = (s + 1) & mask;
         if (slots_[s] == kNil)
             return false;
@@ -95,43 +118,49 @@ class FlatLru
     uint32_t lruKey() const
     {
         LEAFTL_ASSERT(tail_ != kNil, "lruKey on empty FlatLru");
-        return keys_[tail_];
+        return entries_[tail_].key;
+    }
+
+    /** Payload of the least-recently-used key; requires !empty(). */
+    V &lruValue()
+    {
+        LEAFTL_ASSERT(tail_ != kNil, "lruValue on empty FlatLru");
+        return entries_[tail_].value;
     }
 
     /** Evict the LRU key; requires !empty(). */
     void popLru()
     {
         LEAFTL_ASSERT(tail_ != kNil, "popLru on empty FlatLru");
-        removeAt(findSlot(keys_[tail_]));
+        removeAt(findSlot(entries_[tail_].key));
     }
 
     /** Drop everything; keeps the arrays allocated. */
     void clear()
     {
         std::fill(slots_.begin(), slots_.end(), kNil);
-        keys_.clear();
+        entries_.clear();
         prev_.clear();
         next_.clear();
         head_ = tail_ = free_head_ = kNil;
         size_ = 0;
     }
 
-    /** Visit keys in MRU -> LRU order. */
+    /** Visit fn(key, payload) in MRU -> LRU order, recency unchanged. */
     template <typename Fn>
-    void forEachMruToLru(Fn &&fn) const
+    void forEach(Fn &&fn)
     {
         for (uint32_t e = head_; e != kNil; e = next_[e])
-            fn(keys_[e]);
-    }
-
-    /** Append all keys (MRU -> LRU order) to @p out. */
-    void appendKeys(std::vector<uint32_t> &out) const
-    {
-        for (uint32_t e = head_; e != kNil; e = next_[e])
-            out.push_back(keys_[e]);
+            fn(entries_[e].key, entries_[e].value);
     }
 
   private:
+    struct Entry
+    {
+        uint32_t key;
+        [[no_unique_address]] V value;
+    };
+
     // 32-bit splitmix-style mixer: full avalanche, so dense LPA key
     // ranges spread evenly over the power-of-two slot table.
     static uint32_t hashKey(uint32_t x)
@@ -151,7 +180,7 @@ class FlatLru
         const size_t mask = slots_.size() - 1;
         size_t s = hashKey(key) & mask;
         while (slots_[s] != kNil) {
-            if (keys_[slots_[s]] == key)
+            if (entries_[slots_[s]].key == key)
                 return slots_[s];
             s = (s + 1) & mask;
         }
@@ -163,7 +192,7 @@ class FlatLru
     {
         const size_t mask = slots_.size() - 1;
         size_t s = hashKey(key) & mask;
-        while (keys_[slots_[s]] != key)
+        while (entries_[slots_[s]].key != key)
             s = (s + 1) & mask;
         return s;
     }
@@ -174,10 +203,10 @@ class FlatLru
         if (free_head_ != kNil) {
             e = free_head_;
             free_head_ = next_[e];
-            keys_[e] = key;
+            entries_[e] = Entry{key, V{}};
         } else {
-            e = static_cast<uint32_t>(keys_.size());
-            keys_.push_back(key);
+            e = static_cast<uint32_t>(entries_.size());
+            entries_.push_back(Entry{key, V{}});
             prev_.push_back(kNil);
             next_.push_back(kNil);
         }
@@ -235,7 +264,7 @@ class FlatLru
             j = (j + 1) & mask;
             if (slots_[j] == kNil)
                 break;
-            const size_t home = hashKey(keys_[slots_[j]]) & mask;
+            const size_t home = hashKey(entries_[slots_[j]].key) & mask;
             const bool movable = (j > hole)
                                      ? (home <= hole || home > j)
                                      : (home <= hole && home > j);
@@ -253,7 +282,7 @@ class FlatLru
         slots_.assign(n, kNil);
         const size_t mask = n - 1;
         for (uint32_t e = head_; e != kNil; e = next_[e]) {
-            size_t s = hashKey(keys_[e]) & mask;
+            size_t s = hashKey(entries_[e].key) & mask;
             while (slots_[s] != kNil)
                 s = (s + 1) & mask;
             slots_[s] = e;
@@ -261,7 +290,7 @@ class FlatLru
     }
 
     std::vector<uint32_t> slots_; ///< Entry index per slot, kNil = empty.
-    std::vector<uint32_t> keys_;  ///< Dense entry storage.
+    std::vector<Entry> entries_;  ///< Dense entry storage.
     std::vector<uint32_t> prev_;  ///< Intrusive LRU links (entry indices).
     std::vector<uint32_t> next_;  ///< Doubles as the free-list link.
     uint32_t head_ = kNil;        ///< MRU entry.

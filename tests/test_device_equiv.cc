@@ -5,8 +5,8 @@
  * bench/device_reference.hh), the same way PR 4 proved the learned
  * layer and PR 7 proved parallel replay:
  *
- *   - FlatLru vs an exact std::list model (full LRU-order compare
- *     after every operation);
+ *   - FlatLru vs an exact std::list model ((key, payload) pairs in
+ *     full LRU order compared after every operation);
  *   - DataCache vs RefDataCache (lookup results, hit/miss counters,
  *     sizes across insert/hit/invalidate/shrink-resize);
  *   - WriteBuffer vs RefWriteBuffer (coalescing adds, trim-path
@@ -37,34 +37,43 @@ namespace leaftl
 namespace
 {
 
-/** Exact-order reference for FlatLru: a plain MRU-front list. */
+/**
+ * Exact-order reference for FlatLru: a plain MRU-front list of
+ * (key, payload) pairs.
+ */
 struct ModelLru
 {
-    std::list<uint32_t> order; // Front = MRU.
+    using Entry = std::pair<uint32_t, uint32_t>;
+    std::list<Entry> order; // Front = MRU.
 
-    std::list<uint32_t>::iterator find(uint32_t key)
+    std::list<Entry>::iterator find(uint32_t key)
     {
-        return std::find(order.begin(), order.end(), key);
+        return std::find_if(order.begin(), order.end(),
+                            [key](const Entry &e) { return e.first == key; });
     }
 
-    bool touch(uint32_t key)
+    /** Promote if present. @return the payload, or nullptr. */
+    uint32_t *touch(uint32_t key)
     {
         auto it = find(key);
         if (it == order.end())
-            return false;
+            return nullptr;
         order.splice(order.begin(), order, it);
-        return true;
+        return &order.front().second;
     }
 
-    bool insert(uint32_t key)
+    uint32_t *peek(uint32_t key)
     {
         auto it = find(key);
-        if (it != order.end()) {
-            order.splice(order.begin(), order, it);
-            return false;
-        }
-        order.push_front(key);
-        return true;
+        return it == order.end() ? nullptr : &it->second;
+    }
+
+    std::pair<uint32_t &, bool> insert(uint32_t key)
+    {
+        if (uint32_t *v = touch(key))
+            return {*v, false};
+        order.emplace_front(key, 0);
+        return {order.front().second, true};
     }
 
     bool erase(uint32_t key)
@@ -76,38 +85,56 @@ struct ModelLru
         return true;
     }
 
-    std::vector<uint32_t> keys() const
+    std::vector<Entry> entries() const
     {
         return {order.begin(), order.end()};
     }
 };
 
-std::vector<uint32_t>
-flatKeys(const FlatLru &lru)
+/** (key, payload) pairs in MRU -> LRU order. */
+std::vector<ModelLru::Entry>
+flatEntries(FlatLru<uint32_t> &lru)
 {
-    std::vector<uint32_t> keys;
-    lru.appendKeys(keys);
-    return keys;
+    std::vector<ModelLru::Entry> entries;
+    lru.forEach([&](uint32_t key, uint32_t value) {
+        entries.emplace_back(key, value);
+    });
+    return entries;
+}
+
+/** Payload behind @p v, or a sentinel for "absent". */
+uint32_t
+valueOr(const uint32_t *v)
+{
+    return v ? *v : 0xDEADBEEFu;
 }
 
 TEST(FlatLruEquiv, MatchesListModelUnderFuzz)
 {
-    FlatLru lru;
+    FlatLru<uint32_t> lru;
     ModelLru model;
     Rng rng(0xF1A71234);
 
     for (int step = 0; step < 20000; step++) {
         const uint32_t key = static_cast<uint32_t>(rng.nextBounded(96));
-        switch (rng.nextBounded(10)) {
+        const uint32_t value = static_cast<uint32_t>(rng.next());
+        switch (rng.nextBounded(12)) {
         case 0:
         case 1:
         case 2:
-        case 3:
-            ASSERT_EQ(lru.insert(key), model.insert(key)) << step;
+        case 3: {
+            // Insert-or-promote, then overwrite the payload in place.
+            auto [flat_v, flat_new] = lru.insert(key);
+            auto [model_v, model_new] = model.insert(key);
+            ASSERT_EQ(flat_new, model_new) << step;
+            ASSERT_EQ(flat_v, model_v) << step; // 0 when new.
+            flat_v = model_v = value;
             break;
+        }
         case 4:
         case 5:
-            ASSERT_EQ(lru.touch(key), model.touch(key)) << step;
+            ASSERT_EQ(valueOr(lru.touch(key)), valueOr(model.touch(key)))
+                << step;
             break;
         case 6:
         case 7:
@@ -119,17 +146,30 @@ TEST(FlatLruEquiv, MatchesListModelUnderFuzz)
                 << step;
             break;
         case 9:
+            // Non-promoting update: recency must not move.
+            if (uint32_t *v = lru.peek(key)) {
+                ASSERT_EQ(*v, valueOr(model.peek(key))) << step;
+                *v = *model.peek(key) = value;
+            } else {
+                ASSERT_EQ(model.peek(key), nullptr) << step;
+            }
+            break;
+        case 10:
+        case 11:
             if (!model.order.empty()) {
-                ASSERT_EQ(lru.lruKey(), model.order.back()) << step;
+                ASSERT_EQ(lru.lruKey(), model.order.back().first) << step;
+                ASSERT_EQ(lru.lruValue(), model.order.back().second)
+                    << step;
                 lru.popLru();
                 model.order.pop_back();
             }
             break;
         }
         ASSERT_EQ(lru.size(), model.order.size()) << step;
-        // Exact LRU order, every step: this is the property that
-        // makes DataCache eviction bit-identical.
-        ASSERT_EQ(flatKeys(lru), model.keys()) << step;
+        // Exact LRU order with payloads, every step: this is the
+        // property that makes DataCache eviction and the FTL caches
+        // bit-identical.
+        ASSERT_EQ(flatEntries(lru), model.entries()) << step;
         if (step % 4096 == 4095) {
             lru.clear();
             model.order.clear();
@@ -139,21 +179,23 @@ TEST(FlatLruEquiv, MatchesListModelUnderFuzz)
 
 TEST(FlatLruEquiv, SurvivesGrowthAcrossRehashes)
 {
-    FlatLru lru;
+    FlatLru<uint32_t> lru;
     ModelLru model;
     // Monotone insert far beyond the initial table: every grow must
-    // preserve order and membership.
+    // preserve order, membership and payloads.
     for (uint32_t key = 0; key < 5000; key++) {
-        ASSERT_TRUE(lru.insert(key));
-        model.insert(key);
+        auto [v, fresh] = lru.insert(key);
+        ASSERT_TRUE(fresh);
+        v = model.insert(key).first = key * 3;
     }
     ASSERT_EQ(lru.size(), 5000u);
-    ASSERT_EQ(flatKeys(lru), model.keys());
+    ASSERT_EQ(flatEntries(lru), model.entries());
     for (uint32_t key = 0; key < 5000; key += 2)
         ASSERT_TRUE(lru.erase(key));
     ASSERT_EQ(lru.size(), 2500u);
     for (uint32_t key = 0; key < 5000; key++)
-        ASSERT_EQ(lru.contains(key), key % 2 == 1) << key;
+        ASSERT_EQ(valueOr(lru.peek(key)), key % 2 ? key * 3 : 0xDEADBEEFu)
+            << key;
 }
 
 TEST(DataCacheEquiv, MatchesReferenceUnderFuzz)

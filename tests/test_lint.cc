@@ -155,7 +155,7 @@ TEST(LintUnorderedSerialize, FlagsHashIterationInSerialize)
                             "    }\n"
                             "    return out;\n"
                             "}\n";
-    const auto findings = lintContent("src/ftl/foo.cc", src);
+    const auto findings = lintContent("src/config/foo.cc", src);
     ASSERT_EQ(1u, findings.size());
     EXPECT_EQ("unordered-serialize", findings[0].rule);
     EXPECT_EQ(6, findings[0].line);
@@ -367,6 +367,9 @@ TEST(LintNodeContainers, FlagsNodeContainersInDeviceAndLearned)
     EXPECT_TRUE(hits("src/learned/foo.cc",
                      "std::unordered_multiset<uint32_t> s;\n",
                      "hot-path-node-containers"));
+    EXPECT_TRUE(hits("src/ftl/dftl.hh",
+                     "#pragma once\nstd::list<Lpa> lru_;\n",
+                     "hot-path-node-containers"));
 }
 
 TEST(LintNodeContainers, FlatAndOutOfScopeContainersClean)
@@ -379,11 +382,7 @@ TEST(LintNodeContainers, FlatAndOutOfScopeContainersClean)
     // declaration of the std type.
     EXPECT_FALSE(hits("src/ssd/foo.cc", "auto x = group.map(fn);\n",
                       "hot-path-node-containers"));
-    // Other layers (FTL baselines, CLIs, bench references) may keep
-    // node containers.
-    EXPECT_FALSE(hits("src/ftl/dftl.hh",
-                      "#pragma once\nstd::list<Lpa> lru_;\n",
-                      "hot-path-node-containers"));
+    // Other layers (CLIs, bench references) may keep node containers.
     EXPECT_FALSE(hits("bench/device_reference.hh",
                       "#pragma once\nstd::list<Lpa> lru_;\n",
                       "hot-path-node-containers"));

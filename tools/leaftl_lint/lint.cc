@@ -813,18 +813,22 @@ ruleAssertSideEffect(const PathInfo &p, const ScannedFile &f, Findings &out)
  * perf/hot-path-node-containers: the device hot-path overhaul replaced
  * every per-IO node-based container in src/ssd/ (std::list LRU,
  * unordered hash buckets) with flat structures (util/flat_lru.hh,
- * intrusive index lists), and src/learned/ dropped its last node map
- * (Crb's per-run std::map -> sorted vector). One allocation or
- * pointer-chase per host IO is exactly the regression class this rule
- * pins shut: declaring a node-based standard container in those
- * directories needs an explicit justification (inline allow).
+ * intrusive index lists), src/learned/ dropped its last node map
+ * (Crb's per-run std::map -> sorted vector), and the FTL caches in
+ * src/ftl/ (DFTL's CMT, SFTL's resident pages, LeaFTL's resident
+ * groups) moved onto util/flat_lru.hh with per-tvpn vectors for the
+ * on-flash tables. One allocation or pointer-chase per host IO is
+ * exactly the regression class this rule pins shut: declaring a
+ * node-based standard container in those directories needs an
+ * explicit justification (inline allow).
  */
 void
 ruleHotPathNodeContainers(const PathInfo &p, const ScannedFile &f,
                           Findings &out)
 {
     if (!startsWith(p.path, "src/ssd/") &&
-        !startsWith(p.path, "src/learned/"))
+        !startsWith(p.path, "src/learned/") &&
+        !startsWith(p.path, "src/ftl/"))
         return;
     static const char *types[] = {
         "list",          "map",           "multimap",
@@ -841,7 +845,7 @@ ruleHotPathNodeContainers(const PathInfo &p, const ScannedFile &f,
                     continue;
                 add(out, p, line, "hot-path-node-containers",
                     std::string("node-based container 'std::") + type +
-                        "' in the device/learned hot path; use a flat "
+                        "' in the device/FTL/learned hot path; use a flat "
                         "structure (util/flat_lru.hh, sorted vector, "
                         "intrusive index lists)");
                 break;
@@ -883,7 +887,7 @@ rules()
          ruleHotPathStdFunction},
         {{"hot-path-node-containers", "perf",
           "no node-based standard containers (std::list/map/unordered_*) "
-          "in src/ssd/ or src/learned/"},
+          "in src/ssd/, src/ftl/ or src/learned/"},
          ruleHotPathNodeContainers},
         {{"pragma-once", "hygiene", "every header uses #pragma once"},
          rulePragmaOnce},
