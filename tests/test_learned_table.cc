@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <set>
+#include <sstream>
+#include <string>
 
+#include "config/fingerprint.hh"
 #include "learned/learned_table.hh"
 #include "util/rng.hh"
 
@@ -469,6 +476,97 @@ INSTANTIATE_TEST_SUITE_P(
     GammaSeeds, TableRandomSweep,
     ::testing::Combine(::testing::Values(0u, 1u, 4u, 16u),
                        ::testing::Range<uint64_t>(0, 10)));
+
+/** LPA-sorted learn batch over @a lpas, PPAs consecutive from @a ppa. */
+std::vector<std::pair<Lpa, Ppa>>
+flushBatch(const std::set<Lpa> &lpas, Ppa &ppa)
+{
+    std::vector<std::pair<Lpa, Ppa>> run;
+    run.reserve(lpas.size());
+    for (Lpa lpa : lpas)
+        run.emplace_back(lpa, ppa++);
+    return run;
+}
+
+/**
+ * One learn/compact stream of the compaction pin. "strided": a few
+ * short runs over 4Ki LPAs with strides 1..4 and, now and then, one
+ * above 64 (write-buffer flushes of interleaved sequential streams).
+ * "gc": 2,048 random LPAs over 64Ki per batch (GC migration batches).
+ * Emits one line per compact(): the FNV-1a-64 of serialize().
+ */
+void
+compactionStream(uint32_t gamma, bool gc_shaped, uint64_t seed,
+                 std::ostringstream &out)
+{
+    constexpr int kBatches = 36;
+    constexpr int kCompactEvery = 6;
+    Rng rng(seed * 2654435761u + gamma);
+    LearnedTable table(gamma);
+    Ppa ppa = 1;
+    std::set<Lpa> lpas;
+    for (int b = 1; b <= kBatches; b++) {
+        lpas.clear();
+        if (gc_shaped) {
+            while (lpas.size() < 2048)
+                lpas.insert(static_cast<Lpa>(rng.nextBounded(65536)));
+        } else {
+            const uint64_t runs = 2 + rng.nextBounded(6);
+            for (uint64_t r = 0; r < runs; r++) {
+                const uint64_t stride = rng.nextBool(0.1)
+                                            ? 65 + rng.nextBounded(60)
+                                            : 1 + rng.nextBounded(4);
+                Lpa lpa = static_cast<Lpa>(rng.nextBounded(4096));
+                const uint64_t n = 1 + rng.nextBounded(24);
+                for (uint64_t i = 0; i < n && lpa < 4096; i++) {
+                    lpas.insert(lpa);
+                    lpa += static_cast<Lpa>(stride);
+                }
+            }
+        }
+        table.learn(flushBatch(lpas, ppa));
+        ppa += rng.nextBounded(64); // GC and other flushes in between.
+        if (b % kCompactEvery != 0)
+            continue;
+        table.compact();
+        const std::vector<uint8_t> blob = table.serialize();
+        char line[96];
+        std::snprintf(line, sizeof(line),
+                      "%u %s %" PRIu64 " %d %016" PRIx64 "\n", gamma,
+                      gc_shaped ? "gc" : "strided", seed,
+                      b / kCompactEvery,
+                      config::fnv1a64(std::string(blob.begin(), blob.end())));
+        out << line;
+    }
+}
+
+TEST(LearnedTable, CompactionMatchesTheGoldenDigests)
+{
+    // Pins every compact() result byte for byte: each line of
+    // tests/data/golden_compaction.txt is "gamma shape seed k digest",
+    // the digest of serialize() after the k-th compaction of that
+    // stream. A change here changes simulated results.
+    std::ostringstream generated;
+    for (const uint32_t gamma : {0u, 1u, 4u, 16u}) {
+        for (const bool gc_shaped : {false, true}) {
+            for (uint64_t seed = 1; seed <= 3; seed++)
+                compactionStream(gamma, gc_shaped, seed, generated);
+        }
+    }
+
+    std::ifstream golden_in(LEAFTL_SOURCE_DIR
+                            "/tests/data/golden_compaction.txt");
+    ASSERT_TRUE(golden_in.good())
+        << "missing checked-in golden_compaction.txt; generated:\n"
+        << generated.str();
+    std::ostringstream golden;
+    std::string line;
+    while (std::getline(golden_in, line)) {
+        if (!line.empty() && line[0] != '#')
+            golden << line << '\n';
+    }
+    EXPECT_EQ(generated.str(), golden.str());
+}
 
 } // namespace
 } // namespace leaftl
