@@ -27,6 +27,42 @@ findCovering(const std::vector<SegEntry> &segs, uint8_t off)
     return -1;
 }
 
+/**
+ * Index of the first segment whose range ends at or after @a off: the
+ * start of the window of segments overlapping any range that begins
+ * at @a off (a level's ranges are sorted and disjoint, so their ends
+ * ascend too). The window runs while a segment starts at or before
+ * the range's end.
+ */
+size_t
+firstEndingAtOrAfter(const std::vector<SegEntry> &segs, uint8_t off)
+{
+    return static_cast<size_t>(
+        std::partition_point(segs.begin(), segs.end(),
+                             [off](const SegEntry &e) {
+                                 return e.seg.endOff() < off;
+                             }) -
+        segs.begin());
+}
+
+/** The stride grid of an accurate segment over [S, S+L]. */
+GroupMask
+gridMask(const Segment &seg)
+{
+    if (seg.singlePoint()) {
+        GroupMask m;
+        m.set(seg.slpa());
+        return m;
+    }
+    const uint32_t d = seg.stride();
+    if (d == 1)
+        return GroupMask::range(seg.slpa(), seg.endOff());
+    GroupMask m;
+    for (uint32_t off = seg.slpa(); off <= seg.endOff(); off += d)
+        m.set(static_cast<uint8_t>(off));
+    return m;
+}
+
 } // namespace
 
 bool
@@ -39,25 +75,15 @@ Group::hasLpa(const SegEntry &e, uint8_t off) const
     return e.seg.hasLpaAccurate(off);
 }
 
-void
-Group::segmentBits(const SegEntry &e, uint8_t start, uint8_t end,
-                   Bitmap &bm) const
+GroupMask
+Group::members(const SegEntry &e) const
 {
-    bm.resize(static_cast<uint32_t>(end - start) + 1);
-    if (e.seg.approximate()) {
-        for (uint8_t off : crb_.run(e.id)) {
-            if (off >= start && off <= end)
-                bm.set(off - start);
-        }
-    } else {
-        const uint32_t d = e.seg.singlePoint() ? 1 : e.seg.stride();
-        for (uint32_t off = e.seg.slpa(); off <= e.seg.endOff(); off += d) {
-            if (off >= start && off <= end)
-                bm.set(off - start);
-            if (e.seg.singlePoint())
-                break;
-        }
-    }
+    if (!e.seg.approximate())
+        return gridMask(e.seg);
+    GroupMask m;
+    for (uint8_t off : crb_.run(e.id))
+        m.set(off);
+    return m;
 }
 
 void
@@ -78,38 +104,21 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
 {
     Level &level = levels_[level_idx];
     scratch.conflicts.clear();
+    const GroupMask newer = members(entry);
 
-    // Locate the window of victims whose ranges intersect the entry.
-    size_t i = 0;
-    while (i < level.segs.size()) {
+    // Every victim in the window overlaps the entry's range.
+    size_t i = firstEndingAtOrAfter(level.segs, entry.seg.slpa());
+    while (i < level.segs.size() &&
+           level.segs[i].seg.slpa() <= entry.seg.endOff()) {
         SegEntry &victim = level.segs[i];
-        if (!entry.seg.overlaps(victim.seg)) {
-            i++;
-            continue;
-        }
 
-        // Algorithm 2: reconstruct both into bitmaps over the union
-        // range, subtract the new segment's members from the victim.
-        const uint8_t start =
-            std::min(entry.seg.slpa(), victim.seg.slpa());
-        const uint8_t end =
-            std::max(entry.seg.endOff(), victim.seg.endOff());
-        segmentBits(entry, start, end, scratch.bm_new);
-        segmentBits(victim, start, end, scratch.bm_old);
-        Bitmap &bm_new = scratch.bm_new;
-        Bitmap &bm_old = scratch.bm_old;
-
-        // For approximate victims the CRB insert already stole the
-        // overwritten offsets, so the subtraction is mostly a no-op
-        // there; accurate victims are trimmed here.
-        scratch.stolen.clear();
-        for (uint32_t b = 0; b < bm_old.size(); b++) {
-            if (bm_old.test(b) && bm_new.test(b))
-                scratch.stolen.push_back(static_cast<uint8_t>(start + b));
-        }
-        bm_old.subtract(bm_new);
-
-        if (bm_old.none()) {
+        // Algorithm 2: subtract the new segment's members from the
+        // victim's. For approximate victims the CRB insert already
+        // stole the overwritten offsets, so the subtraction is mostly
+        // a no-op there; accurate victims are trimmed here.
+        const GroupMask older = members(victim);
+        const GroupMask left = older & ~newer;
+        if (left.none()) {
             // Victim fully superseded: remove it (Algorithm 1 l.11-12).
             if (victim.seg.approximate())
                 crb_.removeRun(victim.id);
@@ -119,11 +128,9 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
         }
 
         // Trim the victim's range; K and I are never touched.
-        const uint8_t first = static_cast<uint8_t>(start + bm_old.firstSet());
-        const uint8_t last = static_cast<uint8_t>(start + bm_old.lastSet());
-        victim.seg.trim(first, last);
-        if (victim.seg.approximate() && !scratch.stolen.empty())
-            crb_.removeOffsets(victim.id, scratch.stolen);
+        victim.seg.trim(left.first(), left.last());
+        if (victim.seg.approximate())
+            removeStolen(victim.id, older & newer, scratch);
 
         if (entry.seg.overlaps(victim.seg)) {
             // Range still interleaves: the victim cannot share a sorted
@@ -140,6 +147,17 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
 }
 
 void
+Group::removeStolen(Crb::SegId id, const GroupMask &stolen,
+                    MergeScratch &scratch)
+{
+    if (stolen.none())
+        return;
+    scratch.stolen.clear();
+    stolen.forEach([&](uint8_t off) { scratch.stolen.push_back(off); });
+    crb_.removeOffsets(id, scratch.stolen);
+}
+
+void
 Group::pushVictimDown(size_t from_level, const SegEntry &victim)
 {
     const size_t below = from_level + 1;
@@ -151,19 +169,11 @@ Group::pushVictimDown(size_t from_level, const SegEntry &victim)
     // If the next level has no range conflict with the victim, it can
     // join that sorted run; otherwise it gets a dedicated level to
     // avoid recursive pops (and to preserve recency ordering).
-    bool conflict = false;
-    for (const SegEntry &e : levels_[below].segs) {
-        if (e.seg.overlaps(victim.seg)) {
-            conflict = true;
-            break;
-        }
-    }
-    if (conflict) {
+    const std::vector<SegEntry> &next = levels_[below].segs;
+    const size_t i = firstEndingAtOrAfter(next, victim.seg.slpa());
+    if (i < next.size() && next[i].seg.slpa() <= victim.seg.endOff())
         levels_.insert(levels_.begin() + below, Level{});
-        insertSorted(levels_[below], victim);
-    } else {
-        insertSorted(levels_[below], victim);
-    }
+    insertSorted(levels_[below], victim);
 }
 
 void
@@ -250,21 +260,81 @@ Group::lookup(uint8_t off, const SegEntry **top_hit) const
     return std::nullopt;
 }
 
+bool
+Group::replayAccurate(size_t level_idx, Segment &victim) const
+{
+    for (size_t li = 0; li < level_idx; li++) {
+        const std::vector<SegEntry> &segs = levels_[li].segs;
+        for (size_t i = firstEndingAtOrAfter(segs, victim.slpa());
+             i < segs.size() && segs[i].seg.slpa() <= victim.endOff();
+             i++) {
+            // Earlier trims in this level may have moved S past it.
+            if (!segs[i].seg.overlaps(victim))
+                continue;
+            const GroupMask left = gridMask(victim) & ~members(segs[i]);
+            if (left.none())
+                return false;
+            victim.trim(left.first(), left.last());
+        }
+    }
+    return true;
+}
+
+void
+Group::settleLevel(size_t level_idx, const GroupMask &newer,
+                   const GroupMask &newer_ranges, MergeScratch &scratch)
+{
+    std::vector<SegEntry> &segs = levels_[level_idx].segs;
+    size_t kept = 0;
+    for (SegEntry &victim : segs) {
+        const Segment &seg = victim.seg;
+        bool alive = true;
+        if (!GroupMask::range(seg.slpa(), seg.endOff())
+                 .intersects(newer_ranges)) {
+            // No newer range ever overlapped it: untouched.
+        } else if (seg.approximate()) {
+            // Closed form: the run loses every newer member, and the
+            // range is trimmed to the run even when nothing was stolen.
+            const GroupMask run = members(victim);
+            const GroupMask left = run & ~newer;
+            alive = left.any();
+            if (alive) {
+                victim.seg.trim(left.first(), left.last());
+                removeStolen(victim.id, run & newer, scratch);
+            } else {
+                crb_.removeRun(victim.id);
+            }
+        } else if (newer.test(seg.slpa()) || newer.test(seg.endOff()) ||
+                   gridMask(seg).last() != seg.endOff()) {
+            // Only the pairwise order settles it. With both endpoints
+            // on the grid and outside U, no merge step can move it.
+            alive = replayAccurate(level_idx, victim.seg);
+        }
+        if (alive) {
+            segs[kept++] = victim;
+        } else {
+            countErase(victim);
+        }
+    }
+    segs.resize(kept);
+}
+
 void
 Group::compact(MergeScratch &scratch)
 {
     // Phase 1: subtract every newer segment's members from every
     // older segment below it (the paper's seg_update-into-lower-level
-    // cascade). Fully superseded old segments die here; partly
-    // superseded ones are trimmed. Placement is untouched, so newer
-    // segments stay above the stale interior members of accurate
-    // victims they shadow.
-    for (size_t li = 0; li + 1 < levels_.size(); li++) {
-        for (size_t i = 0; i < levels_[li].segs.size(); i++) {
-            const SegEntry entry = levels_[li].segs[i];
-            for (size_t lj = li + 1; lj < levels_.size(); lj++)
-                mergeVictims(lj, entry, /*detach_conflicts=*/false,
-                             scratch);
+    // cascade), in one top-down walk. Fully superseded old segments
+    // die here; partly superseded ones are trimmed. Placement is
+    // untouched, so newer segments stay above the stale interior
+    // members of accurate victims they shadow.
+    GroupMask newer, newer_ranges;
+    for (size_t li = 0; li < levels_.size(); li++) {
+        if (li > 0)
+            settleLevel(li, newer, newer_ranges, scratch);
+        for (const SegEntry &e : levels_[li].segs) {
+            newer |= members(e);
+            newer_ranges |= GroupMask::range(e.seg.slpa(), e.seg.endOff());
         }
     }
 

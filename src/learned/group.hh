@@ -8,21 +8,46 @@
  * overlap, so a level is searched with one binary search; across
  * levels, ranges may overlap and the topmost hit wins (newest mapping).
  *
- * Inserting a new segment merges it against overlapping victims
- * (Algorithm 2): victims are reconstructed into bitmaps, the new
- * segment's members are subtracted, and the victims are trimmed,
- * dropped when empty, or popped to the next level when their range
- * still interleaves with the new segment (with a dedicated level
- * created when the next level also conflicts, avoiding recursion).
+ * Merging runs on GroupMask, a fixed 256-bit mask indexed by the
+ * group offset. members() builds a segment's mask: the stride grid
+ * over [S, S+L] (or a single point) for an accurate segment, the CRB
+ * run for an approximate one. Inserting a new segment merges it
+ * against the victims whose ranges overlap it (Algorithm 2); those
+ * form one contiguous window of the victim level, found by binary
+ * search because a level's ranges are sorted and disjoint. The
+ * stolen offsets are `old & new`, the survivors `old & ~new`. A
+ * victim with no survivors is dropped; otherwise its range is trimmed
+ * to the first and last survivor (K and I never change). A survivor
+ * whose range still interleaves the new segment is popped to the next
+ * level, or to a dedicated level when the next level also conflicts
+ * (avoiding recursion).
  *
- * Compaction (seg_compact) sinks segments into lower levels when no
- * range conflict remains, reclaiming dead segments and empty levels.
+ * Compaction (seg_compact) has two phases. Phase 1 subtracts every
+ * newer segment's members from every older segment, in the order
+ * "each level top-down, each of its segments against every level
+ * below it". It is one top-down walk that carries two masks: U, the
+ * union of the members of every level above, and R, the union of
+ * their ranges. Levels above are final when the walk reaches a level,
+ * so each victim is settled once:
+ *   - a victim whose range misses R is untouched;
+ *   - an approximate victim keeps `run & ~U`, and its range is
+ *     trimmed to that run whenever R hits it, even if nothing was
+ *     stolen (a CRB insert can leave the range loose);
+ *   - an accurate victim has no closed form: its members are
+ *     recomputed from the grid at every merge step, so holes stolen by
+ *     one newer segment are forgotten at the next and the result
+ *     depends on the order. When an endpoint is in U (or the range is
+ *     not tight on the grid), the victim alone replays the newer
+ *     segments that overlap it, level by level and in order; when
+ *     neither endpoint is in U, no step can move it and it is skipped.
+ * Phase 2 sinks segments into the level below wherever no range
+ * conflict remains, reclaiming dead segments and empty levels.
  * Interleaved-but-member-disjoint segments legitimately stay on
  * separate levels (they cannot share a sorted run).
  *
  * Hot-path design: the merge machinery works out of a caller-provided
- * MergeScratch (bitmaps and victim vectors reused across learns, so
- * the steady-state learn path performs no heap allocation), segment /
+ * MergeScratch (victim vectors reused across learns, so the
+ * steady-state learn path performs no heap allocation), segment /
  * approximate counts are maintained incrementally (numSegments(),
  * numApproximate() and memoryBytes() are O(1) reads), and segment
  * visitation is a template so reporting loops pay no std::function
@@ -31,6 +56,9 @@
 
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,7 +66,6 @@
 #include "learned/crb.hh"
 #include "learned/plr.hh"
 #include "learned/segment.hh"
-#include "util/bitmap.hh"
 #include "util/common.hh"
 
 namespace leaftl
@@ -50,6 +77,111 @@ struct GroupLookup
     Ppa ppa;                 ///< Predicted PPA (exact if !approximate).
     bool approximate;        ///< True when served by an approximate segment.
     uint32_t levels_visited; ///< Levels searched, including the hit.
+};
+
+/**
+ * A set of offsets of one 256-LPA group: four 64-bit words, bit `off`
+ * of word `off / 64` standing for group offset `off`.
+ */
+class GroupMask
+{
+  public:
+    static constexpr uint32_t kWords = kGroupSpan / 64;
+    static_assert(kGroupSpan == 256, "a mask spans one 256-LPA group");
+
+    /** The offsets [first, last]. */
+    static GroupMask
+    range(uint8_t first, uint8_t last)
+    {
+        GroupMask m;
+        for (uint32_t wi = first / 64; wi <= last / 64u; wi++) {
+            const uint32_t lo = std::max<uint32_t>(first, wi * 64) - wi * 64;
+            const uint32_t hi =
+                std::min<uint32_t>(last, wi * 64 + 63) - wi * 64;
+            m.w_[wi] = (~uint64_t{0} >> (63 - (hi - lo))) << lo;
+        }
+        return m;
+    }
+
+    void set(uint8_t off) { w_[off / 64] |= uint64_t{1} << (off % 64); }
+
+    bool
+    test(uint8_t off) const
+    {
+        return (w_[off / 64] >> (off % 64)) & 1;
+    }
+
+    bool
+    none() const
+    {
+        return (w_[0] | w_[1] | w_[2] | w_[3]) == 0;
+    }
+
+    bool any() const { return !none(); }
+
+    bool intersects(const GroupMask &o) const { return (*this & o).any(); }
+
+    /** Smallest set offset; the mask must not be empty. */
+    uint8_t
+    first() const
+    {
+        uint32_t wi = 0;
+        while (w_[wi] == 0)
+            wi++;
+        return static_cast<uint8_t>(wi * 64 + std::countr_zero(w_[wi]));
+    }
+
+    /** Largest set offset; the mask must not be empty. */
+    uint8_t
+    last() const
+    {
+        uint32_t wi = kWords - 1;
+        while (w_[wi] == 0)
+            wi--;
+        return static_cast<uint8_t>(wi * 64 + 63 - std::countl_zero(w_[wi]));
+    }
+
+    /** Visit the set offsets in ascending order: fn(uint8_t off). */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (uint32_t wi = 0; wi < kWords; wi++) {
+            for (uint64_t w = w_[wi]; w != 0; w &= w - 1)
+                fn(static_cast<uint8_t>(wi * 64 + std::countr_zero(w)));
+        }
+    }
+
+    GroupMask
+    operator&(const GroupMask &o) const
+    {
+        GroupMask m;
+        for (uint32_t wi = 0; wi < kWords; wi++)
+            m.w_[wi] = w_[wi] & o.w_[wi];
+        return m;
+    }
+
+    GroupMask
+    operator~() const
+    {
+        GroupMask m;
+        for (uint32_t wi = 0; wi < kWords; wi++)
+            m.w_[wi] = ~w_[wi];
+        return m;
+    }
+
+    GroupMask &
+    operator|=(const GroupMask &o)
+    {
+        for (uint32_t wi = 0; wi < kWords; wi++)
+            w_[wi] |= o.w_[wi];
+        return *this;
+    }
+
+    bool operator==(const GroupMask &o) const = default;
+
+  private:
+    std::array<uint64_t, kWords> w_{};
 };
 
 /** A segment plus its CRB identity (valid only when approximate). */
@@ -67,8 +199,6 @@ struct SegEntry
  */
 struct MergeScratch
 {
-    Bitmap bm_new;                    ///< New segment's members.
-    Bitmap bm_old;                    ///< Victim's members.
     std::vector<uint8_t> stolen;      ///< Offsets taken from a victim.
     std::vector<SegEntry> conflicts;  ///< Range-conflicting survivors.
     std::vector<Crb::SegId> emptied;  ///< Runs emptied by CRB dedup.
@@ -111,6 +241,12 @@ class Group
      * remembered level-0 entry without a level scan.
      */
     bool hasLpa(const SegEntry &e, uint8_t off) const;
+
+    /**
+     * The offsets @a e maps: its stride grid over [S, S+L] (a single
+     * point when L = 0) if accurate, its CRB run if approximate.
+     */
+    GroupMask members(const SegEntry &e) const;
 
     /** Compact levels (Algorithm 1, seg_compact). */
     void compact(MergeScratch &scratch);
@@ -165,10 +301,6 @@ class Group
         std::vector<SegEntry> segs; ///< Sorted by S, non-overlapping.
     };
 
-    /** Reconstruct a segment's members over [start, end] into @a bm. */
-    void segmentBits(const SegEntry &e, uint8_t start, uint8_t end,
-                     Bitmap &bm) const;
-
     /**
      * Merge @a entry against overlapping victims of @a level_idx and
      * then insert it there, popping conflicting victims down (runtime
@@ -193,6 +325,26 @@ class Group
      */
     void mergeVictims(size_t level_idx, const SegEntry &entry,
                       bool detach_conflicts, MergeScratch &scratch);
+
+    /**
+     * Compaction phase 1 for one level: subtract the members @a newer
+     * of every level above from each victim whose range meets the
+     * ranges @a newer_ranges of those levels (see the file comment).
+     */
+    void settleLevel(size_t level_idx, const GroupMask &newer,
+                     const GroupMask &newer_ranges, MergeScratch &scratch);
+
+    /**
+     * Replay the pairwise merge steps for one accurate victim of
+     * @a level_idx: every segment above it, level by level and in
+     * order, whose range overlaps the victim's current range.
+     * @return false when the victim dies.
+     */
+    bool replayAccurate(size_t level_idx, Segment &victim) const;
+
+    /** Drop the offsets in @a stolen from approximate run @a id. */
+    void removeStolen(Crb::SegId id, const GroupMask &stolen,
+                      MergeScratch &scratch);
 
     /** Pop a victim below @a from_level (Algorithm 1 lines 13-16). */
     void pushVictimDown(size_t from_level, const SegEntry &victim);

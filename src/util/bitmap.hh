@@ -1,8 +1,6 @@
 /**
  * @file
- * Compact dynamic bitmap used by the page validity table (PVT) and by
- * the segment-merge procedure (Algorithm 2 reconstructs segments into
- * temporary bitmaps before subtracting overlaps).
+ * Compact dynamic bitmap used by the page validity table (PVT).
  */
 
 #pragma once

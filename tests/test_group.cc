@@ -12,6 +12,7 @@
 
 #include "learned/group.hh"
 #include "learned/plr.hh"
+#include "util/float16.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -248,6 +249,176 @@ TEST(Group, LevelsVisitedCountsSearchDepth)
     learnRun(g, range(40, 60), 300, 0);
     EXPECT_EQ(g.lookup(50)->levels_visited, 1u);
     EXPECT_EQ(g.lookup(10)->levels_visited, 2u);
+}
+
+/** Offsets set in @a m, ascending, via forEach. */
+std::vector<uint8_t>
+maskOffsets(const GroupMask &m)
+{
+    std::vector<uint8_t> offs;
+    m.forEach([&](uint8_t off) { offs.push_back(off); });
+    return offs;
+}
+
+/** The only segment of @a g (the group must hold exactly one). */
+SegEntry
+onlySegment(const Group &g)
+{
+    EXPECT_EQ(g.numSegments(), 1u);
+    SegEntry only;
+    g.forEachSegment([&](const SegEntry &e, size_t) { only = e; });
+    return only;
+}
+
+TEST(GroupMask, RangesAtWordBoundaries)
+{
+    const std::pair<uint32_t, uint32_t> ranges[] = {
+        {0, 0},     {63, 63},  {63, 64},   {64, 64},  {0, 63},
+        {64, 127},  {127, 128}, {128, 191}, {255, 255}, {192, 255},
+        {0, 255},   {60, 200}, {1, 254}};
+    for (const auto &[first, last] : ranges) {
+        const GroupMask m = GroupMask::range(static_cast<uint8_t>(first),
+                                             static_cast<uint8_t>(last));
+        for (uint32_t off = 0; off < kGroupSpan; off++) {
+            EXPECT_EQ(m.test(static_cast<uint8_t>(off)),
+                      off >= first && off <= last)
+                << first << ".." << last << " at " << off;
+        }
+        EXPECT_EQ(m.first(), first);
+        EXPECT_EQ(m.last(), last);
+        EXPECT_EQ(maskOffsets(m), range(first, last));
+        EXPECT_TRUE(m.any());
+        EXPECT_TRUE((m & ~m).none());
+    }
+    EXPECT_TRUE(GroupMask().none());
+    EXPECT_TRUE(GroupMask::range(0, 63).intersects(GroupMask::range(63, 64)));
+    EXPECT_FALSE(
+        GroupMask::range(0, 63).intersects(GroupMask::range(64, 255)));
+}
+
+TEST(GroupMask, SetAlgebraAcrossWords)
+{
+    GroupMask a = GroupMask::range(60, 130);
+    GroupMask b;
+    for (uint32_t off : {0u, 63u, 64u, 127u, 128u, 255u})
+        b.set(static_cast<uint8_t>(off));
+    EXPECT_EQ(maskOffsets(a & b), (std::vector<uint8_t>{63, 64, 127, 128}));
+    const GroupMask rest = a & ~b;
+    EXPECT_EQ(rest.first(), 60u);
+    EXPECT_EQ(rest.last(), 130u);
+    EXPECT_FALSE(rest.test(64));
+    a |= b;
+    EXPECT_EQ(a.first(), 0u);
+    EXPECT_EQ(a.last(), 255u);
+}
+
+TEST(GroupMask, StrideGridsAboveOneWord)
+{
+    // Strides above 64 put each grid point in a different word.
+    for (const uint32_t stride : {65u, 70u, 100u, 127u}) {
+        Group g;
+        const std::vector<uint8_t> offs = range(3, 255, stride);
+        ASSERT_GE(offs.size(), 2u);
+        learnRun(g, offs, 500, 0);
+        const SegEntry e = onlySegment(g);
+        ASSERT_FALSE(e.seg.approximate());
+        EXPECT_EQ(e.seg.stride(), stride);
+        EXPECT_EQ(maskOffsets(g.members(e)), offs) << "stride " << stride;
+    }
+}
+
+TEST(GroupMask, SinglePointAtTheLastOffset)
+{
+    Group g;
+    learnRun(g, {255}, 42, 0);
+    const SegEntry e = onlySegment(g);
+    ASSERT_TRUE(e.seg.singlePoint());
+    EXPECT_EQ(maskOffsets(g.members(e)), (std::vector<uint8_t>{255}));
+}
+
+TEST(GroupMask, ApproximateMembersAreTheCrbRun)
+{
+    Group g;
+    learnRun(g, {70, 72, 75, 76, 130, 131, 190}, 100, 64);
+    const SegEntry e = onlySegment(g);
+    ASSERT_TRUE(e.seg.approximate());
+    EXPECT_EQ(maskOffsets(g.members(e)), g.crb().run(e.id));
+
+    // A newer approximate segment steals offsets out of the run; each
+    // mask follows the CRB, not the segment's range.
+    learnRun(g, {72, 73, 74, 131}, 900, 64);
+    size_t approximate = 0;
+    g.forEachSegment([&](const SegEntry &seg, size_t) {
+        if (!seg.seg.approximate())
+            return;
+        approximate++;
+        EXPECT_EQ(maskOffsets(g.members(seg)), g.crb().run(seg.id));
+    });
+    EXPECT_EQ(approximate, 2u);
+}
+
+TEST(GroupMask, MembersMatchHasLpaUnderFuzz)
+{
+    for (const uint32_t gamma : {0u, 1u, 4u, 16u}) {
+        Rng rng(gamma * 31 + 5);
+        Group g;
+        Ppa ppa = 1;
+        for (int round = 0; round < 80; round++) {
+            std::vector<uint8_t> offs;
+            const uint32_t stride =
+                rng.nextBool(0.2) ? 65 + rng.nextBounded(100)
+                                  : 1 + rng.nextBounded(5);
+            uint32_t off = rng.nextBounded(kGroupSpan);
+            while (off < kGroupSpan && offs.size() < 48) {
+                offs.push_back(static_cast<uint8_t>(off));
+                off += rng.nextBool(0.3) ? 1 + rng.nextBounded(9) : stride;
+            }
+            learnRun(g, offs, ppa, gamma);
+            ppa += static_cast<Ppa>(offs.size()) + rng.nextBounded(50);
+            if (round % 11 == 10)
+                g.compact();
+            g.forEachSegment([&](const SegEntry &e, size_t) {
+                const GroupMask m = g.members(e);
+                for (uint32_t o = 0; o < kGroupSpan; o++) {
+                    ASSERT_EQ(m.test(static_cast<uint8_t>(o)),
+                              g.hasLpa(e, static_cast<uint8_t>(o)))
+                        << "gamma " << gamma << " round " << round
+                        << " " << e.seg.toString() << " off " << o;
+                }
+            });
+        }
+    }
+}
+
+TEST(Group, CompactionReplaysAccurateVictimsInOrder)
+{
+    // The grid V = {0, 10, 20} sits at the bottom, the point {10} on
+    // top, and the point {0} and the grid {5, 15} between them (the
+    // {5, 15} grid keeps {10} from sinking in phase 2). Merged level
+    // by level, 10 is stolen first (the range stays [0, 20]) and 0
+    // next, from the grid recomputed over [0, 20]: V survives as
+    // [10, 20]. Subtracting the union {0, 5, 10, 15} at once would
+    // leave [20, 20] instead.
+    Group g;
+    const uint16_t kbits =
+        float16SetTag(float16Encode(1.0f / 10.0f), false);
+    g.restoreRaw(0, Segment::makeSinglePoint(10, 900), {});
+    g.restoreRaw(1, Segment::makeSinglePoint(0, 800), {});
+    g.restoreRaw(1, Segment(5, 10, kbits, 200), {});
+    g.restoreRaw(2, Segment(0, 20, kbits, 100), {});
+    g.compact();
+    g.checkInvariants();
+    bool found = false;
+    g.forEachSegment([&](const SegEntry &e, size_t) {
+        if (e.seg.intercept() != 100)
+            return;
+        found = true;
+        EXPECT_EQ(e.seg.slpa(), 10u);
+        EXPECT_EQ(e.seg.endOff(), 20u);
+    });
+    EXPECT_TRUE(found);
+    EXPECT_EQ(g.lookup(10)->ppa, 900u);
+    EXPECT_EQ(g.lookup(20)->ppa, 102u);
 }
 
 class GroupRandomSweep
