@@ -89,7 +89,7 @@ class GroupMask
     static constexpr uint32_t kWords = kGroupSpan / 64;
     static_assert(kGroupSpan == 256, "a mask spans one 256-LPA group");
 
-    /** The offsets [first, last]. */
+    /** The offsets [first, last]; requires first <= last. */
     static GroupMask
     range(uint8_t first, uint8_t last)
     {
@@ -177,8 +177,6 @@ class GroupMask
             w_[wi] |= o.w_[wi];
         return *this;
     }
-
-    bool operator==(const GroupMask &o) const = default;
 
   private:
     std::array<uint64_t, kWords> w_{};

@@ -49,36 +49,4 @@ Bitmap::popcount() const
     return n;
 }
 
-uint32_t
-Bitmap::firstSet() const
-{
-    for (size_t wi = 0; wi < words_.size(); wi++) {
-        if (words_[wi]) {
-            return static_cast<uint32_t>(
-                wi * 64 + std::countr_zero(words_[wi]));
-        }
-    }
-    return num_bits_;
-}
-
-uint32_t
-Bitmap::lastSet() const
-{
-    for (size_t wi = words_.size(); wi-- > 0;) {
-        if (words_[wi]) {
-            return static_cast<uint32_t>(
-                wi * 64 + 63 - std::countl_zero(words_[wi]));
-        }
-    }
-    return num_bits_;
-}
-
-void
-Bitmap::subtract(const Bitmap &other)
-{
-    LEAFTL_ASSERT(num_bits_ == other.num_bits_, "bitmap size mismatch");
-    for (size_t i = 0; i < words_.size(); i++)
-        words_[i] &= ~other.words_[i];
-}
-
 } // namespace leaftl

@@ -11,7 +11,7 @@
 namespace leaftl
 {
 
-/** Fixed-size bitmap with popcount and first/last-set queries. */
+/** Fixed-size bitmap with popcount. */
 class Bitmap
 {
   public:
@@ -26,15 +26,7 @@ class Bitmap
 
     uint32_t size() const { return num_bits_; }
     uint32_t popcount() const;
-
-    /** Index of the first set bit, or size() if none. */
-    uint32_t firstSet() const;
-    /** Index of the last set bit, or size() if none. */
-    uint32_t lastSet() const;
     bool none() const { return popcount() == 0; }
-
-    /** In-place this &= ~other (subtract overlap, Algorithm 2 line 19). */
-    void subtract(const Bitmap &other);
 
   private:
     uint32_t num_bits_ = 0;

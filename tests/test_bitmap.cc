@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the Bitmap used by the PVT and segment merging.
+ * Unit tests for the Bitmap used by the PVT.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +18,6 @@ TEST(Bitmap, StartsEmpty)
     EXPECT_EQ(bm.size(), 100u);
     EXPECT_EQ(bm.popcount(), 0u);
     EXPECT_TRUE(bm.none());
-    EXPECT_EQ(bm.firstSet(), 100u);
-    EXPECT_EQ(bm.lastSet(), 100u);
 }
 
 TEST(Bitmap, SetTestClear)
@@ -39,38 +37,6 @@ TEST(Bitmap, SetTestClear)
     bm.clear(63);
     EXPECT_FALSE(bm.test(63));
     EXPECT_EQ(bm.popcount(), 3u);
-}
-
-TEST(Bitmap, FirstAndLastSetCrossWords)
-{
-    Bitmap bm(200);
-    bm.set(70);
-    bm.set(130);
-    EXPECT_EQ(bm.firstSet(), 70u);
-    EXPECT_EQ(bm.lastSet(), 130u);
-}
-
-TEST(Bitmap, SubtractRemovesOverlap)
-{
-    Bitmap a(64), b(64);
-    for (uint32_t i = 0; i < 64; i += 2)
-        a.set(i);
-    for (uint32_t i = 0; i < 64; i += 4)
-        b.set(i);
-    a.subtract(b);
-    EXPECT_EQ(a.popcount(), 16u);
-    EXPECT_FALSE(a.test(0));
-    EXPECT_TRUE(a.test(2));
-    EXPECT_FALSE(a.test(4));
-}
-
-TEST(Bitmap, SubtractToEmpty)
-{
-    Bitmap a(32), b(32);
-    a.set(5);
-    b.set(5);
-    a.subtract(b);
-    EXPECT_TRUE(a.none());
 }
 
 TEST(Bitmap, ResizeClears)
