@@ -9,8 +9,9 @@
  * Methodology: the learn phase feeds LPA-sorted batches shaped like
  * write-buffer flushes (sequential wraps relearn whole groups; zipfian
  * batches are hot-key overwrites that grow and merge levels), with a
- * periodic compact() mimicking the FTL's maintenance cadence. The
- * lookup phase then replays a pre-generated key stream against the
+ * periodic compact() mimicking the FTL's maintenance cadence
+ * (learn_ns times the learn() calls alone, compact_ns the compact()
+ * calls). The lookup phase then replays a pre-generated key stream against the
  * frozen table so the timing loop measures translation alone -- not
  * key generation. Output is CSV (header + one row per combination)
  * on stdout; progress goes to stderr.
@@ -79,8 +80,9 @@ parseArgs(int argc, char **argv)
 
 struct LearnResult
 {
-    uint64_t ns;       ///< Wall time of the timed learn loop.
-    uint64_t mappings; ///< Mappings actually learned (post-dedup).
+    uint64_t ns;         ///< Wall time of the learn() calls.
+    uint64_t compact_ns; ///< Wall time of the compact() calls.
+    uint64_t mappings;   ///< Mappings actually learned (post-dedup).
 };
 
 /**
@@ -128,13 +130,18 @@ learnPhase(LearnedTable &table, const PerfScale &s, bool zipfian,
         batches.push_back(std::move(batch));
     }
 
-    HostTimer timer;
+    uint64_t learn_ns = 0, compact_ns = 0;
     for (size_t b = 0; b < batches.size(); b++) {
+        HostTimer timer;
         table.learn(batches[b]);
-        if ((b + 1) % s.compact_every == 0)
+        learn_ns += timer.elapsedNs();
+        if ((b + 1) % s.compact_every == 0) {
+            timer.restart();
             table.compact();
+            compact_ns += timer.elapsedNs();
+        }
     }
-    return {timer.elapsedNs(), learned};
+    return {learn_ns, compact_ns, learned};
 }
 
 /** Time @a s.lookups lookups of a pre-generated key stream. */
@@ -186,7 +193,7 @@ main(int argc, char **argv)
 
     std::printf("stream,gamma,span_pages,mappings,learn_ns,"
                 "learns_per_sec,lookups,lookup_ns,lookups_per_sec,"
-                "avg_levels,cache_hit_ratio,mapping_bytes\n");
+                "avg_levels,cache_hit_ratio,mapping_bytes,compact_ns\n");
 
     for (const bool zipfian : {false, true}) {
         for (const uint32_t gamma : {0u, 1u, 4u, 16u}) {
@@ -207,12 +214,13 @@ main(int argc, char **argv)
                            : 0.0;
             std::printf("%s,%u,%" PRIu64 ",%" PRIu64 ",%" PRIu64
                         ",%.0f,%" PRIu64 ",%" PRIu64 ",%.0f,%.3f,%.3f,"
-                        "%zu\n",
+                        "%zu,%" PRIu64 "\n",
                         zipfian ? "zipf" : "seq", gamma, s.span_pages,
                         learn.mappings, learn.ns,
                         perSecond(learn.mappings, learn.ns), s.lookups,
                         lookup_ns, perSecond(s.lookups, lookup_ns),
-                        avg_levels, hit_ratio, table.memoryBytes());
+                        avg_levels, hit_ratio, table.memoryBytes(),
+                        learn.compact_ns);
             std::fflush(stdout);
         }
     }
