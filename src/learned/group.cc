@@ -45,15 +45,13 @@ firstEndingAtOrAfter(const std::vector<SegEntry> &segs, uint8_t off)
         segs.begin());
 }
 
-/** The stride grid of an accurate segment over [S, S+L]. */
+/**
+ * The stride grid of an accurate segment over [S, S+L] (just S when
+ * L = 0).
+ */
 GroupMask
 gridMask(const Segment &seg)
 {
-    if (seg.singlePoint()) {
-        GroupMask m;
-        m.set(seg.slpa());
-        return m;
-    }
     const uint32_t d = seg.stride();
     if (d == 1)
         return GroupMask::range(seg.slpa(), seg.endOff());
