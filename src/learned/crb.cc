@@ -5,152 +5,125 @@
 namespace leaftl
 {
 
-namespace
-{
-const std::vector<uint8_t> kEmptyRun;
-
-bool
-runIdLess(const std::pair<Crb::SegId, std::vector<uint8_t>> &run,
-          Crb::SegId id)
-{
-    return run.first < id;
-}
-} // namespace
-
 Crb::Crb()
 {
     std::fill(std::begin(owner_), std::end(owner_), kNoSeg);
 }
 
-std::vector<Crb::Run>::iterator
-Crb::findRun(SegId id)
-{
-    auto it = std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess);
-    if (it != runs_.end() && it->first == id)
-        return it;
-    return runs_.end();
-}
-
-std::vector<Crb::Run>::const_iterator
-Crb::findRun(SegId id) const
-{
-    auto it = std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess);
-    if (it != runs_.end() && it->first == id)
-        return it;
-    return runs_.end();
-}
-
 void
-Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
-               std::vector<SegId> &emptied)
+Crb::checkLive(SegId id) const
 {
-    LEAFTL_ASSERT(!offs.empty(), "CRB run must be non-empty");
-    LEAFTL_ASSERT(findRun(id) == runs_.end(), "CRB id reused");
+    LEAFTL_ASSERT(id < runs_.size() && runs_[id].any(), "stale CRB id");
+}
 
-    for (size_t i = 1; i < offs.size(); i++)
-        LEAFTL_ASSERT(offs[i] > offs[i - 1], "CRB run must be sorted");
+Crb::SegId
+Crb::allocate(const GroupMask &offs)
+{
+    SegId id = 0;
+    if (free_.empty()) {
+        id = static_cast<SegId>(runs_.size());
+        runs_.push_back(offs);
+    } else {
+        id = free_.back();
+        free_.pop_back();
+        runs_[id] = offs;
+    }
+    stored_offs_ += offs.count();
+    offs.forEach([&](uint8_t off) { owner_[off] = id; });
+    return id;
+}
 
-    // Deduplicate: steal ownership from older runs.
-    for (uint8_t off : offs) {
+Crb::SegId
+Crb::insertRun(const GroupMask &offs, std::vector<Emptied> &emptied)
+{
+    LEAFTL_ASSERT(offs.any(), "CRB run must be non-empty");
+
+    // Deduplicate: steal ownership from older runs. Stealing comes
+    // first, so the new run may reuse the slot of a run it emptied.
+    offs.forEach([&](uint8_t off) {
         const SegId old = owner_[off];
-        if (old == kNoSeg || old == id)
-            continue;
-        auto it = findRun(old);
-        LEAFTL_ASSERT(it != runs_.end(), "CRB owner index out of sync");
-        auto &vec = it->second;
-        vec.erase(std::remove(vec.begin(), vec.end(), off), vec.end());
-        stored_offs_--; // Offsets are unique per run: exactly one gone.
-        if (vec.empty()) {
-            runs_.erase(it);
-            emptied.push_back(old);
-        }
-    }
-
-    runs_.insert(
-        std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess),
-        Run{id, offs});
-    stored_offs_ += offs.size();
-    for (uint8_t off : offs)
-        owner_[off] = id;
-}
-
-bool
-Crb::contains(SegId id, uint8_t off) const
-{
-    return owner_[off] == id;
-}
-
-bool
-Crb::removeOffsets(SegId id, const std::vector<uint8_t> &offs)
-{
-    auto it = findRun(id);
-    if (it == runs_.end())
-        return true;
-    auto &vec = it->second;
-    for (uint8_t off : offs) {
-        if (owner_[off] != id)
-            continue;
-        vec.erase(std::remove(vec.begin(), vec.end(), off), vec.end());
+        if (old == kNoSeg)
+            return;
+        GroupMask &run = runs_[old];
+        run.reset(off);
         stored_offs_--;
-        owner_[off] = kNoSeg;
-    }
-    if (vec.empty()) {
-        runs_.erase(it);
-        return true;
-    }
-    return false;
+        if (run.none()) {
+            free_.push_back(old);
+            emptied.push_back({old, off});
+        }
+    });
+    return allocate(offs);
 }
 
-void
-Crb::restoreRun(SegId id, const std::vector<uint8_t> &offs)
+bool
+Crb::removeOffsets(SegId id, const GroupMask &offs)
 {
-    LEAFTL_ASSERT(findRun(id) == runs_.end(), "CRB id reused");
-    runs_.insert(
-        std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess),
-        Run{id, offs});
-    stored_offs_ += offs.size();
-    for (uint8_t off : offs) {
-        LEAFTL_ASSERT(owner_[off] == kNoSeg,
-                      "restored CRB runs must be disjoint");
-        owner_[off] = id;
-    }
+    checkLive(id);
+    GroupMask &run = runs_[id];
+    const GroupMask gone = run & offs;
+    gone.forEach([&](uint8_t off) { owner_[off] = kNoSeg; });
+    stored_offs_ -= gone.count();
+    run = run & ~offs;
+    if (run.any())
+        return false;
+    free_.push_back(id);
+    return true;
 }
 
 void
 Crb::removeRun(SegId id)
 {
-    auto it = findRun(id);
-    if (it == runs_.end())
-        return;
-    for (uint8_t off : it->second) {
-        if (owner_[off] == id)
-            owner_[off] = kNoSeg;
-    }
-    stored_offs_ -= it->second.size();
-    runs_.erase(it);
+    checkLive(id);
+    GroupMask &run = runs_[id];
+    run.forEach([&](uint8_t off) { owner_[off] = kNoSeg; });
+    stored_offs_ -= run.count();
+    run = GroupMask();
+    free_.push_back(id);
 }
 
-const std::vector<uint8_t> &
-Crb::run(SegId id) const
+Crb::SegId
+Crb::restoreRun(const GroupMask &offs)
 {
-    auto it = findRun(id);
-    return it == runs_.end() ? kEmptyRun : it->second;
-}
-
-uint8_t
-Crb::head(SegId id) const
-{
-    const auto &r = run(id);
-    return r.empty() ? 0 : r.front();
+    LEAFTL_ASSERT(offs.any(), "CRB run must be non-empty");
+    offs.forEach([&](uint8_t off) {
+        LEAFTL_ASSERT(owner_[off] == kNoSeg,
+                      "restored CRB runs must be disjoint");
+    });
+    return allocate(offs);
 }
 
 void
-Crb::checkAccounting() const
+Crb::checkInvariants() const
 {
-    size_t offs = 0;
-    for (const auto &[id, vec] : runs_)
-        offs += vec.size();
+    LEAFTL_ASSERT(runs_.size() <= kGroupSpan, "CRB slots outnumber offsets");
+    size_t offs = 0, live = 0;
+    for (size_t slot = 0; slot < runs_.size(); slot++) {
+        const SegId id = static_cast<SegId>(slot);
+        const GroupMask &run = runs_[slot];
+        offs += run.count();
+        live += run.any() ? 1 : 0;
+        run.forEach([&](uint8_t off) {
+            LEAFTL_ASSERT(owner_[off] == id, "CRB owner index out of sync");
+        });
+    }
+    // Every run bit names its owner, so equal counts mean owner_
+    // claims no offset outside the runs: the two agree exactly.
+    const size_t owned = static_cast<size_t>(
+        std::count_if(std::begin(owner_), std::end(owner_),
+                      [](SegId id) { return id != kNoSeg; }));
+    LEAFTL_ASSERT(owned == offs, "CRB owner index out of sync");
     LEAFTL_ASSERT(offs == stored_offs_, "CRB size accounting out of sync");
+    LEAFTL_ASSERT(live == numRuns(), "CRB free list out of sync");
+
+    std::vector<SegId> freed = free_;
+    std::sort(freed.begin(), freed.end());
+    LEAFTL_ASSERT(std::adjacent_find(freed.begin(), freed.end()) ==
+                      freed.end(),
+                  "CRB slot freed twice");
+    for (SegId id : freed) {
+        LEAFTL_ASSERT(id < runs_.size() && runs_[id].none(),
+                      "freed CRB slot holds offsets");
+    }
 }
 
 } // namespace leaftl

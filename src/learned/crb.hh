@@ -4,28 +4,29 @@
  *
  * Approximate segments are learned from irregular LPA patterns, so
  * their member LPAs cannot be recomputed from (S, L, K, I). Each group
- * keeps one CRB that stores, per approximate segment, the exact list
+ * keeps one CRB that stores, per approximate segment, the exact set
  * of member offsets. The paper lays the CRB out as a nearly-sorted
  * byte array with null separators and identifies a run by its first
- * LPA; this implementation keys runs by a per-group segment id instead
- * (which removes the fragile "bump the old segment's S when starting
- * LPAs collide" dance while preserving the exact same semantics), and
- * charges memory the way the paper does: one byte per stored offset
- * plus one separator byte per run.
+ * LPA. Here the CRB hands out the run id itself: a slot in a vector
+ * of GroupMasks, recycled through a free list once its run is gone.
+ * That removes the paper's "bump the old segment's S when starting
+ * LPAs collide" dance with the same semantics, and a run's members
+ * are one indexed load. Memory is still charged the paper's way: one
+ * byte per stored offset plus one separator byte per run.
  *
  * Invariants mirror the paper's:
- *   - offsets inside one run are sorted and unique;
- *   - an offset appears in at most one run group-wide (newest owner
- *     wins; stale owners are pruned on insert);
- *   - empty runs disappear together with their segment.
+ *   - an offset belongs to at most one run group-wide (newest owner
+ *     wins: an insert steals the offsets older runs held), and the
+ *     reverse index owner_ agrees with the run masks exactly;
+ *   - a live run is never empty; a freed slot holds an empty mask.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "learned/group_mask.hh"
 #include "util/common.hh"
 
 namespace leaftl
@@ -35,54 +36,63 @@ namespace leaftl
 class Crb
 {
   public:
-    using SegId = uint32_t;
-    static constexpr SegId kNoSeg = 0xFFFFFFFFu;
+    /**
+     * Run id: a slot index. Live runs own disjoint non-empty offset
+     * sets and freed slots are reused first, so ids stay below
+     * kGroupSpan.
+     */
+    using SegId = uint16_t;
+    static constexpr SegId kNoSeg = 0xFFFFu;
+
+    /** A run that an insert emptied, and the offset whose steal did. */
+    struct Emptied
+    {
+        SegId id;
+        uint8_t off;
+    };
 
     Crb();
 
     /**
-     * Register the member offsets of a new approximate segment.
-     * Offsets already owned by other runs are deduplicated (the new
-     * segment takes ownership). Runs emptied by deduplication are
-     * erased and their ids reported so the caller can drop the
-     * corresponding dead segments.
+     * Register the member offsets of a new approximate segment and
+     * return its run id. Offsets already owned by other runs move to
+     * the new run. Runs left empty are freed and reported, each with
+     * the offset whose steal emptied it, so the caller can find and
+     * drop the corresponding dead segments.
      *
-     * @param id New segment id (must be unused).
-     * @param offs Sorted unique member offsets.
-     * @param[out] emptied Ids of runs that lost their last offset.
+     * @param offs Member offsets (non-empty).
+     * @param[out] emptied Appended with the runs that lost their last
+     *             offset, in ascending order of that offset.
      */
-    void insertRun(SegId id, const std::vector<uint8_t> &offs,
-                   std::vector<SegId> &emptied);
+    SegId insertRun(const GroupMask &offs, std::vector<Emptied> &emptied);
 
     /** Membership test: does segment @a id own offset @a off? */
-    bool contains(SegId id, uint8_t off) const;
+    bool contains(SegId id, uint8_t off) const { return owner_[off] == id; }
 
     /** Owner of @a off, or kNoSeg. */
     SegId owner(uint8_t off) const { return owner_[off]; }
 
-    /**
-     * Remove specific offsets from segment @a id's run (merge
-     * trimming). @return true if the run became empty (and was erased).
-     */
-    bool removeOffsets(SegId id, const std::vector<uint8_t> &offs);
+    /** Member offsets of live run @a id. */
+    const GroupMask &mask(SegId id) const { return runs_[id]; }
 
-    /** Drop a whole run (segment removed). */
+    /**
+     * Remove @a offs from run @a id (merge trimming); offsets the run
+     * does not own are ignored. @return true if the run became empty
+     * (it is freed).
+     */
+    bool removeOffsets(SegId id, const GroupMask &offs);
+
+    /** Drop a whole run (segment removed) and free its id. */
     void removeRun(SegId id);
 
     /**
-     * Recovery path: re-attach a run without deduplication (the
-     * serialized state is already deduplicated).
+     * Recovery path: attach a run without deduplication (the
+     * serialized state is already deduplicated) and return its id.
      */
-    void restoreRun(SegId id, const std::vector<uint8_t> &offs);
-
-    /** Current member offsets of a run (empty if unknown). */
-    const std::vector<uint8_t> &run(SegId id) const;
-
-    /** First (smallest) member offset of a run; 0 if unknown. */
-    uint8_t head(SegId id) const;
+    SegId restoreRun(const GroupMask &offs);
 
     /** Number of live runs. */
-    size_t numRuns() const { return runs_.size(); }
+    size_t numRuns() const { return runs_.size() - free_.size(); }
 
     /**
      * Memory footprint in bytes using the paper's accounting: one byte
@@ -90,26 +100,25 @@ class Crb
      * incrementally, so this is an O(1) read on the learn hot path
      * and in every reporter tick.
      */
-    size_t sizeBytes() const { return stored_offs_ + runs_.size(); }
-
-    /** Verify the incremental accounting against a full walk (tests). */
-    void checkAccounting() const;
-
-  private:
-    using Run = std::pair<SegId, std::vector<uint8_t>>;
-
-    /** Iterator to the run with @a id, or end() if absent. */
-    std::vector<Run>::iterator findRun(SegId id);
-    std::vector<Run>::const_iterator findRun(SegId id) const;
+    size_t sizeBytes() const { return stored_offs_ + numRuns(); }
 
     /**
-     * Live runs, sorted by segment id. A group holds few runs at a
-     * time, so a flat sorted vector beats the node-per-run std::map
-     * it replaced: lookups (72M+ `run()` calls on a GC-heavy sweep)
-     * are a cache-friendly binary search and erase/insert shifts are
-     * cheap vector-of-vector moves.
+     * Verify the accounting, the free list and that owner_ agrees
+     * with the run masks exactly; aborts on violation (tests).
      */
-    std::vector<Run> runs_;
+    void checkInvariants() const;
+
+  private:
+    /** Take a free slot (or grow) and fill it with @a offs. */
+    SegId allocate(const GroupMask &offs);
+
+    /** Assert that @a id names a live run. */
+    void checkLive(SegId id) const;
+
+    /** Run masks indexed by id; freed slots hold an empty mask. */
+    std::vector<GroupMask> runs_;
+    /** Freed slots, reused last-in first-out. */
+    std::vector<SegId> free_;
     /** Reverse index: offset -> owning approximate segment. */
     SegId owner_[kGroupSpan];
     /** Total offsets across all runs (incremental sizeBytes). */

@@ -52,10 +52,14 @@ firstEndingAtOrAfter(const std::vector<SegEntry> &segs, uint8_t off)
 GroupMask
 gridMask(const Segment &seg)
 {
+    GroupMask m;
+    if (seg.singlePoint()) {
+        m.set(seg.slpa());
+        return m;
+    }
     const uint32_t d = seg.stride();
     if (d == 1)
         return GroupMask::range(seg.slpa(), seg.endOff());
-    GroupMask m;
     for (uint32_t off = seg.slpa(); off <= seg.endOff(); off += d)
         m.set(static_cast<uint8_t>(off));
     return m;
@@ -78,14 +82,11 @@ Group::members(const SegEntry &e) const
 {
     if (!e.seg.approximate())
         return gridMask(e.seg);
-    GroupMask m;
-    for (uint8_t off : crb_.run(e.id))
-        m.set(off);
-    return m;
+    return crb_.mask(e.id);
 }
 
 void
-Group::insertSorted(Level &level, const SegEntry &entry)
+Group::placeSorted(Level &level, const SegEntry &entry)
 {
     auto it = std::lower_bound(
         level.segs.begin(), level.segs.end(), entry,
@@ -94,6 +95,13 @@ Group::insertSorted(Level &level, const SegEntry &entry)
         });
     level.segs.insert(it, entry);
     countInsert(entry);
+}
+
+void
+Group::insertSorted(Level &level, const SegEntry &entry)
+{
+    placeSorted(level, entry);
+    level.may |= members(entry);
 }
 
 void
@@ -128,7 +136,7 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
         // Trim the victim's range; K and I are never touched.
         victim.seg.trim(left.first(), left.last());
         if (victim.seg.approximate())
-            removeStolen(victim.id, older & newer, scratch);
+            crb_.removeOffsets(victim.id, older & newer);
 
         if (entry.seg.overlaps(victim.seg)) {
             // Range still interleaves: the victim cannot share a sorted
@@ -142,17 +150,6 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
         }
         i++;
     }
-}
-
-void
-Group::removeStolen(Crb::SegId id, const GroupMask &stolen,
-                    MergeScratch &scratch)
-{
-    if (stolen.none())
-        return;
-    scratch.stolen.clear();
-    stolen.forEach([&](uint8_t off) { scratch.stolen.push_back(off); });
-    crb_.removeOffsets(id, scratch.stolen);
 }
 
 void
@@ -198,7 +195,8 @@ Group::tryInsertAt(size_t level_idx, const SegEntry &entry,
     mergeVictims(level_idx, entry, /*detach_conflicts=*/false, scratch);
     if (!scratch.conflicts.empty())
         return false;
-    insertSorted(levels_[level_idx], entry);
+    // Only compaction sinks entries; it recomputes `may` at its end.
+    placeSorted(levels_[level_idx], entry);
     return true;
 }
 
@@ -209,30 +207,37 @@ Group::update(const FittedSegment &fs, MergeScratch &scratch)
     entry.seg = fs.seg;
 
     if (fs.seg.approximate()) {
-        entry.id = next_id_++;
+        GroupMask offs;
+        for (uint8_t off : fs.offs)
+            offs.set(off);
         scratch.emptied.clear();
-        crb_.insertRun(entry.id, fs.offs, scratch.emptied);
+        entry.id = crb_.insertRun(offs, scratch.emptied);
         // Runs emptied by deduplication belong to fully superseded
-        // approximate segments; drop them wherever they live.
-        for (Crb::SegId dead : scratch.emptied)
-            removeSegmentById(dead);
+        // approximate segments; drop them wherever they live. The new
+        // entry is not in any level yet, so a reused id is no clash.
+        for (const Crb::Emptied &dead : scratch.emptied)
+            removeDead(dead);
     }
 
     insertAt(0, entry, scratch);
 }
 
 void
-Group::removeSegmentById(Crb::SegId id)
+Group::removeDead(const Crb::Emptied &dead)
 {
+    // The dead segment owned dead.off until the steal, so its range
+    // covers it and its level's `may` holds it.
     for (Level &level : levels_) {
-        for (size_t i = 0; i < level.segs.size(); i++) {
-            if (level.segs[i].id == id) {
-                countErase(level.segs[i]);
-                level.segs.erase(level.segs.begin() + i);
-                return;
-            }
+        if (!level.may.test(dead.off))
+            continue;
+        const int i = findCovering(level.segs, dead.off);
+        if (i >= 0 && level.segs[i].id == dead.id) {
+            countErase(level.segs[i]);
+            level.segs.erase(level.segs.begin() + i);
+            return;
         }
     }
+    LEAFTL_ASSERT(false, "dead CRB segment not found");
 }
 
 std::optional<GroupLookup>
@@ -241,10 +246,13 @@ Group::lookup(uint8_t off, const SegEntry **top_hit) const
     if (top_hit)
         *top_hit = nullptr;
     for (size_t li = 0; li < levels_.size(); li++) {
-        const int idx = findCovering(levels_[li].segs, off);
+        const Level &level = levels_[li];
+        if (!level.may.test(off))
+            continue;
+        const int idx = findCovering(level.segs, off);
         if (idx < 0)
             continue;
-        const SegEntry &e = levels_[li].segs[idx];
+        const SegEntry &e = level.segs[idx];
         if (!hasLpa(e, off))
             continue;
         GroupLookup res;
@@ -280,7 +288,7 @@ Group::replayAccurate(size_t level_idx, Segment &victim) const
 
 void
 Group::settleLevel(size_t level_idx, const GroupMask &newer,
-                   const GroupMask &newer_ranges, MergeScratch &scratch)
+                   const GroupMask &newer_ranges)
 {
     std::vector<SegEntry> &segs = levels_[level_idx].segs;
     size_t kept = 0;
@@ -298,7 +306,7 @@ Group::settleLevel(size_t level_idx, const GroupMask &newer,
             alive = left.any();
             if (alive) {
                 victim.seg.trim(left.first(), left.last());
-                removeStolen(victim.id, run & newer, scratch);
+                crb_.removeOffsets(victim.id, run & newer);
             } else {
                 crb_.removeRun(victim.id);
             }
@@ -329,7 +337,7 @@ Group::compact(MergeScratch &scratch)
     GroupMask newer, newer_ranges;
     for (size_t li = 0; li < levels_.size(); li++) {
         if (li > 0)
-            settleLevel(li, newer, newer_ranges, scratch);
+            settleLevel(li, newer, newer_ranges);
         for (const SegEntry &e : levels_[li].segs) {
             newer |= members(e);
             newer_ranges |= GroupMask::range(e.seg.slpa(), e.seg.endOff());
@@ -354,6 +362,13 @@ Group::compact(MergeScratch &scratch)
         }
     }
     dropEmptyLevels();
+
+    // Every merge above only removed members; make `may` exact again.
+    for (Level &level : levels_) {
+        level.may = GroupMask();
+        for (const SegEntry &e : level.segs)
+            level.may |= members(e);
+    }
 }
 
 void
@@ -367,17 +382,14 @@ Group::dropEmptyLevels()
 }
 
 void
-Group::restoreRaw(size_t level, const Segment &seg,
-                  const std::vector<uint8_t> &run)
+Group::restoreRaw(size_t level, const Segment &seg, const GroupMask &run)
 {
     while (levels_.size() <= level)
         levels_.emplace_back();
     SegEntry entry;
     entry.seg = seg;
-    if (seg.approximate()) {
-        entry.id = next_id_++;
-        crb_.restoreRun(entry.id, run);
-    }
+    if (seg.approximate())
+        entry.id = crb_.restoreRun(run);
     insertSorted(levels_[level], entry);
 }
 
@@ -397,18 +409,22 @@ Group::checkInvariants() const
                 LEAFTL_ASSERT(prev.seg.endOff() < e.seg.slpa(),
                               "level segments overlap or unsorted");
             }
+            const GroupMask m = members(e);
             if (e.seg.approximate()) {
-                const auto &run = crb_.run(e.id);
-                LEAFTL_ASSERT(!run.empty(), "approx segment without CRB run");
-                LEAFTL_ASSERT(run.front() >= e.seg.slpa() &&
-                                  run.back() <= e.seg.endOff(),
+                LEAFTL_ASSERT(m.any(), "approx segment without CRB run");
+                LEAFTL_ASSERT(m.first() >= e.seg.slpa() &&
+                                  m.last() <= e.seg.endOff(),
                               "CRB run outside segment range");
             }
+            LEAFTL_ASSERT((m & ~level.may).none(),
+                          "segment members outside its level's may");
         }
     }
     LEAFTL_ASSERT(segs == num_segs_, "segment counter out of sync");
     LEAFTL_ASSERT(approx == num_approx_, "approximate counter out of sync");
-    crb_.checkAccounting();
+    LEAFTL_ASSERT(approx == crb_.numRuns(),
+                  "CRB runs and approximate segments out of sync");
+    crb_.checkInvariants();
 }
 
 } // namespace leaftl

@@ -8,19 +8,30 @@
  * overlap, so a level is searched with one binary search; across
  * levels, ranges may overlap and the topmost hit wins (newest mapping).
  *
- * Merging runs on GroupMask, a fixed 256-bit mask indexed by the
- * group offset. members() builds a segment's mask: the stride grid
- * over [S, S+L] (or a single point) for an accurate segment, the CRB
- * run for an approximate one. Inserting a new segment merges it
- * against the victims whose ranges overlap it (Algorithm 2); those
- * form one contiguous window of the victim level, found by binary
- * search because a level's ranges are sorted and disjoint. The
- * stolen offsets are `old & new`, the survivors `old & ~new`. A
- * victim with no survivors is dropped; otherwise its range is trimmed
- * to the first and last survivor (K and I never change). A survivor
- * whose range still interleaves the new segment is popped to the next
- * level, or to a dedicated level when the next level also conflicts
- * (avoiding recursion).
+ * Membership is a GroupMask (group_mask.hh) throughout. members()
+ * gives a segment's mask: the stride grid over [S, S+L] (or a single
+ * point) for an accurate segment, its CRB run for an approximate one
+ * (one indexed load, crb.hh). Each level also carries `may`, a
+ * superset of the members of its segments. A lookup walks the levels
+ * top-down and binary-searches only those whose `may` holds the
+ * offset; on a GC-heavy random workload that skips most of a deep
+ * stack. `may` needs no upkeep beyond insertion, because every merge
+ * below only removes members: insertSorted() ORs the entry's members
+ * in, and compact() recomputes every level's `may` exactly at its end
+ * (so the segments it sinks in phase 2 skip the OR).
+ *
+ * Inserting a new segment merges it against the victims whose ranges
+ * overlap it (Algorithm 2); those form one contiguous window of the
+ * victim level, found by binary search because a level's ranges are
+ * sorted and disjoint. The stolen offsets are `old & new`, the
+ * survivors `old & ~new`. A victim with no survivors is dropped;
+ * otherwise its range is trimmed to the first and last survivor (K
+ * and I never change). A survivor whose range still interleaves the
+ * new segment is popped to the next level, or to a dedicated level
+ * when the next level also conflicts (avoiding recursion). An
+ * approximate segment whose whole run a newer CRB insert stole is
+ * dead; the offset whose steal emptied it finds it through the `may`
+ * masks and one binary search per candidate level.
  *
  * Compaction (seg_compact) has two phases. Phase 1 subtracts every
  * newer segment's members from every older segment, in the order
@@ -56,14 +67,12 @@
 
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "learned/crb.hh"
+#include "learned/group_mask.hh"
 #include "learned/plr.hh"
 #include "learned/segment.hh"
 #include "util/common.hh"
@@ -77,109 +86,6 @@ struct GroupLookup
     Ppa ppa;                 ///< Predicted PPA (exact if !approximate).
     bool approximate;        ///< True when served by an approximate segment.
     uint32_t levels_visited; ///< Levels searched, including the hit.
-};
-
-/**
- * A set of offsets of one 256-LPA group: four 64-bit words, bit `off`
- * of word `off / 64` standing for group offset `off`.
- */
-class GroupMask
-{
-  public:
-    static constexpr uint32_t kWords = kGroupSpan / 64;
-    static_assert(kGroupSpan == 256, "a mask spans one 256-LPA group");
-
-    /** The offsets [first, last]; requires first <= last. */
-    static GroupMask
-    range(uint8_t first, uint8_t last)
-    {
-        GroupMask m;
-        for (uint32_t wi = first / 64; wi <= last / 64u; wi++) {
-            const uint32_t lo = std::max<uint32_t>(first, wi * 64) - wi * 64;
-            const uint32_t hi =
-                std::min<uint32_t>(last, wi * 64 + 63) - wi * 64;
-            m.w_[wi] = (~uint64_t{0} >> (63 - (hi - lo))) << lo;
-        }
-        return m;
-    }
-
-    void set(uint8_t off) { w_[off / 64] |= uint64_t{1} << (off % 64); }
-
-    bool
-    test(uint8_t off) const
-    {
-        return (w_[off / 64] >> (off % 64)) & 1;
-    }
-
-    bool
-    none() const
-    {
-        return (w_[0] | w_[1] | w_[2] | w_[3]) == 0;
-    }
-
-    bool any() const { return !none(); }
-
-    bool intersects(const GroupMask &o) const { return (*this & o).any(); }
-
-    /** Smallest set offset; the mask must not be empty. */
-    uint8_t
-    first() const
-    {
-        uint32_t wi = 0;
-        while (w_[wi] == 0)
-            wi++;
-        return static_cast<uint8_t>(wi * 64 + std::countr_zero(w_[wi]));
-    }
-
-    /** Largest set offset; the mask must not be empty. */
-    uint8_t
-    last() const
-    {
-        uint32_t wi = kWords - 1;
-        while (w_[wi] == 0)
-            wi--;
-        return static_cast<uint8_t>(wi * 64 + 63 - std::countl_zero(w_[wi]));
-    }
-
-    /** Visit the set offsets in ascending order: fn(uint8_t off). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (uint32_t wi = 0; wi < kWords; wi++) {
-            for (uint64_t w = w_[wi]; w != 0; w &= w - 1)
-                fn(static_cast<uint8_t>(wi * 64 + std::countr_zero(w)));
-        }
-    }
-
-    GroupMask
-    operator&(const GroupMask &o) const
-    {
-        GroupMask m;
-        for (uint32_t wi = 0; wi < kWords; wi++)
-            m.w_[wi] = w_[wi] & o.w_[wi];
-        return m;
-    }
-
-    GroupMask
-    operator~() const
-    {
-        GroupMask m;
-        for (uint32_t wi = 0; wi < kWords; wi++)
-            m.w_[wi] = ~w_[wi];
-        return m;
-    }
-
-    GroupMask &
-    operator|=(const GroupMask &o)
-    {
-        for (uint32_t wi = 0; wi < kWords; wi++)
-            w_[wi] |= o.w_[wi];
-        return *this;
-    }
-
-  private:
-    std::array<uint64_t, kWords> w_{};
 };
 
 /** A segment plus its CRB identity (valid only when approximate). */
@@ -197,9 +103,8 @@ struct SegEntry
  */
 struct MergeScratch
 {
-    std::vector<uint8_t> stolen;      ///< Offsets taken from a victim.
-    std::vector<SegEntry> conflicts;  ///< Range-conflicting survivors.
-    std::vector<Crb::SegId> emptied;  ///< Runs emptied by CRB dedup.
+    std::vector<SegEntry> conflicts;   ///< Range-conflicting survivors.
+    std::vector<Crb::Emptied> emptied; ///< Runs emptied by CRB dedup.
 };
 
 /** Log-structured mapping table for one 256-LPA group. */
@@ -290,13 +195,13 @@ class Group
      * invariants). @a run holds the CRB offsets for approximate
      * segments (ignored otherwise).
      */
-    void restoreRaw(size_t level, const Segment &seg,
-                    const std::vector<uint8_t> &run);
+    void restoreRaw(size_t level, const Segment &seg, const GroupMask &run);
 
   private:
     struct Level
     {
         std::vector<SegEntry> segs; ///< Sorted by S, non-overlapping.
+        GroupMask may; ///< Superset of the members of segs.
     };
 
     /**
@@ -330,7 +235,7 @@ class Group
      * ranges @a newer_ranges of those levels (see the file comment).
      */
     void settleLevel(size_t level_idx, const GroupMask &newer,
-                     const GroupMask &newer_ranges, MergeScratch &scratch);
+                     const GroupMask &newer_ranges);
 
     /**
      * Replay the pairwise merge steps for one accurate victim of
@@ -340,17 +245,21 @@ class Group
      */
     bool replayAccurate(size_t level_idx, Segment &victim) const;
 
-    /** Drop the offsets in @a stolen from approximate run @a id. */
-    void removeStolen(Crb::SegId id, const GroupMask &stolen,
-                      MergeScratch &scratch);
-
     /** Pop a victim below @a from_level (Algorithm 1 lines 13-16). */
     void pushVictimDown(size_t from_level, const SegEntry &victim);
 
-    /** Remove a (dead) segment wherever it lives. */
-    void removeSegmentById(Crb::SegId id);
+    /**
+     * Remove the dead approximate segment whose run the CRB emptied;
+     * @a dead.off still lies in its range and in its level's `may`.
+     */
+    void removeDead(const Crb::Emptied &dead);
 
+    /** Insert @a entry into @a level in S order, leaving `may` as is. */
+    void placeSorted(Level &level, const SegEntry &entry);
+
+    /** placeSorted(), then add the entry's members to the level's `may`. */
     void insertSorted(Level &level, const SegEntry &entry);
+
     void dropEmptyLevels();
 
     /** Incremental segment-count bookkeeping (every mutation site). */
@@ -372,7 +281,6 @@ class Group
 
     std::vector<Level> levels_; ///< [0] is the topmost (newest).
     Crb crb_;
-    Crb::SegId next_id_ = 1;
     uint32_t num_segs_ = 0;   ///< Live segments across all levels.
     uint32_t num_approx_ = 0; ///< Live approximate segments.
 };

@@ -1,6 +1,5 @@
 #include "learned/learned_table.hh"
 
-#include <bitset>
 #include <cstring>
 
 #include "sim/shard_runner.hh"
@@ -57,10 +56,9 @@ appendGroup(std::vector<uint8_t> &blob, uint32_t idx, const Group &group)
         put<uint16_t>(blob, e.seg.kbits());
         put<int32_t>(blob, e.seg.intercept());
         if (e.seg.approximate()) {
-            const auto &run = group.crb().run(e.id);
-            put<uint16_t>(blob, static_cast<uint16_t>(run.size()));
-            for (uint8_t off : run)
-                put<uint8_t>(blob, off);
+            const GroupMask &run = group.crb().mask(e.id);
+            put<uint16_t>(blob, static_cast<uint16_t>(run.count()));
+            run.forEach([&](uint8_t off) { put<uint8_t>(blob, off); });
         }
     });
 }
@@ -326,7 +324,7 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
         uint32_t prev_end = 0;
         // Offsets claimed by approximate segments' CRB runs: the
         // restore path requires runs disjoint across the whole group.
-        std::bitset<kGroupSpan> claimed;
+        GroupMask claimed;
         for (uint32_t i = 0; i < count; i++) {
             uint16_t level = 0, kbits = 0;
             uint8_t slpa = 0, length = 0;
@@ -351,7 +349,7 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
                 break;
             }
             Segment seg(slpa, length, kbits, intercept);
-            std::vector<uint8_t> run;
+            GroupMask run;
             if (seg.approximate()) {
                 uint16_t len = 0;
                 if (!r.read(len)) {
@@ -366,27 +364,24 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
                     err = BlobError::Truncated;
                     break;
                 }
-                run.resize(len);
-                std::memcpy(run.data(), r.blob.data() + r.at, len);
-                r.at += len;
                 // The CRB-run invariants: members strictly ascending,
                 // inside the segment, and disjoint from every other
                 // run already restored into this group.
-                bool ok = run.front() >= slpa &&
-                          run.back() <=
-                              static_cast<uint32_t>(slpa) + length;
-                for (size_t m = 0; ok && m < run.size(); m++) {
-                    if (m > 0 && run[m] <= run[m - 1])
-                        ok = false;
-                    else if (claimed[run[m]])
-                        ok = false;
-                    else
-                        claimed[run[m]] = true;
+                const uint8_t *offs = r.blob.data() + r.at;
+                r.at += len;
+                bool ok = true;
+                for (size_t m = 0; ok && m < len; m++) {
+                    ok = (m == 0 || offs[m] > offs[m - 1]) &&
+                         offs[m] >= slpa &&
+                         offs[m] <= static_cast<uint32_t>(slpa) + length &&
+                         !claimed.test(offs[m]);
+                    run.set(offs[m]);
                 }
                 if (!ok) {
                     err = BlobError::Malformed;
                     break;
                 }
+                claimed |= run;
             }
             group.restoreRaw(level, seg, run);
             prev_level = level;

@@ -2,13 +2,20 @@
  * @file
  * The learned address mapping table: the paper's primary contribution
  * (§3). Partitions the LPA space into 256-LPA groups, each with its
- * own log-structured segment stack and CRB, and exposes the
- * learn / lookup / compact API used by the LeaFTL flash translation
- * layer, plus the statistics the evaluation figures need (segment
- * counts and types, creation lengths, level depths, CRB sizes,
- * mapping-memory bytes).
+ * own log-structured segment stack and CRB (group.hh, crb.hh), and
+ * exposes the learn / lookup / compact API used by the LeaFTL flash
+ * translation layer, plus the statistics the evaluation figures need
+ * (segment counts and types, creation lengths, level depths, CRB
+ * sizes, mapping-memory bytes).
  *
- * Hot-path design (the translation overhaul):
+ * Persistence: serialize() writes each group's segments level by
+ * level, each approximate segment followed by its CRB run as a count
+ * and the ascending offsets. The parser behind tryDeserialize() and
+ * applyDelta() reads each run straight into a GroupMask and checks it
+ * against a mask of the offsets the group's earlier runs claimed, so
+ * a corrupt blob is a typed BlobError, never an abort.
+ *
+ * Hot-path design:
  *   - groups live in a sparse chunked flat directory (GroupDirectory):
  *     a lookup indexes two arrays instead of hashing, and iteration
  *     walks live groups in ascending order, which makes serialize()
@@ -18,6 +25,8 @@
  *     groupBytes() are O(1) reads on the learn path and in reporters;
  *   - one MergeScratch arena per table keeps the steady-state learn
  *     path allocation-free;
+ *   - a group lookup binary-searches only the levels whose `may` mask
+ *     holds the offset (group.hh);
  *   - a one-entry last-hit cache (group pointer + the level-0 entry
  *     that served the previous lookup) short-circuits the level scan
  *     for sequential and hot-key reads. The entry shortcut is gated on
@@ -150,6 +159,13 @@ class LearnedTable
     size_t numSegments() const { return total_segments_; }
     size_t numApproximate() const { return total_approx_; }
     size_t numGroups() const { return groups_.size(); }
+
+    /** Group @a group_idx, or nullptr when it was never learned. */
+    const Group *
+    group(uint32_t group_idx) const
+    {
+        return groups_.find(group_idx);
+    }
 
     /**
      * Host memory of the group directory itself (chunk shells +

@@ -338,23 +338,34 @@ TEST(GroupMask, SinglePointAtTheLastOffset)
 
 TEST(GroupMask, ApproximateMembersAreTheCrbRun)
 {
+    const std::vector<uint8_t> learned = {70, 72, 75, 76, 130, 131, 190};
     Group g;
-    learnRun(g, {70, 72, 75, 76, 130, 131, 190}, 100, 64);
+    learnRun(g, learned, 100, 64);
     const SegEntry e = onlySegment(g);
     ASSERT_TRUE(e.seg.approximate());
-    EXPECT_EQ(maskOffsets(g.members(e)), g.crb().run(e.id));
+    EXPECT_EQ(maskOffsets(g.members(e)), learned);
+    EXPECT_EQ(g.members(e), g.crb().mask(e.id));
 
     // A newer approximate segment steals offsets out of the run; each
-    // mask follows the CRB, not the segment's range.
+    // mask follows the CRB's owner index, not the segment's range.
     learnRun(g, {72, 73, 74, 131}, 900, 64);
     size_t approximate = 0;
     g.forEachSegment([&](const SegEntry &seg, size_t) {
         if (!seg.seg.approximate())
             return;
         approximate++;
-        EXPECT_EQ(maskOffsets(g.members(seg)), g.crb().run(seg.id));
+        std::vector<uint8_t> owned;
+        for (uint32_t off = 0; off < kGroupSpan; off++) {
+            if (g.crb().owner(static_cast<uint8_t>(off)) == seg.id)
+                owned.push_back(static_cast<uint8_t>(off));
+        }
+        EXPECT_EQ(maskOffsets(g.members(seg)), owned);
+        EXPECT_EQ(g.members(seg), g.crb().mask(seg.id));
     });
     EXPECT_EQ(approximate, 2u);
+    EXPECT_EQ(maskOffsets(g.members(e)),
+              (std::vector<uint8_t>{70, 75, 76, 130, 190}));
+    g.checkInvariants();
 }
 
 TEST(GroupMask, MembersMatchHasLpaUnderFuzz)

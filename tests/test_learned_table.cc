@@ -13,6 +13,8 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -336,11 +338,10 @@ class MapTableRef
                 put<uint16_t>(blob, e.seg.kbits());
                 put<int32_t>(blob, e.seg.intercept());
                 if (e.seg.approximate()) {
-                    const auto &run = group.crb().run(e.id);
+                    const GroupMask &run = group.crb().mask(e.id);
                     put<uint16_t>(blob,
-                                  static_cast<uint16_t>(run.size()));
-                    for (uint8_t off : run)
-                        put<uint8_t>(blob, off);
+                                  static_cast<uint16_t>(run.count()));
+                    run.forEach([&](uint8_t off) { put<uint8_t>(blob, off); });
                 }
             });
         }
@@ -566,6 +567,118 @@ TEST(LearnedTable, CompactionMatchesTheGoldenDigests)
             golden << line << '\n';
     }
     EXPECT_EQ(generated.str(), golden.str());
+}
+
+/**
+ * Reference lookup: the first segment, level by level from the top,
+ * whose full membership test holds @a off. No `may` mask and no
+ * binary search.
+ */
+std::optional<GroupLookup>
+scanLookup(const Group &g, uint8_t off)
+{
+    std::optional<GroupLookup> hit;
+    g.forEachSegment([&](const SegEntry &e, size_t level) {
+        if (hit || !g.hasLpa(e, off))
+            return;
+        hit = GroupLookup{e.seg.predict(off), e.seg.approximate(),
+                          static_cast<uint32_t>(level + 1)};
+    });
+    return hit;
+}
+
+/** Every offset of every group of @a t looks up as scanLookup does. */
+void
+expectLookupsMatchScan(const LearnedTable &t, const std::string &where)
+{
+    t.checkInvariants();
+    t.forEachGroup([&](uint32_t idx) {
+        const Group &g = *t.group(idx);
+        for (uint32_t o = 0; o < kGroupSpan; o++) {
+            const uint8_t off = static_cast<uint8_t>(o);
+            const auto got = g.lookup(off);
+            const auto want = scanLookup(g, off);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << where << " group " << idx << " off " << o;
+            if (!got)
+                continue;
+            ASSERT_EQ(got->ppa, want->ppa)
+                << where << " group " << idx << " off " << o;
+            ASSERT_EQ(got->approximate, want->approximate)
+                << where << " group " << idx << " off " << o;
+            ASSERT_EQ(got->levels_visited, want->levels_visited)
+                << where << " group " << idx << " off " << o;
+        }
+    });
+}
+
+TEST(LearnedTable, LookupsMatchAFullScanUnderFuzz)
+{
+    // Learn / trim / compact streams over four groups, checked after
+    // every step, after a full deserialize() and after applyDelta()
+    // brings an older snapshot up to date.
+    constexpr Lpa kSpan = 4 * kGroupSpan;
+    for (const uint32_t gamma : {0u, 4u, 16u}) {
+        for (uint64_t seed = 1; seed <= 3; seed++) {
+            Rng rng(seed * 7919 + gamma);
+            LearnedTable t(gamma);
+            std::unique_ptr<LearnedTable> snapshot;
+            Ppa ppa = 1;
+            std::set<Lpa> lpas;
+            for (int step = 1; step <= 120; step++) {
+                const std::string where = "gamma " + std::to_string(gamma) +
+                                          " seed " + std::to_string(seed) +
+                                          " step " + std::to_string(step);
+                const uint64_t op = rng.nextBounded(10);
+                if (op < 6) {
+                    // A flush: a few strided runs or random points.
+                    lpas.clear();
+                    const uint64_t runs = 1 + rng.nextBounded(4);
+                    for (uint64_t r = 0; r < runs; r++) {
+                        const uint64_t stride = rng.nextBool(0.5)
+                                                    ? 1 + rng.nextBounded(3)
+                                                    : 1 + rng.nextBounded(40);
+                        Lpa lpa = static_cast<Lpa>(rng.nextBounded(kSpan));
+                        const uint64_t n = 1 + rng.nextBounded(40);
+                        for (uint64_t i = 0; i < n && lpa < kSpan; i++) {
+                            lpas.insert(lpa);
+                            lpa += static_cast<Lpa>(stride);
+                        }
+                    }
+                    t.learn(flushBatch(lpas, ppa));
+                    ppa += rng.nextBounded(16);
+                } else if (op < 9) {
+                    // A trim: a tombstone single point, as LeaFtl::trim
+                    // learns it.
+                    const Lpa lpa = static_cast<Lpa>(rng.nextBounded(kSpan));
+                    t.learn({{lpa, kTombstonePpa}});
+                } else {
+                    t.compact();
+                }
+                ASSERT_NO_FATAL_FAILURE(expectLookupsMatchScan(t, where));
+
+                if (step == 60) {
+                    snapshot = LearnedTable::deserialize(t.serialize());
+                    t.clearDirty();
+                    ASSERT_NO_FATAL_FAILURE(expectLookupsMatchScan(
+                        *snapshot, where + " deserialized"));
+                }
+            }
+            ASSERT_TRUE(snapshot->applyDelta(t.serializeDirty()));
+            ASSERT_NO_FATAL_FAILURE(
+                expectLookupsMatchScan(*snapshot, "after applyDelta"));
+            EXPECT_EQ(snapshot->serialize(), t.serialize());
+            for (Lpa lpa = 0; lpa < kSpan; lpa++) {
+                const auto a = t.lookup(lpa);
+                const auto b = snapshot->lookup(lpa);
+                ASSERT_EQ(a.has_value(), b.has_value()) << lpa;
+                if (a) {
+                    EXPECT_EQ(a->ppa, b->ppa) << lpa;
+                    EXPECT_EQ(a->levels_visited, b->levels_visited) << lpa;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
