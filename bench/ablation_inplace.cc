@@ -46,7 +46,7 @@ class InplaceTable
             // (the accurate ones are recomputable from (S, L, K, I)).
             for (const auto &fs : g.segments) {
                 if (fs.seg.approximate()) {
-                    flash_accesses_ += fs.offs.size();
+                    flash_accesses_ += fs.count;
                     approx_updates_++;
                 }
             }
@@ -79,7 +79,7 @@ class InplaceTable
             for (const auto &fs : g.segments) {
                 bytes += Segment::kEncodedBytes;
                 if (fs.seg.approximate())
-                    bytes += fs.offs.size() + 1; // CRB accounting.
+                    bytes += fs.count + 1; // CRB accounting.
             }
         }
         return bytes;

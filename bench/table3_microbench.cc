@@ -41,9 +41,11 @@ BM_Learn256(benchmark::State &state)
 {
     const uint32_t gamma = static_cast<uint32_t>(state.range(0));
     const auto batch = makeBatch(7, 3);
+    FitArena arena;
     for (auto _ : state) {
-        auto fits = fitRun(batch, gamma);
-        benchmark::DoNotOptimize(fits);
+        fitRun(batch, gamma, arena);
+        benchmark::DoNotOptimize(arena.segs.data());
+        benchmark::ClobberMemory();
     }
     state.SetLabel("learn 256 mappings, gamma=" +
                    std::to_string(gamma));
@@ -73,9 +75,11 @@ BM_LearnSequential256(benchmark::State &state)
     std::vector<std::pair<Lpa, Ppa>> run;
     for (int i = 0; i < 256; i++)
         run.emplace_back(1000 + i, 5000 + i);
+    FitArena arena;
     for (auto _ : state) {
-        auto fits = fitRun(run, 0);
-        benchmark::DoNotOptimize(fits);
+        fitRun(run, 0, arena);
+        benchmark::DoNotOptimize(arena.segs.data());
+        benchmark::ClobberMemory();
     }
     state.SetLabel("learn 256 sequential mappings");
 }

@@ -23,6 +23,8 @@ Crb::allocate(const GroupMask &offs)
     if (free_.empty()) {
         id = static_cast<SegId>(runs_.size());
         runs_.push_back(offs);
+        // free_ never outgrows runs_, so it never grows on its own.
+        free_.reserve(runs_.capacity());
     } else {
         id = free_.back();
         free_.pop_back();

@@ -10,7 +10,7 @@ namespace
 
 /** Binary search: index of the segment covering @a off, or -1. */
 int
-findCovering(const std::vector<SegEntry> &segs, uint8_t off)
+findCovering(std::span<const SegEntry> segs, uint8_t off)
 {
     int lo = 0, hi = static_cast<int>(segs.size()) - 1;
     while (lo <= hi) {
@@ -35,7 +35,7 @@ findCovering(const std::vector<SegEntry> &segs, uint8_t off)
  * the range's end.
  */
 size_t
-firstEndingAtOrAfter(const std::vector<SegEntry> &segs, uint8_t off)
+firstEndingAtOrAfter(std::span<const SegEntry> segs, uint8_t off)
 {
     return static_cast<size_t>(
         std::partition_point(segs.begin(), segs.end(),
@@ -46,23 +46,41 @@ firstEndingAtOrAfter(const std::vector<SegEntry> &segs, uint8_t off)
 }
 
 /**
+ * Stride patterns: entry d holds the offsets 0, d, 2d, ... below 256.
+ * Entry 256 holds offset 0 alone, which is the grid of every stride
+ * of 256 or more.
+ */
+struct StridePatterns
+{
+    GroupMask of[kGroupSpan + 1];
+
+    StridePatterns()
+    {
+        for (uint32_t d = 1; d <= kGroupSpan; d++) {
+            for (uint32_t off = 0; off < kGroupSpan; off += d)
+                of[d].set(static_cast<uint8_t>(off));
+        }
+    }
+};
+
+/**
  * The stride grid of an accurate segment over [S, S+L] (just S when
- * L = 0).
+ * L = 0): the stride's pattern moved up to S and cut at S+L.
  */
 GroupMask
 gridMask(const Segment &seg)
 {
-    GroupMask m;
     if (seg.singlePoint()) {
+        GroupMask m;
         m.set(seg.slpa());
         return m;
     }
     const uint32_t d = seg.stride();
     if (d == 1)
         return GroupMask::range(seg.slpa(), seg.endOff());
-    for (uint32_t off = seg.slpa(); off <= seg.endOff(); off += d)
-        m.set(static_cast<uint8_t>(off));
-    return m;
+    static const StridePatterns patterns;
+    return patterns.of[std::min(d, kGroupSpan)].shiftedUp(seg.slpa()) &
+           GroupMask::range(seg.slpa(), seg.endOff());
 }
 
 } // namespace
@@ -85,38 +103,64 @@ Group::members(const SegEntry &e) const
     return crb_.mask(e.id);
 }
 
-void
-Group::placeSorted(Level &level, const SegEntry &entry)
+size_t
+Group::sortedSlot(size_t li, const SegEntry &entry) const
 {
-    auto it = std::lower_bound(
-        level.segs.begin(), level.segs.end(), entry,
+    const std::span<const SegEntry> segs = level(li);
+    const auto it = std::lower_bound(
+        segs.begin(), segs.end(), entry,
         [](const SegEntry &a, const SegEntry &b) {
             return a.seg.slpa() < b.seg.slpa();
         });
-    level.segs.insert(it, entry);
-    countInsert(entry);
+    return levelBegin(li) + static_cast<size_t>(it - segs.begin());
 }
 
 void
-Group::insertSorted(Level &level, const SegEntry &entry)
+Group::insertSorted(size_t li, const SegEntry &entry)
 {
-    placeSorted(level, entry);
-    level.may |= members(entry);
+    const size_t at = sortedSlot(li, entry);
+    segs_.insert(segs_.begin() + static_cast<ptrdiff_t>(at), entry);
+    for (size_t l = li; l < levels_.size(); l++)
+        levels_[l].end++;
+    countInsert(entry);
+    levels_[li].may |= members(entry);
+}
+
+void
+Group::insertLevel(size_t li)
+{
+    levels_.insert(levels_.begin() + static_cast<ptrdiff_t>(li),
+                   LevelHdr{static_cast<uint32_t>(levelBegin(li)), {}});
+}
+
+void
+Group::eraseFromLevel(size_t li, size_t at, size_t n)
+{
+    if (n == 0)
+        return;
+    const auto first = segs_.begin() + static_cast<ptrdiff_t>(at);
+    segs_.erase(first, first + static_cast<ptrdiff_t>(n));
+    for (size_t l = li; l < levels_.size(); l++)
+        levels_[l].end -= static_cast<uint32_t>(n);
 }
 
 void
 Group::mergeVictims(size_t level_idx, const SegEntry &entry,
                     bool detach_conflicts, MergeScratch &scratch)
 {
-    Level &level = levels_[level_idx];
     scratch.conflicts.clear();
     const GroupMask newer = members(entry);
 
-    // Every victim in the window overlaps the entry's range.
-    size_t i = firstEndingAtOrAfter(level.segs, entry.seg.slpa());
-    while (i < level.segs.size() &&
-           level.segs[i].seg.slpa() <= entry.seg.endOff()) {
-        SegEntry &victim = level.segs[i];
+    // Every victim in the window overlaps the entry's range. Kept
+    // victims slide down over removed ones; the gap left at the end of
+    // the window is erased once.
+    const size_t begin = levelBegin(level_idx);
+    const size_t end = levels_[level_idx].end;
+    size_t i = begin + firstEndingAtOrAfter(level(level_idx),
+                                            entry.seg.slpa());
+    size_t kept = i;
+    for (; i < end && segs_[i].seg.slpa() <= entry.seg.endOff(); i++) {
+        SegEntry &victim = segs_[i];
 
         // Algorithm 2: subtract the new segment's members from the
         // victim's. For approximate victims the CRB insert already
@@ -129,7 +173,6 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
             if (victim.seg.approximate())
                 crb_.removeRun(victim.id);
             countErase(victim);
-            level.segs.erase(level.segs.begin() + i);
             continue;
         }
 
@@ -144,12 +187,12 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
             scratch.conflicts.push_back(victim);
             if (detach_conflicts) {
                 countErase(victim);
-                level.segs.erase(level.segs.begin() + i);
                 continue;
             }
         }
-        i++;
+        segs_[kept++] = victim;
     }
+    eraseFromLevel(level_idx, kept, i - kept);
 }
 
 void
@@ -157,18 +200,17 @@ Group::pushVictimDown(size_t from_level, const SegEntry &victim)
 {
     const size_t below = from_level + 1;
     if (below >= levels_.size()) {
-        levels_.emplace_back();
-        insertSorted(levels_.back(), victim);
-        return;
+        insertLevel(below);
+    } else {
+        // If the next level has no range conflict with the victim, it
+        // can join that sorted run; otherwise it gets a dedicated level
+        // to avoid recursive pops (and to preserve recency ordering).
+        const std::span<const SegEntry> next = level(below);
+        const size_t i = firstEndingAtOrAfter(next, victim.seg.slpa());
+        if (i < next.size() && next[i].seg.slpa() <= victim.seg.endOff())
+            insertLevel(below);
     }
-    // If the next level has no range conflict with the victim, it can
-    // join that sorted run; otherwise it gets a dedicated level to
-    // avoid recursive pops (and to preserve recency ordering).
-    const std::vector<SegEntry> &next = levels_[below].segs;
-    const size_t i = firstEndingAtOrAfter(next, victim.seg.slpa());
-    if (i < next.size() && next[i].seg.slpa() <= victim.seg.endOff())
-        levels_.insert(levels_.begin() + below, Level{});
-    insertSorted(levels_[below], victim);
+    insertSorted(below, victim);
 }
 
 void
@@ -176,7 +218,7 @@ Group::insertAt(size_t level_idx, const SegEntry &entry,
                 MergeScratch &scratch)
 {
     while (levels_.size() <= level_idx)
-        levels_.emplace_back();
+        insertLevel(levels_.size());
 
     mergeVictims(level_idx, entry, /*detach_conflicts=*/true, scratch);
     // Pop detached victims below. Order within the new level is
@@ -185,18 +227,26 @@ Group::insertAt(size_t level_idx, const SegEntry &entry,
     for (const SegEntry &victim : scratch.conflicts)
         pushVictimDown(level_idx, victim);
 
-    insertSorted(levels_[level_idx], entry);
+    insertSorted(level_idx, entry);
 }
 
 bool
-Group::tryInsertAt(size_t level_idx, const SegEntry &entry,
-                   MergeScratch &scratch)
+Group::sinkBelow(size_t li, size_t at, MergeScratch &scratch)
 {
-    mergeVictims(level_idx, entry, /*detach_conflicts=*/false, scratch);
+    const SegEntry entry = segs_[at];
+    mergeVictims(li + 1, entry, /*detach_conflicts=*/false, scratch);
     if (!scratch.conflicts.empty())
         return false;
-    // Only compaction sinks entries; it recomputes `may` at its end.
-    placeSorted(levels_[level_idx], entry);
+    // Level li + 1 starts right after level li, so moving the entry to
+    // its sorted place there shifts only the entries in between down
+    // one slot; level li + 1 keeps its end. Compaction recomputes
+    // `may` at its end.
+    const size_t to = sortedSlot(li + 1, entry);
+    std::copy(segs_.begin() + static_cast<ptrdiff_t>(at) + 1,
+              segs_.begin() + static_cast<ptrdiff_t>(to),
+              segs_.begin() + static_cast<ptrdiff_t>(at));
+    segs_[to - 1] = entry;
+    levels_[li].end--;
     return true;
 }
 
@@ -207,11 +257,8 @@ Group::update(const FittedSegment &fs, MergeScratch &scratch)
     entry.seg = fs.seg;
 
     if (fs.seg.approximate()) {
-        GroupMask offs;
-        for (uint8_t off : fs.offs)
-            offs.set(off);
         scratch.emptied.clear();
-        entry.id = crb_.insertRun(offs, scratch.emptied);
+        entry.id = crb_.insertRun(fs.offs, scratch.emptied);
         // Runs emptied by deduplication belong to fully superseded
         // approximate segments; drop them wherever they live. The new
         // entry is not in any level yet, so a reused id is no clash.
@@ -227,13 +274,14 @@ Group::removeDead(const Crb::Emptied &dead)
 {
     // The dead segment owned dead.off until the steal, so its range
     // covers it and its level's `may` holds it.
-    for (Level &level : levels_) {
-        if (!level.may.test(dead.off))
+    for (size_t li = 0; li < levels_.size(); li++) {
+        if (!levels_[li].may.test(dead.off))
             continue;
-        const int i = findCovering(level.segs, dead.off);
-        if (i >= 0 && level.segs[i].id == dead.id) {
-            countErase(level.segs[i]);
-            level.segs.erase(level.segs.begin() + i);
+        const std::span<const SegEntry> segs = level(li);
+        const int i = findCovering(segs, dead.off);
+        if (i >= 0 && segs[i].id == dead.id) {
+            countErase(segs[i]);
+            eraseFromLevel(li, levelBegin(li) + static_cast<size_t>(i), 1);
             return;
         }
     }
@@ -246,13 +294,13 @@ Group::lookup(uint8_t off, const SegEntry **top_hit) const
     if (top_hit)
         *top_hit = nullptr;
     for (size_t li = 0; li < levels_.size(); li++) {
-        const Level &level = levels_[li];
-        if (!level.may.test(off))
+        if (!levels_[li].may.test(off))
             continue;
-        const int idx = findCovering(level.segs, off);
+        const std::span<const SegEntry> segs = level(li);
+        const int idx = findCovering(segs, off);
         if (idx < 0)
             continue;
-        const SegEntry &e = level.segs[idx];
+        const SegEntry &e = segs[idx];
         if (!hasLpa(e, off))
             continue;
         GroupLookup res;
@@ -270,7 +318,7 @@ bool
 Group::replayAccurate(size_t level_idx, Segment &victim) const
 {
     for (size_t li = 0; li < level_idx; li++) {
-        const std::vector<SegEntry> &segs = levels_[li].segs;
+        const std::span<const SegEntry> segs = level(li);
         for (size_t i = firstEndingAtOrAfter(segs, victim.slpa());
              i < segs.size() && segs[i].seg.slpa() <= victim.endOff();
              i++) {
@@ -286,43 +334,36 @@ Group::replayAccurate(size_t level_idx, Segment &victim) const
     return true;
 }
 
-void
-Group::settleLevel(size_t level_idx, const GroupMask &newer,
-                   const GroupMask &newer_ranges)
+bool
+Group::settle(size_t level_idx, SegEntry &victim, const GroupMask &newer,
+              const GroupMask &newer_ranges)
 {
-    std::vector<SegEntry> &segs = levels_[level_idx].segs;
-    size_t kept = 0;
-    for (SegEntry &victim : segs) {
-        const Segment &seg = victim.seg;
-        bool alive = true;
-        if (!GroupMask::range(seg.slpa(), seg.endOff())
-                 .intersects(newer_ranges)) {
-            // No newer range ever overlapped it: untouched.
-        } else if (seg.approximate()) {
-            // Closed form: the run loses every newer member, and the
-            // range is trimmed to the run even when nothing was stolen.
-            const GroupMask run = members(victim);
-            const GroupMask left = run & ~newer;
-            alive = left.any();
-            if (alive) {
-                victim.seg.trim(left.first(), left.last());
-                crb_.removeOffsets(victim.id, run & newer);
-            } else {
-                crb_.removeRun(victim.id);
-            }
-        } else if (newer.test(seg.slpa()) || newer.test(seg.endOff()) ||
-                   gridMask(seg).last() != seg.endOff()) {
-            // Only the pairwise order settles it. With both endpoints
-            // on the grid and outside U, no merge step can move it.
-            alive = replayAccurate(level_idx, victim.seg);
-        }
-        if (alive) {
-            segs[kept++] = victim;
-        } else {
-            countErase(victim);
-        }
+    const Segment &seg = victim.seg;
+    if (!GroupMask::range(seg.slpa(), seg.endOff())
+             .intersects(newer_ranges)) {
+        // No newer range ever overlapped it: untouched.
+        return true;
     }
-    segs.resize(kept);
+    if (seg.approximate()) {
+        // Closed form: the run loses every newer member, and the range
+        // is trimmed to the run even when nothing was stolen.
+        const GroupMask run = members(victim);
+        const GroupMask left = run & ~newer;
+        if (left.none()) {
+            crb_.removeRun(victim.id);
+            return false;
+        }
+        victim.seg.trim(left.first(), left.last());
+        crb_.removeOffsets(victim.id, run & newer);
+        return true;
+    }
+    if (newer.test(seg.slpa()) || newer.test(seg.endOff()) ||
+        gridMask(seg).last() != seg.endOff()) {
+        // Only the pairwise order settles it. With both endpoints on
+        // the grid and outside U, no merge step can move it.
+        return replayAccurate(level_idx, victim.seg);
+    }
+    return true;
 }
 
 void
@@ -333,79 +374,94 @@ Group::compact(MergeScratch &scratch)
     // cascade), in one top-down walk. Fully superseded old segments
     // die here; partly superseded ones are trimmed. Placement is
     // untouched, so newer segments stay above the stale interior
-    // members of accurate victims they shadow.
+    // members of accurate victims they shadow. Survivors slide down
+    // over the dead as the walk goes, so the levels above the one
+    // being settled are final in place.
     GroupMask newer, newer_ranges;
+    size_t kept = 0;
+    size_t from = 0; // Where the current level's unsettled entries start.
     for (size_t li = 0; li < levels_.size(); li++) {
-        if (li > 0)
-            settleLevel(li, newer, newer_ranges);
-        for (const SegEntry &e : levels_[li].segs) {
+        const size_t end = levels_[li].end;
+        for (size_t i = from; i < end; i++) {
+            SegEntry victim = segs_[i];
+            if (li == 0 || settle(li, victim, newer, newer_ranges))
+                segs_[kept++] = victim;
+            else
+                countErase(victim);
+        }
+        from = end;
+        levels_[li].end = static_cast<uint32_t>(kept);
+        for (const SegEntry &e : level(li)) {
             newer |= members(e);
             newer_ranges |= GroupMask::range(e.seg.slpa(), e.seg.endOff());
         }
     }
+    segs_.resize(kept);
 
     // Phase 2: sink segments downward wherever no range conflict
     // remains; interleaved member-disjoint segments stay on their
-    // levels (they cannot share a sorted run). The merge only touches
-    // the level below, so the entry can be sunk before its upper-level
-    // copy is erased.
+    // levels (they cannot share a sorted run).
     for (size_t li = 0; li + 1 < levels_.size(); li++) {
-        Level &upper = levels_[li];
-        for (size_t i = 0; i < upper.segs.size();) {
-            const SegEntry entry = upper.segs[i];
-            if (tryInsertAt(li + 1, entry, scratch)) {
-                countErase(upper.segs[i]);
-                upper.segs.erase(upper.segs.begin() + i);
-            } else {
+        for (size_t i = levelBegin(li); i < levels_[li].end;) {
+            if (!sinkBelow(li, i, scratch))
                 i++;
-            }
         }
     }
     dropEmptyLevels();
 
     // Every merge above only removed members; make `may` exact again.
-    for (Level &level : levels_) {
-        level.may = GroupMask();
-        for (const SegEntry &e : level.segs)
-            level.may |= members(e);
+    for (size_t li = 0; li < levels_.size(); li++) {
+        GroupMask may;
+        for (const SegEntry &e : level(li))
+            may |= members(e);
+        levels_[li].may = may;
     }
 }
 
 void
 Group::dropEmptyLevels()
 {
-    levels_.erase(std::remove_if(levels_.begin(), levels_.end(),
-                                 [](const Level &l) {
-                                     return l.segs.empty();
-                                 }),
-                  levels_.end());
+    // An empty level ends where the level above it ends.
+    size_t kept = 0;
+    uint32_t prev_end = 0;
+    for (const LevelHdr &hdr : levels_) {
+        if (hdr.end != prev_end)
+            levels_[kept++] = hdr;
+        prev_end = hdr.end;
+    }
+    levels_.resize(kept);
 }
 
 void
 Group::restoreRaw(size_t level, const Segment &seg, const GroupMask &run)
 {
     while (levels_.size() <= level)
-        levels_.emplace_back();
+        insertLevel(levels_.size());
     SegEntry entry;
     entry.seg = seg;
     if (seg.approximate())
         entry.id = crb_.restoreRun(run);
-    insertSorted(levels_[level], entry);
+    insertSorted(level, entry);
 }
 
 void
 Group::checkInvariants() const
 {
-    size_t segs = 0, approx = 0;
-    for (const Level &level : levels_) {
-        for (size_t i = 0; i < level.segs.size(); i++) {
-            const SegEntry &e = level.segs[i];
-            segs++;
+    size_t approx = 0;
+    uint32_t prev_end = 0;
+    for (size_t li = 0; li < levels_.size(); li++) {
+        LEAFTL_ASSERT(levels_[li].end >= prev_end &&
+                          levels_[li].end <= segs_.size(),
+                      "level ends out of order or past the segment array");
+        prev_end = levels_[li].end;
+        const std::span<const SegEntry> segs = level(li);
+        for (size_t i = 0; i < segs.size(); i++) {
+            const SegEntry &e = segs[i];
             approx += e.seg.approximate() ? 1 : 0;
             LEAFTL_ASSERT(e.seg.endOff() >= e.seg.slpa(),
                           "segment range inverted");
             if (i > 0) {
-                const SegEntry &prev = level.segs[i - 1];
+                const SegEntry &prev = segs[i - 1];
                 LEAFTL_ASSERT(prev.seg.endOff() < e.seg.slpa(),
                               "level segments overlap or unsorted");
             }
@@ -416,11 +472,13 @@ Group::checkInvariants() const
                                   m.last() <= e.seg.endOff(),
                               "CRB run outside segment range");
             }
-            LEAFTL_ASSERT((m & ~level.may).none(),
+            LEAFTL_ASSERT((m & ~levels_[li].may).none(),
                           "segment members outside its level's may");
         }
     }
-    LEAFTL_ASSERT(segs == num_segs_, "segment counter out of sync");
+    LEAFTL_ASSERT(prev_end == segs_.size(),
+                  "the last level does not end the segment array");
+    LEAFTL_ASSERT(segs_.size() == num_segs_, "segment counter out of sync");
     LEAFTL_ASSERT(approx == num_approx_, "approximate counter out of sync");
     LEAFTL_ASSERT(approx == crb_.numRuns(),
                   "CRB runs and approximate segments out of sync");

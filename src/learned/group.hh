@@ -8,6 +8,18 @@
  * overlap, so a level is searched with one binary search; across
  * levels, ranges may overlap and the topmost hit wins (newest mapping).
  *
+ * Layout: the group keeps all its segments in one array, the levels
+ * concatenated top-down, each sorted by S, and beside it one header
+ * per level holding the level's end in that array and its `may` mask.
+ * A level is the span from the previous level's end to its own, so
+ * inserting or erasing a segment shifts the tail of the array and
+ * bumps the ends of its level and every level below; opening a level
+ * is a header insert. A GC-heavy stack of ~50 levels holding one or
+ * two segments each is then one allocation, not one per level. The
+ * bulk moves of compaction avoid tail shifts: phase 1 slides the
+ * survivors down in one pass, and phase 2 moves a segment into the
+ * next level by rotating only the entries between the two slots.
+ *
  * Membership is a GroupMask (group_mask.hh) throughout. members()
  * gives a segment's mask: the stride grid over [S, S+L] (or a single
  * point) for an accurate segment, its CRB run for an approximate one
@@ -56,9 +68,10 @@
  * Interleaved-but-member-disjoint segments legitimately stay on
  * separate levels (they cannot share a sorted run).
  *
- * Hot-path design: the merge machinery works out of a caller-provided
- * MergeScratch (victim vectors reused across learns, so the
- * steady-state learn path performs no heap allocation), segment /
+ * Hot-path design: no step of update() or compact() allocates once
+ * the group's two arrays, its CRB and the caller's MergeScratch have
+ * grown to their high-water marks -- every buffer is cleared or
+ * erased in place, never shrunk (test_alloc_free pins this). Segment /
  * approximate counts are maintained incrementally (numSegments(),
  * numApproximate() and memoryBytes() are O(1) reads), and segment
  * visitation is a template so reporting loops pay no std::function
@@ -69,6 +82,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "learned/crb.hh"
@@ -94,12 +108,12 @@ struct SegEntry
     Segment seg;
     Crb::SegId id = Crb::kNoSeg;
 };
+static_assert(sizeof(SegEntry) == 12, "a level entry is 8 B + id + pad");
 
 /**
  * Reusable scratch state for the segment-merge procedure: one arena
- * per table (or per call site) keeps the learn path allocation-free
- * in steady state -- every buffer is cleared, never shrunk, between
- * merges.
+ * per table (or per worker) -- every buffer is cleared, never shrunk,
+ * between merges.
  */
 struct MergeScratch
 {
@@ -181,7 +195,7 @@ class Group
     forEachSegment(Fn &&fn) const
     {
         for (size_t li = 0; li < levels_.size(); li++) {
-            for (const SegEntry &e : levels_[li].segs)
+            for (const SegEntry &e : level(li))
                 fn(e, li);
         }
     }
@@ -198,11 +212,26 @@ class Group
     void restoreRaw(size_t level, const Segment &seg, const GroupMask &run);
 
   private:
-    struct Level
+    /** One level: where it ends in segs_, and its lookup filter. */
+    struct LevelHdr
     {
-        std::vector<SegEntry> segs; ///< Sorted by S, non-overlapping.
-        GroupMask may; ///< Superset of the members of segs.
+        uint32_t end; ///< One past the level's last entry in segs_.
+        GroupMask may; ///< Superset of the members of its segments.
     };
+
+    /** Index in segs_ of level @a li's first entry. */
+    size_t
+    levelBegin(size_t li) const
+    {
+        return li == 0 ? 0 : levels_[li - 1].end;
+    }
+
+    /** Level @a li's entries: sorted by S, ranges disjoint. */
+    std::span<const SegEntry>
+    level(size_t li) const
+    {
+        return {segs_.data() + levelBegin(li), segs_.data() + levels_[li].end};
+    }
 
     /**
      * Merge @a entry against overlapping victims of @a level_idx and
@@ -213,12 +242,13 @@ class Group
                   MergeScratch &scratch);
 
     /**
-     * Compaction variant: merge victims, but only move @a entry into
-     * the level when no range conflict survives.
-     * @return true when the entry was inserted.
+     * Compaction phase 2: merge the entry at segs_[@a at] in level
+     * @a li into the victims of level li + 1, and move it there when
+     * no range conflict survives.
+     * @return true when the entry moved (the next entry of level li,
+     *         if any, is now at @a at).
      */
-    bool tryInsertAt(size_t level_idx, const SegEntry &entry,
-                     MergeScratch &scratch);
+    bool sinkBelow(size_t li, size_t at, MergeScratch &scratch);
 
     /**
      * Shared merge step: apply Algorithm 2 to every victim of
@@ -230,12 +260,13 @@ class Group
                       bool detach_conflicts, MergeScratch &scratch);
 
     /**
-     * Compaction phase 1 for one level: subtract the members @a newer
-     * of every level above from each victim whose range meets the
+     * Compaction phase 1 for one victim of @a level_idx: subtract the
+     * members @a newer of every level above when its range meets the
      * ranges @a newer_ranges of those levels (see the file comment).
+     * @return false when the victim dies (its CRB run is freed).
      */
-    void settleLevel(size_t level_idx, const GroupMask &newer,
-                     const GroupMask &newer_ranges);
+    bool settle(size_t level_idx, SegEntry &victim, const GroupMask &newer,
+                const GroupMask &newer_ranges);
 
     /**
      * Replay the pairwise merge steps for one accurate victim of
@@ -254,11 +285,20 @@ class Group
      */
     void removeDead(const Crb::Emptied &dead);
 
-    /** Insert @a entry into @a level in S order, leaving `may` as is. */
-    void placeSorted(Level &level, const SegEntry &entry);
+    /** Index in segs_ at which @a entry keeps level @a li sorted by S. */
+    size_t sortedSlot(size_t li, const SegEntry &entry) const;
 
-    /** placeSorted(), then add the entry's members to the level's `may`. */
-    void insertSorted(Level &level, const SegEntry &entry);
+    /** Insert @a entry into level @a li in S order; add it to `may`. */
+    void insertSorted(size_t li, const SegEntry &entry);
+
+    /** Open an empty level at @a li (the old level li moves to li + 1). */
+    void insertLevel(size_t li);
+
+    /**
+     * Remove segs_[at, at + n) from level @a li, which holds them; the
+     * caller has already retired them from the counters.
+     */
+    void eraseFromLevel(size_t li, size_t at, size_t n);
 
     void dropEmptyLevels();
 
@@ -279,7 +319,9 @@ class Group
             num_approx_--;
     }
 
-    std::vector<Level> levels_; ///< [0] is the topmost (newest).
+    /** Every level's entries, the levels concatenated top-down. */
+    std::vector<SegEntry> segs_;
+    std::vector<LevelHdr> levels_; ///< [0] is the topmost (newest).
     Crb crb_;
     uint32_t num_segs_ = 0;   ///< Live segments across all levels.
     uint32_t num_approx_ = 0; ///< Live approximate segments.

@@ -60,13 +60,24 @@ class GroupMask
 
     bool any() const { return !none(); }
 
-    /** Number of set offsets. */
+    /**
+     * Number of set offsets. A branch-free bit count: std::popcount
+     * compiles to a library call unless the build targets POPCNT.
+     */
     uint32_t
     count() const
     {
+        constexpr uint64_t k1 = 0x5555555555555555ull;
+        constexpr uint64_t k2 = 0x3333333333333333ull;
+        constexpr uint64_t k4 = 0x0f0f0f0f0f0f0f0full;
+        constexpr uint64_t kBytes = 0x0101010101010101ull;
         uint32_t n = 0;
-        for (uint64_t w : w_)
-            n += static_cast<uint32_t>(std::popcount(w));
+        for (uint64_t w : w_) {
+            w -= (w >> 1) & k1;
+            w = (w & k2) + ((w >> 2) & k2);
+            w = (w + (w >> 4)) & k4;
+            n += static_cast<uint32_t>((w * kBytes) >> 56);
+        }
         return n;
     }
 
@@ -101,6 +112,20 @@ class GroupMask
             for (uint64_t w = w_[wi]; w != 0; w &= w - 1)
                 fn(static_cast<uint8_t>(wi * 64 + std::countr_zero(w)));
         }
+    }
+
+    /** Every offset moved up by @a n; offsets past 255 drop out. */
+    GroupMask
+    shiftedUp(uint32_t n) const
+    {
+        GroupMask m;
+        const uint32_t ws = n / 64, bs = n % 64;
+        for (uint32_t wi = ws; wi < kWords; wi++) {
+            m.w_[wi] = w_[wi - ws] << bs;
+            if (bs != 0 && wi > ws)
+                m.w_[wi] |= w_[wi - ws - 1] >> (64 - bs);
+        }
+        return m;
     }
 
     GroupMask

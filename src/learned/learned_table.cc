@@ -69,32 +69,33 @@ LearnedTable::LearnedTable(uint32_t gamma) : gamma_(gamma)
 {
 }
 
-std::vector<uint32_t>
+const std::vector<uint32_t> &
 LearnedTable::learn(const std::vector<std::pair<Lpa, Ppa>> &run)
 {
-    std::vector<uint32_t> touched;
+    touched_.clear();
     if (run.empty())
-        return touched;
+        return touched_;
     epoch_++; // Cached level-0 entries may be superseded below.
-    auto fitted = fitRun(run, gamma_);
+    fitRun(run, gamma_, fit_);
+    const std::vector<FitArena::GroupFit> &fitted = fit_.groups;
     if (!pool_ || fitted.size() < 2) {
-        for (auto &[group_idx, segs] : fitted) {
-            touched.push_back(group_idx);
-            Group &group = groups_.getOrCreate(group_idx);
-            groups_.markDirty(group_idx);
+        for (const FitArena::GroupFit &gf : fitted) {
+            touched_.push_back(gf.group);
+            Group &group = groups_.getOrCreate(gf.group);
+            groups_.markDirty(gf.group);
             beginMutate(group);
-            for (const FittedSegment &fs : segs) {
+            for (const FittedSegment &fs : fit_.segments(gf)) {
                 stats_.segments_created++;
                 if (fs.seg.approximate())
                     stats_.approximate_created++;
                 else
                     stats_.accurate_created++;
-                stats_.creation_lengths.add(fs.offs.size());
+                stats_.creation_lengths.add(fs.count);
                 group.update(fs, scratch_);
             }
             endMutate(group);
         }
-        return touched;
+        return touched_;
     }
 
     // Parallel learn. Directory creation and the table totals are
@@ -103,13 +104,12 @@ LearnedTable::learn(const std::vector<std::pair<Lpa, Ppa>> &run)
     // group index at most once, so stripes mutate disjoint Group
     // objects, and group pointers collected here stay valid across the
     // later getOrCreate calls (groups never move).
-    touched.reserve(fitted.size());
-    std::vector<Group *> groups;
-    groups.reserve(fitted.size());
-    for (auto &[group_idx, segs] : fitted) {
-        touched.push_back(group_idx);
-        Group &group = groups_.getOrCreate(group_idx);
-        groups_.markDirty(group_idx);
+    std::vector<Group *> &groups = shard_groups_;
+    groups.clear();
+    for (const FitArena::GroupFit &gf : fitted) {
+        touched_.push_back(gf.group);
+        Group &group = groups_.getOrCreate(gf.group);
+        groups_.markDirty(gf.group);
         beginMutate(group);
         groups.push_back(&group);
     }
@@ -118,13 +118,13 @@ LearnedTable::learn(const std::vector<std::pair<Lpa, Ppa>> &run)
             CreateTally &tally = worker_tally_[w];
             MergeScratch &scratch = worker_scratch_[w];
             for (size_t i = begin; i < end; i++) {
-                for (const FittedSegment &fs : fitted[i].second) {
+                for (const FittedSegment &fs : fit_.segments(fitted[i])) {
                     tally.segments++;
                     if (fs.seg.approximate())
                         tally.approximate++;
                     else
                         tally.accurate++;
-                    tally.lengths.add(fs.offs.size());
+                    tally.lengths.add(fs.count);
                     groups[i]->update(fs, scratch);
                 }
             }
@@ -142,7 +142,7 @@ LearnedTable::learn(const std::vector<std::pair<Lpa, Ppa>> &run)
     }
     for (Group *group : groups)
         endMutate(*group);
-    return touched;
+    return touched_;
 }
 
 std::optional<TableLookup>
@@ -227,8 +227,8 @@ LearnedTable::compact()
 
     // Parallel compaction: each group's compact touches only that
     // group, so the same disjoint-stripe argument as learn() applies.
-    std::vector<Group *> groups;
-    groups.reserve(groups_.size());
+    std::vector<Group *> &groups = shard_groups_;
+    groups.clear();
     groups_.forEach([&](uint32_t, Group &group) {
         beginMutate(group);
         groups.push_back(&group);

@@ -16,6 +16,12 @@
  * a corrupt blob is a typed BlobError, never an abort.
  *
  * Hot-path design:
+ *   - learn() and compact() allocate nothing in steady state: a run
+ *     is fitted into the table's FitArena (plr.hh), merged through its
+ *     MergeScratch into groups that keep each stack in one flat array
+ *     (group.hh), and the touched-group list is reused too. Only the
+ *     first touch of a group, or a group outgrowing its high-water
+ *     mark, allocates (test_alloc_free pins this);
  *   - groups live in a sparse chunked flat directory (GroupDirectory):
  *     a lookup indexes two arrays instead of hashing, and iteration
  *     walks live groups in ascending order, which makes serialize()
@@ -23,8 +29,6 @@
  *   - segment / approximate / byte totals are maintained incrementally
  *     around every group mutation, so memoryBytes(), numSegments() and
  *     groupBytes() are O(1) reads on the learn path and in reporters;
- *   - one MergeScratch arena per table keeps the steady-state learn
- *     path allocation-free;
  *   - a group lookup binary-searches only the levels whose `may` mask
  *     holds the offset (group.hh);
  *   - a one-entry last-hit cache (group pointer + the level-0 entry
@@ -117,10 +121,12 @@ class LearnedTable
      * or a GC migration batch, §3.3/§3.6).
      *
      * @param run Strictly increasing LPAs with their new PPAs.
-     * @return Indices of the groups the run touched (for the
-     *         caller's residency/dirtiness bookkeeping, §3.8).
+     * @return Indices of the groups the run touched, ascending (for
+     *         the caller's residency/dirtiness bookkeeping, §3.8).
+     *         The list is reused: valid until the next learn().
      */
-    std::vector<uint32_t> learn(const std::vector<std::pair<Lpa, Ppa>> &run);
+    const std::vector<uint32_t> &
+    learn(const std::vector<std::pair<Lpa, Ppa>> &run);
 
     /** Translate an LPA; nullopt when never learned. */
     std::optional<TableLookup> lookup(Lpa lpa) const;
@@ -262,8 +268,12 @@ class LearnedTable
 
     uint32_t gamma_;
     GroupDirectory groups_;
-    /** Learn-path arena: reused across learns and compactions. */
+    /** Merge arena: reused across learns and compactions. */
     MergeScratch scratch_;
+    /** Fit arena: every learn's fitted segments, reused. */
+    FitArena fit_;
+    /** The groups the last learn touched (learn()'s result). */
+    std::vector<uint32_t> touched_;
     /** Bumped on every mutation; gates the lookup cache's entry. */
     uint64_t epoch_ = 1;
 
@@ -271,6 +281,8 @@ class LearnedTable
     ShardPool *pool_ = nullptr;
     /** One merge arena per worker (index = worker id). */
     std::vector<MergeScratch> worker_scratch_;
+    /** The groups one parallel learn or compaction fans out over. */
+    std::vector<Group *> shard_groups_;
     /**
      * Per-worker creation-statistics tally for one parallel learn;
      * merged into stats_ in worker order (exact, so bit-identical to

@@ -11,34 +11,35 @@ namespace leaftl
 namespace
 {
 
+using Points = std::span<const PlrPoint>;
+
 /**
- * Encode a candidate run [first, last) of points into a Segment and
- * verify the encoded prediction error. Returns true (and fills @a out)
- * when the encoding respects the bound; false means the caller must
- * split the run.
+ * Encode a candidate run of points into a Segment and verify the
+ * encoded prediction error. Returns true (and fills @a out) when the
+ * encoding respects the bound; false means the caller must split the
+ * run.
  */
 bool
-tryEncode(const std::vector<PlrPoint> &pts, size_t first, size_t last,
-          double slope, uint32_t gamma, Segment &out)
+tryEncode(Points run, double slope, uint32_t gamma, Segment &out)
 {
-    const size_t n = last - first;
+    const size_t n = run.size();
     LEAFTL_ASSERT(n >= 1, "empty candidate run");
 
-    const uint8_t s = pts[first].off;
-    const uint8_t e = pts[last - 1].off;
+    const uint8_t s = run.front().off;
+    const uint8_t e = run.back().off;
 
     if (n == 1) {
-        out = Segment::makeSinglePoint(s, pts[first].ppa);
+        out = Segment::makeSinglePoint(s, run.front().ppa);
         return true;
     }
 
     // Classify: a constant-stride run (with consecutive PPAs) can be an
     // accurate segment; anything else is approximate.
     bool constant_stride = true;
-    const uint32_t d0 = pts[first + 1].off - pts[first].off;
-    for (size_t i = first + 1; i < last; i++) {
-        if (static_cast<uint32_t>(pts[i].off - pts[i - 1].off) != d0 ||
-            pts[i].ppa != pts[i - 1].ppa + 1) {
+    const uint32_t d0 = run[1].off - run[0].off;
+    for (size_t i = 1; i < n; i++) {
+        if (static_cast<uint32_t>(run[i].off - run[i - 1].off) != d0 ||
+            run[i].ppa != run[i - 1].ppa + 1) {
             constant_stride = false;
             break;
         }
@@ -56,8 +57,8 @@ tryEncode(const std::vector<PlrPoint> &pts, size_t first, size_t last,
 
     // Choose the integer intercept that centers the rounded errors.
     double lo = 1e300, hi = -1e300;
-    for (size_t i = first; i < last; i++) {
-        const double resid = pts[i].ppa - kq * pts[i].off;
+    for (const PlrPoint &p : run) {
+        const double resid = p.ppa - kq * p.off;
         lo = std::min(lo, resid);
         hi = std::max(hi, resid);
     }
@@ -70,17 +71,17 @@ tryEncode(const std::vector<PlrPoint> &pts, size_t first, size_t last,
 
     // Verify against the *encoded* parameters.
     const uint32_t bound = approx ? gamma : 0;
-    for (size_t i = first; i < last; i++) {
-        const int64_t pred = seg.predict(pts[i].off);
-        const int64_t err = pred - static_cast<int64_t>(pts[i].ppa);
+    for (const PlrPoint &p : run) {
+        const int64_t pred = seg.predict(p.off);
+        const int64_t err = pred - static_cast<int64_t>(p.ppa);
         if (std::llabs(err) > bound)
             return false;
     }
     // Accurate segments must also pass the stride membership test used
     // at lookup time.
     if (!approx) {
-        for (size_t i = first; i < last; i++) {
-            if (!seg.hasLpaAccurate(pts[i].off))
+        for (const PlrPoint &p : run) {
+            if (!seg.hasLpaAccurate(p.off))
                 return false;
         }
     }
@@ -88,95 +89,65 @@ tryEncode(const std::vector<PlrPoint> &pts, size_t first, size_t last,
     return true;
 }
 
-/** Emit [first, last) as segments, splitting on encode failure. */
-void
-emitRun(const std::vector<PlrPoint> &pts, size_t first, size_t last,
-        double slope, uint32_t gamma, std::vector<FittedSegment> &out)
-{
-    Segment seg;
-    if (tryEncode(pts, first, last, slope, gamma, seg)) {
-        FittedSegment fs;
-        fs.seg = seg;
-        fs.offs.reserve(last - first);
-        for (size_t i = first; i < last; i++)
-            fs.offs.push_back(pts[i].off);
-        out.push_back(std::move(fs));
-        return;
-    }
-    // Quantization spoiled the bound: split in half and retry. A single
-    // point always encodes, so this terminates.
-    const size_t mid = first + (last - first) / 2;
-    LEAFTL_ASSERT(mid > first && mid < last, "unsplittable run");
-    emitRun(pts, first, mid, slope, gamma, out);
-    emitRun(pts, mid, last, slope, gamma, out);
-}
-
-} // namespace
-
-namespace
-{
+bool fitPoints(Points pts, uint32_t gamma, std::vector<FittedSegment> &out,
+               size_t max_size);
 
 /**
- * Cost model for the choice between one approximate segment and its
- * gamma = 0 (all-accurate) refit: an approximate segment costs its 8
- * bytes plus one CRB byte per member and a separator; accurate
- * segments cost 8 bytes and no CRB. When a "relaxed" fit merely
- * swallows regular runs, the exact refit is cheaper -- keep it.
+ * Emit @a run as segments into @a out, splitting on encode failure
+ * and applying the cost rule (file comment) to approximate segments.
+ * @return false as soon as @a out holds more than @a max_size
+ *         segments (the caller abandons the fit).
  */
-std::vector<FittedSegment>
-preferCheaperEncoding(const std::vector<PlrPoint> &points,
-                      std::vector<FittedSegment> segs)
+bool
+emitRun(Points run, double slope, uint32_t gamma,
+        std::vector<FittedSegment> &out, size_t max_size)
 {
-    std::vector<FittedSegment> out;
-    out.reserve(segs.size());
-    size_t pt_idx = 0;
-    for (auto &fs : segs) {
-        const size_t n = fs.offs.size();
-        if (!fs.seg.approximate()) {
-            out.push_back(std::move(fs));
-            pt_idx += n;
-            continue;
-        }
-        const std::vector<PlrPoint> sub(points.begin() + pt_idx,
-                                        points.begin() + pt_idx + n);
-        auto exact = fitGroupSegments(sub, 0);
-        const size_t exact_cost = exact.size() * Segment::kEncodedBytes;
-        const size_t approx_cost = Segment::kEncodedBytes + n + 1;
-        if (exact_cost <= approx_cost) {
-            for (auto &e : exact)
-                out.push_back(std::move(e));
-        } else {
-            out.push_back(std::move(fs));
-        }
-        pt_idx += n;
+    Segment seg;
+    if (!tryEncode(run, slope, gamma, seg)) {
+        // Quantization spoiled the bound: split in half and retry. A
+        // single point always encodes, so this terminates.
+        const size_t mid = run.size() / 2;
+        LEAFTL_ASSERT(mid > 0 && mid < run.size(), "unsplittable run");
+        return emitRun(run.first(mid), slope, gamma, out, max_size) &&
+               emitRun(run.subspan(mid), slope, gamma, out, max_size);
     }
-    return out;
+    if (gamma > 0 && seg.approximate()) {
+        // Keep the gamma = 0 refit when its 8 B per segment is no more
+        // than this segment's 8 B plus n + 1 CRB bytes.
+        const size_t mark = out.size();
+        const size_t exact_max =
+            (Segment::kEncodedBytes + run.size() + 1) / Segment::kEncodedBytes;
+        if (fitPoints(run, 0, out, mark + exact_max))
+            return out.size() <= max_size;
+        out.resize(mark);
+    }
+    FittedSegment &fs = out.emplace_back();
+    fs.seg = seg;
+    for (const PlrPoint &p : run)
+        fs.offs.set(p.off);
+    fs.count = static_cast<uint32_t>(run.size());
+    return out.size() <= max_size;
 }
 
-} // namespace
-
-std::vector<FittedSegment>
-fitGroupSegments(const std::vector<PlrPoint> &points, uint32_t gamma)
+/**
+ * Append the fit of @a pts (strictly increasing offsets) to @a out.
+ * @return false as soon as @a out holds more than @a max_size
+ *         segments.
+ */
+bool
+fitPoints(Points pts, uint32_t gamma, std::vector<FittedSegment> &out,
+          size_t max_size)
 {
-    std::vector<FittedSegment> out;
-    if (points.empty())
-        return out;
-
-    for (size_t i = 1; i < points.size(); i++) {
-        LEAFTL_ASSERT(points[i].off > points[i - 1].off,
-                      "PLR input offsets must strictly increase");
-    }
-
     // Greedy feasible-slope cone, anchored at the run's first point.
     size_t first = 0;
     double lo = 0.0, hi = 1.0;
-    for (size_t i = 1; i <= points.size(); i++) {
-        bool close = (i == points.size());
+    for (size_t i = 1; i <= pts.size(); i++) {
+        bool close = (i == pts.size());
         double new_lo = lo, new_hi = hi;
         if (!close) {
-            const double dx = points[i].off - points[first].off;
-            const double dy = static_cast<double>(points[i].ppa) -
-                              static_cast<double>(points[first].ppa);
+            const double dx = pts[i].off - pts[first].off;
+            const double dy = static_cast<double>(pts[i].ppa) -
+                              static_cast<double>(pts[first].ppa);
             new_lo = std::max(lo, (dy - gamma) / dx);
             new_hi = std::min(hi, (dy + gamma) / dx);
             if (new_lo > new_hi)
@@ -185,21 +156,39 @@ fitGroupSegments(const std::vector<PlrPoint> &points, uint32_t gamma)
         if (close) {
             const double slope =
                 (first + 1 < i) ? (lo + hi) / 2.0 : 0.0;
-            emitRun(points, first, i, slope, gamma, out);
+            if (!emitRun(pts.subspan(first, i - first), slope, gamma, out,
+                         max_size))
+                return false;
+            // Point i (if any) anchors the next run.
             first = i;
             lo = 0.0;
             hi = 1.0;
-            if (i < points.size()) {
-                // Re-admit point i as the anchor of the next run.
-                continue;
-            }
         } else {
             lo = new_lo;
             hi = new_hi;
         }
     }
-    if (gamma > 0)
-        out = preferCheaperEncoding(points, std::move(out));
+    return true;
+}
+
+/** Fit one group's points (checked strictly increasing) into @a out. */
+void
+fitGroup(Points pts, uint32_t gamma, std::vector<FittedSegment> &out)
+{
+    for (size_t i = 1; i < pts.size(); i++) {
+        LEAFTL_ASSERT(pts[i].off > pts[i - 1].off,
+                      "PLR input offsets must strictly increase");
+    }
+    fitPoints(pts, gamma, out, SIZE_MAX);
+}
+
+} // namespace
+
+std::vector<FittedSegment>
+fitGroupSegments(const std::vector<PlrPoint> &points, uint32_t gamma)
+{
+    std::vector<FittedSegment> out;
+    fitGroup(points, gamma, out);
     return out;
 }
 
@@ -238,22 +227,27 @@ plrRunLengths(const std::vector<std::pair<Lpa, Ppa>> &run, uint32_t gamma)
     return lengths;
 }
 
-std::vector<std::pair<uint32_t, std::vector<FittedSegment>>>
-fitRun(const std::vector<std::pair<Lpa, Ppa>> &run, uint32_t gamma)
+void
+fitRun(const std::vector<std::pair<Lpa, Ppa>> &run, uint32_t gamma,
+       FitArena &arena)
 {
-    std::vector<std::pair<uint32_t, std::vector<FittedSegment>>> out;
+    arena.groups.clear();
+    arena.segs.clear();
     size_t i = 0;
     while (i < run.size()) {
         const uint32_t group = groupOf(run[i].first);
-        std::vector<PlrPoint> pts;
+        arena.points.clear();
         while (i < run.size() && groupOf(run[i].first) == group) {
-            pts.push_back({static_cast<uint8_t>(groupOffset(run[i].first)),
-                           run[i].second});
+            arena.points.push_back(
+                {static_cast<uint8_t>(groupOffset(run[i].first)),
+                 run[i].second});
             i++;
         }
-        out.emplace_back(group, fitGroupSegments(pts, gamma));
+        const auto first = static_cast<uint32_t>(arena.segs.size());
+        fitGroup(arena.points, gamma, arena.segs);
+        arena.groups.push_back(
+            {group, first, static_cast<uint32_t>(arena.segs.size())});
     }
-    return out;
 }
 
 } // namespace leaftl

@@ -85,14 +85,17 @@ class Segment
      * 1/K recoverable exactly for all strides up to the group span.
      * Inline (with predict and hasLpaAccurate below): these run per
      * translation, and cross-TU calls would dominate the arithmetic.
+     * Rounds by adding one half and truncating, not with std::lround
+     * (a libm call); test_segment checks the two agree for every
+     * positive finite fp16 K.
      */
     uint32_t
     stride() const
     {
         const float k = slope();
-        if (k <= 0.0f)
+        if (!(k > 0.0f))
             return 1;
-        const uint32_t d = static_cast<uint32_t>(std::lround(1.0 / k));
+        const uint32_t d = static_cast<uint32_t>(1.0 / k + 0.5);
         return d == 0 ? 1 : d;
     }
 

@@ -295,8 +295,8 @@ const std::vector<std::pair<Lpa, Ppa>> &
 Ssd::programBatch(const std::vector<Lpa> &lpas, Tick now, WriteKind kind)
 {
     // Reuse one run buffer across flushes/GC passes: with the learned
-    // table's own scratch arena this keeps the steady-state learn path
-    // free of per-batch heap allocation.
+    // table's own arenas this keeps the steady-state learn path free of
+    // per-batch heap allocation (test_alloc_free).
     std::vector<std::pair<Lpa, Ppa>> &run = run_scratch_;
     run.clear();
     run.reserve(lpas.size());
@@ -460,7 +460,8 @@ Ssd::doGcPass(Tick now)
 
     // Select victims (greedy min-valid) until erasing them all nets at
     // least one free block after rewriting their survivors.
-    std::vector<uint32_t> victims;
+    std::vector<uint32_t> &victims = gc_victims_scratch_;
+    victims.clear();
     uint64_t survivors = 0;
     while (victims.size() < kMaxGcVictims) {
         const uint64_t dest_blocks = ceilDiv(survivors, ppb);

@@ -338,6 +338,8 @@ class Ssd : public FtlOps
     std::vector<std::pair<Lpa, Ppa>> gc_pages_scratch_;
     /** Scratch LPA batch reused by doGcPass/migrateBlock. */
     std::vector<Lpa> gc_lpas_scratch_;
+    /** Scratch victim list reused by doGcPass. */
+    std::vector<uint32_t> gc_victims_scratch_;
 
     /** Time cursor for the operation currently being charged. */
     Tick cur_time_ = 0;

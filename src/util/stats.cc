@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <mutex>
 
 #include "util/common.hh"
 
@@ -109,6 +112,108 @@ CountHistogram::merge(const CountHistogram &other)
     max_ = std::max(max_, other.max_);
 }
 
+namespace
+{
+
+/** The bucket formula the thresholds are bisected over. */
+uint32_t
+formulaBucket(double x, double min_value, double log_growth,
+              uint32_t num_buckets)
+{
+    int idx = 0;
+    if (x > min_value)
+        idx = static_cast<int>(std::log(x / min_value) / log_growth) + 1;
+    return static_cast<uint32_t>(
+        std::clamp(idx, 0, static_cast<int>(num_buckets) - 1));
+}
+
+uint64_t
+bitsOf(double x)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+double
+fromBits(uint64_t bits)
+{
+    double x;
+    std::memcpy(&x, &bits, sizeof(x));
+    return x;
+}
+
+LatencyHistogram::Index
+buildIndex(double min_value, double growth, uint32_t num_buckets)
+{
+    LatencyHistogram::Index ix;
+    ix.min_value = min_value;
+    ix.growth = growth;
+    ix.num_buckets = num_buckets;
+    const double log_growth = std::log(growth);
+    const double inf = std::numeric_limits<double>::infinity();
+
+    // Positive doubles order like their bit patterns, so bisect over
+    // those: low[b] is the first pattern above min whose bucket is at
+    // least b (every pattern up to min is bucket 0).
+    ix.low.assign(num_buckets + 1, inf);
+    ix.low[0] = -inf;
+    for (uint32_t b = 1; b < num_buckets; b++) {
+        uint64_t lo = bitsOf(min_value);  // Bucket below b.
+        uint64_t hi = bitsOf(inf);        // Bucket b or above.
+        while (hi - lo > 1) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            if (formulaBucket(fromBits(mid), min_value, log_growth,
+                              num_buckets) >= b)
+                hi = mid;
+            else
+                lo = mid;
+        }
+        ix.low[b] = fromBits(hi);
+    }
+
+    // The coarsest cells (fewest top mantissa bits kept) that hold at
+    // most two thresholds each, so two compares finish any lookup.
+    const uint64_t last_bits = bitsOf(ix.low[num_buckets - 1]);
+    for (ix.shift = 52;; ix.shift--) {
+        ix.first_key = bitsOf(ix.low[1]) >> ix.shift;
+        ix.last_key = last_bits >> ix.shift;
+        ix.cell_start.clear();
+        bool ok = true;
+        uint32_t b = 0;
+        for (uint64_t key = ix.first_key; ok && key <= ix.last_key; key++) {
+            const double cell_low = fromBits(key << ix.shift);
+            while (b + 1 < num_buckets && ix.low[b + 1] <= cell_low)
+                b++;
+            ix.cell_start.push_back(b);
+            const double next_cell = fromBits((key + 1) << ix.shift);
+            ok = b + 3 >= num_buckets || ix.low[b + 3] >= next_cell;
+        }
+        if (ok)
+            return ix;
+        LEAFTL_ASSERT(ix.shift > 0, "histogram buckets finer than a double");
+    }
+}
+
+/** The shared index for these parameters, built on first use. */
+const LatencyHistogram::Index &
+sharedIndex(double min_value, double growth, uint32_t num_buckets)
+{
+    static std::mutex mu;
+    static std::vector<std::unique_ptr<LatencyHistogram::Index>> all;
+    const std::lock_guard<std::mutex> lock(mu);
+    for (const auto &ix : all) {
+        if (ix->min_value == min_value && ix->growth == growth &&
+            ix->num_buckets == num_buckets)
+            return *ix;
+    }
+    all.push_back(std::make_unique<LatencyHistogram::Index>(
+        buildIndex(min_value, growth, num_buckets)));
+    return *all.back();
+}
+
+} // namespace
+
 LatencyHistogram::LatencyHistogram(double min_value, double growth,
                                    int num_buckets)
     : min_value_(min_value),
@@ -117,25 +222,14 @@ LatencyHistogram::LatencyHistogram(double min_value, double growth,
 {
     LEAFTL_ASSERT(min_value > 0 && growth > 1.0 && num_buckets > 1,
                   "invalid histogram parameters");
+    index_ = &sharedIndex(min_value, growth,
+                          static_cast<uint32_t>(num_buckets));
 }
 
 double
 LatencyHistogram::bucketLow(int i) const
 {
     return min_value_ * std::exp(log_growth_ * i);
-}
-
-void
-LatencyHistogram::add(double x)
-{
-    total_++;
-    sum_ += x;
-    max_ = std::max(max_, x);
-    int idx = 0;
-    if (x > min_value_)
-        idx = static_cast<int>(std::log(x / min_value_) / log_growth_) + 1;
-    idx = std::clamp(idx, 0, static_cast<int>(buckets_.size()) - 1);
-    buckets_[idx]++;
 }
 
 double

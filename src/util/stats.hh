@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,16 @@ class CountHistogram
 /**
  * Log-bucketed histogram for latency CDFs. Buckets grow geometrically
  * from @a min_value; percentile error is bounded by the growth factor.
+ *
+ * A sample x lands in bucket floor(log(x / min) / log(growth)) + 1
+ * (0 when x <= min), clamped to the last bucket. add() runs several
+ * times per simulated request, so it does not evaluate that formula:
+ * the smallest double reaching each bucket is found once per
+ * (min, growth, buckets) by bisection over the formula itself and
+ * shared by every histogram with those parameters. A sample's
+ * exponent and top mantissa bits then index a table giving the bucket
+ * at the start of its cell, and at most two threshold compares finish
+ * the job. test_stats checks the result against the formula.
  */
 class LatencyHistogram
 {
@@ -147,7 +158,33 @@ class LatencyHistogram
                               double growth = 1.05,
                               int num_buckets = 400);
 
-    void add(double x);
+    void
+    add(double x)
+    {
+        total_++;
+        sum_ += x;
+        max_ = std::max(max_, x);
+        buckets_[bucketOf(x)]++;
+    }
+
+    /** The bucket add() counts @a x in. */
+    uint32_t
+    bucketOf(double x) const
+    {
+        if (!(x > min_value_))
+            return 0; // Also NaN and negatives.
+        uint64_t bits;
+        std::memcpy(&bits, &x, sizeof(bits));
+        const uint64_t key = bits >> index_->shift;
+        if (key < index_->first_key)
+            return 0;
+        uint32_t b = index_->cell_start[std::min(key, index_->last_key) -
+                                        index_->first_key];
+        const double *low = index_->low.data();
+        b += x >= low[b + 1];
+        b += x >= low[b + 1];
+        return b;
+    }
 
     uint64_t count() const { return total_; }
     double mean() const { return total_ ? sum_ / total_ : 0.0; }
@@ -167,11 +204,35 @@ class LatencyHistogram
     /** CDF points (value, cumulative fraction) for reporting. */
     std::vector<std::pair<double, double>> cdf() const;
 
+    /**
+     * The bucketing for one (min, growth, buckets): built once, shared
+     * by every histogram with those parameters, never freed.
+     */
+    struct Index
+    {
+        double min_value;
+        double growth;
+        uint32_t num_buckets;
+        /**
+         * low[b] is the smallest double the formula puts in bucket b or
+         * above, for b in [1, buckets); low[0] = -inf, and a +inf
+         * sentinel follows so bucketOf() never reads past the end.
+         */
+        std::vector<double> low;
+        /** Cell of x: its bit pattern shifted right by this. */
+        uint32_t shift;
+        /** Cells of low[1] and of low[buckets - 1]. */
+        uint64_t first_key, last_key;
+        /** Per cell: the bucket of the cell's smallest double. */
+        std::vector<uint32_t> cell_start;
+    };
+
   private:
     double bucketLow(int i) const;
 
     double min_value_;
     double log_growth_;
+    const Index *index_;
     std::vector<uint64_t> buckets_;
     uint64_t total_ = 0;
     double sum_ = 0.0;

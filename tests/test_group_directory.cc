@@ -21,7 +21,8 @@ singlePoint(uint8_t off, Ppa ppa)
 {
     FittedSegment fs;
     fs.seg = Segment::makeSinglePoint(off, ppa);
-    fs.offs = {off};
+    fs.offs.set(off);
+    fs.count = 1;
     return fs;
 }
 

@@ -298,9 +298,10 @@ class MapTableRef
     void
     learn(const std::vector<std::pair<Lpa, Ppa>> &run)
     {
-        for (auto &[group_idx, fitted] : fitRun(run, gamma_)) {
-            Group &group = groups_[group_idx];
-            for (const FittedSegment &fs : fitted)
+        fitRun(run, gamma_, fit_);
+        for (const FitArena::GroupFit &gf : fit_.groups) {
+            Group &group = groups_[gf.group];
+            for (const FittedSegment &fs : fit_.segments(gf))
                 group.update(fs);
         }
     }
@@ -368,6 +369,7 @@ class MapTableRef
     }
 
     uint32_t gamma_;
+    FitArena fit_;
     std::map<uint32_t, Group> groups_;
 };
 

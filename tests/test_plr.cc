@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 
 #include "learned/plr.hh"
+#include "util/float16.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -30,7 +33,7 @@ verifyFit(const std::vector<PlrPoint> &pts,
 
     std::map<uint8_t, size_t> covered;
     for (const auto &fs : fit) {
-        for (uint8_t off : fs.offs) {
+        fs.offs.forEach([&](uint8_t off) {
             covered[off]++;
             ASSERT_TRUE(truth.count(off)) << "fit invented offset";
             const int64_t pred = fs.seg.predict(off);
@@ -38,10 +41,11 @@ verifyFit(const std::vector<PlrPoint> &pts,
             const int64_t bound = fs.seg.approximate() ? gamma : 0;
             EXPECT_LE(std::llabs(pred - want), bound)
                 << "off=" << int(off) << " gamma=" << gamma;
-        }
-        EXPECT_GE(fs.offs.size(), 1u);
-        EXPECT_EQ(fs.seg.slpa(), fs.offs.front());
-        EXPECT_EQ(fs.seg.endOff(), fs.offs.back());
+        });
+        ASSERT_GE(fs.count, 1u);
+        EXPECT_EQ(fs.count, fs.offs.count());
+        EXPECT_EQ(fs.seg.slpa(), fs.offs.first());
+        EXPECT_EQ(fs.seg.endOff(), fs.offs.last());
     }
     EXPECT_EQ(covered.size(), truth.size()) << "incomplete cover";
     for (const auto &[off, n] : covered)
@@ -64,7 +68,7 @@ TEST(Plr, SequentialRunYieldsOneAccurateSegment)
     const auto fit = fitGroupSegments(pts, 0);
     ASSERT_EQ(fit.size(), 1u);
     EXPECT_FALSE(fit[0].seg.approximate());
-    EXPECT_EQ(fit[0].offs.size(), 256u);
+    EXPECT_EQ(fit[0].count, 256u);
     verifyFit(pts, fit, 0);
 }
 
@@ -114,7 +118,11 @@ TEST(Plr, SinglePointBecomesSinglePointSegment)
 TEST(Plr, EmptyInputYieldsNothing)
 {
     EXPECT_TRUE(fitGroupSegments({}, 0).empty());
-    EXPECT_TRUE(fitRun({}, 4).empty());
+    FitArena arena;
+    arena.groups.push_back({0, 0, 0}); // Stale content is discarded.
+    fitRun({}, 4, arena);
+    EXPECT_TRUE(arena.groups.empty());
+    EXPECT_TRUE(arena.segs.empty());
 }
 
 TEST(Plr, LargerGammaNeverProducesMoreSegments)
@@ -144,14 +152,15 @@ TEST(Plr, FitRunSplitsAtGroupBoundaries)
     std::vector<std::pair<Lpa, Ppa>> run;
     for (Lpa lpa = 250; lpa < 262; lpa++)
         run.emplace_back(lpa, 5000 + lpa);
-    const auto fits = fitRun(run, 0);
-    ASSERT_EQ(fits.size(), 2u);
-    EXPECT_EQ(fits[0].first, 0u);
-    EXPECT_EQ(fits[1].first, 1u);
-    ASSERT_EQ(fits[0].second.size(), 1u);
-    ASSERT_EQ(fits[1].second.size(), 1u);
-    EXPECT_EQ(fits[0].second[0].offs.front(), 250u);
-    EXPECT_EQ(fits[1].second[0].offs.front(), 0u);
+    FitArena arena;
+    fitRun(run, 0, arena);
+    ASSERT_EQ(arena.groups.size(), 2u);
+    EXPECT_EQ(arena.groups[0].group, 0u);
+    EXPECT_EQ(arena.groups[1].group, 1u);
+    ASSERT_EQ(arena.segments(arena.groups[0]).size(), 1u);
+    ASSERT_EQ(arena.segments(arena.groups[1]).size(), 1u);
+    EXPECT_EQ(arena.segments(arena.groups[0])[0].offs.first(), 250u);
+    EXPECT_EQ(arena.segments(arena.groups[1])[0].offs.first(), 0u);
 }
 
 TEST(Plr, RunLengthsMotivationStudy)
@@ -187,6 +196,214 @@ TEST(Plr, RunLengthsGrowWithGamma)
         EXPECT_GE(avg, prev_avg);
         prev_avg = avg;
     }
+}
+
+/**
+ * Reference fitter for the equivalence fuzz below: the greedy cone,
+ * encode-and-split, and the cost rule in its original form -- every
+ * approximate segment's points are copied out and refit at gamma = 0
+ * to the end, and the exact segments win when 8 B each costs no more
+ * than 8 + n + 1 B. Members are plain offset lists.
+ */
+namespace reference
+{
+
+struct Fit
+{
+    Segment seg;
+    std::vector<uint8_t> offs;
+};
+
+bool
+tryEncode(const std::vector<PlrPoint> &pts, size_t first, size_t last,
+          double slope, uint32_t gamma, Segment &out)
+{
+    const size_t n = last - first;
+    if (n == 1) {
+        out = Segment::makeSinglePoint(pts[first].off, pts[first].ppa);
+        return true;
+    }
+    bool constant_stride = true;
+    const uint32_t d0 = pts[first + 1].off - pts[first].off;
+    for (size_t i = first + 1; i < last; i++) {
+        if (static_cast<uint32_t>(pts[i].off - pts[i - 1].off) != d0 ||
+            pts[i].ppa != pts[i - 1].ppa + 1) {
+            constant_stride = false;
+            break;
+        }
+    }
+    const bool approx = !constant_stride;
+    const double k = std::clamp(constant_stride ? 1.0 / d0 : slope, 0.0, 1.0);
+    const uint16_t kbits =
+        float16SetTag(float16Encode(static_cast<float>(k)), approx);
+    const double kq = float16Decode(kbits);
+    double lo = 1e300, hi = -1e300;
+    for (size_t i = first; i < last; i++) {
+        lo = std::min(lo, pts[i].ppa - kq * pts[i].off);
+        hi = std::max(hi, pts[i].ppa - kq * pts[i].off);
+    }
+    const int64_t icand = std::llround((lo + hi) / 2.0);
+    if (icand < INT32_MIN || icand > INT32_MAX)
+        return false;
+    const Segment seg(pts[first].off,
+                      static_cast<uint8_t>(pts[last - 1].off - pts[first].off),
+                      kbits, static_cast<int32_t>(icand));
+    const int64_t bound = approx ? gamma : 0;
+    for (size_t i = first; i < last; i++) {
+        if (std::llabs(static_cast<int64_t>(seg.predict(pts[i].off)) -
+                       static_cast<int64_t>(pts[i].ppa)) > bound)
+            return false;
+        if (!approx && !seg.hasLpaAccurate(pts[i].off))
+            return false;
+    }
+    out = seg;
+    return true;
+}
+
+void
+emitRun(const std::vector<PlrPoint> &pts, size_t first, size_t last,
+        double slope, uint32_t gamma, std::vector<Fit> &out)
+{
+    Segment seg;
+    if (tryEncode(pts, first, last, slope, gamma, seg)) {
+        Fit fit{seg, {}};
+        for (size_t i = first; i < last; i++)
+            fit.offs.push_back(pts[i].off);
+        out.push_back(fit);
+        return;
+    }
+    const size_t mid = first + (last - first) / 2;
+    emitRun(pts, first, mid, slope, gamma, out);
+    emitRun(pts, mid, last, slope, gamma, out);
+}
+
+/** @a refit_wins counts the approximate segments the refit replaced. */
+std::vector<Fit>
+fit(const std::vector<PlrPoint> &points, uint32_t gamma,
+    uint64_t *refit_wins = nullptr)
+{
+    std::vector<Fit> out;
+    size_t first = 0;
+    double lo = 0.0, hi = 1.0;
+    for (size_t i = 1; i <= points.size(); i++) {
+        bool close = (i == points.size());
+        double new_lo = lo, new_hi = hi;
+        if (!close) {
+            const double dx = points[i].off - points[first].off;
+            const double dy = static_cast<double>(points[i].ppa) -
+                              static_cast<double>(points[first].ppa);
+            new_lo = std::max(lo, (dy - gamma) / dx);
+            new_hi = std::min(hi, (dy + gamma) / dx);
+            close = new_lo > new_hi;
+        }
+        if (close) {
+            emitRun(points, first, i, first + 1 < i ? (lo + hi) / 2.0 : 0.0,
+                    gamma, out);
+            first = i;
+            lo = 0.0;
+            hi = 1.0;
+        } else {
+            lo = new_lo;
+            hi = new_hi;
+        }
+    }
+    if (gamma == 0)
+        return out;
+    std::vector<Fit> cheaper;
+    size_t at = 0;
+    for (const Fit &f : out) {
+        const size_t n = f.offs.size();
+        const std::vector<PlrPoint> sub(points.begin() + at,
+                                        points.begin() + at + n);
+        at += n;
+        if (f.seg.approximate()) {
+            const std::vector<Fit> exact = fit(sub, 0);
+            if (exact.size() * Segment::kEncodedBytes <=
+                Segment::kEncodedBytes + n + 1) {
+                cheaper.insert(cheaper.end(), exact.begin(), exact.end());
+                if (refit_wins)
+                    (*refit_wins)++;
+                continue;
+            }
+        }
+        cheaper.push_back(f);
+    }
+    return cheaper;
+}
+
+} // namespace reference
+
+/** Point sets the equivalence fuzz draws from. */
+enum class Shape
+{
+    Random,  ///< Random gaps, consecutive PPAs (a flush or GC batch).
+    Strided, ///< Constant-stride runs with PPA jumps between them.
+    Mixed,   ///< Strided runs, random stretches and PPA gaps.
+};
+
+std::vector<PlrPoint>
+drawPoints(Rng &rng, Shape shape)
+{
+    std::vector<PlrPoint> pts;
+    Ppa ppa = static_cast<Ppa>(rng.nextBounded(1u << 24));
+    uint32_t off = rng.nextBounded(16);
+    while (off < kGroupSpan) {
+        const bool strided =
+            shape == Shape::Strided ||
+            (shape == Shape::Mixed && rng.nextBounded(2) == 0);
+        const uint32_t stride = 1 + rng.nextBounded(strided ? 8 : 1);
+        const uint32_t len = 1 + rng.nextBounded(strided ? 40 : 20);
+        for (uint32_t i = 0; i < len && off < kGroupSpan; i++) {
+            pts.push_back({static_cast<uint8_t>(off), ppa++});
+            off += strided ? stride : 1 + rng.nextBounded(6);
+        }
+        if (shape != Shape::Random && rng.nextBounded(3) == 0)
+            ppa += 1 + rng.nextBounded(300); // Next flash block.
+        off += rng.nextBounded(4);
+    }
+    return pts;
+}
+
+/**
+ * The in-place fitter (gamma = 0 refit on a span, stopped once it has
+ * lost) returns exactly what the original full-refit cost rule did:
+ * the same segments with the same member masks.
+ */
+TEST(Plr, CostRuleMatchesTheFullRefitReference)
+{
+    Rng rng(2024);
+    uint64_t approx_kept = 0, refits_won = 0;
+    for (uint32_t gamma : {1u, 4u, 16u}) {
+        for (Shape shape : {Shape::Random, Shape::Strided, Shape::Mixed}) {
+            for (int trial = 0; trial < 300; trial++) {
+                const std::vector<PlrPoint> pts = drawPoints(rng, shape);
+                const std::vector<FittedSegment> got =
+                    fitGroupSegments(pts, gamma);
+                const std::vector<reference::Fit> want =
+                    reference::fit(pts, gamma, &refits_won);
+                ASSERT_EQ(got.size(), want.size())
+                    << "gamma " << gamma << " trial " << trial;
+                for (size_t i = 0; i < got.size(); i++) {
+                    const Segment &a = got[i].seg, &b = want[i].seg;
+                    ASSERT_TRUE(a.slpa() == b.slpa() &&
+                                a.length() == b.length() &&
+                                a.kbits() == b.kbits() &&
+                                a.intercept() == b.intercept())
+                        << "gamma " << gamma << " trial " << trial
+                        << " segment " << i;
+                    GroupMask offs;
+                    for (uint8_t off : want[i].offs)
+                        offs.set(off);
+                    ASSERT_EQ(got[i].offs, offs);
+                    ASSERT_EQ(got[i].count, want[i].offs.size());
+                    approx_kept += a.approximate() ? 1 : 0;
+                }
+            }
+        }
+    }
+    // The draw exercises both outcomes of the cost rule.
+    EXPECT_GT(approx_kept, 100u);
+    EXPECT_GT(refits_won, 100u);
 }
 
 /** Property sweep: random irregular patterns at several gammas. */

@@ -116,6 +116,29 @@ TEST(Segment, PaperFigure6ApproximateExample)
     EXPECT_NEAR(static_cast<double>(pred), 66.0, 1.0);
 }
 
+/**
+ * stride() rounds 1/K by adding one half and truncating; for every
+ * fp16 encoding with a positive finite K it must agree with
+ * std::lround, and every other encoding gives stride 1.
+ */
+TEST(Segment, StrideMatchesLroundForEveryKbits)
+{
+    uint32_t positive = 0;
+    for (uint32_t kbits = 0; kbits <= 0xFFFFu; kbits++) {
+        const Segment seg(0, 10, static_cast<uint16_t>(kbits), 0);
+        const float k = seg.slope();
+        uint32_t want = 1;
+        if (k > 0.0f && std::isfinite(k)) {
+            positive++;
+            want = static_cast<uint32_t>(std::lround(1.0 / k));
+            want = want == 0 ? 1 : want;
+        }
+        ASSERT_EQ(seg.stride(), want) << "kbits=" << kbits;
+    }
+    // 31 finite exponents x 1024 mantissas, minus +0.
+    EXPECT_EQ(positive, 0x7C00u - 1);
+}
+
 class SegmentStrideSweep
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "util/rng.hh"
 #include "util/stats.hh"
 
 namespace leaftl
@@ -207,6 +210,71 @@ TEST(LatencyHistogram, PercentilesMatchSortedReferenceWithinGrowth)
         EXPECT_LE(approx, exact * (growth * growth)) << "p" << p;
     }
 }
+
+/** The bucket formula LatencyHistogram::add() must reproduce. */
+uint32_t
+referenceBucket(double x, double min_value, double growth, int buckets)
+{
+    int idx = 0;
+    if (x > min_value)
+        idx = static_cast<int>(std::log(x / min_value) / std::log(growth)) +
+              1;
+    return static_cast<uint32_t>(std::clamp(idx, 0, buckets - 1));
+}
+
+double
+stepUlps(double x, int64_t n)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    bits = static_cast<uint64_t>(static_cast<int64_t>(bits) + n);
+    std::memcpy(&x, &bits, sizeof(x));
+    return x;
+}
+
+/**
+ * The threshold-table bucketing agrees with the log formula on every
+ * integer below 3M, on random doubles up to 1e24, and within 200 ULPs
+ * of every bucket boundary, for several parameter sets (the default
+ * one is what the simulator's latency histograms use).
+ */
+TEST(LatencyHistogram, BucketOfMatchesTheLogFormula)
+{
+    struct Params
+    {
+        double min_value, growth;
+        int buckets;
+    };
+    for (const Params &p : {Params{100.0, 1.05, 400}, Params{100.0, 1.1, 200},
+                            Params{100.0, 1.05, 10}, Params{1.0, 1.01, 2000},
+                            Params{0.5, 2.0, 64}}) {
+        const LatencyHistogram h(p.min_value, p.growth, p.buckets);
+        uint64_t checked = 0, mismatches = 0;
+        auto check = [&](double x) {
+            checked++;
+            if (h.bucketOf(x) !=
+                referenceBucket(x, p.min_value, p.growth, p.buckets)) {
+                if (mismatches++ < 5)
+                    ADD_FAILURE() << "x=" << x << " growth=" << p.growth;
+            }
+        };
+        for (uint32_t i = 0; i < 3000000; i++)
+            check(static_cast<double>(i));
+        Rng rng(7);
+        for (int i = 0; i < 1000000; i++)
+            check(std::pow(10.0, 24.0 * rng.nextDouble()) - 1.0);
+        for (int b = 0; b <= p.buckets; b++) {
+            const double edge = p.min_value * std::pow(p.growth, b);
+            for (int64_t d = -200; d <= 200; d++)
+                check(stepUlps(edge, d));
+        }
+        for (double x : {-1.0, 0.0, -0.0, p.min_value, 1e300,
+                         std::nan("")})
+            check(x);
+        EXPECT_EQ(mismatches, 0u) << "of " << checked << " inputs";
+    }
+}
+
 
 } // namespace
 } // namespace leaftl
