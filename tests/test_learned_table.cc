@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -491,28 +492,62 @@ flushBatch(const std::set<Lpa> &lpas, Ppa &ppa)
     return run;
 }
 
+/** Stream shapes of the compaction pin. */
+enum class PinShape
+{
+    Strided,
+    Gc,
+    Deep,
+};
+
+const char *
+pinShapeName(PinShape shape)
+{
+    switch (shape) {
+    case PinShape::Strided:
+        return "strided";
+    case PinShape::Gc:
+        return "gc";
+    case PinShape::Deep:
+        return "deep";
+    }
+    return "?";
+}
+
 /**
  * One learn/compact stream of the compaction pin. "strided": a few
  * short runs over 4Ki LPAs with strides 1..4 and, now and then, one
  * above 64 (write-buffer flushes of interleaved sequential streams).
  * "gc": 2,048 random LPAs over 64Ki per batch (GC migration batches).
+ * "deep": the deep single-point stacks of a GC-heavy random workload
+ * -- over 16Ki LPAs (64 groups), three batches in four carry ~1 LPA
+ * per group (GC migrating a few valid pages), every fourth is a host
+ * flush of ~8 per group, and a few mapped LPAs are trimmed after each
+ * batch (a tombstone single point, as LeaFtl::trim learns it).
  * Emits one line per compact(): the FNV-1a-64 of serialize().
+ * @return the largest median levels-per-group seen before a compact().
  */
-void
-compactionStream(uint32_t gamma, bool gc_shaped, uint64_t seed,
+double
+compactionStream(uint32_t gamma, PinShape shape, uint64_t seed,
                  std::ostringstream &out)
 {
-    constexpr int kBatches = 36;
-    constexpr int kCompactEvery = 6;
+    const bool deep = shape == PinShape::Deep;
+    const int batches = deep ? 160 : 36;
+    const int compact_every = deep ? 16 : 6;
     Rng rng(seed * 2654435761u + gamma);
     LearnedTable table(gamma);
     Ppa ppa = 1;
     std::set<Lpa> lpas;
-    for (int b = 1; b <= kBatches; b++) {
+    double deepest = 0;
+    for (int b = 1; b <= batches; b++) {
         lpas.clear();
-        if (gc_shaped) {
+        if (shape == PinShape::Gc) {
             while (lpas.size() < 2048)
                 lpas.insert(static_cast<Lpa>(rng.nextBounded(65536)));
+        } else if (deep) {
+            const size_t n = b % 4 == 0 ? 512 : 64;
+            while (lpas.size() < n)
+                lpas.insert(static_cast<Lpa>(rng.nextBounded(16384)));
         } else {
             const uint64_t runs = 2 + rng.nextBounded(6);
             for (uint64_t r = 0; r < runs; r++) {
@@ -529,18 +564,26 @@ compactionStream(uint32_t gamma, bool gc_shaped, uint64_t seed,
         }
         table.learn(flushBatch(lpas, ppa));
         ppa += rng.nextBounded(64); // GC and other flushes in between.
-        if (b % kCompactEvery != 0)
+        if (deep) {
+            for (int t = 0; t < 4; t++) {
+                const Lpa lpa = static_cast<Lpa>(rng.nextBounded(16384));
+                if (table.lookup(lpa))
+                    table.learn({{lpa, kTombstonePpa}});
+            }
+        }
+        if (b % compact_every != 0)
             continue;
+        deepest = std::max(deepest, table.levelsPerGroup().percentile(50));
         table.compact();
         const std::vector<uint8_t> blob = table.serialize();
         char line[96];
         std::snprintf(line, sizeof(line),
                       "%u %s %" PRIu64 " %d %016" PRIx64 "\n", gamma,
-                      gc_shaped ? "gc" : "strided", seed,
-                      b / kCompactEvery,
+                      pinShapeName(shape), seed, b / compact_every,
                       config::fnv1a64(std::string(blob.begin(), blob.end())));
         out << line;
     }
+    return deepest;
 }
 
 TEST(LearnedTable, CompactionMatchesTheGoldenDigests)
@@ -551,9 +594,19 @@ TEST(LearnedTable, CompactionMatchesTheGoldenDigests)
     // stream. A change here changes simulated results.
     std::ostringstream generated;
     for (const uint32_t gamma : {0u, 1u, 4u, 16u}) {
-        for (const bool gc_shaped : {false, true}) {
+        for (const PinShape shape : {PinShape::Strided, PinShape::Gc}) {
             for (uint64_t seed = 1; seed <= 3; seed++)
-                compactionStream(gamma, gc_shaped, seed, generated);
+                compactionStream(gamma, shape, seed, generated);
+        }
+    }
+    for (const uint32_t gamma : {0u, 4u}) {
+        for (uint64_t seed = 1; seed <= 2; seed++) {
+            const double deepest =
+                compactionStream(gamma, PinShape::Deep, seed, generated);
+            // Phase 2 sinks through stacks this deep on GC-heavy runs.
+            if (gamma == 4) {
+                EXPECT_GE(deepest, 40.0) << "seed " << seed;
+            }
         }
     }
 
