@@ -21,6 +21,12 @@ void
 LeaFtl::touchGroup(uint32_t group_idx, bool dirty)
 {
     auto [r, fresh] = resident_.insert(group_idx);
+    // A resident group's cached size is current: every table mutation
+    // re-touches its groups dirty (learn, trim), compaction refreshes
+    // them all, and restoreChain drops residency. A clean touch of a
+    // resident group is then only the LRU promotion insert just did.
+    if (!fresh && !dirty)
+        return;
     // Group miss: fetch its segments from the translation blocks via
     // the GMD (one flash read, §3.8). Freshly learned groups are born
     // in DRAM (dirty) without a fetch.

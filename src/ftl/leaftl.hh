@@ -46,6 +46,12 @@ class LeaFtl : public Ftl
 
     uint64_t groupFetches() const { return group_fetches_; }
 
+    /** Is group @a group_idx's table in DRAM (§3.8)? */
+    bool groupResident(uint32_t group_idx) const
+    {
+        return resident_.contains(group_idx);
+    }
+
     LearnedTable *learnedTable() override { return table_.get(); }
     const LearnedTable *learnedTable() const override
     {

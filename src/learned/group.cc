@@ -234,9 +234,35 @@ bool
 Group::sinkBelow(size_t li, size_t at, MergeScratch &scratch)
 {
     const SegEntry entry = segs_[at];
-    mergeVictims(li + 1, entry, /*detach_conflicts=*/false, scratch);
-    if (!scratch.conflicts.empty())
-        return false;
+    // A merge here changes a victim only when the victim is accurate
+    // and the entry owns one of its endpoints; every other victim is
+    // already disjoint from the entry and tight (see the file comment),
+    // so it keeps its range and still conflicts.
+    const std::span<const SegEntry> below = level(li + 1);
+    size_t i = firstEndingAtOrAfter(below, entry.seg.slpa());
+    const bool empty_window =
+        i == below.size() || below[i].seg.slpa() > entry.seg.endOff();
+    if (!empty_window) {
+        std::optional<GroupMask> newer; // Only accurate victims need it.
+        bool can_change = false;
+        for (; i < below.size() && below[i].seg.slpa() <= entry.seg.endOff();
+             i++) {
+            const Segment &victim = below[i].seg;
+            if (victim.approximate())
+                continue;
+            if (!newer)
+                newer = members(entry);
+            if (newer->test(victim.slpa()) || newer->test(victim.endOff())) {
+                can_change = true;
+                break;
+            }
+        }
+        if (!can_change)
+            return false;
+        mergeVictims(li + 1, entry, /*detach_conflicts=*/false, scratch);
+        if (!scratch.conflicts.empty())
+            return false;
+    }
     // Level li + 1 starts right after level li, so moving the entry to
     // its sorted place there shifts only the entries in between down
     // one slot; level li + 1 keeps its end. Compaction recomputes
@@ -315,9 +341,14 @@ Group::lookup(uint8_t off, const SegEntry **top_hit) const
 }
 
 bool
-Group::replayAccurate(size_t level_idx, Segment &victim) const
+Group::replayAccurate(size_t level_idx, Segment &victim, bool tight) const
 {
     for (size_t li = 0; li < level_idx; li++) {
+        // A step trims a tight victim only by stealing an endpoint, and
+        // `may` holds every member of the level's segments.
+        if (tight && !levels_[li].may.test(victim.slpa()) &&
+            !levels_[li].may.test(victim.endOff()))
+            continue;
         const std::span<const SegEntry> segs = level(li);
         for (size_t i = firstEndingAtOrAfter(segs, victim.slpa());
              i < segs.size() && segs[i].seg.slpa() <= victim.endOff();
@@ -329,6 +360,7 @@ Group::replayAccurate(size_t level_idx, Segment &victim) const
             if (left.none())
                 return false;
             victim.trim(left.first(), left.last());
+            tight = true;
         }
     }
     return true;
@@ -354,14 +386,16 @@ Group::settle(size_t level_idx, SegEntry &victim, const GroupMask &newer,
             return false;
         }
         victim.seg.trim(left.first(), left.last());
-        crb_.removeOffsets(victim.id, run & newer);
+        const GroupMask stolen = run & newer;
+        if (stolen.any())
+            crb_.removeOffsets(victim.id, stolen);
         return true;
     }
-    if (newer.test(seg.slpa()) || newer.test(seg.endOff()) ||
-        gridMask(seg).last() != seg.endOff()) {
+    const bool tight = gridMask(seg).last() == seg.endOff();
+    if (newer.test(seg.slpa()) || newer.test(seg.endOff()) || !tight) {
         // Only the pairwise order settles it. With both endpoints on
         // the grid and outside U, no merge step can move it.
-        return replayAccurate(level_idx, victim.seg);
+        return replayAccurate(level_idx, victim.seg, tight);
     }
     return true;
 }

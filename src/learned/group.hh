@@ -63,10 +63,29 @@
  *     not tight on the grid), the victim alone replays the newer
  *     segments that overlap it, level by level and in order; when
  *     neither endpoint is in U, no step can move it and it is skipped.
+ *     For the same reason the replay passes over every level whose
+ *     `may` holds neither current endpoint once the victim is tight
+ *     (a GC-heavy stack replays through ~40 levels, most of them
+ *     without a member at either end).
  * Phase 2 sinks segments into the level below wherever no range
  * conflict remains, reclaiming dead segments and empty levels.
  * Interleaved-but-member-disjoint segments legitimately stay on
- * separate levels (they cannot share a sorted run).
+ * separate levels (they cannot share a sorted run). A sink merges the
+ * entry into the victims of the next level only when that merge can
+ * change one: an empty window moves the entry at once, and a window
+ * whose victims are all approximate, or accurate with neither
+ * endpoint among the entry's members, is a conflict as it stands.
+ * Those merges are no-ops because a window victim overlaps the entry,
+ * overlapping segments never share a level, and phase 2 never moves
+ * one past another, so the victim lay below the entry in phase 1 and
+ * was settled against a U holding members(entry) (ranges and members
+ * only shrink). Phase 1 left an approximate victim's run disjoint from U
+ * and its range tight on the run, and an accurate victim tight on its
+ * grid (replayed, or skipped because it already was); a merge that
+ * misses both endpoints of a tight grid trims it to itself. Earlier
+ * phase-2 merges keep both properties, as each trims a victim to what
+ * it keeps. On GC-heavy random runs nearly every sink attempt is one
+ * of those two cases; the rest run the one merge code, mergeVictims.
  *
  * Hot-path design: no step of update() or compact() allocates once
  * the group's two arrays, its CRB and the caller's MergeScratch have
@@ -244,7 +263,8 @@ class Group
     /**
      * Compaction phase 2: merge the entry at segs_[@a at] in level
      * @a li into the victims of level li + 1, and move it there when
-     * no range conflict survives.
+     * no range conflict survives. The merge runs only when it can
+     * change a victim (see the file comment).
      * @return true when the entry moved (the next entry of level li,
      *         if any, is now at @a at).
      */
@@ -271,10 +291,13 @@ class Group
     /**
      * Replay the pairwise merge steps for one accurate victim of
      * @a level_idx: every segment above it, level by level and in
-     * order, whose range overlaps the victim's current range.
+     * order, whose range overlaps the victim's current range. Once the
+     * victim is @a tight on its grid (its end is a grid point), levels
+     * whose `may` holds neither endpoint are skipped: no step there can
+     * move it.
      * @return false when the victim dies.
      */
-    bool replayAccurate(size_t level_idx, Segment &victim) const;
+    bool replayAccurate(size_t level_idx, Segment &victim, bool tight) const;
 
     /** Pop a victim below @a from_level (Algorithm 1 lines 13-16). */
     void pushVictimDown(size_t from_level, const SegEntry &victim);

@@ -52,7 +52,8 @@ class WriteBuffer
 
     /**
      * Drain the whole buffer, returning the LPAs in ascending order
-     * (§3.3: the controller sorts the buffer before flushing).
+     * (§3.3: the controller sorts the buffer before flushing) with a
+     * radix sort; the order is std::sort's.
      */
     std::vector<Lpa> drainSorted();
 

@@ -17,13 +17,14 @@ ZipfGenerator::zeta(uint64_t n, double theta)
 }
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta)
+    : n_(n)
 {
     LEAFTL_ASSERT(n > 0, "zipf over empty range");
     LEAFTL_ASSERT(theta > 0.0 && theta < 1.0, "zipf theta out of (0,1)");
     zetan_ = zeta(n, theta);
     zeta2_ = zeta(2, theta);
     alpha_ = 1.0 / (1.0 - theta);
+    rank1_bound_ = 1.0 + std::pow(0.5, theta);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
            (1.0 - zeta2_ / zetan_);
 }
@@ -35,7 +36,7 @@ ZipfGenerator::nextRank(Rng &rng)
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rank1_bound_)
         return 1;
     const uint64_t rank = static_cast<uint64_t>(
         static_cast<double>(n_) *

@@ -39,11 +39,11 @@ class ZipfGenerator
     static double zeta(uint64_t n, double theta);
 
     uint64_t n_;
-    double theta_;
     double alpha_;
     double zetan_;
     double eta_;
     double zeta2_;
+    double rank1_bound_; ///< 1 + 0.5^theta: uz below it draws rank 1.
 };
 
 } // namespace leaftl

@@ -182,5 +182,71 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0u, 4u)),
     caseName);
 
+/** The resident groups' table sizes, summed from scratch. */
+size_t
+recomputedResidentBytes(const LeaFtl &ftl)
+{
+    size_t bytes = 0;
+    ftl.learnedTable()->forEachGroup([&](uint32_t idx) {
+        if (ftl.groupResident(idx))
+            bytes += ftl.learnedTable()->groupBytes(idx);
+    });
+    return bytes;
+}
+
+class LeaFtlResidentBytes
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>>
+{
+};
+
+TEST_P(LeaFtlResidentBytes, MatchTheResidentGroupsAfterEveryStep)
+{
+    // LeaFtl keeps each resident group's size cached and skips the
+    // refresh on a clean touch of a resident group; the running total
+    // must still equal the resident groups' sizes after every learn,
+    // translate, trim, compaction and crash-restore.
+    const auto [gamma, budget] = GetParam();
+    MockOps ops;
+    LeaFtl ftl(ops, gamma);
+    ftl.setMappingBudget(budget);
+    Rng rng(0xB17E5u + gamma * 31 + (budget == UINT64_MAX ? 1 : 0));
+    Ppa next_ppa = 1000;
+
+    for (int step = 0; step < kSteps; step++) {
+        const uint64_t op = rng.nextBounded(20);
+        if (op < 6) {
+            std::vector<std::pair<Lpa, Ppa>> run;
+            Lpa lpa = rng.nextBounded(kSpace / 2);
+            const uint32_t stride = 1 + rng.nextBounded(24);
+            for (int i = 0; i < 24 && lpa < kSpace; i++, lpa += stride)
+                run.emplace_back(lpa, next_ppa++);
+            if (op < 4)
+                ftl.recordMappings(run);
+            else
+                ftl.recordMappingsGc(run);
+        } else if (op < 8) {
+            ftl.trim(rng.nextBounded(kSpace));
+        } else if (op < 18) {
+            for (int i = 0; i < 4; i++)
+                ftl.translate(rng.nextBounded(kSpace));
+        } else if (op < 19) {
+            ftl.periodicMaintenance();
+        } else {
+            // Crash: the table comes back from a snapshot, cold.
+            ftl.restoreChain(ftl.learnedTable()->serialize(), {});
+        }
+        ASSERT_EQ(ftl.residentMappingBytes(), recomputedResidentBytes(ftl))
+            << "step " << step << " op " << op;
+    }
+    if (budget != UINT64_MAX) {
+        EXPECT_LT(ftl.residentMappingBytes(), ftl.fullMappingBytes());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GammaBudget, LeaFtlResidentBytes,
+    ::testing::Combine(::testing::Values(0u, 4u),
+                       ::testing::Values(kTightBudget, UINT64_MAX)));
+
 } // namespace
 } // namespace leaftl

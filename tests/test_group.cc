@@ -432,6 +432,63 @@ TEST(Group, CompactionReplaysAccurateVictimsInOrder)
     EXPECT_EQ(g.lookup(20)->ppa, 102u);
 }
 
+TEST(Group, CompactionSinkTrimsAnAccurateVictimAtItsEndpoint)
+{
+    // The grid V = {10, 12, .., 20} sits under the point {20}, which
+    // sits under the point {18}. Phase 1 replays V in order: {18}
+    // leaves the range [10, 20] (the hole is forgotten), then {20}
+    // trims it to [10, 18] -- an endpoint the top point owns. Phase 2
+    // sinks {18} next to {20}, then into V's level, and only that
+    // merge trims V to [10, 16]; without it, {18} would conflict and
+    // keep a level of its own.
+    Group g;
+    const uint16_t kbits = float16SetTag(float16Encode(1.0f / 2.0f), false);
+    g.restoreRaw(0, Segment::makeSinglePoint(18, 900), {});
+    g.restoreRaw(1, Segment::makeSinglePoint(20, 800), {});
+    g.restoreRaw(2, Segment(10, 10, kbits, 100), {});
+    g.compact();
+    g.checkInvariants();
+    EXPECT_EQ(g.numLevels(), 1u);
+    bool found = false;
+    g.forEachSegment([&](const SegEntry &e, size_t) {
+        if (e.seg.intercept() != 100)
+            return;
+        found = true;
+        EXPECT_EQ(e.seg.slpa(), 10u);
+        EXPECT_EQ(e.seg.endOff(), 16u);
+    });
+    EXPECT_TRUE(found);
+    EXPECT_EQ(g.lookup(16)->ppa, 108u);
+    EXPECT_EQ(g.lookup(18)->ppa, 900u);
+    EXPECT_EQ(g.lookup(20)->ppa, 800u);
+}
+
+TEST(Group, CompactionTightensALooseAccurateVictim)
+{
+    // V = {0, 10, 20} with its range loose at [0, 21] sits under the
+    // point {5}, which owns neither end. Phase 1 still replays V: the
+    // first overlapping step trims it to its grid, [0, 20], even though
+    // the level above holds neither endpoint.
+    Group g;
+    const uint16_t kbits =
+        float16SetTag(float16Encode(1.0f / 10.0f), false);
+    g.restoreRaw(0, Segment::makeSinglePoint(5, 900), {});
+    g.restoreRaw(1, Segment(0, 21, kbits, 100), {});
+    g.compact();
+    g.checkInvariants();
+    bool found = false;
+    g.forEachSegment([&](const SegEntry &e, size_t) {
+        if (e.seg.intercept() != 100)
+            return;
+        found = true;
+        EXPECT_EQ(e.seg.slpa(), 0u);
+        EXPECT_EQ(e.seg.endOff(), 20u);
+    });
+    EXPECT_TRUE(found);
+    EXPECT_EQ(g.lookup(5)->ppa, 900u);
+    EXPECT_EQ(g.lookup(20)->ppa, 102u);
+}
+
 class GroupRandomSweep
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>>
 {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hh"
@@ -94,6 +97,54 @@ TEST(Zipf, LowThetaApproachesUniform)
             hot++;
     }
     EXPECT_LT(static_cast<double>(hot) / n, 0.35);
+}
+
+/** ZipfGenerator::nextRank with every constant computed inline. */
+class InlineZipf
+{
+  public:
+    InlineZipf(uint64_t n, double theta) : n_(n), theta_(theta)
+    {
+        for (uint64_t i = 1; i <= n; i++)
+            zetan_ += 1.0 / std::pow(static_cast<double>(i), theta);
+        const double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
+        eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+               (1.0 - zeta2 / zetan_);
+    }
+
+    uint64_t
+    nextRank(Rng &rng) const
+    {
+        const double u = rng.nextDouble();
+        const double uz = u * zetan_;
+        if (uz < 1.0)
+            return 0;
+        if (uz < 1.0 + std::pow(0.5, theta_))
+            return 1;
+        const uint64_t rank = static_cast<uint64_t>(
+            static_cast<double>(n_) *
+            std::pow(eta_ * u - eta_ + 1.0, 1.0 / (1.0 - theta_)));
+        return rank >= n_ ? n_ - 1 : rank;
+    }
+
+  private:
+    uint64_t n_;
+    double theta_;
+    double zetan_ = 0.0;
+    double eta_;
+};
+
+TEST(Zipf, HoistedConstantsMatchTheInlineFormula)
+{
+    for (const auto &[n, theta] :
+         {std::pair<uint64_t, double>{10000, 0.99}, {262144, 0.99},
+          {1000, 0.5}, {3, 0.1}}) {
+        ZipfGenerator zipf(n, theta);
+        const InlineZipf ref(n, theta);
+        Rng a(77), b(77);
+        for (int i = 0; i < 1'000'000; i++)
+            ASSERT_EQ(zipf.nextRank(a), ref.nextRank(b)) << n << " " << i;
+    }
 }
 
 } // namespace
