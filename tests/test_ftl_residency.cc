@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0u, 4u)),
     caseName);
 
-/** The resident groups' table sizes, summed from scratch. */
+/** The resident groups' table sizes, recomputed one by one. */
 size_t
 recomputedResidentBytes(const LeaFtl &ftl)
 {
