@@ -38,7 +38,7 @@ execute_process(
     OUTPUT_VARIABLE rules_out
     RESULT_VARIABLE rules_rc)
 if(NOT rules_rc EQUAL 0 OR NOT rules_out MATCHES "wall-clock"
-   OR NOT rules_out MATCHES "parallel-mutation")
+   OR NOT rules_out MATCHES "hot-path-node-containers")
     message(FATAL_ERROR "--list-rules lost rules:\n${rules_out}")
 endif()
 

@@ -1,10 +1,10 @@
 # End-to-end smoke for the durability pipeline: a tiny sweep with
 # three mid-run crash points, once with a 4 KiB learn journal and once
 # with none (--journal-threshold 0), must per leg (a) survive, (b) be
-# bit-identical across two invocations and across --threads 1 vs
-# --threads 4 (modulo wall_ns), and (c) actually exercise the pipeline
-# -- the recovery CSV columns must be nonzero (journal records only
-# with a journal; without one they must be zero).
+# bit-identical across two invocations (modulo wall_ns), and (c)
+# actually exercise the pipeline -- the recovery CSV columns must be
+# nonzero (journal records only with a journal; without one they must
+# be zero).
 # Invoked by CTest with -DSIM_BIN=<path to leaftl_sim>.
 
 if(NOT SIM_BIN)
@@ -25,14 +25,10 @@ set(common_flags
     --crash-at 500,2000,5000)
 
 foreach(journal IN ITEMS 4096 0)
-    foreach(run IN ITEMS run rerun threads4)
-        set(extra_flags "")
-        if(run STREQUAL "threads4")
-            set(extra_flags --threads 4)
-        endif()
+    foreach(run IN ITEMS run rerun)
         execute_process(
             COMMAND ${SIM_BIN} ${common_flags}
-                    --journal-threshold ${journal} ${extra_flags}
+                    --journal-threshold ${journal}
             OUTPUT_VARIABLE sim_out
             ERROR_VARIABLE sim_err
             RESULT_VARIABLE sim_rc)
@@ -51,13 +47,6 @@ foreach(journal IN ITEMS 4096 0)
             "journal ${journal}: crash-at sweep is not deterministic "
             "across reruns:\n"
             "=== first ===\n${csv_run}\n=== second ===\n${csv_rerun}")
-    endif()
-    if(NOT csv_threads4 STREQUAL csv_run)
-        message(FATAL_ERROR
-            "journal ${journal}: --threads 4 diverges from --threads 1 "
-            "under crash injection (modulo wall_ns):\n"
-            "=== threads 1 ===\n${csv_run}\n"
-            "=== threads 4 ===\n${csv_threads4}")
     endif()
 
     # One leaftl row: header + data. The recovery group sits before the
@@ -106,6 +95,5 @@ foreach(journal IN ITEMS 4096 0)
     message(STATUS
         "leaftl_sim recovery smoke OK (journal ${journal}: 3 crashes, "
         "${recov_records} journal records replayed, ${recov_pages} pages "
-        "scanned, ${recov_ms} ms, deterministic across rerun and "
-        "--threads 4)")
+        "scanned, ${recov_ms} ms, deterministic across rerun)")
 endforeach()

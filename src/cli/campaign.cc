@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "cli/sim_cli.hh"
-#include "sim/shard_runner.hh"
 
 namespace leaftl
 {
@@ -235,16 +234,7 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
         }
     };
 
-    // Cap campaign fan-out so jobs x intra-run threads never silently
-    // oversubscribes the machine.
-    std::string jobs_warning;
-    unsigned jobs = clampSweepJobs(
-        spec.jobs, spec.threads,
-        std::max(1u, std::thread::hardware_concurrency()), &jobs_warning);
-    if (!jobs_warning.empty())
-        std::cerr << "leaftl_sim: " << jobs_warning << '\n';
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(1, pending.size())));
+    const unsigned jobs = sweepWorkers(spec.jobs, pending.size());
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; i++)

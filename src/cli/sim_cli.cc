@@ -13,7 +13,6 @@
 #include "cli/campaign.hh"
 #include "flash/presets.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
 #include "util/host_clock.hh"
 #include "util/parse.hh"
 #include "ssd/ssd.hh"
@@ -193,11 +192,7 @@ usage()
         << "  --trace-strict   fail on malformed trace lines instead of\n"
         << "                   skipping them\n"
         << "  --jobs N         sweep worker threads (default: hardware\n"
-        << "                   concurrency; rows stay in sweep order;\n"
-        << "                   capped so jobs x threads fits the host)\n"
-        << "  --threads N      intra-run replay workers per run\n"
-        << "                   (default 1; results are bit-identical\n"
-        << "                   for any value -- wall clock only)\n"
+        << "                   concurrency; rows stay in sweep order)\n"
         << "  --campaign-diff A B  compare two BENCH_<name>.json\n"
         << "                   summaries by run fingerprint and print\n"
         << "                   per-run throughput/p99 deltas\n"
@@ -282,7 +277,6 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         {"--rate", "rate"},
         {"--burst-duty", "burst-duty"},
         {"--jobs", "jobs"},
-        {"--threads", "threads"},
         {"--requests", "requests"},
         {"--ws", "ws"},
         {"--dram-mb", "dram-mb"},
@@ -674,7 +668,6 @@ executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
     auto wl = makeWorkload(p.workload, spec, err, trace_cache);
     if (!wl)
         return false;
-    std::unique_ptr<ShardPool> run_pool;
     Ssd ssd(makeConfig(p.ftl, p.gamma, spec, p.device));
     RunOptions ropts;
     ropts.prefill_pages =
@@ -682,15 +675,21 @@ executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
     ropts.mixed_prefill = true;
     ropts.queue_depth = p.qd;
     ropts.crash_points = spec.crash_points;
-    if (spec.threads > 1) {
-        run_pool = std::make_unique<ShardPool>(spec.threads);
-        ssd.attachShardPool(run_pool.get());
-    }
     wl = applyMode(std::move(wl), p.mode, p.rate, spec, ropts);
     HostTimer timer;
     res = Runner::replay(ssd, *wl, ropts);
     res.host_wall_ns = timer.elapsedNs();
     return true;
+}
+
+unsigned
+sweepWorkers(unsigned requested, size_t runs)
+{
+    const unsigned want =
+        requested ? requested
+                  : std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(
+        std::min<size_t>(want, std::max<size_t>(1, runs)));
 }
 
 namespace
@@ -746,16 +745,7 @@ sweepValidated(const config::ExperimentSpec &opts, TraceCache &trace_cache,
         }
     };
 
-    // Cap sweep fan-out so jobs x intra-run threads never silently
-    // oversubscribes the machine.
-    std::string jobs_warning;
-    unsigned jobs = clampSweepJobs(
-        opts.jobs, opts.threads,
-        std::max(1u, std::thread::hardware_concurrency()), &jobs_warning);
-    if (!jobs_warning.empty())
-        std::cerr << "leaftl_sim: " << jobs_warning << '\n';
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(1, grid.runs.size())));
+    const unsigned jobs = sweepWorkers(opts.jobs, grid.runs.size());
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; i++)

@@ -157,13 +157,20 @@ int validateSpec(const config::ExperimentSpec &spec, TraceCache &trace_cache,
                  std::string &err);
 
 /**
- * Run grid point @a p of @a spec on a fresh device: its config, an
- * intra-run ShardPool when spec.threads > 1, the mode's admission and
- * arrival shaper, and the host wall clock (res.host_wall_ns).
+ * Run grid point @a p of @a spec on a fresh device: its config, the
+ * mode's admission and arrival shaper, and the host wall clock
+ * (res.host_wall_ns).
  * @return false with @a err set when the workload cannot be built.
  */
 bool executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
                 TraceCache *trace_cache, RunResult &res, std::string &err);
+
+/**
+ * Worker threads for a sweep or campaign of @a runs runs: @a requested
+ * (the jobs key; 0 = hardware concurrency), capped at @a runs and
+ * never 0.
+ */
+unsigned sweepWorkers(unsigned requested, size_t runs);
 
 /** What a CSV row renders: a grid point and the run that answers it. */
 struct CsvRowInput

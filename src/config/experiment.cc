@@ -92,7 +92,7 @@ knownExperimentKeys()
 {
     return {"ftl",     "workload",     "gamma",      "qd",
             "device",  "mode",         "rate",       "burst-duty",
-            "trace-strict", "jobs",    "threads",
+            "trace-strict", "jobs",
             "requests", "ws",
             "dram-mb", "dram-bytes",   "prefill",    "read-ratio",
             "interarrival", "seed",
@@ -250,15 +250,6 @@ applyExperimentKey(ExperimentSpec &spec, const std::string &raw_key,
             return false;
         }
         spec.jobs = static_cast<unsigned>(v);
-        return true;
-    }
-    if (key == "threads") {
-        uint64_t v;
-        if (!parseU64(value, v) || v == 0 || v > 256) {
-            err = "bad threads '" + value + "'";
-            return false;
-        }
-        spec.threads = static_cast<unsigned>(v);
         return true;
     }
     if (key == "requests") {

@@ -87,14 +87,6 @@ struct ExperimentSpec
     /** Sweep worker threads (key "jobs"; 0 = hardware concurrency). */
     unsigned jobs = 0;
 
-    /**
-     * Intra-run replay workers per run (key "threads"; 1 = the serial
-     * engine). Results are bit-identical for any value -- this is a
-     * wall-clock axis only, which is also why it is excluded from the
-     * run fingerprint.
-     */
-    unsigned threads = 1;
-
     uint64_t requests = 100'000;              ///< Key "requests".
     uint64_t working_set_pages = 64 * 1024;   ///< Key "ws".
     /** Key "dram-mb"/"dram-bytes"; 0 = derive from the working set. */

@@ -24,7 +24,6 @@ namespace leaftl
 {
 
 class LearnedTable;
-class ShardPool;
 struct SsdConfig;
 
 /** Device-provided hooks for charging translation metadata I/O. */
@@ -60,12 +59,6 @@ class Ftl
 
     /** Translate one LPA (read or invalidation path). */
     virtual TranslateResult translate(Lpa lpa) = 0;
-
-    /**
-     * Attach the intra-run worker pool (nullptr detaches). Only
-     * LeaFTL fans work out; the cached FTLs are serial.
-     */
-    virtual void setShardPool(ShardPool *) {}
 
     /**
      * Record fresh mappings from a host buffer flush. @a run is sorted

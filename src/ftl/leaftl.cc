@@ -64,13 +64,6 @@ LeaFtl::translate(Lpa lpa)
 }
 
 void
-LeaFtl::setShardPool(ShardPool *pool)
-{
-    pool_ = pool;
-    table_->setShardPool(pool);
-}
-
-void
 LeaFtl::trim(Lpa lpa)
 {
     if (!table_->lookup(lpa))
@@ -138,7 +131,6 @@ LeaFtl::restoreChain(const std::vector<uint8_t> &base,
         const bool ok = table->applyDelta(delta);
         LEAFTL_ASSERT(ok, "corrupt snapshot delta");
     }
-    table->setShardPool(pool_); // The new table inherits the workers.
     table_ = std::move(table);
     // DRAM residency is gone after a crash; groups reload on demand.
     resident_.clear();

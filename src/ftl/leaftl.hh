@@ -33,7 +33,6 @@ class LeaFtl : public Ftl
     LeaFtl(FtlOps &ops, uint32_t gamma);
 
     TranslateResult translate(Lpa lpa) override;
-    void setShardPool(ShardPool *pool) override;
     void trim(Lpa lpa) override;
     void recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run) override;
     void
@@ -84,7 +83,6 @@ class LeaFtl : public Ftl
     void refreshGroupBytes(uint32_t group_idx, Residency &r);
 
     std::unique_ptr<LearnedTable> table_;
-    ShardPool *pool_ = nullptr; ///< Intra-run workers (not owned).
 
     uint64_t budget_bytes_ = UINT64_MAX;
     FlatLru<Residency> resident_; ///< Resident groups.

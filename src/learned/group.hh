@@ -131,8 +131,7 @@ static_assert(sizeof(SegEntry) == 12, "a level entry is 8 B + id + pad");
 
 /**
  * Reusable scratch state for the segment-merge procedure: one arena
- * per table (or per worker) -- every buffer is cleared, never shrunk,
- * between merges.
+ * per table -- every buffer is cleared, never shrunk, between merges.
  */
 struct MergeScratch
 {

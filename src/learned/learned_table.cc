@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/shard_runner.hh"
-
 namespace leaftl
 {
 
@@ -77,71 +75,22 @@ LearnedTable::learn(const std::vector<std::pair<Lpa, Ppa>> &run)
         return touched_;
     epoch_++; // Cached level-0 entries may be superseded below.
     fitRun(run, gamma_, fit_);
-    const std::vector<FitArena::GroupFit> &fitted = fit_.groups;
-    if (!pool_ || fitted.size() < 2) {
-        for (const FitArena::GroupFit &gf : fitted) {
-            touched_.push_back(gf.group);
-            Group &group = groups_.getOrCreate(gf.group);
-            groups_.markDirty(gf.group);
-            beginMutate(group);
-            for (const FittedSegment &fs : fit_.segments(gf)) {
-                stats_.segments_created++;
-                if (fs.seg.approximate())
-                    stats_.approximate_created++;
-                else
-                    stats_.accurate_created++;
-                stats_.creation_lengths.add(fs.count);
-                group.update(fs, scratch_);
-            }
-            endMutate(group);
-        }
-        return touched_;
-    }
-
-    // Parallel learn. Directory creation and the table totals are
-    // order-dependent, so they stay on the commit thread; the per-group
-    // merges -- the bulk of the work -- fan out. fitRun() emits each
-    // group index at most once, so stripes mutate disjoint Group
-    // objects, and group pointers collected here stay valid across the
-    // later getOrCreate calls (groups never move).
-    std::vector<Group *> &groups = shard_groups_;
-    groups.clear();
-    for (const FitArena::GroupFit &gf : fitted) {
+    for (const FitArena::GroupFit &gf : fit_.groups) {
         touched_.push_back(gf.group);
         Group &group = groups_.getOrCreate(gf.group);
         groups_.markDirty(gf.group);
         beginMutate(group);
-        groups.push_back(&group);
+        for (const FittedSegment &fs : fit_.segments(gf)) {
+            stats_.segments_created++;
+            if (fs.seg.approximate())
+                stats_.approximate_created++;
+            else
+                stats_.accurate_created++;
+            stats_.creation_lengths.add(fs.count);
+            group.update(fs, scratch_);
+        }
+        endMutate(group);
     }
-    pool_->parallelFor(
-        fitted.size(), [&](size_t begin, size_t end, uint32_t w) {
-            CreateTally &tally = worker_tally_[w];
-            MergeScratch &scratch = worker_scratch_[w];
-            for (size_t i = begin; i < end; i++) {
-                for (const FittedSegment &fs : fit_.segments(fitted[i])) {
-                    tally.segments++;
-                    if (fs.seg.approximate())
-                        tally.approximate++;
-                    else
-                        tally.accurate++;
-                    tally.lengths.add(fs.count);
-                    groups[i]->update(fs, scratch);
-                }
-            }
-        });
-    // Merge the creation tallies in worker order: integer counters and
-    // a double sum of small integers, so the result is bit-identical
-    // to the serial accumulation for any worker count.
-    for (CreateTally &tally : worker_tally_) {
-        stats_.segments_created += tally.segments;
-        stats_.accurate_created += tally.accurate;
-        stats_.approximate_created += tally.approximate;
-        stats_.creation_lengths.merge(tally.lengths);
-        tally.segments = tally.accurate = tally.approximate = 0;
-        tally.lengths.clear();
-    }
-    for (Group *group : groups)
-        endMutate(*group);
     return touched_;
 }
 
@@ -201,46 +150,17 @@ LearnedTable::lookup(Lpa lpa) const
 }
 
 void
-LearnedTable::setShardPool(ShardPool *pool)
-{
-    pool_ = pool;
-    const uint32_t n = pool ? pool->workers() : 0;
-    worker_scratch_.resize(n);
-    worker_tally_.resize(n);
-}
-
-void
 LearnedTable::compact()
 {
     epoch_++;
     // Compaction can restructure any group, so the next delta must
     // carry all of them (cheap relative to the compaction itself).
     groups_.markAllDirty();
-    if (!pool_) {
-        groups_.forEach([&](uint32_t, Group &group) {
-            beginMutate(group);
-            group.compact(scratch_);
-            endMutate(group);
-        });
-        return;
-    }
-
-    // Parallel compaction: each group's compact touches only that
-    // group, so the same disjoint-stripe argument as learn() applies.
-    std::vector<Group *> &groups = shard_groups_;
-    groups.clear();
     groups_.forEach([&](uint32_t, Group &group) {
         beginMutate(group);
-        groups.push_back(&group);
+        group.compact(scratch_);
+        endMutate(group);
     });
-    pool_->parallelFor(groups.size(),
-                       [&](size_t begin, size_t end, uint32_t w) {
-                           MergeScratch &scratch = worker_scratch_[w];
-                           for (size_t i = begin; i < end; i++)
-                               groups[i]->compact(scratch);
-                       });
-    for (Group *group : groups)
-        endMutate(*group);
 }
 
 SampleSet

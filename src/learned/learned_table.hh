@@ -56,8 +56,6 @@
 namespace leaftl
 {
 
-class ShardPool;
-
 /**
  * Typed outcome of parsing a serialized table/delta blob. Persisted
  * blobs live on flash, so readers must treat them as untrusted input:
@@ -130,15 +128,6 @@ class LearnedTable
 
     /** Translate an LPA; nullopt when never learned. */
     std::optional<TableLookup> lookup(Lpa lpa) const;
-
-    /**
-     * Attach a worker pool: learns and compactions fan their
-     * per-group work out across it (disjoint groups, per-worker merge
-     * arenas, creation tallies merged in worker order -- results and
-     * statistics stay bit-identical to the serial path). nullptr
-     * detaches.
-     */
-    void setShardPool(ShardPool *pool);
 
     /** Compact every group (triggered periodically by the FTL, §3.7). */
     void compact();
@@ -276,26 +265,6 @@ class LearnedTable
     std::vector<uint32_t> touched_;
     /** Bumped on every mutation; gates the lookup cache's entry. */
     uint64_t epoch_ = 1;
-
-    /** Worker pool for parallel learns/compactions (not owned). */
-    ShardPool *pool_ = nullptr;
-    /** One merge arena per worker (index = worker id). */
-    std::vector<MergeScratch> worker_scratch_;
-    /** The groups one parallel learn or compaction fans out over. */
-    std::vector<Group *> shard_groups_;
-    /**
-     * Per-worker creation-statistics tally for one parallel learn;
-     * merged into stats_ in worker order (exact, so bit-identical to
-     * the serial accumulation) and cleared for reuse.
-     */
-    struct CreateTally
-    {
-        uint64_t segments = 0;
-        uint64_t accurate = 0;
-        uint64_t approximate = 0;
-        CountHistogram lengths{256};
-    };
-    std::vector<CreateTally> worker_tally_;
 
     /** One-entry last-hit translation cache. */
     struct LookupCache

@@ -245,12 +245,6 @@ Ssd::submit(const IoRequest &req, Tick now)
     return done;
 }
 
-void
-Ssd::attachShardPool(ShardPool *pool)
-{
-    ftl_->setShardPool(pool);
-}
-
 Tick
 Ssd::trim(Lpa lpa, Tick now)
 {
@@ -528,7 +522,7 @@ Ssd::doGcPass(Tick now)
 }
 
 void
-Ssd::migrateBlock(uint32_t victim, Tick now, bool wear)
+Ssd::migrateBlock(uint32_t victim, Tick now)
 {
     std::vector<std::pair<Lpa, Ppa>> &pages = gc_pages_scratch_;
     pages.clear();
@@ -539,10 +533,7 @@ Ssd::migrateBlock(uint32_t victim, Tick now, bool wear)
         channels_.occupy(flash_.geometry().channelOf(ppa), now,
                          cfg_.latency.flash_read);
         flash_.readPage(ppa);
-        if (wear)
-            stats_.wear_reads++;
-        else
-            stats_.gc_reads++;
+        stats_.wear_reads++;
     }
 
     // Sort by LPA and rewrite (§3.6: GC batches are sorted and
@@ -557,8 +548,7 @@ Ssd::migrateBlock(uint32_t victim, Tick now, bool wear)
     }
 
     if (!lpas.empty()) {
-        const auto &run = programBatch(lpas, now,
-                                wear ? WriteKind::Wear : WriteKind::Gc);
+        const auto &run = programBatch(lpas, now, WriteKind::Wear);
         ftl_->recordMappingsGc(run);
         journalLearn(run);
     }
@@ -577,7 +567,7 @@ Ssd::maybeWearLevel(Tick now)
     if (!victim)
         return;
     stats_.wear_migrations++;
-    migrateBlock(*victim, now, /*wear=*/true);
+    migrateBlock(*victim, now);
 }
 
 void

@@ -161,14 +161,6 @@ class Ssd : public FtlOps
     Tick submit(const IoRequest &req, Tick now);
 
     /**
-     * Attach an intra-run worker pool: the FTL fans learns and
-     * compactions out across it (LeaFTL only; a no-op attachment
-     * otherwise). nullptr detaches. The device's observable behavior
-     * is identical either way.
-     */
-    void attachShardPool(ShardPool *pool);
-
-    /**
      * TRIM/deallocate a page: invalidates the backing flash page (so
      * GC can reclaim it without migration) and unmaps the LPA.
      * @return service latency.
@@ -291,7 +283,7 @@ class Ssd : public FtlOps
     bool doGcPass(Tick now);
     void maybeWearLevel(Tick now);
     /** Migrate one block's valid pages (wear-leveling path). */
-    void migrateBlock(uint32_t victim, Tick now, bool wear);
+    void migrateBlock(uint32_t victim, Tick now);
     void updateDramSplit();
 
     /**

@@ -100,18 +100,6 @@ CountHistogram::percentile(double p) const
            static_cast<double>(valueAt(hi)) * frac;
 }
 
-void
-CountHistogram::merge(const CountHistogram &other)
-{
-    LEAFTL_ASSERT(buckets_.size() == other.buckets_.size(),
-                  "merging count histograms with different bucketing");
-    for (size_t v = 0; v < buckets_.size(); v++)
-        buckets_[v] += other.buckets_[v];
-    total_ += other.total_;
-    sum_ += other.sum_;
-    max_ = std::max(max_, other.max_);
-}
-
 namespace
 {
 
@@ -245,20 +233,6 @@ LatencyHistogram::percentile(double p) const
             return bucketLow(static_cast<int>(i));
     }
     return max_;
-}
-
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    LEAFTL_ASSERT(buckets_.size() == other.buckets_.size() &&
-                      min_value_ == other.min_value_ &&
-                      log_growth_ == other.log_growth_,
-                  "merging latency histograms with different bucketing");
-    for (size_t i = 0; i < buckets_.size(); i++)
-        buckets_[i] += other.buckets_[i];
-    total_ += other.total_;
-    sum_ += other.sum_;
-    max_ = std::max(max_, other.max_);
 }
 
 std::vector<std::pair<double, double>>

@@ -105,26 +105,6 @@ class CountHistogram
      */
     double percentile(double p) const;
 
-    /**
-     * Fold @a other (same bucket count) into this histogram.
-     * Bucket counts, total and max merge exactly; the mean's running
-     * sum is a sum of small integers, exact in a double far beyond
-     * any realistic sample count -- so merging per-worker histograms
-     * in worker order reproduces the serial histogram bit for bit,
-     * for any worker count.
-     */
-    void merge(const CountHistogram &other);
-
-    /** Reset to empty, keeping the bucket allocation. */
-    void
-    clear()
-    {
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-        total_ = 0;
-        sum_ = 0.0;
-        max_ = 0;
-    }
-
     size_t numBuckets() const { return buckets_.size(); }
 
   private:
@@ -191,15 +171,6 @@ class LatencyHistogram
     double max() const { return max_; }
     /** Approximate value at percentile p (p in [0, 100]). */
     double percentile(double p) const;
-
-    /**
-     * Fold @a other (identical bucketing) into this histogram.
-     * Counts, total and max merge exactly; the mean's running sum of
-     * integral tick values is exact in a double, so merging
-     * per-worker histograms in worker order is deterministic and
-     * equals the single-accumulator result for any worker count.
-     */
-    void merge(const LatencyHistogram &other);
 
     /** CDF points (value, cumulative fraction) for reporting. */
     std::vector<std::pair<double, double>> cdf() const;

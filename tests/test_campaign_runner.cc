@@ -4,7 +4,8 @@
  * expansion dedupes colliding fingerprints, a campaign writes one
  * run-<fingerprint>.csv per unique run plus a BENCH_<name>.json, its
  * rows are the inline sweep's rows, and an immediate rerun is a pure
- * resume — zero re-executed runs, CSV bytes untouched.
+ * resume — zero re-executed runs, CSV bytes untouched. Also the
+ * --campaign-diff comparator over two BENCH_<name>.json summaries.
  */
 
 #include <gtest/gtest.h>
@@ -278,6 +279,123 @@ TEST(CampaignRun, CrashAtOnFtlWithoutRecoveryIsRejectedUpFront)
     camp.exp.ftls = {FtlKind::LeaFTL};
     std::string check_err;
     EXPECT_TRUE(config::checkCrashSupport(camp.exp, check_err)) << check_err;
+}
+
+// --------------------------------------------------------------------
+// --campaign-diff.
+
+class DiffTempDir
+{
+  public:
+    DiffTempDir()
+    {
+        char name[] = "/tmp/leaftl_diff_XXXXXX";
+        EXPECT_NE(mkdtemp(name), nullptr);
+        path_ = name;
+    }
+    ~DiffTempDir() { fs::remove_all(path_); }
+    const fs::path &path() const { return path_; }
+
+  private:
+    fs::path path_;
+};
+
+std::string
+benchJson(const std::string &fp, double throughput, double p99,
+          uint64_t wall, const std::string &extra_run = "")
+{
+    std::ostringstream j;
+    j << "{\n  \"campaign\": \"t\",\n  \"runs\": [\n"
+      << "    {\"fingerprint\": \"" << fp << "\", \"csv\": \"run-" << fp
+      << ".csv\", \"executed\": true,\n"
+      << "     \"ftl\": \"LeaFTL\", \"workload\": \"synthetic:zipf\", "
+         "\"gamma\": 4, \"qd\": 8, \"device\": \"auto\", \"mode\": "
+         "\"closed\", \"rate\": 0,\n"
+      << "     \"throughput_mbps\": " << throughput
+      << ", \"achieved_iops\": 100, \"p99_read_lat_us\": " << p99
+      << ", \"p99_lat_e2e_us\": 10, \"wall_ns\": " << wall << "}";
+    if (!extra_run.empty())
+        j << ",\n" << extra_run;
+    j << "\n  ]\n}\n";
+    return j.str();
+}
+
+void
+writeFile(const fs::path &p, const std::string &content)
+{
+    std::ofstream out(p);
+    out << content;
+    ASSERT_TRUE(out.good());
+}
+
+TEST(CampaignDiff, IdenticalSummariesPass)
+{
+    DiffTempDir dir;
+    const fs::path a = dir.path() / "a.json";
+    const fs::path b = dir.path() / "b.json";
+    writeFile(a, benchJson("aaaa000011112222", 123.4, 55.5, 1000));
+    writeFile(b, benchJson("aaaa000011112222", 123.4, 55.5, 2000));
+    std::ostringstream out;
+    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 1.0, out), 0);
+    EXPECT_NE(out.str().find("1 shared"), std::string::npos);
+    EXPECT_NE(out.str().find("within 1"), std::string::npos);
+}
+
+TEST(CampaignDiff, ThroughputRegressionFailsGate)
+{
+    DiffTempDir dir;
+    const fs::path a = dir.path() / "a.json";
+    const fs::path b = dir.path() / "b.json";
+    writeFile(a, benchJson("aaaa000011112222", 100.0, 50.0, 1000));
+    writeFile(b, benchJson("aaaa000011112222", 90.0, 50.0, 1000));
+    std::ostringstream out;
+    // 10% drop: fails a 5% gate, passes a 15% one, and report-only
+    // (threshold 0) always passes.
+    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 5.0, out), 1);
+    EXPECT_NE(out.str().find("REGRESSION"), std::string::npos);
+    std::ostringstream out2;
+    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 15.0, out2), 0);
+    std::ostringstream out3;
+    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 0.0, out3), 0);
+}
+
+TEST(CampaignDiff, P99RegressionFailsGateAndDisjointRunsReported)
+{
+    DiffTempDir dir;
+    const fs::path a = dir.path() / "a.json";
+    const fs::path b = dir.path() / "b.json";
+    writeFile(a, benchJson("aaaa000011112222", 100.0, 50.0, 1000));
+    // B shares the fingerprint but regresses p99, and adds a run A
+    // does not have.
+    const std::string extra =
+        "    {\"fingerprint\": \"bbbb000011112222\", \"csv\": "
+        "\"run-b.csv\", \"executed\": true,\n"
+        "     \"ftl\": \"LeaFTL\", \"workload\": \"synthetic:seq\", "
+        "\"gamma\": 0, \"qd\": 1, \"device\": \"auto\", \"mode\": "
+        "\"closed\", \"rate\": 0,\n"
+        "     \"throughput_mbps\": 10, \"achieved_iops\": 10, "
+        "\"p99_read_lat_us\": 5, \"p99_lat_e2e_us\": 5, \"wall_ns\": 1}";
+    writeFile(b, benchJson("aaaa000011112222", 100.0, 60.0, 1000, extra));
+    std::ostringstream out;
+    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 5.0, out), 1);
+    EXPECT_NE(out.str().find("only in"), std::string::npos);
+    EXPECT_NE(out.str().find("bbbb000011112222"), std::string::npos);
+}
+
+TEST(CampaignDiff, UnreadableInputIsExitCode2)
+{
+    DiffTempDir dir;
+    const fs::path a = dir.path() / "a.json";
+    writeFile(a, benchJson("aaaa000011112222", 1.0, 1.0, 1));
+    std::ostringstream out;
+    EXPECT_EQ(cli::campaignDiff(a.string(),
+                                (dir.path() / "missing.json").string(),
+                                0.0, out),
+              2);
+    const fs::path empty = dir.path() / "empty.json";
+    writeFile(empty, "{}\n");
+    std::ostringstream out2;
+    EXPECT_EQ(cli::campaignDiff(a.string(), empty.string(), 0.0, out2), 2);
 }
 
 } // namespace

@@ -237,54 +237,13 @@ TEST(LintFloatFormat, PinnedPrecisionAndNonFloatsClean)
                       "float-format"));
 }
 
-// ------------------------------------------------- parallel-mutation
-
-TEST(LintParallelMutation, FlagsTableMutationInWorkerBody)
-{
-    const std::string src =
-        "void process(ShardPool *pool, LearnedTable *table)\n"
-        "{\n"
-        "    pool->parallelFor(n, [&](size_t b, size_t e, uint32_t) {\n"
-        "        for (size_t i = b; i < e; i++)\n"
-        "            table->learn(runs[i]);\n"
-        "    });\n"
-        "}\n";
-    const auto findings = lintContent("src/sim/runner.cc", src);
-    ASSERT_EQ(1u, findings.size());
-    EXPECT_EQ("parallel-mutation", findings[0].rule);
-    EXPECT_EQ(5, findings[0].line);
-}
-
-TEST(LintParallelMutation, RawProbesAndSerialCodeClean)
-{
-    // Read-only accessors that advance no cache or statistics may run
-    // in a worker body.
-    const std::string reads =
-        "pool->parallelFor(n, [&](size_t b, size_t e, uint32_t) {\n"
-        "    for (size_t i = b; i < e; i++)\n"
-        "        bytes[i] = table->groupBytes(groups[i]);\n"
-        "});\n";
-    EXPECT_FALSE(hits("src/sim/runner.cc", reads, "parallel-mutation"));
-    // The same mutation outside any parallelFor window is the normal
-    // serial path.
-    EXPECT_FALSE(hits("src/sim/runner.cc", "table->learn(run);\n",
-                      "parallel-mutation"));
-    // learned_table.cc owns the disjoint per-group fan-out.
-    const std::string fanout =
-        "pool_->parallelFor(n, [&](size_t b, size_t e, uint32_t w) {\n"
-        "    groups[b]->compact(scratch);\n"
-        "});\n";
-    EXPECT_FALSE(hits("src/learned/learned_table.cc", fanout,
-                      "parallel-mutation"));
-}
-
 // -------------------------------------------- hot-path-std-function
 
 TEST(LintHotPathStdFunction, FlagsStdFunctionInHotHeaders)
 {
     EXPECT_TRUE(hits("src/learned/foo.hh", "std::function<void()> cb_;\n",
                      "hot-path-std-function"));
-    EXPECT_TRUE(hits("src/sim/shard_runner.hh", "#include <functional>\n",
+    EXPECT_TRUE(hits("src/learned/foo.hh", "#include <functional>\n",
                      "hot-path-std-function"));
 }
 

@@ -9,10 +9,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "cli/sim_cli.hh"
 #include "csv_test_util.hh"
@@ -150,6 +152,71 @@ TEST(SimCliParse, RejectsBadInput)
         const char *argv[] = {"leaftl_sim", "--requests"};
         EXPECT_FALSE(parseArgs(2, argv, opts, err));
     }
+}
+
+TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
+{
+    // There is no intra-run worker pool: the threads key fails like
+    // any unknown key, from a config file and from --set, and the
+    // --threads flag is an unknown argument.
+    SimOptions opts;
+    std::string err;
+    const std::string conf =
+        "/tmp/leaftl_sim_cli_threads." + std::to_string(::getpid()) + ".conf";
+    {
+        std::ofstream file(conf);
+        file << "[experiment]\nthreads = 2\n";
+    }
+    {
+        const char *argv[] = {"leaftl_sim", "--config", conf.c_str()};
+        EXPECT_FALSE(parseArgs(3, argv, opts, err));
+        EXPECT_NE(err.find("unknown key 'threads'"), std::string::npos)
+            << err;
+    }
+    std::remove(conf.c_str());
+    {
+        const char *argv[] = {"leaftl_sim", "--set", "threads=2"};
+        EXPECT_FALSE(parseArgs(3, argv, opts, err));
+        EXPECT_NE(err.find("unknown key 'threads'"), std::string::npos)
+            << err;
+    }
+    {
+        const char *argv[] = {"leaftl_sim", "--threads", "2"};
+        EXPECT_FALSE(parseArgs(3, argv, opts, err));
+        EXPECT_NE(err.find("unknown argument '--threads'"),
+                  std::string::npos)
+            << err;
+    }
+
+    // The key never entered a run fingerprint, so campaign resume is
+    // unaffected: these values were pinned while it still existed. The
+    // second spec is the flat layout of
+    // Fingerprint.StableAcrossConfigFileKeyOrderAndInheritance.
+    config::RunPoint p;
+    p.ftl = FtlKind::LeaFTL;
+    p.workload = "synthetic:zipf";
+    p.gamma = 4;
+    p.qd = 4;
+    p.device = "tiny";
+    p.mode = "closed";
+    EXPECT_EQ(config::runFingerprint(parse({}), p), "55df68e2c53b59eb");
+    EXPECT_EQ(config::runFingerprint(parse({"--ws", "4096", "--device", "tiny",
+                                            "--requests", "1000", "--seed",
+                                            "7"}),
+                                     p),
+              "cf196a066c1af262");
+}
+
+TEST(SweepWorkers, AutoExplicitNeverZeroAndCappedAtRunCount)
+{
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(sweepWorkers(0, 1000), std::min(hw, 1000u)); // Auto.
+    EXPECT_EQ(sweepWorkers(3, 1000), 3u);
+    EXPECT_EQ(sweepWorkers(512, 1000), 512u); // May oversubscribe.
+    EXPECT_EQ(sweepWorkers(8, 5), 5u);        // One worker per run.
+    EXPECT_EQ(sweepWorkers(0, 1), 1u);
+    EXPECT_EQ(sweepWorkers(0, 0), 1u); // Never zero.
+    EXPECT_EQ(sweepWorkers(4, 0), 1u);
 }
 
 /** Run simMain on @a args; @return its exit code, stderr in @a err. */

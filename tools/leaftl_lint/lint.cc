@@ -278,27 +278,6 @@ hasCall(const std::string &s, const std::string &id)
     return false;
 }
 
-/** Member call: '.' or "->" directly before @a id, then '('. */
-bool
-hasMemberCall(const std::string &s, const std::string &id)
-{
-    for (size_t pos = findIdent(s, id); pos != std::string::npos;
-         pos = findIdent(s, id, pos + 1)) {
-        if (pos == 0)
-            continue;
-        const bool dot = s[pos - 1] == '.';
-        const bool arrow = pos >= 2 && s[pos - 2] == '-' && s[pos - 1] == '>';
-        if (!dot && !arrow)
-            continue;
-        size_t j = pos + id.size();
-        while (j < s.size() && s[j] == ' ')
-            j++;
-        if (j < s.size() && s[j] == '(')
-            return true;
-    }
-    return false;
-}
-
 std::string
 lower(std::string s)
 {
@@ -623,9 +602,7 @@ ruleFloatFormat(const PathInfo &p, const ScannedFile &f, Findings &out)
 void
 ruleHotPathStdFunction(const PathInfo &p, const ScannedFile &f, Findings &out)
 {
-    const bool hot = (startsWith(p.path, "src/learned/") && p.header) ||
-                     p.path == "src/sim/shard_runner.hh";
-    if (!hot)
+    if (!startsWith(p.path, "src/learned/") || !p.header)
         return;
     for (int line = 1; line <= f.lineCount(); line++) {
         const std::string &code = f.codeAt(line);
@@ -637,60 +614,6 @@ ruleHotPathStdFunction(const PathInfo &p, const ScannedFile &f, Findings &out)
                  code.find("<functional>") != std::string::npos)
             add(out, p, line, "hot-path-std-function",
                 "<functional> included from a hot-path header");
-    }
-}
-
-/**
- * concurrency/parallel-mutation: inside a ShardPool::parallelFor
- * window only disjoint per-group work and reads of state no worker
- * writes are legal; calling a LearnedTable mutation or
- * stats-advancing entry point (lookup() advances the last-hit cache)
- * from a worker races every other worker. learned_table.cc itself is
- * exempt -- it owns the disjoint-group fan-out (per-group
- * update/compact with per-worker arenas).
- */
-void
-ruleParallelMutation(const PathInfo &p, const ScannedFile &f, Findings &out)
-{
-    if (p.path == "src/learned/learned_table.cc")
-        return;
-    static const char *banned[] = {"lookup",       "learn",  "compact",
-                                   "setShardPool", "restoreChain"};
-    // Track parallelFor(...) argument extents, which usually span
-    // lines (the body is a lambda); any line touching an open extent
-    // is checked for banned member calls.
-    int extent_depth = 0; // >0: inside a parallelFor argument list.
-    for (int line = 1; line <= f.lineCount(); line++) {
-        const std::string &code = f.codeAt(line);
-        size_t i = 0;
-        bool in_extent = extent_depth > 0;
-        if (!in_extent) {
-            const size_t pos = findIdent(code, "parallelFor");
-            if (pos == std::string::npos)
-                continue;
-            i = code.find('(', pos);
-            if (i == std::string::npos)
-                continue;
-            in_extent = true;
-        }
-        for (; i < code.size(); i++) {
-            if (code[i] == '(')
-                extent_depth++;
-            else if (code[i] == ')' && extent_depth > 0 &&
-                     --extent_depth == 0)
-                break;
-        }
-        if (in_extent) {
-            for (const char *id : banned) {
-                if (hasMemberCall(code, id)) {
-                    add(out, p, line, "parallel-mutation",
-                        std::string("LearnedTable entry point '") + id +
-                            "()' called inside a parallelFor body; "
-                            "workers may only touch disjoint per-group "
-                            "state");
-                }
-            }
-        }
     }
 }
 
@@ -877,13 +800,8 @@ rules()
         {{"float-format", "determinism",
           "printf-family float conversions must pin their precision"},
          ruleFloatFormat},
-        {{"parallel-mutation", "concurrency",
-          "no LearnedTable mutation entry points inside parallelFor "
-          "bodies"},
-         ruleParallelMutation},
         {{"hot-path-std-function", "concurrency",
-          "no std::function in hot-path headers (src/learned/*.hh, "
-          "src/sim/shard_runner.hh)"},
+          "no std::function in hot-path headers (src/learned/*.hh)"},
          ruleHotPathStdFunction},
         {{"hot-path-node-containers", "perf",
           "no node-based standard containers (std::list/map/unordered_*) "

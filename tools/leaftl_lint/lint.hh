@@ -3,15 +3,14 @@
  * leaftl_lint: an in-repo static-analysis pass that machine-checks
  * the project's determinism and concurrency disciplines.
  *
- * The repo's headline guarantees -- byte-identical sweep CSVs across
- * --jobs/--threads/config layouts, and disjoint-only mutation inside
- * the worker pool's parallelFor windows -- are invariants of the
+ * The repo's headline guarantee -- byte-identical sweep CSVs across
+ * --jobs values and config layouts -- is an invariant of the
  * *source*, not of any one test run: a single stray wall-clock read,
- * unordered-map iteration in a serializer, or table mutation inside a
- * parallelFor window silently breaks reproducibility. This pass
- * tokenizes every source file (comments and literal contents
- * stripped, so prose never triggers rules) and enforces the
- * invariants as named rules, in the src/config diagnostic idiom:
+ * unseeded random draw or unordered-map iteration in a serializer
+ * silently breaks reproducibility. This pass tokenizes every source
+ * file (comments and literal contents stripped, so prose never
+ * triggers rules) and enforces the invariants as named rules, in the
+ * src/config diagnostic idiom:
  * every finding is "origin:line: ..." located, and intentional
  * exceptions are suppressed in place with
  *
