@@ -166,7 +166,7 @@ class RefWriteBuffer
 
 /**
  * The old full-scan victim policies over shadow per-block state. The
- * caller mirrors every allocate/release/markValid/invalidate/erase it
+ * caller mirrors every allocate/release/markValidRun/invalidate/erase it
  * performs on the real BlockManager into this shadow, then compares
  * pick results.
  */

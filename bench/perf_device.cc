@@ -256,9 +256,9 @@ struct PickRig
             const Ppa first = geom.firstPpa(b);
             for (uint32_t p = 0; p < ppb; p++) {
                 flash.programPage(first + p, first + p);
-                bm.markValid(first + p);
                 ref.onMarkValid(b);
             }
+            bm.markValidRun(first, ppb);
             uint32_t drop = 0;
             while (drop < ppb && rng.nextBounded(2) == 0)
                 drop++;

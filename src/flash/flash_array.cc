@@ -68,23 +68,6 @@ FlashArray::programPage(Ppa ppa, Lpa lpa)
     counters_.page_writes++;
 }
 
-Lpa
-FlashArray::readPage(Ppa ppa)
-{
-    LEAFTL_ASSERT(ppa < geom_.totalPages(), "read out of range");
-    counters_.page_reads++;
-    const Lpa *store = blockStore(geom_.blockOf(ppa));
-    return store ? store[geom_.pageInBlock(ppa)] : kInvalidLpa;
-}
-
-Lpa
-FlashArray::peekLpa(Ppa ppa) const
-{
-    LEAFTL_ASSERT(ppa < geom_.totalPages(), "peek out of range");
-    const Lpa *store = blockStore(geom_.blockOf(ppa));
-    return store ? store[geom_.pageInBlock(ppa)] : kInvalidLpa;
-}
-
 std::vector<Lpa>
 FlashArray::oobWindow(Ppa ppa, uint32_t gamma) const
 {

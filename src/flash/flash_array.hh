@@ -68,10 +68,27 @@ class FlashArray
     void programPage(Ppa ppa, Lpa lpa);
 
     /** Read a page; returns the LPA it carries (kInvalidLpa if unwritten). */
-    Lpa readPage(Ppa ppa);
+    Lpa
+    readPage(Ppa ppa)
+    {
+        counters_.page_reads++;
+        return peekLpa(ppa);
+    }
+
+    /**
+     * Count @a n page reads whose LPAs the caller takes through
+     * peekLpa: a GC victim's survivors, read as one batch.
+     */
+    void countReads(uint64_t n) { counters_.page_reads += n; }
 
     /** Peek the carried LPA without charging a read (internal checks). */
-    Lpa peekLpa(Ppa ppa) const;
+    Lpa
+    peekLpa(Ppa ppa) const
+    {
+        LEAFTL_ASSERT(ppa < geom_.totalPages(), "peek out of range");
+        const Lpa *store = blockStore(geom_.blockOf(ppa));
+        return store ? store[geom_.pageInBlock(ppa)] : kInvalidLpa;
+    }
 
     /**
      * OOB reverse-mapping window around @a ppa: the LPAs of PPAs

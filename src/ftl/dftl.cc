@@ -14,11 +14,11 @@ Dftl::Dftl(FtlOps &ops, uint32_t page_size, uint64_t budget_bytes)
 TranslateResult
 Dftl::translate(Lpa lpa)
 {
-    if (const CmtEntry *e = cmt_.touch(lpa)) {
+    if (const Ppa *e = cmt_.touch(lpa)) {
         cmt_hits_++;
-        if (e->ppa == kInvalidPpa)
+        if (*e == kInvalidPpa)
             return {}; // Trimmed.
-        return {true, e->ppa, false};
+        return {true, *e, false};
     }
 
     // CMT miss: consult the GTD. A missing translation page means the
@@ -50,11 +50,23 @@ Dftl::trim(Lpa lpa)
 }
 
 void
+Dftl::markDirty(Lpa lpa)
+{
+    const uint32_t tvpn = tvpnOf(lpa);
+    if (tvpn >= dirty_.size())
+        dirty_.resize(tvpn + 1);
+    if (dirty_[tvpn].size() == 0)
+        dirty_[tvpn].resize(entries_per_tpage_);
+    dirty_[tvpn].set(slotOf(lpa));
+}
+
+void
 Dftl::upsertCmt(Lpa lpa, Ppa ppa, bool dirty)
 {
     auto [entry, fresh] = cmt_.insert(lpa);
-    entry.ppa = ppa;
-    entry.dirty = entry.dirty || dirty;
+    entry = ppa;
+    if (dirty)
+        markDirty(lpa);
     if (!fresh)
         return;
     const uint32_t tvpn = tvpnOf(lpa);
@@ -68,7 +80,7 @@ Dftl::evictToBudget()
 {
     const uint64_t max_entries = budget_bytes_ / kMapEntryBytes;
     while (cmt_.size() > max_entries) {
-        if (cmt_.lruValue().dirty) {
+        if (isDirty(cmt_.lruKey())) {
             // Batch write-back: flush all dirty entries of the
             // victim's translation page in one read-modify-write.
             writebackTpage(tvpnOf(cmt_.lruKey()));
@@ -95,13 +107,13 @@ Dftl::writebackTpage(uint32_t tvpn)
 {
     std::vector<Ppa> &page = rmwTpage(tvpn);
     const Lpa first = tvpn * entries_per_tpage_;
-    for (uint32_t i = 0; i < entries_per_tpage_; i++) {
-        CmtEntry *e = cmt_.peek(first + i);
-        if (e && e->dirty) {
-            page[i] = e->ppa;
-            e->dirty = false;
-        }
-    }
+    Bitmap &dirty = dirty_[tvpn];
+    dirty.forEachSet([&](uint32_t i) {
+        const Ppa *e = cmt_.peek(first + i);
+        LEAFTL_ASSERT(e, "DFTL: dirty slot without a CMT entry");
+        page[i] = *e;
+    });
+    dirty.clearAll();
 }
 
 void
@@ -127,9 +139,11 @@ Dftl::recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run)
         }
         Ppa &slot = (*page)[slotOf(lpa)];
         // Refresh any cached copy; it is now clean w.r.t. flash.
-        if (CmtEntry *e = cmt_.peek(lpa))
-            *e = {ppa, false};
-        else if (slot == kNeverWritten)
+        if (Ppa *e = cmt_.peek(lpa)) {
+            *e = ppa;
+            if (isDirty(lpa))
+                dirty_[tvpn].clear(slotOf(lpa));
+        } else if (slot == kNeverWritten)
             mapped_++;
         slot = ppa;
     }

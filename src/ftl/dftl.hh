@@ -14,11 +14,19 @@
  *     page (one read + one write), opportunistically flushing every
  *     dirty CMT entry of that page (DFTL's batching optimization);
  *   - GC updates translation pages directly (RMW per affected page).
+ *
+ * A CMT entry is just its PPA. Whether it is dirty lives in one place,
+ * a dirty-slot bitmap per translation page (one bit per slot, grown
+ * lazily like the pages): a set bit means the slot's CMT entry holds a
+ * mapping or trim tombstone its translation page lacks. Write-back
+ * walks only the set bits of its page and clears them, so every
+ * evicted entry is clean and a bit never outlives its entry.
  */
 
 #pragma once
 
 #include "ftl/ftl.hh"
+#include "util/bitmap.hh"
 #include "util/flat_lru.hh"
 
 namespace leaftl
@@ -50,12 +58,6 @@ class Dftl : public Ftl
     uint64_t cmtMisses() const { return cmt_misses_; }
 
   private:
-    struct CmtEntry
-    {
-        Ppa ppa = kInvalidPpa; ///< kInvalidPpa = trimmed.
-        bool dirty = false;
-    };
-
     /** Translation-page slot never written (kInvalidPpa = trimmed). */
     static constexpr Ppa kNeverWritten = kInvalidPpa - 1;
 
@@ -65,6 +67,15 @@ class Dftl : public Ftl
     {
         return tvpn < tpages_.size() && !tpages_[tvpn].empty();
     }
+
+    bool
+    isDirty(Lpa lpa) const
+    {
+        const uint32_t tvpn = tvpnOf(lpa);
+        return tvpn < dirty_.size() && dirty_[tvpn].size() != 0 &&
+               dirty_[tvpn].test(slotOf(lpa));
+    }
+    void markDirty(Lpa lpa);
 
     /** Insert/update a CMT entry, evicting to budget. */
     void upsertCmt(Lpa lpa, Ppa ppa, bool dirty);
@@ -80,7 +91,10 @@ class Dftl : public Ftl
     uint32_t entries_per_tpage_;
     uint64_t budget_bytes_;
 
-    FlatLru<CmtEntry> cmt_;
+    /** CMT: LPA -> PPA (kInvalidPpa = trimmed). */
+    FlatLru<Ppa> cmt_;
+    /** Dirty CMT slots, one bitmap per tvpn (empty until first dirty). */
+    std::vector<Bitmap> dirty_;
 
     /** Authoritative on-flash translation pages, indexed by tvpn. */
     std::vector<std::vector<Ppa>> tpages_;

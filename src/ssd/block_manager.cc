@@ -102,23 +102,24 @@ BlockManager::bucketLinkFront(uint32_t block, uint32_t count)
 }
 
 void
-BlockManager::markValid(Ppa ppa)
+BlockManager::markValidRun(Ppa first, uint32_t n)
 {
-    const uint32_t block = flash_.geometry().blockOf(ppa);
-    const uint32_t page = flash_.geometry().pageInBlock(ppa);
-    Bitmap &pvt = materializePvt(block);
-    LEAFTL_ASSERT(!pvt.test(page), "page already valid");
-    pvt.set(page);
-    const uint32_t count = ++valid_count_[block];
+    const uint32_t block = flash_.geometry().blockOf(first);
+    const uint32_t page = flash_.geometry().pageInBlock(first);
+    LEAFTL_ASSERT(n > 0 && n <= flash_.geometry().pages_per_block - page,
+                  "valid run crosses a block");
+    const uint32_t newly = materializePvt(block).setRange(page, n);
+    LEAFTL_ASSERT(newly == n, "page already valid");
+    const uint32_t old_count = valid_count_[block];
+    valid_count_[block] += n;
     if (!in_victim_index_[block]) {
-        // First valid page since allocation: the block becomes a GC
+        // First valid pages since allocation: the block becomes a GC
         // candidate and enters the index.
         in_victim_index_[block] = 1;
-        bucketLinkFront(block, count);
     } else {
-        bucketUnlink(block, count - 1);
-        bucketLinkFront(block, count);
+        bucketUnlink(block, old_count);
     }
+    bucketLinkFront(block, valid_count_[block]);
 }
 
 void
@@ -135,18 +136,16 @@ BlockManager::invalidate(Ppa ppa)
     bucketLinkFront(block, count);
 }
 
-bool
-BlockManager::isValid(Ppa ppa) const
+void
+BlockManager::invalidateBlock(uint32_t block)
 {
-    const uint32_t block = flash_.geometry().blockOf(ppa);
-    return pvt_[block] &&
-           pvt_[block]->test(flash_.geometry().pageInBlock(ppa));
-}
-
-uint32_t
-BlockManager::validCount(uint32_t block) const
-{
-    return valid_count_[block];
+    const uint32_t count = valid_count_[block];
+    if (count == 0)
+        return;
+    pvt_[block]->clearAll();
+    valid_count_[block] = 0;
+    bucketUnlink(block, count);
+    bucketLinkFront(block, 0);
 }
 
 std::optional<uint32_t>
@@ -230,12 +229,10 @@ BlockManager::validPages(uint32_t block,
 {
     if (!pvt_[block])
         return; // Never programmed since erase: nothing valid.
-    const Geometry &geom = flash_.geometry();
-    const Ppa first = geom.firstPpa(block);
-    for (uint32_t i = 0; i < geom.pages_per_block; i++) {
-        if (pvt_[block]->test(i))
-            out.emplace_back(flash_.peekLpa(first + i), first + i);
-    }
+    const Ppa first = flash_.geometry().firstPpa(block);
+    pvt_[block]->forEachSet([&](uint32_t i) {
+        out.emplace_back(flash_.peekLpa(first + i), first + i);
+    });
 }
 
 uint64_t

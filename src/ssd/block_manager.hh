@@ -7,9 +7,9 @@
  * Victim selection is served from an incrementally maintained index:
  * every programmed block sits in a valid-count bucket (an intrusive
  * doubly-linked list over per-block u32 links), updated on
- * markValid/invalidate and dropped at releaseBlock. `pickGcVictim`
- * therefore walks buckets from emptiest upward instead of scanning
- * every block on the device, while preserving the old scan's
+ * markValidRun/invalidate/invalidateBlock and dropped at releaseBlock.
+ * `pickGcVictim` therefore walks buckets from emptiest upward instead
+ * of scanning every block on the device, while preserving the old scan's
  * lowest-index-among-min tie-break exactly. Wear-leveling picks come
  * from FlashArray's analogous per-erase-count buckets, and
  * `eraseSpread` is O(1) off its incremental min/max.
@@ -35,7 +35,7 @@ namespace leaftl
  *
  * Memory model: like FlashArray's page-LPA store, the PVT is sparse at
  * block granularity. A block's validity bitmap is materialized on its
- * first markValid and released when the erased block returns to the
+ * first markValidRun and released when the erased block returns to the
  * free pool, so PVT memory is O(totalBlocks + live blocks *
  * pages_per_block / 8) instead of O(totalPages / 8) -- at the paper's
  * 2 TB scale that is the difference between ~16 MB always-resident and
@@ -57,16 +57,31 @@ class BlockManager
     /** Return an erased block to the free pool. */
     void releaseBlock(uint32_t block);
 
-    /** Mark a freshly programmed page valid (updates PVT + BVC). */
-    void markValid(Ppa ppa);
+    /**
+     * Mark @a n freshly programmed pages valid, starting at @a first
+     * and all inside one block: sets their PVT bits, adds @a n to the
+     * BVC and moves the block's victim-index entry once.
+     */
+    void markValidRun(Ppa first, uint32_t n);
 
-    /** Invalidate a page whose LPA was overwritten or migrated. */
+    /** Invalidate a page whose LPA was overwritten. */
     void invalidate(Ppa ppa);
 
-    bool isValid(Ppa ppa) const;
+    /**
+     * Invalidate every valid page of @a block (its survivors were
+     * migrated): clears the PVT, zeroes the BVC, one index move.
+     */
+    void invalidateBlock(uint32_t block);
+
+    bool
+    isValid(Ppa ppa) const
+    {
+        const Bitmap *pvt = pvt_[flash_.geometry().blockOf(ppa)].get();
+        return pvt && pvt->test(flash_.geometry().pageInBlock(ppa));
+    }
 
     /** Valid-page count of a block (the BVC). */
-    uint32_t validCount(uint32_t block) const;
+    uint32_t validCount(uint32_t block) const { return valid_count_[block]; }
 
     /**
      * Greedy GC victim: the programmed (Open or Full), non-free block
@@ -91,8 +106,9 @@ class BlockManager
 
     /**
      * Scratch-buffer overload: append the block's valid (LPA, PPA)
-     * pairs to @a out. The GC migrate loop reuses one buffer across
-     * victims, avoiding a vector allocation per reclaimed block.
+     * pairs to @a out, walking the PVT a word at a time. The GC
+     * migrate loop reuses one buffer across victims, avoiding a
+     * vector allocation per reclaimed block.
      */
     void validPages(uint32_t block,
                     std::vector<std::pair<Lpa, Ppa>> &out) const;
@@ -125,7 +141,7 @@ class BlockManager
     FlashArray &flash_;
     std::deque<uint32_t> free_pool_;
     std::vector<uint32_t> valid_count_; ///< BVC.
-    /** Per-block validity bitmap, materialized on first markValid. */
+    /** Per-block validity bitmap, materialized on first markValidRun. */
     std::vector<std::unique_ptr<Bitmap>> pvt_;
     std::vector<bool> in_free_pool_;
     size_t resident_pvt_ = 0;
@@ -133,7 +149,7 @@ class BlockManager
     /**
      * GC victim index: bucket_head_[c] chains (via gc_prev_/gc_next_)
      * the indexed blocks whose BVC is c. A block joins on its first
-     * markValid after allocation and leaves at releaseBlock, so index
+     * markValidRun after allocation and leaves at releaseBlock, so index
      * membership == "programmed since last release" and the pick-time
      * in_free_pool_/blockState re-check below matches the old
      * full-scan candidate set exactly.

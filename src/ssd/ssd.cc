@@ -9,6 +9,7 @@ namespace leaftl
 
 Ssd::Ssd(const SsdConfig &cfg)
     : cfg_(cfg),
+      host_pages_(cfg.hostPages()),
       flash_(cfg.geometry),
       channels_(cfg.geometry.num_channels),
       blocks_(flash_),
@@ -138,7 +139,7 @@ Ssd::resolveExact(Lpa lpa, Ppa predicted, bool already_read)
 Tick
 Ssd::read(Lpa lpa, Tick now)
 {
-    LEAFTL_ASSERT(lpa < cfg_.hostPages(), "host read beyond capacity");
+    LEAFTL_ASSERT(lpa < host_pages_, "host read beyond capacity");
     stats_.host_reads++;
     cur_time_ = now + cfg_.latency.dram_access;
 
@@ -216,7 +217,7 @@ Ssd::read(Lpa lpa, Tick now)
 Tick
 Ssd::write(Lpa lpa, Tick now)
 {
-    LEAFTL_ASSERT(lpa < cfg_.hostPages(), "host write beyond capacity");
+    LEAFTL_ASSERT(lpa < host_pages_, "host write beyond capacity");
     stats_.host_writes++;
     cur_time_ = now + cfg_.latency.dram_access;
     const Tick ack = cur_time_;
@@ -234,10 +235,9 @@ Ssd::write(Lpa lpa, Tick now)
 Tick
 Ssd::submit(const IoRequest &req, Tick now)
 {
-    const uint64_t host_pages = cfg_.hostPages();
     Tick done = now;
     for (uint32_t i = 0; i < req.npages; i++) {
-        const Lpa lpa = static_cast<Lpa>((req.lpa + i) % host_pages);
+        const Lpa lpa = static_cast<Lpa>((req.lpa + i) % host_pages_);
         const Tick lat =
             req.op == Op::Read ? read(lpa, now) : write(lpa, now);
         done = std::max(done, now + lat);
@@ -248,7 +248,7 @@ Ssd::submit(const IoRequest &req, Tick now)
 Tick
 Ssd::trim(Lpa lpa, Tick now)
 {
-    LEAFTL_ASSERT(lpa < cfg_.hostPages(), "host trim beyond capacity");
+    LEAFTL_ASSERT(lpa < host_pages_, "host trim beyond capacity");
     stats_.host_trims++;
     cur_time_ = now + cfg_.latency.dram_access;
     const Tick ack = cur_time_;
@@ -302,24 +302,27 @@ Ssd::programBatch(const std::vector<Lpa> &lpas, Tick now, WriteKind kind)
         blocks_since_persist_.push_back(block);
         const uint32_t channel = cfg_.geometry.channelOfBlock(block);
         const Ppa first = cfg_.geometry.firstPpa(block);
-        const size_t chunk = std::min<size_t>(ppb, lpas.size() - i);
-        for (size_t j = 0; j < chunk; j++) {
-            const Ppa ppa = first + static_cast<Ppa>(j);
+        const uint32_t chunk =
+            static_cast<uint32_t>(std::min<size_t>(ppb, lpas.size() - i));
+        for (uint32_t j = 0; j < chunk; j++) {
+            const Ppa ppa = first + j;
             flash_.programPage(ppa, lpas[i + j]);
-            blocks_.markValid(ppa);
-            channels_.occupy(channel, now, cfg_.latency.flash_write);
-            switch (kind) {
-              case WriteKind::Host:
-                stats_.data_writes++;
-                break;
-              case WriteKind::Gc:
-                stats_.gc_writes++;
-                break;
-              case WriteKind::Wear:
-                stats_.wear_writes++;
-                break;
-            }
             run.emplace_back(lpas[i + j], ppa);
+        }
+        // The chunk fills one block on one channel: one run marking,
+        // one channel charge and one counter bump cover all of it.
+        blocks_.markValidRun(first, chunk);
+        channels_.occupy(channel, now, chunk * cfg_.latency.flash_write);
+        switch (kind) {
+          case WriteKind::Host:
+            stats_.data_writes += chunk;
+            break;
+          case WriteKind::Gc:
+            stats_.gc_writes += chunk;
+            break;
+          case WriteKind::Wear:
+            stats_.wear_writes += chunk;
+            break;
         }
         i += chunk;
     }
@@ -475,89 +478,61 @@ Ssd::doGcPass(Tick now)
         return false; // Device genuinely full of valid data.
 
     stats_.gc_runs++;
-
-    // Read every survivor, then rewrite them sorted by LPA so the
-    // relearned mapping is as compressible as a host flush (§3.6).
-    // Both staging vectors are member scratch: GC passes recur all
-    // run long, and per-pass allocations add up.
-    std::vector<std::pair<Lpa, Ppa>> &pages = gc_pages_scratch_;
-    pages.clear();
-    for (uint32_t victim : victims) {
-        const size_t first = pages.size();
-        blocks_.validPages(victim, pages);
-        for (size_t i = first; i < pages.size(); i++) {
-            const Ppa ppa = pages[i].second;
-            channels_.occupy(flash_.geometry().channelOf(ppa), now,
-                             cfg_.latency.flash_read);
-            flash_.readPage(ppa);
-            stats_.gc_reads++;
-        }
-    }
-    std::sort(pages.begin(), pages.end());
-    std::vector<Lpa> &lpas = gc_lpas_scratch_;
-    lpas.clear();
-    lpas.reserve(pages.size());
-    for (const auto &[lpa, ppa] : pages) {
-        lpas.push_back(lpa);
-        blocks_.invalidate(ppa);
-    }
-
-    if (!lpas.empty()) {
-        const auto &run = programBatch(lpas, now, WriteKind::Gc);
-        ftl_->recordMappingsGc(run);
-        crashPoint(CrashSite::GcAfterProgram);
-        journalLearn(run);
-    }
-
-    for (uint32_t victim : victims) {
-        channels_.occupy(flash_.geometry().channelOfBlock(victim), now,
-                         cfg_.latency.flash_erase);
-        flash_.eraseBlock(victim);
-        blocks_.releaseBlock(victim);
-        stats_.gc_erases++;
-    }
-    crashPoint(CrashSite::GcAfterErase);
+    migrateVictims(victims, WriteKind::Gc, now);
     updateDramSplit();
     return true;
 }
 
 void
-Ssd::migrateBlock(uint32_t victim, Tick now)
+Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
+                    Tick now)
 {
+    // Read every survivor, then rewrite them sorted by LPA so the
+    // relearned mapping is as compressible as a host flush (§3.6).
+    // A victim's survivors share its channel, so their reads are one
+    // charge; once read they are invalidated as a block. Both staging
+    // vectors are member scratch: migrations recur all run long, and
+    // per-pass allocations add up.
+    uint64_t &reads = kind == WriteKind::Gc ? stats_.gc_reads
+                                            : stats_.wear_reads;
     std::vector<std::pair<Lpa, Ppa>> &pages = gc_pages_scratch_;
     pages.clear();
-    blocks_.validPages(victim, pages);
-
-    // Read the survivors.
-    for (const auto &[lpa, ppa] : pages) {
-        channels_.occupy(flash_.geometry().channelOf(ppa), now,
-                         cfg_.latency.flash_read);
-        flash_.readPage(ppa);
-        stats_.wear_reads++;
+    for (uint32_t victim : victims) {
+        const size_t first = pages.size();
+        blocks_.validPages(victim, pages);
+        const uint64_t n = pages.size() - first;
+        if (n == 0)
+            continue; // A zero-length charge would still move busy-until.
+        channels_.occupy(cfg_.geometry.channelOfBlock(victim), now,
+                         n * cfg_.latency.flash_read);
+        flash_.countReads(n);
+        reads += n;
+        blocks_.invalidateBlock(victim);
     }
-
-    // Sort by LPA and rewrite (§3.6: GC batches are sorted and
-    // relearned exactly like host flushes).
     std::sort(pages.begin(), pages.end());
     std::vector<Lpa> &lpas = gc_lpas_scratch_;
     lpas.clear();
     lpas.reserve(pages.size());
-    for (const auto &[lpa, ppa] : pages) {
-        lpas.push_back(lpa);
-        blocks_.invalidate(ppa);
-    }
+    for (const auto &page : pages)
+        lpas.push_back(page.first);
 
     if (!lpas.empty()) {
-        const auto &run = programBatch(lpas, now, WriteKind::Wear);
+        const auto &run = programBatch(lpas, now, kind);
         ftl_->recordMappingsGc(run);
+        if (kind == WriteKind::Gc)
+            crashPoint(CrashSite::GcAfterProgram);
         journalLearn(run);
     }
 
-    channels_.occupy(flash_.geometry().channelOfBlock(victim), now,
-                     cfg_.latency.flash_erase);
-    flash_.eraseBlock(victim);
-    blocks_.releaseBlock(victim);
-    stats_.gc_erases++;
+    for (uint32_t victim : victims) {
+        channels_.occupy(cfg_.geometry.channelOfBlock(victim), now,
+                         cfg_.latency.flash_erase);
+        flash_.eraseBlock(victim);
+        blocks_.releaseBlock(victim);
+        stats_.gc_erases++;
+    }
+    if (kind == WriteKind::Gc)
+        crashPoint(CrashSite::GcAfterErase);
 }
 
 void
@@ -567,7 +542,9 @@ Ssd::maybeWearLevel(Tick now)
     if (!victim)
         return;
     stats_.wear_migrations++;
-    migrateBlock(*victim, now);
+    std::vector<uint32_t> &victims = gc_victims_scratch_;
+    victims.assign(1, *victim);
+    migrateVictims(victims, WriteKind::Wear, now);
 }
 
 void
@@ -649,18 +626,24 @@ Ssd::journalLearn(const std::vector<std::pair<Lpa, Ppa>> &run)
     if (!journalingEnabled() || in_recovery_ || run.empty())
         return;
     // Replay feeds recordMappingsGc, which needs a strictly increasing
-    // run; programmed batches are LPA-unique but FIFO flushes arrive
-    // unsorted.
-    std::vector<std::pair<Lpa, Ppa>> sorted(run);
-    std::sort(sorted.begin(), sorted.end());
+    // run; programmed batches are LPA-unique and already sorted, except
+    // for FIFO flushes (the unsorted-flush ablation), which are sorted
+    // into a reused scratch.
+    const std::vector<std::pair<Lpa, Ppa>> *sorted = &run;
+    if (!std::is_sorted(run.begin(), run.end())) {
+        journal_sort_scratch_.assign(run.begin(), run.end());
+        std::sort(journal_sort_scratch_.begin(), journal_sort_scratch_.end());
+        sorted = &journal_sort_scratch_;
+    }
     const uint32_t coverage =
         static_cast<uint32_t>(blocks_since_persist_.size());
     if (tornCrashTriggered()) {
-        journal_.appendLearn(journal_seq_++, coverage, sorted);
+        journal_.appendLearn(journal_seq_++, coverage, *sorted);
         journal_.tearLastRecord(torn_keep_pct_);
         throw CrashException{CrashSite::JournalTornAppend};
     }
-    chargeJournalBytes(journal_.appendLearn(journal_seq_++, coverage, sorted));
+    chargeJournalBytes(
+        journal_.appendLearn(journal_seq_++, coverage, *sorted));
 }
 
 void

@@ -276,14 +276,12 @@ class Ssd : public FtlOps
     void maybeGc(Tick now);
     /**
      * One GC pass: greedily select min-valid victims until erasing
-     * them reclaims at least one net block, migrate their survivors
-     * (sorted by LPA, relearned, §3.6), erase and release.
+     * them reclaims at least one net block, then migrateVictims.
      * @return true when at least one net block was reclaimed.
      */
     bool doGcPass(Tick now);
+    /** Move the coldest full block's data once wear spread is too wide. */
     void maybeWearLevel(Tick now);
-    /** Migrate one block's valid pages (wear-leveling path). */
-    void migrateBlock(uint32_t victim, Tick now);
     void updateDramSplit();
 
     /**
@@ -312,7 +310,25 @@ class Ssd : public FtlOps
     const std::vector<std::pair<Lpa, Ppa>> &
     programBatch(const std::vector<Lpa> &lpas, Tick now, WriteKind kind);
 
+    /**
+     * The one migration routine, shared by GC (@a kind Gc) and wear
+     * leveling (Wear): read the victims' survivors, rewrite them
+     * sorted by LPA and relearn them like a host flush (§3.6), journal
+     * the run, then erase and release every victim.
+     *
+     * Work is per victim, not per page: a victim's survivors are
+     * collected off its PVT words, charged as one read of n pages on
+     * its channel (skipped when n is 0) and invalidated in one
+     * BlockManager::invalidateBlock. Reads count into gc_reads or
+     * wear_reads by @a kind; every erase counts into gc_erases. The
+     * GcAfterProgram and GcAfterErase crash sites fire for Gc only.
+     */
+    void migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
+                        Tick now);
+
     SsdConfig cfg_;
+    /** cfg_.hostPages(), computed once (it takes a floating-point floor). */
+    const uint64_t host_pages_;
     FlashArray flash_;
     ChannelTimer channels_;
     BlockManager blocks_;
@@ -326,12 +342,14 @@ class Ssd : public FtlOps
     std::vector<Lpa> oob_scratch_;
     /** Scratch (LPA, PPA) run reused by programBatch (learn path). */
     std::vector<std::pair<Lpa, Ppa>> run_scratch_;
-    /** Scratch survivor list reused by doGcPass/migrateBlock. */
+    /** Scratch survivor list reused by migrateVictims. */
     std::vector<std::pair<Lpa, Ppa>> gc_pages_scratch_;
-    /** Scratch LPA batch reused by doGcPass/migrateBlock. */
+    /** Scratch LPA batch reused by migrateVictims. */
     std::vector<Lpa> gc_lpas_scratch_;
-    /** Scratch victim list reused by doGcPass. */
+    /** Scratch victim list reused by doGcPass and maybeWearLevel. */
     std::vector<uint32_t> gc_victims_scratch_;
+    /** Scratch sorted copy of an unsorted run, reused by journalLearn. */
+    std::vector<std::pair<Lpa, Ppa>> journal_sort_scratch_;
 
     /** Time cursor for the operation currently being charged. */
     Tick cur_time_ = 0;
@@ -343,7 +361,7 @@ class Ssd : public FtlOps
 
     /** Journaling on: LeaFTL with a nonzero journal threshold. */
     bool journalingEnabled() const;
-    /** Append a learn batch to the journal (sorted copy, charged). */
+    /** Append a learn batch to the journal (LPA-sorted, charged). */
     void journalLearn(const std::vector<std::pair<Lpa, Ppa>> &run);
     /** Append a trim record to the journal (charged). */
     void journalTrim(Lpa lpa);

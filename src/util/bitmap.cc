@@ -1,8 +1,6 @@
 #include "util/bitmap.hh"
 
-#include <bit>
-
-#include "util/common.hh"
+#include <algorithm>
 
 namespace leaftl
 {
@@ -19,25 +17,29 @@ Bitmap::resize(uint32_t num_bits)
     words_.assign((num_bits + 63) / 64, 0);
 }
 
-void
-Bitmap::set(uint32_t i)
+uint32_t
+Bitmap::setRange(uint32_t first, uint32_t n)
 {
-    LEAFTL_ASSERT(i < num_bits_, "bitmap set out of range");
-    words_[i >> 6] |= (1ull << (i & 63));
+    LEAFTL_ASSERT(first <= num_bits_ && n <= num_bits_ - first,
+                  "bitmap range out of range");
+    uint32_t newly = 0;
+    const uint32_t end = first + n;
+    while (first < end) {
+        const uint32_t bit = first & 63;
+        const uint32_t len = std::min(64 - bit, end - first);
+        const uint64_t mask = (len == 64 ? ~0ull : (1ull << len) - 1) << bit;
+        uint64_t &word = words_[first >> 6];
+        newly += static_cast<uint32_t>(std::popcount(mask & ~word));
+        word |= mask;
+        first += len;
+    }
+    return newly;
 }
 
 void
-Bitmap::clear(uint32_t i)
+Bitmap::clearAll()
 {
-    LEAFTL_ASSERT(i < num_bits_, "bitmap clear out of range");
-    words_[i >> 6] &= ~(1ull << (i & 63));
-}
-
-bool
-Bitmap::test(uint32_t i) const
-{
-    LEAFTL_ASSERT(i < num_bits_, "bitmap test out of range");
-    return (words_[i >> 6] >> (i & 63)) & 1;
+    std::fill(words_.begin(), words_.end(), 0);
 }
 
 uint32_t

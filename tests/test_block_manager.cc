@@ -37,10 +37,9 @@ struct Fixture
     fillBlock(uint32_t block, Lpa base)
     {
         const Ppa first = flash.geometry().firstPpa(block);
-        for (uint32_t i = 0; i < flash.geometry().pages_per_block; i++) {
+        for (uint32_t i = 0; i < flash.geometry().pages_per_block; i++)
             flash.programPage(first + i, base + i);
-            bm.markValid(first + i);
-        }
+        bm.markValidRun(first, flash.geometry().pages_per_block);
     }
 
     FlashArray flash;
@@ -106,7 +105,7 @@ TEST(BlockManager, NoVictimOnPristineDevice)
     const uint32_t b = f.bm.allocateBlock();
     const Ppa first = f.flash.geometry().firstPpa(b);
     f.flash.programPage(first, 0);
-    f.bm.markValid(first);
+    f.bm.markValidRun(first, 1);
     // Open (partially programmed) blocks are valid GC candidates:
     // wear-leveling destinations would otherwise leak space forever.
     auto victim = f.bm.pickGcVictim();
@@ -230,7 +229,7 @@ TEST(BlockManagerSparsePvt, MatchesDenseReferenceUnderFuzz)
             const Ppa first = geom.firstPpa(b);
             for (uint32_t i = 0; i < pages; i++) {
                 f.flash.programPage(first + i, 7000 + i);
-                f.bm.markValid(first + i);
+                f.bm.markValidRun(first + i, 1);
                 dense[b][i] = true;
             }
             open_blocks.push_back(b);
@@ -274,6 +273,110 @@ TEST(BlockManagerSparsePvt, MatchesDenseReferenceUnderFuzz)
         // Residency never exceeds the blocks programmed since erase.
         resident = f.bm.residentPvtBlocks();
         EXPECT_LE(resident, open_blocks.size());
+    }
+}
+
+/**
+ * The block-granular calls against the per-page ones: two managers,
+ * each over its own flash array, run the same random schedule. One
+ * marks runs with a single markValidRun(first, n) and empties
+ * migrated blocks with invalidateBlock; the other only ever marks and
+ * invalidates one page at a time. Blocks of 96 pages make runs cross
+ * PVT words. After every step the two must agree on each block's
+ * valid count, each page's validity, the order of validPages, and the
+ * sequence of GC victims a multi-victim pass would pick.
+ */
+TEST(BlockManagerRunOps, MatchPerPageOpsUnderFuzz)
+{
+    Geometry geom;
+    geom.num_channels = 2;
+    geom.blocks_per_channel = 8;
+    geom.pages_per_block = 96;
+    FlashArray run_flash(geom), page_flash(geom);
+    BlockManager run_bm(run_flash), page_bm(page_flash);
+    const uint32_t ppb = geom.pages_per_block;
+
+    auto program = [&](uint32_t b, uint32_t n, Lpa lpa) {
+        const Ppa first = geom.firstPpa(b) + run_flash.writePointer(b);
+        for (uint32_t i = 0; i < n; i++) {
+            run_flash.programPage(first + i, lpa + i);
+            page_flash.programPage(first + i, lpa + i);
+            page_bm.markValidRun(first + i, 1);
+        }
+        run_bm.markValidRun(first, n);
+    };
+    auto picks = [](const BlockManager &bm) {
+        std::vector<uint32_t> seq;
+        while (seq.size() < 8) {
+            const auto v = bm.pickGcVictim(seq);
+            if (!v)
+                break;
+            seq.push_back(*v);
+        }
+        return seq;
+    };
+
+    Rng rng(0xB10C4);
+    std::vector<uint32_t> live;
+    Lpa next_lpa = 0;
+    for (int step = 0; step < 3000; step++) {
+        const int action = static_cast<int>(rng.nextBounded(10));
+        if (action < 3 && run_bm.freeBlocks() > 0) {
+            const uint32_t b = run_bm.allocateBlock();
+            ASSERT_EQ(page_bm.allocateBlock(), b);
+            live.push_back(b);
+        } else if (action < 6 && !live.empty()) {
+            // Program a run at a live block's write pointer.
+            const uint32_t b = live[rng.nextBounded(live.size())];
+            const uint32_t room = ppb - run_flash.writePointer(b);
+            if (room > 0) {
+                const uint32_t n =
+                    1 + static_cast<uint32_t>(rng.nextBounded(room));
+                program(b, n, next_lpa);
+                next_lpa += n;
+            }
+        } else if (action < 8 && !live.empty()) {
+            // Overwrite path: drop one valid page in both.
+            const uint32_t b = live[rng.nextBounded(live.size())];
+            const Ppa ppa = geom.firstPpa(b) +
+                            static_cast<uint32_t>(rng.nextBounded(ppb));
+            if (page_bm.isValid(ppa)) {
+                run_bm.invalidate(ppa);
+                page_bm.invalidate(ppa);
+            }
+        } else if (!live.empty()) {
+            // Migration path: empty a block, then (usually) erase and
+            // release it; an emptied block left programmed stays a
+            // bucket-0 candidate.
+            const size_t idx = rng.nextBounded(live.size());
+            const uint32_t b = live[idx];
+            run_bm.invalidateBlock(b);
+            const Ppa first = geom.firstPpa(b);
+            for (uint32_t i = 0; i < ppb; i++) {
+                if (page_bm.isValid(first + i))
+                    page_bm.invalidate(first + i);
+            }
+            if (rng.nextBounded(4) != 0) {
+                run_flash.eraseBlock(b);
+                page_flash.eraseBlock(b);
+                run_bm.releaseBlock(b);
+                page_bm.releaseBlock(b);
+                live.erase(live.begin() + static_cast<ptrdiff_t>(idx));
+            }
+        }
+
+        for (uint32_t b = 0; b < geom.totalBlocks(); b++) {
+            ASSERT_EQ(run_bm.validCount(b), page_bm.validCount(b))
+                << "step " << step << " block " << b;
+            for (uint32_t i = 0; i < ppb; i++) {
+                const Ppa ppa = geom.firstPpa(b) + i;
+                ASSERT_EQ(run_bm.isValid(ppa), page_bm.isValid(ppa))
+                    << "step " << step << " ppa " << ppa;
+            }
+            ASSERT_EQ(run_bm.validPages(b), page_bm.validPages(b))
+                << "step " << step << " block " << b;
+        }
+        ASSERT_EQ(picks(run_bm), picks(page_bm)) << "step " << step;
     }
 }
 

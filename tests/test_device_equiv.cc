@@ -365,7 +365,7 @@ TEST(BlockManagerEquiv, VictimPicksMatchFullScanUnderFuzz)
                     const Ppa ppa =
                         flash.geometry().firstPpa(b) + wp;
                     flash.programPage(ppa, step);
-                    bm.markValid(ppa);
+                    bm.markValidRun(ppa, 1);
                     ref.onMarkValid(b);
                 }
             }

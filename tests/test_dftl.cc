@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the DFTL baseline: demand caching, translation-page
- * charging, dirty write-back batching, and GC update paths.
+ * charging, dirty write-back batching, the dirty-slot index, and GC
+ * update paths.
  */
 
 #include <gtest/gtest.h>
@@ -152,6 +153,67 @@ TEST(Dftl, OverwriteKeepsSingleEntry)
     ftl.recordMappings({{5, 51}});
     EXPECT_EQ(ftl.fullMappingBytes(), 1 * kMapEntryBytes);
     EXPECT_EQ(ftl.translate(5).ppa, 51u);
+}
+
+TEST(DftlDirtyIndex, WritebackWritesExactlyTheDirtySlotsOfItsPage)
+{
+    MockOps ops;
+    Dftl ftl(ops, kPageSize, 1 << 20);
+    // T-page 0 on flash with slot 0 mapped; slot 0 cached clean.
+    ftl.recordMappingsGc({{0, 10}});
+    ASSERT_TRUE(ftl.translate(0).found);
+    // Dirty slots 1 and 3 of t-page 0, and slot 600 of t-page 1.
+    ftl.recordMappings({{1, 100}, {3, 300}, {600, 6000}});
+    const uint64_t writes = ops.writes;
+
+    // Evict down to one entry (the MRU, lpa 600): the LRU dirty
+    // entry's write-back is one RMW of t-page 0 that cleans slots 1
+    // and 3; evicting clean slot 0 costs nothing.
+    ftl.setMappingBudget(1 * kMapEntryBytes);
+    EXPECT_EQ(ops.writes, writes + 1);
+    // T-page 1's dirty slot is untouched: evicting it writes it back.
+    ftl.setMappingBudget(0);
+    EXPECT_EQ(ops.writes, writes + 2);
+
+    // Flash now holds exactly the write-back: slots 1 and 3 carry
+    // their PPAs, slot 0 its GC mapping, slot 2 was never written.
+    EXPECT_EQ(ftl.translate(0).ppa, 10u);
+    EXPECT_EQ(ftl.translate(1).ppa, 100u);
+    EXPECT_FALSE(ftl.translate(2).found);
+    EXPECT_EQ(ftl.translate(3).ppa, 300u);
+    EXPECT_EQ(ftl.translate(600).ppa, 6000u);
+}
+
+TEST(DftlDirtyIndex, GcRefreshCleansADirtyCachedEntry)
+{
+    MockOps ops;
+    Dftl ftl(ops, kPageSize, 1 << 20);
+    ftl.recordMappings({{7, 70}}); // Dirty in the CMT.
+    ftl.recordMappingsGc({{7, 700}});
+    EXPECT_EQ(ops.writes, 1u); // The GC RMW of t-page 0.
+    // The refreshed entry matches flash: evicting it writes nothing.
+    ftl.setMappingBudget(0);
+    EXPECT_EQ(ops.writes, 1u);
+    const uint64_t reads = ops.reads;
+    EXPECT_EQ(ftl.translate(7).ppa, 700u);
+    EXPECT_EQ(ops.reads, reads + 1); // Reloaded from the t-page.
+}
+
+TEST(DftlDirtyIndex, TrimTombstoneSurvivesWriteback)
+{
+    MockOps ops;
+    Dftl ftl(ops, kPageSize, 1 << 20);
+    ftl.recordMappingsGc({{5, 50}, {6, 60}});
+    ftl.trim(5); // Dirty tombstone in the CMT.
+    EXPECT_FALSE(ftl.translate(5).found);
+    const uint64_t writes = ops.writes;
+    ftl.setMappingBudget(0); // Write-back persists the tombstone.
+    EXPECT_EQ(ops.writes, writes + 1);
+    const uint64_t reads = ops.reads;
+    EXPECT_FALSE(ftl.translate(5).found);
+    EXPECT_EQ(ops.reads, reads + 1); // Read from flash, still trimmed.
+    EXPECT_EQ(ftl.translate(6).ppa, 60u);
+    EXPECT_EQ(ftl.fullMappingBytes(), 2 * kMapEntryBytes);
 }
 
 } // namespace
