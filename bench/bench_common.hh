@@ -9,10 +9,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "cli/sim_cli.hh"
 #include "config/experiment.hh"
@@ -37,8 +41,6 @@ struct BenchScale
 {
     uint64_t requests = 200'000;
     uint64_t working_set_pages = 96 * 1024; ///< 384 MB at 4 KB pages.
-    /** Fraction of host pages prefilled to warm the device (GC runs). */
-    double prefill_frac = 0.85;
     /**
      * 0 = derive from the working set (cli::makeConfig's default: DRAM
      * holds half the page-level mapping table, the paper's mapping-
@@ -71,7 +73,6 @@ scaleFromSpec(const config::ExperimentSpec &spec, BenchScale &s)
     s.requests = spec.requests;
     s.working_set_pages = spec.working_set_pages;
     s.dram_bytes = spec.dram_bytes;
-    s.prefill_frac = spec.prefill_frac;
     if (!spec.gammas.empty())
         s.gamma = spec.gammas.front();
     if (!spec.queue_depths.empty())
@@ -83,58 +84,51 @@ scaleFromSpec(const config::ExperimentSpec &spec, BenchScale &s)
 
 /**
  * Parse --requests= --ws= --dram-mb= --gamma= --qd= --device=
- * --config=FILE --fast + free arg. --config loads the file's
- * [experiment] section (same grammar and validation as leaftl_sim);
- * flags and --config apply in order, later wins.
+ * --config=FILE --fast + free arg. The scale flags are leaftl_sim's
+ * experiment keys: a bad value prints leaftl_sim's error and exits
+ * with status 2. --config loads the file's [experiment] section (same
+ * grammar and validation); flags and --config apply in order, later
+ * wins.
  */
 inline BenchScale
 parseScale(int argc, char **argv, std::string *free_arg = nullptr)
 {
+    static const std::pair<std::string, std::string> kScaleFlags[] = {
+        {"--requests=", "requests"}, {"--ws=", "ws"},
+        {"--dram-mb=", "dram-mb"},   {"--gamma=", "gamma"},
+        {"--qd=", "qd"},             {"--device=", "device"},
+    };
     BenchScale s;
-    // The spec's defaults are leaftl_sim's; the bench scalars above
-    // are the historical bench defaults. Keep the embedded spec in
-    // lockstep with the scalars from the start.
+    // The spec's defaults are leaftl_sim's; requests and ws start at
+    // the historical bench defaults instead.
     s.spec.requests = s.requests;
     s.spec.working_set_pages = s.working_set_pages;
-    s.spec.prefill_frac = s.prefill_frac;
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
+        const auto flag =
+            std::find_if(std::begin(kScaleFlags), std::end(kScaleFlags),
+                         [&](const auto &f) {
+                             return arg.rfind(f.first, 0) == 0;
+                         });
         if (arg.rfind("--config=", 0) == 0) {
             s.spec = config::loadExperimentFileOrDie(arg.substr(9));
             s.from_config = true;
-            scaleFromSpec(s.spec, s);
-        } else if (arg.rfind("--requests=", 0) == 0) {
-            s.requests = std::stoull(arg.substr(11));
-            s.spec.requests = s.requests;
-        } else if (arg.rfind("--ws=", 0) == 0) {
-            s.working_set_pages = std::stoull(arg.substr(5));
-            s.spec.working_set_pages = s.working_set_pages;
-        } else if (arg.rfind("--dram-mb=", 0) == 0) {
-            s.dram_bytes = std::stoull(arg.substr(10)) << 20;
-            s.spec.dram_bytes = s.dram_bytes;
-        } else if (arg.rfind("--gamma=", 0) == 0) {
-            s.gamma = static_cast<uint32_t>(std::stoul(arg.substr(8)));
-            s.spec.gammas = {s.gamma};
-        } else if (arg.rfind("--qd=", 0) == 0) {
-            s.queue_depth = std::max(
-                1u, static_cast<uint32_t>(std::stoul(arg.substr(5))));
-            s.spec.queue_depths = {s.queue_depth};
-        } else if (arg.rfind("--device=", 0) == 0) {
-            s.device = arg.substr(9);
-            if (!findDevicePreset(s.device))
-                LEAFTL_FATAL("unknown device preset '" + s.device + "'");
-            s.spec.devices = {s.device};
+        } else if (flag != std::end(kScaleFlags)) {
+            std::string err;
+            if (!config::applyExperimentKey(s.spec, flag->second,
+                                            arg.substr(flag->first.size()),
+                                            err)) {
+                std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+                std::exit(2);
+            }
         } else if (arg == "--fast") {
             s.fast = true;
-            s.requests /= 10;
-            s.working_set_pages /= 4;
-            s.spec.requests = s.requests;
-            s.spec.working_set_pages = s.working_set_pages;
-        } else if (free_arg && arg.rfind("--", 0) != 0) {
-            *free_arg = arg;
-        } else if (free_arg && arg.rfind("--", 0) == 0) {
-            *free_arg = arg; // Benches with their own --axis/--setting.
+            s.spec.requests /= 10;
+            s.spec.working_set_pages /= 4;
+        } else if (free_arg) {
+            *free_arg = arg; // Positional, or the bench's own --flag.
         }
+        scaleFromSpec(s.spec, s);
     }
     return s;
 }

@@ -1,14 +1,12 @@
 #include "cli/campaign.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "cli/sim_cli.hh"
 
@@ -180,67 +178,46 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
     // own fingerprinted CSV (temp file + rename, so a kill mid-write
     // leaves no "done" marker); runs are independent, so no ordering
     // is needed -- the JSON below is assembled in grid order.
-    std::atomic<size_t> next{0};
-    std::mutex mutex; // Guards first_error and the progress log.
+    std::mutex mutex; // Guards first_error.
     std::string first_error;
-
-    auto worker = [&]() {
-        for (;;) {
-            const size_t slot = next.fetch_add(1);
-            if (slot >= pending.size())
-                return;
-            const size_t i = pending[slot];
-            const config::RunPoint &p = runs[i];
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!first_error.empty())
-                    return; // A failed run aborts the rest.
-                std::cerr << "leaftl_sim: campaign run " << fingerprints[i]
-                          << ": " << ftlKindName(p.ftl) << " / "
-                          << p.workload << " / gamma=" << p.gamma
-                          << " / qd=" << p.qd << " / device=" << p.device
-                          << " / mode=" << p.mode << " / rate=" << p.rate
-                          << " ...\n";
-            }
-            RunResult res;
-            std::string err;
-            if (!executeRun(spec, p, &trace_cache, res, err)) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (first_error.empty())
-                    first_error = err;
-                return;
-            }
-
-            const fs::path path = dir / runCsvName(fingerprints[i]);
-            const fs::path tmp = path.string() + ".tmp" + std::to_string(i);
-            {
-                std::ofstream out(tmp);
-                out << csvHeader() << '\n' << csvRow(spec, p, res) << '\n';
-                if (!out.good()) {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    if (first_error.empty())
-                        first_error = "cannot write '" + tmp.string() + "'";
-                    return;
-                }
-            }
-            std::error_code rename_ec;
-            fs::rename(tmp, path, rename_ec);
-            if (rename_ec) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (first_error.empty())
-                    first_error = "cannot rename '" + tmp.string() +
-                                  "': " + rename_ec.message();
-            }
-        }
+    auto fail = [&](const std::string &err) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (first_error.empty())
+            first_error = err;
     };
 
-    const unsigned jobs = sweepWorkers(spec.jobs, pending.size());
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned i = 0; i < jobs; i++)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
+    runPool(spec.jobs, pending.size(), [&](size_t slot) {
+        const size_t i = pending[slot];
+        const config::RunPoint &p = runs[i];
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!first_error.empty())
+                return; // A failed run aborts the rest.
+        }
+        announceRun("campaign run " + fingerprints[i] + ": ", p);
+        RunResult res;
+        std::string err;
+        if (!executeRun(spec, p, &trace_cache, res, err)) {
+            fail(err);
+            return;
+        }
+
+        const fs::path path = dir / runCsvName(fingerprints[i]);
+        const fs::path tmp = path.string() + ".tmp" + std::to_string(i);
+        {
+            std::ofstream out(tmp);
+            out << csvHeader() << '\n' << csvRow(spec, p, res) << '\n';
+            if (!out.good()) {
+                fail("cannot write '" + tmp.string() + "'");
+                return;
+            }
+        }
+        std::error_code rename_ec;
+        fs::rename(tmp, path, rename_ec);
+        if (rename_ec)
+            fail("cannot rename '" + tmp.string() +
+                 "': " + rename_ec.message());
+    });
     if (!first_error.empty()) {
         std::cerr << "leaftl_sim: " << first_error << '\n';
         return 1; // Finished CSVs stay on disk; a rerun resumes.

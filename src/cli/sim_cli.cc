@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -376,28 +377,25 @@ makeWorkload(const std::string &spec, const config::ExperimentSpec &opts,
         }
         return std::make_unique<MixWorkload>(mix);
     }
-    if (scheme == "msr" ||
-        (scheme.empty() && isNamedModel(msrWorkloadNames(), rest))) {
-        if (!isNamedModel(msrWorkloadNames(), rest)) {
-            err = "unknown MSR/FIU model '" + rest + "'";
+    // Named models, with or without their scheme: MSR/FIU traces and
+    // applications.
+    struct NamedModels
+    {
+        const char *scheme, *what;
+        const std::vector<std::string> &names;
+        MixSpec (*spec)(const std::string &, uint64_t, uint64_t);
+    };
+    for (const NamedModels &m :
+         {NamedModels{"msr", "MSR/FIU", msrWorkloadNames(), msrSpec},
+          NamedModels{"app", "app", appWorkloadNames(), appSpec}}) {
+        const bool named = isNamedModel(m.names, rest);
+        if (scheme != m.scheme && !(scheme.empty() && named))
+            continue;
+        if (!named) {
+            err = std::string("unknown ") + m.what + " model '" + rest + "'";
             return nullptr;
         }
-        MixSpec mix = msrSpec(rest, opts.working_set_pages, opts.requests);
-        mix.seed = opts.seed;
-        if (opts.read_ratio >= 0.0)
-            mix.read_ratio = opts.read_ratio;
-        if (opts.interarrival_us >= 0.0)
-            mix.interarrival =
-                static_cast<Tick>(opts.interarrival_us * kMicrosecond);
-        return std::make_unique<MixWorkload>(mix);
-    }
-    if (scheme == "app" ||
-        (scheme.empty() && isNamedModel(appWorkloadNames(), rest))) {
-        if (!isNamedModel(appWorkloadNames(), rest)) {
-            err = "unknown app model '" + rest + "'";
-            return nullptr;
-        }
-        MixSpec mix = appSpec(rest, opts.working_set_pages, opts.requests);
+        MixSpec mix = m.spec(rest, opts.working_set_pages, opts.requests);
         mix.seed = opts.seed;
         if (opts.read_ratio >= 0.0)
             mix.read_ratio = opts.read_ratio;
@@ -692,6 +690,37 @@ sweepWorkers(unsigned requested, size_t runs)
         std::min<size_t>(want, std::max<size_t>(1, runs)));
 }
 
+void
+runPool(unsigned jobs, size_t count, const std::function<void(size_t)> &task,
+        const std::function<void()> &meanwhile)
+{
+    std::atomic<size_t> next{0};
+    auto worker = [&]() {
+        for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1))
+            task(i);
+    };
+    const unsigned threads = sweepWorkers(jobs, count);
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; t++)
+        pool.emplace_back(worker);
+    if (meanwhile)
+        meanwhile();
+    for (auto &th : pool)
+        th.join();
+}
+
+void
+announceRun(const std::string &what, const config::RunPoint &p)
+{
+    static std::mutex mutex; // Whole lines from concurrent workers.
+    const std::lock_guard<std::mutex> lock(mutex);
+    std::cerr << "leaftl_sim: " << what << ftlKindName(p.ftl) << " / "
+              << p.workload << " / gamma=" << p.gamma << " / qd=" << p.qd
+              << " / device=" << p.device << " / mode=" << p.mode
+              << " / rate=" << p.rate << " ...\n";
+}
+
 namespace
 {
 
@@ -715,62 +744,45 @@ sweepValidated(const config::ExperimentSpec &opts, TraceCache &trace_cache,
     std::vector<RunResult> results(grid.runs.size());
     std::vector<std::string> errors(grid.runs.size());
     std::vector<uint8_t> run_done(grid.runs.size(), 0);
-    std::atomic<size_t> next{0};
     std::atomic<bool> abort{false};
-    std::mutex mutex; // Guards run_done and the stderr progress log.
+    std::mutex mutex; // Guards run_done.
     std::condition_variable done_cv;
 
-    auto worker = [&]() {
-        for (;;) {
-            const size_t i = next.fetch_add(1);
-            if (i >= grid.runs.size())
-                return;
-            const config::RunPoint &p = grid.runs[i];
-            if (!abort.load()) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    std::cerr << "leaftl_sim: running " << ftlKindName(p.ftl)
-                              << " / " << p.workload << " / gamma=" << p.gamma
-                              << " / qd=" << p.qd << " / device=" << p.device
-                              << " / mode=" << p.mode << " / rate=" << p.rate
-                              << " ...\n";
-                }
-                executeRun(opts, p, &trace_cache, results[i], errors[i]);
-            }
+    auto run = [&](size_t i) {
+        if (!abort.load()) {
+            announceRun("running ", grid.runs[i]);
+            executeRun(opts, grid.runs[i], &trace_cache, results[i],
+                       errors[i]);
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            run_done[i] = 1;
+        }
+        done_cv.notify_all();
+    };
+
+    int rc = 0;
+    auto write_rows = [&]() {
+        out << csvHeader() << '\n';
+        out.flush();
+        for (size_t row = 0; row < grid.points.size(); row++) {
+            const size_t i = grid.run_of[row];
             {
-                std::lock_guard<std::mutex> lock(mutex);
-                run_done[i] = 1;
+                std::unique_lock<std::mutex> lock(mutex);
+                done_cv.wait(lock, [&] { return run_done[i] != 0; });
             }
-            done_cv.notify_all();
+            if (!errors[i].empty()) {
+                std::cerr << "leaftl_sim: " << errors[i] << '\n';
+                abort.store(true); // Remaining runs turn into no-ops.
+                rc = 1;
+                return;
+            }
+            out << csvRow(opts, grid.points[row], results[i]) << '\n';
+            out.flush();
         }
     };
 
-    const unsigned jobs = sweepWorkers(opts.jobs, grid.runs.size());
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned i = 0; i < jobs; i++)
-        pool.emplace_back(worker);
-
-    out << csvHeader() << '\n';
-    out.flush();
-    int rc = 0;
-    for (size_t row = 0; row < grid.points.size(); row++) {
-        const size_t run = grid.run_of[row];
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            done_cv.wait(lock, [&] { return run_done[run] != 0; });
-        }
-        if (!errors[run].empty()) {
-            std::cerr << "leaftl_sim: " << errors[run] << '\n';
-            abort.store(true); // Remaining runs turn into no-ops.
-            rc = 1;
-            break;
-        }
-        out << csvRow(opts, grid.points[row], results[run]) << '\n';
-        out.flush();
-    }
-    for (auto &th : pool)
-        th.join();
+    runPool(opts.jobs, grid.runs.size(), run, write_rows);
     return rc;
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -171,6 +172,22 @@ bool executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
  * never 0.
  */
 unsigned sweepWorkers(unsigned requested, size_t runs);
+
+/**
+ * The worker pool a sweep and a campaign share: @a task(i) for every
+ * i in [0, count), claimed in order by sweepWorkers(jobs, count)
+ * threads. The calling thread runs @a meanwhile (if set) while they
+ * work, then joins them.
+ */
+void runPool(unsigned jobs, size_t count,
+             const std::function<void(size_t)> &task,
+             const std::function<void()> &meanwhile = {});
+
+/**
+ * Log the progress line of run @a p to stderr: "leaftl_sim: " @a what,
+ * then the run's axes. Concurrent workers never interleave lines.
+ */
+void announceRun(const std::string &what, const config::RunPoint &p);
 
 /** What a CSV row renders: a grid point and the run that answers it. */
 struct CsvRowInput

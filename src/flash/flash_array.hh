@@ -141,7 +141,6 @@ class FlashArray
     }
 
     const FlashCounters &counters() const { return counters_; }
-    void resetCounters() { counters_ = FlashCounters{}; }
 
     /** Blocks whose LPA array is currently materialized. */
     size_t residentBlocks() const { return resident_blocks_; }

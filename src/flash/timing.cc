@@ -25,12 +25,6 @@ ChannelTimer::peekAccess(uint32_t channel, Tick now, Tick duration) const
     return std::max(now, busy_[channel]) + duration;
 }
 
-void
-ChannelTimer::occupy(uint32_t channel, Tick now, Tick duration)
-{
-    access(channel, now, duration);
-}
-
 Tick
 ChannelTimer::busyUntil(uint32_t channel) const
 {

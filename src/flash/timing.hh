@@ -49,12 +49,6 @@ class ChannelTimer
      */
     Tick peekAccess(uint32_t channel, Tick now, Tick duration) const;
 
-    /**
-     * Schedule a background operation (flush/GC): occupies the channel
-     * but the caller does not wait for it.
-     */
-    void occupy(uint32_t channel, Tick now, Tick duration);
-
     Tick busyUntil(uint32_t channel) const;
 
     uint32_t

@@ -68,12 +68,16 @@ class Ftl
         const std::vector<std::pair<Lpa, Ppa>> &run) = 0;
 
     /**
-     * Record mappings moved by GC or wear leveling (§3.6). DFTL/SFTL
-     * update translation pages directly (read-modify-write per page);
-     * LeaFTL relearns segments in DRAM.
+     * Record mappings moved by GC or wear leveling (§3.6). The default
+     * treats them like a flush, which is what LeaFTL does: it relearns
+     * segments in DRAM. DFTL/SFTL override it to update translation
+     * pages directly (read-modify-write per page).
      */
-    virtual void recordMappingsGc(
-        const std::vector<std::pair<Lpa, Ppa>> &run) = 0;
+    virtual void
+    recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run)
+    {
+        recordMappings(run);
+    }
 
     /**
      * Drop the mapping of a trimmed LPA. Subsequent translate() calls

@@ -84,15 +84,6 @@ LeaFtl::recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run)
 }
 
 void
-LeaFtl::recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run)
-{
-    // GC relearns in DRAM; no extra translation-page traffic beyond
-    // the dirtied groups' eventual write-back (§3.6).
-    for (uint32_t group_idx : table_->learn(run))
-        touchGroup(group_idx, /*dirty=*/true);
-}
-
-void
 LeaFtl::periodicMaintenance()
 {
     table_->compact();

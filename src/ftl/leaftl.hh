@@ -35,8 +35,6 @@ class LeaFtl : public Ftl
     TranslateResult translate(Lpa lpa) override;
     void trim(Lpa lpa) override;
     void recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run) override;
-    void
-    recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run) override;
     void periodicMaintenance() override;
     size_t residentMappingBytes() const override;
     size_t fullMappingBytes() const override;

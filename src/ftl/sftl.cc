@@ -87,8 +87,6 @@ Sftl::translate(Lpa lpa)
         return {};
     if (makeResident(tvpn, /*charge_read=*/true))
         hits_++;
-    else
-        misses_++;
     const Ppa ppa = tpages_[tvpn].entries[slotOf(lpa)];
     if (ppa == kInvalidPpa)
         return {};

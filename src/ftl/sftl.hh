@@ -45,7 +45,6 @@ class Sftl : public Ftl
     const char *name() const override { return "SFTL"; }
 
     uint64_t tpageHits() const { return hits_; }
-    uint64_t tpageMisses() const { return misses_; }
 
     /** Bytes per compressed run descriptor. */
     static constexpr uint32_t kRunBytes = 8;
@@ -100,7 +99,6 @@ class Sftl : public Ftl
     size_t full_bytes_ = 0; ///< Sum of compressed sizes over all tpages.
 
     uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
 };
 
 } // namespace leaftl

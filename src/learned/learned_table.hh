@@ -93,11 +93,11 @@ struct LearnedTableStats
     uint64_t accurate_created = 0;
     uint64_t approximate_created = 0;
     /** Mappings per segment at creation (Fig. 5). */
-    CountHistogram creation_lengths{256};
+    CountHistogram creation_lengths;
     uint64_t lookups = 0;
     uint64_t lookup_levels_total = 0;
     /** Levels visited per lookup (Fig. 23a). */
-    CountHistogram lookup_levels{256};
+    CountHistogram lookup_levels;
     /** Lookups served by the one-entry last-hit cache. */
     uint64_t lookup_cache_hits = 0;
 };
@@ -162,15 +162,6 @@ class LearnedTable
         return groups_.find(group_idx);
     }
 
-    /**
-     * Host memory of the group directory itself (chunk shells +
-     * pointer table). Simulator overhead, distinct from the paper's
-     * memoryBytes() mapping metric; grows with touched 64-group
-     * regions of the LPA space, so very sparse access patterns pay
-     * more per live group than the dense common case.
-     */
-    size_t directoryBytes() const { return groups_.residentBytes(); }
-
     /** Per-group level counts (Fig. 12). */
     SampleSet levelsPerGroup() const;
     /** Per-group CRB sizes in bytes (Fig. 10). */
@@ -194,9 +185,6 @@ class LearnedTable
      * contained group wholesale on top of an older snapshot.
      */
     std::vector<uint8_t> serializeDirty() const;
-
-    /** Groups currently marked dirty (changed since last snapshot). */
-    size_t dirtyGroups() const { return groups_.dirtyCount(); }
 
     /** Forget dirty marks; call at the snapshot/delta commit point. */
     void clearDirty() { groups_.clearDirty(); }

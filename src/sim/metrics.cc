@@ -9,10 +9,4 @@ admissionName(Admission mode)
     return mode == Admission::Open ? "open" : "closed";
 }
 
-double
-normalizeTo(double value, double baseline)
-{
-    return baseline > 0.0 ? value / baseline : 0.0;
-}
-
 } // namespace leaftl

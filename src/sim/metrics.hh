@@ -147,7 +147,4 @@ struct RunResult
     SsdStats ssd; ///< Full counters for detailed reporting.
 };
 
-/** value / baseline with divide-by-zero guard. */
-double normalizeTo(double value, double baseline);
-
 } // namespace leaftl

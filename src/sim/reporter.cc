@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "util/stats.hh"
 
 namespace leaftl
 {
@@ -84,55 +83,6 @@ TextTable::print() const
     for (const auto &row : rows_)
         print_row(row);
     print_sep();
-}
-
-void
-printCdf(const std::string &title,
-         const std::vector<std::pair<double, double>> &cdf,
-         size_t max_points)
-{
-    std::printf("%s\n", title.c_str());
-    if (cdf.empty()) {
-        std::printf("  (empty)\n");
-        return;
-    }
-    const size_t step = std::max<size_t>(1, cdf.size() / max_points);
-    for (size_t i = 0; i < cdf.size(); i += step) {
-        std::printf("  %12.1f  %8.5f\n", cdf[i].first, cdf[i].second);
-    }
-    if ((cdf.size() - 1) % step != 0) {
-        std::printf("  %12.1f  %8.5f\n", cdf.back().first,
-                    cdf.back().second);
-    }
-}
-
-std::vector<std::string>
-latencyPercentileCells(const LatencyHistogram &hist, int precision)
-{
-    std::vector<std::string> cells;
-    for (const double p : {50.0, 95.0, 99.0, 99.9})
-        cells.push_back(
-            TextTable::fmt(hist.percentile(p) / 1000.0, precision));
-    cells.push_back(TextTable::fmt(hist.max() / 1000.0, precision));
-    return cells;
-}
-
-std::vector<std::string>
-latencyPercentileHeaders()
-{
-    return {"p50_us", "p95_us", "p99_us", "p99.9_us", "max_us"};
-}
-
-void
-printLatencyPercentiles(const std::string &title,
-                        const LatencyHistogram &hist)
-{
-    const auto cells = latencyPercentileCells(hist);
-    std::printf("%s: p50=%s p95=%s p99=%s p99.9=%s max=%s (us, %llu "
-                "samples)\n",
-                title.c_str(), cells[0].c_str(), cells[1].c_str(),
-                cells[2].c_str(), cells[3].c_str(), cells[4].c_str(),
-                static_cast<unsigned long long>(hist.count()));
 }
 
 } // namespace leaftl

@@ -1,8 +1,8 @@
 /**
  * @file
- * Plain-text table and CDF rendering for the bench binaries: each
- * bench prints the same rows/series as its paper figure, and these
- * helpers keep the formatting consistent.
+ * Plain-text table rendering for the bench binaries: each bench
+ * prints the same rows/series as its paper figure, and TextTable keeps
+ * the formatting consistent.
  */
 
 #pragma once
@@ -12,8 +12,6 @@
 
 namespace leaftl
 {
-
-class LatencyHistogram;
 
 /** Fixed-width text table. */
 class TextTable
@@ -33,25 +31,5 @@ class TextTable
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
 };
-
-/** Print a CDF as "value fraction" pairs at selected percentiles. */
-void printCdf(const std::string &title,
-              const std::vector<std::pair<double, double>> &cdf,
-              size_t max_points = 40);
-
-/**
- * The tail-latency summary row every open-loop report shares:
- * p50/p95/p99/p99.9/max of @a hist, formatted in us with @a precision
- * decimals. Pairs with latencyPercentileHeaders() for TextTable use.
- */
-std::vector<std::string> latencyPercentileCells(const LatencyHistogram &hist,
-                                                int precision = 1);
-
-/** Column titles matching latencyPercentileCells. */
-std::vector<std::string> latencyPercentileHeaders();
-
-/** One-line "title: p50=... p95=... p99=... p99.9=... max=..." print. */
-void printLatencyPercentiles(const std::string &title,
-                             const LatencyHistogram &hist);
 
 } // namespace leaftl

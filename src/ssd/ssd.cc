@@ -259,6 +259,7 @@ Ssd::trim(Lpa lpa, Tick now)
     // Invalidate the backing flash page so GC reclaims it for free.
     TranslateResult tr = ftl_->translate(lpa);
     if (tr.found) {
+        stats_.translations++;
         tr.ppa = std::min<Ppa>(
             tr.ppa,
             static_cast<Ppa>(flash_.geometry().totalPages() - 1));
@@ -312,7 +313,7 @@ Ssd::programBatch(const std::vector<Lpa> &lpas, Tick now, WriteKind kind)
         // The chunk fills one block on one channel: one run marking,
         // one channel charge and one counter bump cover all of it.
         blocks_.markValidRun(first, chunk);
-        channels_.occupy(channel, now, chunk * cfg_.latency.flash_write);
+        channels_.access(channel, now, chunk * cfg_.latency.flash_write);
         switch (kind) {
           case WriteKind::Host:
             stats_.data_writes += chunk;
@@ -503,7 +504,7 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
         const uint64_t n = pages.size() - first;
         if (n == 0)
             continue; // A zero-length charge would still move busy-until.
-        channels_.occupy(cfg_.geometry.channelOfBlock(victim), now,
+        channels_.access(cfg_.geometry.channelOfBlock(victim), now,
                          n * cfg_.latency.flash_read);
         flash_.countReads(n);
         reads += n;
@@ -525,7 +526,7 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
     }
 
     for (uint32_t victim : victims) {
-        channels_.occupy(cfg_.geometry.channelOfBlock(victim), now,
+        channels_.access(cfg_.geometry.channelOfBlock(victim), now,
                          cfg_.latency.flash_erase);
         flash_.eraseBlock(victim);
         blocks_.releaseBlock(victim);
@@ -743,7 +744,7 @@ Ssd::crashAndRecover(Tick now)
             stats_.trans_reads++;
             trans_channel_rr_ =
                 (trans_channel_rr_ + 1) % cfg_.geometry.num_channels;
-            channels_.occupy(trans_channel_rr_, t0,
+            channels_.access(trans_channel_rr_, t0,
                              cfg_.latency.flash_read);
         }
     };
@@ -794,7 +795,7 @@ Ssd::crashAndRecover(Tick now)
             if (flash_.peekLpa(ppa) == kInvalidLpa)
                 continue;
             rec.scanned_pages++;
-            channels_.occupy(channel, scan_now, cfg_.latency.flash_read);
+            channels_.access(channel, scan_now, cfg_.latency.flash_read);
             flash_.readPage(ppa);
             if (blocks_.isValid(ppa))
                 run.emplace_back(flash_.peekLpa(ppa), ppa);

@@ -68,19 +68,19 @@ struct SsdStats
 
     uint64_t compactions = 0;
 
-    LatencyHistogram read_latency{100.0, 1.05, 400};
-    LatencyHistogram write_latency{100.0, 1.05, 400};
+    LatencyHistogram read_latency;
+    LatencyHistogram write_latency;
 
     /** Write amplification factor (Fig. 25). */
     double
     waf() const
     {
-        const uint64_t actual = data_writes + gc_writes + trans_writes +
-                                wear_migration_writes();
+        const uint64_t actual =
+            data_writes + gc_writes + trans_writes + wear_writes;
         return host_writes ? static_cast<double>(actual) / host_writes : 0.0;
     }
 
-    uint64_t wear_migration_writes() const { return wear_writes; }
+    /** Pages wear leveling migrated: reads, and programs (in waf()). */
     uint64_t wear_writes = 0;
     uint64_t wear_reads = 0;
 

@@ -35,11 +35,6 @@ class HostTimer
 
     uint64_t elapsedNs() const { return hostNowNs() - start_; }
 
-    double elapsedSeconds() const
-    {
-        return static_cast<double>(elapsedNs()) / 1e9;
-    }
-
   private:
     uint64_t start_;
 };

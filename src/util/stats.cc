@@ -3,26 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <mutex>
 
 #include "util/common.hh"
 
 namespace leaftl
 {
-
-void
-RunningStat::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    sum_ += x;
-    count_++;
-}
 
 SampleSet::SampleSet(size_t cap)
     : cap_(cap ? cap : 1), rng_state_(0x9E3779B97F4A7C15ull)
@@ -69,11 +54,7 @@ SampleSet::percentile(double p) const
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-CountHistogram::CountHistogram(uint32_t max_value)
-    : buckets_(static_cast<size_t>(max_value) + 1, 0)
-{
-    LEAFTL_ASSERT(max_value > 0, "invalid count histogram bound");
-}
+CountHistogram::CountHistogram() : buckets_(kMaxValue + 1, 0) {}
 
 uint64_t
 CountHistogram::valueAt(uint64_t k) const
@@ -105,14 +86,14 @@ namespace
 
 /** The bucket formula the thresholds are bisected over. */
 uint32_t
-formulaBucket(double x, double min_value, double log_growth,
-              uint32_t num_buckets)
+formulaBucket(double x, double log_growth)
 {
+    constexpr double min_value = LatencyHistogram::kMinValue;
     int idx = 0;
     if (x > min_value)
         idx = static_cast<int>(std::log(x / min_value) / log_growth) + 1;
-    return static_cast<uint32_t>(
-        std::clamp(idx, 0, static_cast<int>(num_buckets) - 1));
+    return static_cast<uint32_t>(std::clamp(
+        idx, 0, static_cast<int>(LatencyHistogram::kBuckets) - 1));
 }
 
 uint64_t
@@ -132,13 +113,12 @@ fromBits(uint64_t bits)
 }
 
 LatencyHistogram::Index
-buildIndex(double min_value, double growth, uint32_t num_buckets)
+buildIndex()
 {
+    constexpr double min_value = LatencyHistogram::kMinValue;
+    constexpr uint32_t num_buckets = LatencyHistogram::kBuckets;
     LatencyHistogram::Index ix;
-    ix.min_value = min_value;
-    ix.growth = growth;
-    ix.num_buckets = num_buckets;
-    const double log_growth = std::log(growth);
+    const double log_growth = std::log(LatencyHistogram::kGrowth);
     const double inf = std::numeric_limits<double>::infinity();
 
     // Positive doubles order like their bit patterns, so bisect over
@@ -151,8 +131,7 @@ buildIndex(double min_value, double growth, uint32_t num_buckets)
         uint64_t hi = bitsOf(inf);        // Bucket b or above.
         while (hi - lo > 1) {
             const uint64_t mid = lo + (hi - lo) / 2;
-            if (formulaBucket(fromBits(mid), min_value, log_growth,
-                              num_buckets) >= b)
+            if (formulaBucket(fromBits(mid), log_growth) >= b)
                 hi = mid;
             else
                 lo = mid;
@@ -183,41 +162,19 @@ buildIndex(double min_value, double growth, uint32_t num_buckets)
     }
 }
 
-/** The shared index for these parameters, built on first use. */
-const LatencyHistogram::Index &
-sharedIndex(double min_value, double growth, uint32_t num_buckets)
-{
-    static std::mutex mu;
-    static std::vector<std::unique_ptr<LatencyHistogram::Index>> all;
-    const std::lock_guard<std::mutex> lock(mu);
-    for (const auto &ix : all) {
-        if (ix->min_value == min_value && ix->growth == growth &&
-            ix->num_buckets == num_buckets)
-            return *ix;
-    }
-    all.push_back(std::make_unique<LatencyHistogram::Index>(
-        buildIndex(min_value, growth, num_buckets)));
-    return *all.back();
-}
-
 } // namespace
 
-LatencyHistogram::LatencyHistogram(double min_value, double growth,
-                                   int num_buckets)
-    : min_value_(min_value),
-      log_growth_(std::log(growth)),
-      buckets_(num_buckets, 0)
+LatencyHistogram::LatencyHistogram()
+    : log_growth_(std::log(kGrowth)), buckets_(kBuckets, 0)
 {
-    LEAFTL_ASSERT(min_value > 0 && growth > 1.0 && num_buckets > 1,
-                  "invalid histogram parameters");
-    index_ = &sharedIndex(min_value, growth,
-                          static_cast<uint32_t>(num_buckets));
+    static const Index index = buildIndex();
+    index_ = &index;
 }
 
 double
 LatencyHistogram::bucketLow(int i) const
 {
-    return min_value_ * std::exp(log_growth_ * i);
+    return kMinValue * std::exp(log_growth_ * i);
 }
 
 double

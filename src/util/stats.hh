@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics utilities: running counters, mean/percentile
- * summaries, and a log-bucketed latency histogram for CDF reporting
- * (Figs. 18 and 23 in the paper).
+ * Lightweight statistics utilities: mean/percentile summaries, an
+ * exact small-integer histogram, and a log-bucketed latency histogram
+ * for CDF reporting (Figs. 18 and 23 in the paper).
  */
 
 #pragma once
@@ -15,25 +15,6 @@
 
 namespace leaftl
 {
-
-/** Running mean/min/max over double samples (O(1) memory). */
-class RunningStat
-{
-  public:
-    void add(double x);
-
-    uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Percentile summary with bounded memory: exact while at most @a cap
@@ -76,16 +57,18 @@ class SampleSet
 
 /**
  * Exact histogram over small non-negative integers (lookup depths,
- * segment creation lengths): one counter per value up to @a max_value
+ * segment creation lengths): one counter per value up to kMaxValue
  * (larger samples clamp into the top bucket). add() is a single array
- * increment, memory is O(max_value) forever, and mean()/max() are
+ * increment, memory is O(kMaxValue) forever, and mean()/max() are
  * exact; percentile() is exact whenever no sample clamped. This is
  * what per-lookup statistics use on the translation hot path.
  */
 class CountHistogram
 {
   public:
-    explicit CountHistogram(uint32_t max_value = 256);
+    static constexpr uint32_t kMaxValue = 256;
+
+    CountHistogram();
 
     void
     add(uint64_t v)
@@ -118,25 +101,28 @@ class CountHistogram
 };
 
 /**
- * Log-bucketed histogram for latency CDFs. Buckets grow geometrically
- * from @a min_value; percentile error is bounded by the growth factor.
+ * Log-bucketed histogram for latency CDFs, in ns. Buckets grow
+ * geometrically by kGrowth from kMinValue; percentile error is bounded
+ * by the growth factor.
  *
- * A sample x lands in bucket floor(log(x / min) / log(growth)) + 1
- * (0 when x <= min), clamped to the last bucket. add() runs several
- * times per simulated request, so it does not evaluate that formula:
- * the smallest double reaching each bucket is found once per
- * (min, growth, buckets) by bisection over the formula itself and
- * shared by every histogram with those parameters. A sample's
- * exponent and top mantissa bits then index a table giving the bucket
- * at the start of its cell, and at most two threshold compares finish
- * the job. test_stats checks the result against the formula.
+ * A sample x lands in bucket floor(log(x / kMinValue) / log(kGrowth))
+ * + 1 (0 when x <= kMinValue), clamped to the last of kBuckets. add()
+ * runs several times per simulated request, so it does not evaluate
+ * that formula: the smallest double reaching each bucket is found once
+ * per process by bisection over the formula itself and shared by every
+ * histogram. A sample's exponent and top mantissa bits then index a
+ * table giving the bucket at the start of its cell, and at most two
+ * threshold compares finish the job. test_stats checks the result
+ * against the formula.
  */
 class LatencyHistogram
 {
   public:
-    explicit LatencyHistogram(double min_value = 100.0,
-                              double growth = 1.05,
-                              int num_buckets = 400);
+    static constexpr double kMinValue = 100.0;
+    static constexpr double kGrowth = 1.05;
+    static constexpr uint32_t kBuckets = 400;
+
+    LatencyHistogram();
 
     void
     add(double x)
@@ -151,7 +137,7 @@ class LatencyHistogram
     uint32_t
     bucketOf(double x) const
     {
-        if (!(x > min_value_))
+        if (!(x > kMinValue))
             return 0; // Also NaN and negatives.
         uint64_t bits;
         std::memcpy(&bits, &x, sizeof(bits));
@@ -175,24 +161,18 @@ class LatencyHistogram
     /** CDF points (value, cumulative fraction) for reporting. */
     std::vector<std::pair<double, double>> cdf() const;
 
-    /**
-     * The bucketing for one (min, growth, buckets): built once, shared
-     * by every histogram with those parameters, never freed.
-     */
+    /** The bucketing, built once per process and shared by all. */
     struct Index
     {
-        double min_value;
-        double growth;
-        uint32_t num_buckets;
         /**
          * low[b] is the smallest double the formula puts in bucket b or
-         * above, for b in [1, buckets); low[0] = -inf, and a +inf
+         * above, for b in [1, kBuckets); low[0] = -inf, and a +inf
          * sentinel follows so bucketOf() never reads past the end.
          */
         std::vector<double> low;
         /** Cell of x: its bit pattern shifted right by this. */
         uint32_t shift;
-        /** Cells of low[1] and of low[buckets - 1]. */
+        /** Cells of low[1] and of low[kBuckets - 1]. */
         uint64_t first_key, last_key;
         /** Per cell: the bucket of the cell's smallest double. */
         std::vector<uint32_t> cell_start;
@@ -201,7 +181,6 @@ class LatencyHistogram
   private:
     double bucketLow(int i) const;
 
-    double min_value_;
     double log_growth_;
     const Index *index_;
     std::vector<uint64_t> buckets_;

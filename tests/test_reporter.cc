@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/metrics.hh"
 #include "sim/reporter.hh"
 
 namespace leaftl
@@ -34,20 +33,6 @@ TEST(Reporter, TableRenderSmoke)
     t.addRow({"1", "2"});
     t.addRow({"longer", "x"});
     t.print(); // Must not crash; visual format checked by eye.
-}
-
-TEST(Reporter, CdfPrintSmoke)
-{
-    std::vector<std::pair<double, double>> cdf = {
-        {1.0, 0.5}, {2.0, 1.0}};
-    printCdf("test", cdf);
-    printCdf("empty", {});
-}
-
-TEST(Metrics, NormalizeGuardsZero)
-{
-    EXPECT_DOUBLE_EQ(normalizeTo(4.0, 2.0), 2.0);
-    EXPECT_DOUBLE_EQ(normalizeTo(4.0, 0.0), 0.0);
 }
 
 } // namespace

@@ -18,20 +18,6 @@ namespace leaftl
 namespace
 {
 
-TEST(RunningStat, TracksMeanMinMax)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    s.add(2.0);
-    s.add(4.0);
-    s.add(9.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(SampleSet, ExactPercentiles)
 {
     SampleSet s;
@@ -89,7 +75,7 @@ TEST(SampleSet, ExactUntilCapThenDeterministic)
 
 TEST(CountHistogram, ExactStatsForSmallIntegers)
 {
-    CountHistogram h(256);
+    CountHistogram h;
     SampleSet ref;
     for (int i = 1; i <= 100; i++) {
         h.add(static_cast<uint64_t>(i));
@@ -106,19 +92,19 @@ TEST(CountHistogram, ExactStatsForSmallIntegers)
 
 TEST(CountHistogram, ClampsAtTopBucketWithExactMeanMax)
 {
-    CountHistogram h(16);
+    CountHistogram h;
     h.add(3);
-    h.add(1000); // Clamps into bucket 16 for percentiles...
+    h.add(1000); // Clamps into bucket 256 for percentiles...
     EXPECT_EQ(h.count(), 2u);
     EXPECT_DOUBLE_EQ(h.max(), 1000.0); // ...but max/mean stay exact.
     EXPECT_DOUBLE_EQ(h.mean(), 501.5);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 16.0);
-    EXPECT_EQ(h.numBuckets(), 17u); // Fixed at construction: O(1) memory.
+    EXPECT_DOUBLE_EQ(h.percentile(100), 256.0);
+    EXPECT_EQ(h.numBuckets(), 257u); // Fixed at construction: O(1) memory.
 }
 
 TEST(LatencyHistogram, MeanAndCount)
 {
-    LatencyHistogram h(100.0, 1.05, 400);
+    LatencyHistogram h;
     h.add(1000.0);
     h.add(3000.0);
     EXPECT_EQ(h.count(), 2u);
@@ -128,7 +114,7 @@ TEST(LatencyHistogram, MeanAndCount)
 
 TEST(LatencyHistogram, PercentileApproximation)
 {
-    LatencyHistogram h(100.0, 1.05, 400);
+    LatencyHistogram h;
     for (int i = 0; i < 990; i++)
         h.add(1000.0);
     for (int i = 0; i < 10; i++)
@@ -140,7 +126,7 @@ TEST(LatencyHistogram, PercentileApproximation)
 
 TEST(LatencyHistogram, CdfIsMonotone)
 {
-    LatencyHistogram h(100.0, 1.1, 200);
+    LatencyHistogram h;
     for (int i = 1; i <= 1000; i++)
         h.add(100.0 * i);
     const auto cdf = h.cdf();
@@ -154,7 +140,7 @@ TEST(LatencyHistogram, CdfIsMonotone)
 
 TEST(LatencyHistogram, BelowMinimumClamps)
 {
-    LatencyHistogram h(100.0, 1.05, 10);
+    LatencyHistogram h;
     h.add(1.0);
     EXPECT_EQ(h.count(), 1u);
     EXPECT_LE(h.percentile(50.0), 100.0);
@@ -169,8 +155,8 @@ TEST(LatencyHistogram, BelowMinimumClamps)
  */
 TEST(LatencyHistogram, PercentilesMatchSortedReferenceWithinGrowth)
 {
-    const double growth = 1.05;
-    LatencyHistogram h(100.0, growth, 400);
+    const double growth = LatencyHistogram::kGrowth;
+    LatencyHistogram h;
     std::vector<double> reference;
 
     // Realistic latency mixture: a tight service-time mode, a heavy
@@ -213,11 +199,14 @@ TEST(LatencyHistogram, PercentilesMatchSortedReferenceWithinGrowth)
 
 /** The bucket formula LatencyHistogram::add() must reproduce. */
 uint32_t
-referenceBucket(double x, double min_value, double growth, int buckets)
+referenceBucket(double x)
 {
+    constexpr double min_value = LatencyHistogram::kMinValue;
+    constexpr int buckets = LatencyHistogram::kBuckets;
     int idx = 0;
     if (x > min_value)
-        idx = static_cast<int>(std::log(x / min_value) / std::log(growth)) +
+        idx = static_cast<int>(std::log(x / min_value) /
+                               std::log(LatencyHistogram::kGrowth)) +
               1;
     return static_cast<uint32_t>(std::clamp(idx, 0, buckets - 1));
 }
@@ -235,46 +224,35 @@ stepUlps(double x, int64_t n)
 /**
  * The threshold-table bucketing agrees with the log formula on every
  * integer below 3M, on random doubles up to 1e24, and within 200 ULPs
- * of every bucket boundary, for several parameter sets (the default
- * one is what the simulator's latency histograms use).
+ * of every bucket boundary.
  */
 TEST(LatencyHistogram, BucketOfMatchesTheLogFormula)
 {
-    struct Params
-    {
-        double min_value, growth;
-        int buckets;
-    };
-    for (const Params &p : {Params{100.0, 1.05, 400}, Params{100.0, 1.1, 200},
-                            Params{100.0, 1.05, 10}, Params{1.0, 1.01, 2000},
-                            Params{0.5, 2.0, 64}}) {
-        const LatencyHistogram h(p.min_value, p.growth, p.buckets);
-        uint64_t checked = 0, mismatches = 0;
-        auto check = [&](double x) {
-            checked++;
-            if (h.bucketOf(x) !=
-                referenceBucket(x, p.min_value, p.growth, p.buckets)) {
-                if (mismatches++ < 5)
-                    ADD_FAILURE() << "x=" << x << " growth=" << p.growth;
-            }
-        };
-        for (uint32_t i = 0; i < 3000000; i++)
-            check(static_cast<double>(i));
-        Rng rng(7);
-        for (int i = 0; i < 1000000; i++)
-            check(std::pow(10.0, 24.0 * rng.nextDouble()) - 1.0);
-        for (int b = 0; b <= p.buckets; b++) {
-            const double edge = p.min_value * std::pow(p.growth, b);
-            for (int64_t d = -200; d <= 200; d++)
-                check(stepUlps(edge, d));
+    constexpr double min_value = LatencyHistogram::kMinValue;
+    const LatencyHistogram h;
+    uint64_t checked = 0, mismatches = 0;
+    auto check = [&](double x) {
+        checked++;
+        if (h.bucketOf(x) != referenceBucket(x)) {
+            if (mismatches++ < 5)
+                ADD_FAILURE() << "x=" << x;
         }
-        for (double x : {-1.0, 0.0, -0.0, p.min_value, 1e300,
-                         std::nan("")})
-            check(x);
-        EXPECT_EQ(mismatches, 0u) << "of " << checked << " inputs";
+    };
+    for (uint32_t i = 0; i < 3000000; i++)
+        check(static_cast<double>(i));
+    Rng rng(7);
+    for (int i = 0; i < 1000000; i++)
+        check(std::pow(10.0, 24.0 * rng.nextDouble()) - 1.0);
+    for (uint32_t b = 0; b <= LatencyHistogram::kBuckets; b++) {
+        const double edge =
+            min_value * std::pow(LatencyHistogram::kGrowth, b);
+        for (int64_t d = -200; d <= 200; d++)
+            check(stepUlps(edge, d));
     }
+    for (double x : {-1.0, 0.0, -0.0, min_value, 1e300, std::nan("")})
+        check(x);
+    EXPECT_EQ(mismatches, 0u) << "of " << checked << " inputs";
 }
-
 
 } // namespace
 } // namespace leaftl

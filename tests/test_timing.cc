@@ -47,7 +47,7 @@ TEST(ChannelTimer, LateArrivalStartsAtArrival)
 TEST(ChannelTimer, OccupyDelaysLaterAccess)
 {
     ChannelTimer timer(1);
-    timer.occupy(0, 0, 1 * kMillisecond); // Background flush.
+    timer.access(0, 0, 1 * kMillisecond); // Background flush.
     const Tick done = timer.access(0, 0, 20 * kMicrosecond);
     EXPECT_EQ(done, 1 * kMillisecond + 20 * kMicrosecond);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "learned/learned_table.hh"
 #include "ssd/ssd.hh"
@@ -244,6 +245,48 @@ TEST(Trim, TrimStormTriggersAutoSnapshot)
     for (Lpa l = 0; l < 200; l++)
         EXPECT_FALSE(ssd.oraclePpa(l).has_value()) << l;
     ASSERT_TRUE(ssd.oraclePpa(250).has_value());
+}
+
+/**
+ * A trim that resolves an approximate mapping through the OOB check
+ * counts its translation, like the read and overwrite paths, so the
+ * mispredictions it charges never outnumber the translations behind
+ * them. LeaFTL at gamma 4: 1,500 LPAs written in 4 rounds with every
+ * third skipped (gaps make approximate segments), then every other
+ * LPA trimmed. The counters and busy-until times are pinned from the
+ * build before trims counted translations: the fix moves no charge.
+ */
+TEST(Trim, ApproximateTrimCountsItsTranslation)
+{
+    Ssd ssd(smallConfig(FtlKind::LeaFTL, /*gamma=*/4));
+    Tick now = 0;
+    for (int round = 0; round < 4; round++) {
+        for (Lpa l = 0; l < 1500; l++) {
+            if (l % 3 != 2)
+                now += ssd.write(l, now);
+        }
+    }
+    ssd.drainBuffer(now);
+    const SsdStats before = ssd.stats();
+    for (Lpa l = 0; l < 1500; l += 2)
+        now += ssd.trim(l, now);
+
+    const SsdStats &st = ssd.stats();
+    const uint64_t trim_mispredictions =
+        st.mispredictions - before.mispredictions;
+    EXPECT_GT(trim_mispredictions, 0u);
+    EXPECT_LE(trim_mispredictions, st.translations - before.translations);
+    EXPECT_LE(st.mispredictRatio(), 1.0);
+
+    EXPECT_EQ(st.mispredictions, 526u);
+    EXPECT_EQ(st.mispredict_extra_reads, 526u);
+    EXPECT_EQ(st.data_reads, 526u);
+    const std::vector<Tick> busy_until = {340176000, 336816000, 326756000,
+                                          328536000};
+    ASSERT_EQ(ssd.channels().numChannels(), busy_until.size());
+    for (uint32_t ch = 0; ch < busy_until.size(); ch++)
+        EXPECT_EQ(ssd.channels().busyUntil(ch), busy_until[ch])
+            << "channel " << ch;
 }
 
 TEST(Trim, GcReclaimsTrimmedSpaceWithoutMigration)
