@@ -88,7 +88,8 @@ scaleFromSpec(const config::ExperimentSpec &spec, BenchScale &s)
  * experiment keys: a bad value prints leaftl_sim's error and exits
  * with status 2. --config loads the file's [experiment] section (same
  * grammar and validation); flags and --config apply in order, later
- * wins.
+ * wins. Any other argument goes to @a free_arg; a bench that takes
+ * none rejects it as an unknown flag, exit status 2.
  */
 inline BenchScale
 parseScale(int argc, char **argv, std::string *free_arg = nullptr)
@@ -127,6 +128,10 @@ parseScale(int argc, char **argv, std::string *free_arg = nullptr)
             s.spec.working_set_pages /= 4;
         } else if (free_arg) {
             *free_arg = arg; // Positional, or the bench's own --flag.
+        } else {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
+                         arg.c_str());
+            std::exit(2);
         }
         scaleFromSpec(s.spec, s);
     }

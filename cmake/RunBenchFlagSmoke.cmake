@@ -1,5 +1,6 @@
 # A bench given a bad scale flag must exit with status 2 and name the
-# bad value the way leaftl_sim does. Each run is time-boxed: a value
+# bad value the way leaftl_sim does; a misspelled flag must not run
+# the default experiment instead. Each run is time-boxed: a value
 # that slips through (say a negative request count wrapped to 2^64)
 # would otherwise replay forever.
 # Invoked by CTest with -DBENCH_BIN=<path to a parseScale bench>.
@@ -8,7 +9,8 @@ if(NOT BENCH_BIN)
     message(FATAL_ERROR "BENCH_BIN not set")
 endif()
 
-foreach(case "--gamma=abc|bad gamma 'abc'" "--requests=-5|bad requests '-5'")
+foreach(case "--gamma=abc|bad gamma 'abc'" "--requests=-5|bad requests '-5'"
+             "--gama=4|unknown flag '--gama=4'")
     string(REPLACE "|" ";" case "${case}")
     list(GET case 0 flag)
     list(GET case 1 want)

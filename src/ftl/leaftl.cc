@@ -4,14 +4,14 @@ namespace leaftl
 {
 
 LeaFtl::LeaFtl(FtlOps &ops, uint32_t gamma)
-    : Ftl(ops), table_(std::make_unique<LearnedTable>(gamma))
+    : Ftl(ops), table_(gamma)
 {
 }
 
 void
 LeaFtl::refreshGroupBytes(uint32_t group_idx, Residency &r)
 {
-    const size_t now_bytes = table_->groupBytes(group_idx);
+    const size_t now_bytes = table_.groupBytes(group_idx);
     resident_bytes_ += now_bytes;
     resident_bytes_ -= r.bytes;
     r.bytes = now_bytes;
@@ -54,7 +54,7 @@ LeaFtl::evictToBudget()
 TranslateResult
 LeaFtl::translate(Lpa lpa)
 {
-    auto res = table_->lookup(lpa);
+    auto res = table_.lookup(lpa);
     if (!res)
         return {};
     touchGroup(groupOf(lpa), /*dirty=*/false);
@@ -66,27 +66,27 @@ LeaFtl::translate(Lpa lpa)
 void
 LeaFtl::trim(Lpa lpa)
 {
-    if (!table_->lookup(lpa))
+    if (!table_.lookup(lpa))
         return; // Never mapped.
     // A tombstone is a single-point segment whose intercept is the
     // reserved kTombstonePpa; it shadows older mappings exactly like
     // any newer segment and costs the same 8 bytes a page-level entry
     // would.
-    for (uint32_t group_idx : table_->learn({{lpa, kTombstonePpa}}))
+    for (uint32_t group_idx : table_.learn({{lpa, kTombstonePpa}}))
         touchGroup(group_idx, /*dirty=*/true);
 }
 
 void
 LeaFtl::recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run)
 {
-    for (uint32_t group_idx : table_->learn(run))
+    for (uint32_t group_idx : table_.learn(run))
         touchGroup(group_idx, /*dirty=*/true);
 }
 
 void
 LeaFtl::periodicMaintenance()
 {
-    table_->compact();
+    table_.compact();
     // Compaction changes group sizes; refresh the resident accounting.
     resident_.forEach([this](uint32_t idx, Residency &r) {
         refreshGroupBytes(idx, r);
@@ -103,7 +103,7 @@ LeaFtl::residentMappingBytes() const
 size_t
 LeaFtl::fullMappingBytes() const
 {
-    return table_->memoryBytes();
+    return table_.memoryBytes();
 }
 
 void
@@ -117,12 +117,13 @@ void
 LeaFtl::restoreChain(const std::vector<uint8_t> &base,
                      const std::vector<std::vector<uint8_t>> &deltas)
 {
-    auto table = LearnedTable::deserialize(base);
+    // In place: the restore reuses the live table's storage.
+    const bool ok = table_.restore(base);
+    LEAFTL_ASSERT(ok, "corrupt mapping snapshot");
     for (const auto &delta : deltas) {
-        const bool ok = table->applyDelta(delta);
-        LEAFTL_ASSERT(ok, "corrupt snapshot delta");
+        const bool delta_ok = table_.applyDelta(delta);
+        LEAFTL_ASSERT(delta_ok, "corrupt snapshot delta");
     }
-    table_ = std::move(table);
     // DRAM residency is gone after a crash; groups reload on demand.
     resident_.clear();
     resident_bytes_ = 0;

@@ -49,22 +49,19 @@ class LeaFtl : public Ftl
         return resident_.contains(group_idx);
     }
 
-    LearnedTable *learnedTable() override { return table_.get(); }
-    const LearnedTable *learnedTable() const override
-    {
-        return table_.get();
-    }
+    LearnedTable *learnedTable() override { return &table_; }
+    const LearnedTable *learnedTable() const override { return &table_; }
 
     /**
-     * Replace the table from a full snapshot plus an ordered chain of
-     * serializeDirty() delta records (incremental recovery, §3.8).
-     * Aborts on a corrupt delta -- the chain lives in the device's
-     * battery-backed snapshot area, not on scanned flash.
+     * Restore the table in place from a full snapshot plus an ordered
+     * chain of serializeDirty() delta records (incremental recovery,
+     * §3.8). Aborts on a corrupt blob -- the chain lives in the
+     * device's battery-backed snapshot area, not on scanned flash.
      */
     void restoreChain(const std::vector<uint8_t> &base,
                       const std::vector<std::vector<uint8_t>> &deltas);
 
-    uint32_t gamma() const { return table_->gamma(); }
+    uint32_t gamma() const { return table_.gamma(); }
 
   private:
     // §3.8 demand caching of segment groups (GMD + translation blocks).
@@ -80,7 +77,7 @@ class LeaFtl : public Ftl
     /** Refresh the cached byte size of a resident group. */
     void refreshGroupBytes(uint32_t group_idx, Residency &r);
 
-    std::unique_ptr<LearnedTable> table_;
+    LearnedTable table_;
 
     uint64_t budget_bytes_ = UINT64_MAX;
     FlatLru<Residency> resident_; ///< Resident groups.

@@ -7,7 +7,16 @@ namespace leaftl
 
 Crb::Crb()
 {
+    clear();
+}
+
+void
+Crb::clear()
+{
+    runs_.clear();
+    free_.clear();
     std::fill(std::begin(owner_), std::end(owner_), kNoSeg);
+    stored_offs_ = 0;
 }
 
 void

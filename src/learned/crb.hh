@@ -91,8 +91,14 @@ class Crb
      */
     SegId restoreRun(const GroupMask &offs);
 
+    /** Drop every run, keeping the storage (a restore in place). */
+    void clear();
+
     /** Number of live runs. */
     size_t numRuns() const { return runs_.size() - free_.size(); }
+
+    /** Offsets stored across all live runs. */
+    size_t storedOffsets() const { return stored_offs_; }
 
     /**
      * Memory footprint in bytes using the paper's accounting: one byte
@@ -100,7 +106,7 @@ class Crb
      * incrementally, so this is an O(1) read on the learn hot path
      * and in every reporter tick.
      */
-    size_t sizeBytes() const { return stored_offs_ + numRuns(); }
+    size_t sizeBytes() const { return storedOffsets() + numRuns(); }
 
     /**
      * Verify the accounting, the free list and that owner_ agrees

@@ -85,6 +85,16 @@ gridMask(const Segment &seg)
 
 } // namespace
 
+void
+Group::clear()
+{
+    segs_.clear();
+    levels_.clear();
+    crb_.clear();
+    num_segs_ = 0;
+    num_approx_ = 0;
+}
+
 bool
 Group::hasLpa(const SegEntry &e, uint8_t off) const
 {
@@ -341,8 +351,10 @@ Group::lookup(uint8_t off, const SegEntry **top_hit) const
 }
 
 bool
-Group::replayAccurate(size_t level_idx, Segment &victim, bool tight) const
+Group::replayAccurate(size_t level_idx, Segment &victim,
+                      GroupMask grid) const
 {
+    bool tight = grid.last() == victim.endOff();
     for (size_t li = 0; li < level_idx; li++) {
         // A step trims a tight victim only by stealing an endpoint, and
         // `may` holds every member of the level's segments.
@@ -356,10 +368,13 @@ Group::replayAccurate(size_t level_idx, Segment &victim, bool tight) const
             // Earlier trims in this level may have moved S past it.
             if (!segs[i].seg.overlaps(victim))
                 continue;
-            const GroupMask left = gridMask(victim) & ~members(segs[i]);
+            const GroupMask left = grid & ~members(segs[i]);
             if (left.none())
                 return false;
+            // The trim keeps S on the grid and K as it was, so the
+            // trimmed victim's grid is the old one cut to its range.
             victim.trim(left.first(), left.last());
+            grid = grid & GroupMask::range(victim.slpa(), victim.endOff());
             tight = true;
         }
     }
@@ -391,11 +406,12 @@ Group::settle(size_t level_idx, SegEntry &victim, const GroupMask &newer,
             crb_.removeOffsets(victim.id, stolen);
         return true;
     }
-    const bool tight = gridMask(seg).last() == seg.endOff();
-    if (newer.test(seg.slpa()) || newer.test(seg.endOff()) || !tight) {
+    const GroupMask grid = gridMask(seg);
+    if (newer.test(seg.slpa()) || newer.test(seg.endOff()) ||
+        grid.last() != seg.endOff()) {
         // Only the pairwise order settles it. With both endpoints on
         // the grid and outside U, no merge step can move it.
-        return replayAccurate(level_idx, victim.seg, tight);
+        return replayAccurate(level_idx, victim.seg, grid);
     }
     return true;
 }
@@ -469,13 +485,21 @@ Group::dropEmptyLevels()
 void
 Group::restoreRaw(size_t level, const Segment &seg, const GroupMask &run)
 {
+    LEAFTL_ASSERT(level + 1 >= levels_.size(),
+                  "restored levels must come top-down");
     while (levels_.size() <= level)
         insertLevel(levels_.size());
     SegEntry entry;
     entry.seg = seg;
     if (seg.approximate())
         entry.id = crb_.restoreRun(run);
-    insertSorted(level, entry);
+    LEAFTL_ASSERT(segs_.size() == levelBegin(level) ||
+                      segs_.back().seg.endOff() < seg.slpa(),
+                  "restored segments must ascend within a level");
+    segs_.push_back(entry);
+    levels_.back().end++;
+    countInsert(entry);
+    levels_.back().may |= members(entry);
 }
 
 void

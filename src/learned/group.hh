@@ -145,6 +145,9 @@ class Group
   public:
     Group() = default;
 
+    /** Drop every segment and CRB run, keeping the storage. */
+    void clear();
+
     /**
      * Insert a freshly learned segment (Algorithm 1, seg_update at the
      * topmost level). Registers approximate members in the CRB, merges
@@ -222,10 +225,12 @@ class Group
     void checkInvariants() const;
 
     /**
-     * Recovery path: re-attach a deserialized segment at a given level
+     * Recovery path: append a deserialized segment to level @a level
      * without merging (the serialized state already satisfies the
-     * invariants). @a run holds the CRB offsets for approximate
-     * segments (ignored otherwise).
+     * invariants). Blobs list levels top-down and each level sorted by
+     * S, so @a level is the last level or a new one below it, and the
+     * segment starts past the level's last one. @a run holds the CRB
+     * offsets for approximate segments (ignored otherwise).
      */
     void restoreRaw(size_t level, const Segment &seg, const GroupMask &run);
 
@@ -289,14 +294,15 @@ class Group
 
     /**
      * Replay the pairwise merge steps for one accurate victim of
-     * @a level_idx: every segment above it, level by level and in
-     * order, whose range overlaps the victim's current range. Once the
-     * victim is @a tight on its grid (its end is a grid point), levels
-     * whose `may` holds neither endpoint are skipped: no step there can
-     * move it.
+     * @a level_idx, whose stride grid is @a grid: every segment above
+     * it, level by level and in order, whose range overlaps the
+     * victim's current range. Once the victim is tight on its grid
+     * (its end is a grid point), levels whose `may` holds neither
+     * endpoint are skipped: no step there can move it.
      * @return false when the victim dies.
      */
-    bool replayAccurate(size_t level_idx, Segment &victim, bool tight) const;
+    bool replayAccurate(size_t level_idx, Segment &victim,
+                        GroupMask grid) const;
 
     /** Pop a victim below @a from_level (Algorithm 1 lines 13-16). */
     void pushVictimDown(size_t from_level, const SegEntry &victim);

@@ -11,9 +11,10 @@
  *
  * Group objects never move once created (chunks are heap-allocated
  * and the top-level vector only stores pointers), so callers may hold
- * Group pointers across learns; a group, once created, is never
- * removed (matching the map-based semantics where learned groups
- * persisted even when all their segments died).
+ * Group pointers across learns; a group, once created, is removed
+ * only by reset() (learned groups persist even when all their
+ * segments died). reset() keeps every chunk and each group's storage,
+ * so a table restored in place reuses what it had grown.
  */
 
 #pragma once
@@ -73,7 +74,22 @@ class GroupDirectory
         return chunk.groups[slot];
     }
 
-    /** Number of live (ever-created) groups. */
+    /**
+     * Remove every group, keeping the chunks and each group's storage
+     * (cleared: a slot that comes back live starts empty).
+     */
+    void
+    reset()
+    {
+        forEach([](uint32_t, Group &group) { group.clear(); });
+        for (auto &chunk : chunks_) {
+            if (chunk)
+                chunk->live = chunk->dirty = 0;
+        }
+        live_groups_ = 0;
+    }
+
+    /** Number of live groups. */
     size_t size() const { return live_groups_; }
 
     /**

@@ -1,6 +1,6 @@
 #include "learned/learned_table.hh"
 
-#include <cstring>
+#include "util/byte_cursor.hh"
 
 namespace leaftl
 {
@@ -8,57 +8,66 @@ namespace leaftl
 namespace
 {
 
-template <typename T>
-void
-put(std::vector<uint8_t> &blob, T v)
+/** Wire bytes of the blob header (gamma, group count). */
+constexpr size_t kBlobHeaderBytes = 2 * sizeof(uint32_t);
+/** Wire bytes of a group header (index, segment count). */
+constexpr size_t kGroupHeaderBytes = 2 * sizeof(uint32_t);
+/** Wire bytes of a segment: level, S, L, K bits, intercept. */
+constexpr size_t kSegmentBytes = sizeof(uint16_t) + 2 * sizeof(uint8_t) +
+                                 sizeof(uint16_t) + sizeof(int32_t);
+
+/**
+ * Exact wire size of one group, from counters the group keeps: every
+ * approximate segment adds its run's u16 count and stored offsets.
+ */
+size_t
+groupWireBytes(const Group &group)
 {
-    const size_t at = blob.size();
-    blob.resize(at + sizeof(T));
-    std::memcpy(blob.data() + at, &v, sizeof(T));
+    return kGroupHeaderBytes + kSegmentBytes * group.numSegments() +
+           sizeof(uint16_t) * group.numApproximate() +
+           group.crb().storedOffsets();
+}
+
+/** Write one group in the canonical per-group wire format. */
+void
+writeGroup(ByteWriter &w, uint32_t idx, const Group &group)
+{
+    w.put<uint32_t>(idx);
+    w.put<uint32_t>(static_cast<uint32_t>(group.numSegments()));
+    group.forEachSegment([&](const SegEntry &e, size_t level) {
+        w.put<uint16_t>(static_cast<uint16_t>(level));
+        w.put<uint8_t>(e.seg.slpa());
+        w.put<uint8_t>(e.seg.length());
+        w.put<uint16_t>(e.seg.kbits());
+        w.put<int32_t>(e.seg.intercept());
+        if (e.seg.approximate()) {
+            const GroupMask &run = group.crb().mask(e.id);
+            w.put<uint16_t>(static_cast<uint16_t>(run.count()));
+            run.forEach([&](uint8_t off) { w.put<uint8_t>(off); });
+        }
+    });
 }
 
 /**
- * Bounds-checked cursor over an untrusted blob: every read reports
- * success instead of asserting, so corrupt input surfaces as a typed
- * BlobError rather than UB or an abort.
+ * Encode the groups @a visit walks (visit(fn) calls fn(idx, group) in
+ * ascending index order): size them, allocate once, write once.
  */
-struct BlobReader
+template <typename Visit>
+std::vector<uint8_t>
+encodeGroups(uint32_t gamma, size_t num_groups, Visit &&visit)
 {
-    const std::vector<uint8_t> &blob;
-    size_t at = 0;
-
-    template <typename T>
-    bool
-    read(T &v)
-    {
-        if (sizeof(T) > blob.size() - at)
-            return false;
-        std::memcpy(&v, blob.data() + at, sizeof(T));
-        at += sizeof(T);
-        return true;
-    }
-
-    size_t remaining() const { return blob.size() - at; }
-};
-
-/** Append one group in the canonical per-group wire format. */
-void
-appendGroup(std::vector<uint8_t> &blob, uint32_t idx, const Group &group)
-{
-    put<uint32_t>(blob, idx);
-    put<uint32_t>(blob, static_cast<uint32_t>(group.numSegments()));
-    group.forEachSegment([&](const SegEntry &e, size_t level) {
-        put<uint16_t>(blob, static_cast<uint16_t>(level));
-        put<uint8_t>(blob, e.seg.slpa());
-        put<uint8_t>(blob, e.seg.length());
-        put<uint16_t>(blob, e.seg.kbits());
-        put<int32_t>(blob, e.seg.intercept());
-        if (e.seg.approximate()) {
-            const GroupMask &run = group.crb().mask(e.id);
-            put<uint16_t>(blob, static_cast<uint16_t>(run.count()));
-            run.forEach([&](uint8_t off) { put<uint8_t>(blob, off); });
-        }
+    size_t bytes = kBlobHeaderBytes;
+    visit([&](uint32_t, const Group &group) {
+        bytes += groupWireBytes(group);
     });
+    std::vector<uint8_t> blob(bytes);
+    ByteWriter w(blob.data());
+    w.put<uint32_t>(gamma);
+    w.put<uint32_t>(static_cast<uint32_t>(num_groups));
+    visit([&](uint32_t idx, const Group &group) { writeGroup(w, idx, group); });
+    LEAFTL_ASSERT(w.pos() == blob.data() + blob.size(),
+                  "blob size computed wrong");
+    return blob;
 }
 
 } // namespace
@@ -100,9 +109,10 @@ LearnedTable::lookup(Lpa lpa) const
     const uint32_t group_idx = groupOf(lpa);
     const uint8_t off = static_cast<uint8_t>(groupOffset(lpa));
 
-    // Directory shortcut: group objects never move and live groups are
-    // never removed, so a remembered non-null pointer stays correct
-    // across mutations; only the level-0 entry needs the epoch gate.
+    // Directory shortcut: group objects never move and only a restore
+    // removes live groups (it clears this cache), so a remembered
+    // non-null pointer stays correct across mutations; only the
+    // level-0 entry needs the epoch gate.
     const Group *group;
     if (cache_.group_idx == group_idx) {
         group = cache_.group;
@@ -189,37 +199,25 @@ LearnedTable::crbSizes() const
 std::vector<uint8_t>
 LearnedTable::serialize() const
 {
-    std::vector<uint8_t> blob;
-    put<uint32_t>(blob, gamma_);
-    put<uint32_t>(blob, static_cast<uint32_t>(groups_.size()));
-    groups_.forEach([&](uint32_t idx, const Group &group) {
-        appendGroup(blob, idx, group);
-    });
-    return blob;
+    return encodeGroups(gamma_, groups_.size(),
+                        [&](auto &&fn) { groups_.forEach(fn); });
 }
 
 std::vector<uint8_t>
 LearnedTable::serializeDirty() const
 {
-    std::vector<uint8_t> blob;
-    put<uint32_t>(blob, gamma_);
-    put<uint32_t>(blob, static_cast<uint32_t>(groups_.dirtyCount()));
-    groups_.forEachDirty([&](uint32_t idx, const Group &group) {
-        appendGroup(blob, idx, group);
-    });
-    return blob;
+    return encodeGroups(gamma_, groups_.dirtyCount(),
+                        [&](auto &&fn) { groups_.forEachDirty(fn); });
 }
 
 BlobError
-LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
-                            bool replace)
+LearnedTable::restoreGroups(ByteReader &r, bool replace)
 {
-    BlobReader r{blob, at};
     uint32_t num_groups = 0;
     if (!r.read(num_groups))
         return BlobError::Truncated;
     // A group costs at least its idx + count header.
-    if (num_groups > r.remaining() / (2 * sizeof(uint32_t)))
+    if (num_groups > r.remaining() / kGroupHeaderBytes)
         return BlobError::Truncated;
     uint32_t prev_idx = 0;
     for (uint32_t g = 0; g < num_groups; g++) {
@@ -229,16 +227,16 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
         if (g > 0 && idx <= prev_idx)
             return BlobError::Malformed; // serialize() emits ascending.
         prev_idx = idx;
-        // A segment costs at least its 10 fixed header bytes.
-        if (count > r.remaining() / 10)
+        // A segment costs at least its fixed bytes.
+        if (count > r.remaining() / kSegmentBytes)
             return BlobError::Truncated;
         Group &group = groups_.getOrCreate(idx);
         beginMutate(group);
         if (replace)
-            group = Group();
+            group.clear();
         // Parse into the group, then re-add its totals whatever
-        // happened: the table stays consistent (whole groups from
-        // before or after the delta) even when the blob is bad.
+        // happened: the table totals stay in sync even when the blob
+        // is bad.
         BlobError err = BlobError::None;
         size_t prev_level = 0;
         uint32_t prev_end = 0;
@@ -280,15 +278,14 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
                     err = BlobError::Malformed;
                     break;
                 }
-                if (len > r.remaining()) {
+                const uint8_t *offs = r.take(len);
+                if (!offs) {
                     err = BlobError::Truncated;
                     break;
                 }
                 // The CRB-run invariants: members strictly ascending,
                 // inside the segment, and disjoint from every other
                 // run already restored into this group.
-                const uint8_t *offs = r.blob.data() + r.at;
-                r.at += len;
                 bool ok = true;
                 for (size_t m = 0; ok && m < len; m++) {
                     ok = (m == 0 || offs[m] > offs[m - 1]) &&
@@ -316,11 +313,55 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
     return BlobError::None;
 }
 
+BlobError
+LearnedTable::restoreBlob(const std::vector<uint8_t> &blob, bool delta)
+{
+    ByteReader r(blob);
+    uint32_t gamma = 0;
+    BlobError e = BlobError::None;
+    if (!r.read(gamma)) {
+        e = BlobError::Truncated;
+    } else if (delta && gamma != gamma_) {
+        e = BlobError::Malformed; // delta from a different table
+    } else {
+        if (!delta) {
+            // Start over as a new table would, keeping the storage.
+            gamma_ = gamma;
+            groups_.reset();
+            total_segments_ = total_approx_ = total_bytes_ = 0;
+            stats_ = LearnedTableStats();
+        }
+        e = restoreGroups(r, /*replace=*/delta);
+    }
+    // Group contents changed (even on a failed parse), so retire the
+    // lookup cache unconditionally.
+    epoch_++;
+    cache_ = LookupCache();
+    return e;
+}
+
+bool
+LearnedTable::restore(const std::vector<uint8_t> &blob, BlobError *err)
+{
+    const BlobError e = restoreBlob(blob, /*delta=*/false);
+    if (err)
+        *err = e;
+    return e == BlobError::None;
+}
+
+bool
+LearnedTable::applyDelta(const std::vector<uint8_t> &blob, BlobError *err)
+{
+    const BlobError e = restoreBlob(blob, /*delta=*/true);
+    if (err)
+        *err = e;
+    return e == BlobError::None;
+}
+
 std::unique_ptr<LearnedTable>
 LearnedTable::deserialize(const std::vector<uint8_t> &blob)
 {
-    BlobError err = BlobError::None;
-    auto table = tryDeserialize(blob, &err);
+    auto table = tryDeserialize(blob);
     LEAFTL_ASSERT(table != nullptr, "corrupt mapping blob");
     return table;
 }
@@ -329,42 +370,11 @@ std::unique_ptr<LearnedTable>
 LearnedTable::tryDeserialize(const std::vector<uint8_t> &blob,
                              BlobError *err)
 {
-    BlobError e = BlobError::None;
-    std::unique_ptr<LearnedTable> table;
-    BlobReader r{blob};
-    uint32_t gamma = 0;
-    if (!r.read(gamma)) {
-        e = BlobError::Truncated;
-    } else {
-        table = std::make_unique<LearnedTable>(gamma);
-        e = table->restoreGroups(blob, r.at, /*replace=*/false);
-        if (e != BlobError::None)
-            table.reset();
-    }
-    if (err)
-        *err = e;
+    // A new table is an empty table restored in place.
+    auto table = std::make_unique<LearnedTable>(0);
+    if (!table->restore(blob, err))
+        table.reset();
     return table;
-}
-
-bool
-LearnedTable::applyDelta(const std::vector<uint8_t> &blob, BlobError *err)
-{
-    BlobError e = BlobError::None;
-    BlobReader r{blob};
-    uint32_t gamma = 0;
-    if (!r.read(gamma))
-        e = BlobError::Truncated;
-    else if (gamma != gamma_)
-        e = BlobError::Malformed; // delta from a different table
-    else
-        e = restoreGroups(blob, r.at, /*replace=*/true);
-    // Group objects may have been replaced (even on a failed parse),
-    // so retire the lookup cache unconditionally.
-    epoch_++;
-    cache_ = LookupCache();
-    if (err)
-        *err = e;
-    return e == BlobError::None;
 }
 
 void

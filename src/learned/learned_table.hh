@@ -10,10 +10,18 @@
  *
  * Persistence: serialize() writes each group's segments level by
  * level, each approximate segment followed by its CRB run as a count
- * and the ascending offsets. The parser behind tryDeserialize() and
- * applyDelta() reads each run straight into a GroupMask and checks it
- * against a mask of the offsets the group's earlier runs claimed, so
- * a corrupt blob is a typed BlobError, never an abort.
+ * and the ascending offsets. The encoders are presized: each group's
+ * wire size follows from counters it already keeps (segments,
+ * approximate segments, stored CRB offsets), so serialize() and
+ * serializeDirty() allocate the blob once and write it through one
+ * cursor. There is one restore path: restore() (behind deserialize()
+ * and recovery) and applyDelta() share one parser, which works in
+ * place -- groups, CRBs and directory chunks keep their storage, and
+ * each segment is appended to its level, since blobs list levels
+ * top-down and each level sorted by S. The parser reads each run
+ * straight into a GroupMask and checks it against a mask of the
+ * offsets the group's earlier runs claimed, so a corrupt blob is a
+ * typed BlobError, never an abort.
  *
  * Hot-path design:
  *   - learn() and compact() allocate nothing in steady state: a run
@@ -55,6 +63,8 @@
 
 namespace leaftl
 {
+
+class ByteReader;
 
 /**
  * Typed outcome of parsing a serialized table/delta blob. Persisted
@@ -194,20 +204,30 @@ class LearnedTable
     deserialize(const std::vector<uint8_t> &blob);
 
     /**
-     * Bounds-checked rebuild from an untrusted serialize() blob.
-     * Returns nullptr (and sets @a err when non-null) instead of
-     * invoking UB on truncated or corrupt input.
+     * Bounds-checked rebuild from an untrusted serialize() blob: a new
+     * table restore()d in place. Returns nullptr (and sets @a err when
+     * non-null) instead of invoking UB on truncated or corrupt input.
      */
     static std::unique_ptr<LearnedTable>
     tryDeserialize(const std::vector<uint8_t> &blob,
                    BlobError *err = nullptr);
 
     /**
+     * Replace the table's content with a serialize() blob, in place:
+     * groups, CRBs and directory chunks keep their storage, groups the
+     * blob does not hold are dropped, and gamma, statistics, epoch and
+     * lookup cache start over as in a new table. Returns false (and
+     * sets @a err) on a corrupt blob; the table then holds what parsed
+     * and is fit only to be discarded or restored again.
+     */
+    bool restore(const std::vector<uint8_t> &blob, BlobError *err = nullptr);
+
+    /**
      * Apply a serializeDirty() delta: every group present in the blob
      * replaces the table's version of that group wholesale. Returns
-     * false (and sets @a err) on a corrupt blob; the table is left
-     * with whole groups from before or after the delta, never a
-     * half-parsed group.
+     * false (and sets @a err) on a corrupt blob; the groups before the
+     * bad one are replaced, the bad one holds what parsed, and every
+     * group stays lookup-safe.
      */
     bool applyDelta(const std::vector<uint8_t> &blob,
                     BlobError *err = nullptr);
@@ -217,13 +237,18 @@ class LearnedTable
 
   private:
     /**
-     * Shared bounds-checked parser behind tryDeserialize/applyDelta:
-     * reads the group list starting at @a at; @a replace resets each
-     * named group before restoring (delta semantics) instead of
-     * requiring it to be new (full-snapshot semantics).
+     * The one restore routine behind restore() and applyDelta(): a
+     * full blob (@a delta false) first resets the table to a new one,
+     * keeping its storage; a delta must carry the table's gamma.
      */
-    BlobError restoreGroups(const std::vector<uint8_t> &blob, size_t at,
-                            bool replace);
+    BlobError restoreBlob(const std::vector<uint8_t> &blob, bool delta);
+
+    /**
+     * The bounds-checked parser of a blob's group list; @a replace
+     * clears each named group before restoring it (delta semantics).
+     * On a full restore every group starts empty already.
+     */
+    BlobError restoreGroups(ByteReader &r, bool replace);
 
     /** Retire a group's contribution to the table totals. */
     void

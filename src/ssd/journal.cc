@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/byte_cursor.hh"
+
 namespace leaftl
 {
 
@@ -21,30 +23,11 @@ fnv1a(const uint8_t *data, size_t n, uint64_t h = kFnvOffset)
     return h;
 }
 
-template <typename T>
-void
-put(std::vector<uint8_t> &blob, T v)
-{
-    const size_t at = blob.size();
-    blob.resize(at + sizeof(T));
-    std::memcpy(blob.data() + at, &v, sizeof(T));
-}
-
-template <typename T>
-bool
-take(const std::vector<uint8_t> &blob, size_t &at, T &v)
-{
-    if (sizeof(T) > blob.size() - at)
-        return false;
-    std::memcpy(&v, blob.data() + at, sizeof(T));
-    at += sizeof(T);
-    return true;
-}
-
 /**
- * Encode one record onto @a log. The checksum covers the header
- * fields and the payload, with the checksum field itself zeroed --
- * computed in a second pass once the payload is in place.
+ * Encode one record onto @a log: one resize, then the header and the
+ * payload through one cursor. The checksum covers the header fields
+ * and the payload, with the checksum field itself zeroed -- computed
+ * once the payload is in place.
  */
 size_t
 appendRecord(std::vector<uint8_t> &log, JournalRecord::Type type,
@@ -52,26 +35,29 @@ appendRecord(std::vector<uint8_t> &log, JournalRecord::Type type,
              const std::vector<std::pair<Lpa, Ppa>> *run, Lpa trim_lpa)
 {
     const size_t start = log.size();
-    put<uint8_t>(log, static_cast<uint8_t>(type));
-    put<uint64_t>(log, seq);
-    put<uint32_t>(log, coverage);
     const uint32_t payload_len =
         run ? static_cast<uint32_t>(run->size() * 2 * sizeof(uint32_t))
             : static_cast<uint32_t>(sizeof(Lpa));
-    put<uint32_t>(log, payload_len);
-    const size_t cksum_at = log.size();
-    put<uint64_t>(log, 0); // checksum placeholder
+    log.resize(start + MappingJournal::kHeaderBytes + payload_len);
+    uint8_t *const rec = log.data() + start;
+    ByteWriter w(rec);
+    w.put<uint8_t>(static_cast<uint8_t>(type));
+    w.put<uint64_t>(seq);
+    w.put<uint32_t>(coverage);
+    w.put<uint32_t>(payload_len);
+    const size_t cksum_at = static_cast<size_t>(w.pos() - rec);
+    w.put<uint64_t>(0); // checksum placeholder
     if (run) {
         for (const auto &[lpa, ppa] : *run) {
-            put<uint32_t>(log, lpa);
-            put<uint32_t>(log, ppa);
+            w.put<uint32_t>(lpa);
+            w.put<uint32_t>(ppa);
         }
     } else {
-        put<uint32_t>(log, trim_lpa);
+        w.put<uint32_t>(trim_lpa);
     }
-    uint64_t h = fnv1a(log.data() + start, cksum_at - start);
-    h = fnv1a(log.data() + cksum_at + sizeof(uint64_t), payload_len, h);
-    std::memcpy(log.data() + cksum_at, &h, sizeof(h));
+    uint64_t h = fnv1a(rec, cksum_at);
+    h = fnv1a(rec + MappingJournal::kHeaderBytes, payload_len, h);
+    ByteWriter(rec + cksum_at).put<uint64_t>(h);
     return log.size() - start;
 }
 
@@ -132,25 +118,25 @@ JournalReader::next(JournalRecord &rec)
 {
     if (corrupt_ || at_ >= log_.size())
         return false;
-    size_t at = at_;
+    ByteReader r(log_, at_);
     uint8_t type = 0;
     uint64_t seq = 0, cksum = 0;
     uint32_t coverage = 0, payload_len = 0;
-    if (!take(log_, at, type) || !take(log_, at, seq) ||
-        !take(log_, at, coverage) || !take(log_, at, payload_len) ||
-        !take(log_, at, cksum)) {
+    if (!r.read(type) || !r.read(seq) || !r.read(coverage) ||
+        !r.read(payload_len) || !r.read(cksum)) {
         corrupt_ = true; // torn header
         return false;
     }
-    if (payload_len > log_.size() - at) {
+    const uint8_t *payload = r.take(payload_len);
+    if (!payload) {
         corrupt_ = true; // torn payload
         return false;
     }
     // Recompute the checksum with the checksum field zeroed.
-    const size_t start = at_;
-    const size_t cksum_at = at - sizeof(uint64_t);
-    uint64_t h = fnv1a(log_.data() + start, cksum_at - start);
-    h = fnv1a(log_.data() + at, payload_len, h);
+    const uint8_t *const start = log_.data() + at_;
+    const size_t cksum_at = MappingJournal::kHeaderBytes - sizeof(uint64_t);
+    uint64_t h = fnv1a(start, cksum_at);
+    h = fnv1a(payload, payload_len, h);
     if (h != cksum) {
         corrupt_ = true;
         return false;
@@ -169,18 +155,17 @@ JournalReader::next(JournalRecord &rec)
             return false;
         }
         rec.type = JournalRecord::Type::Learn;
-        const size_t n = payload_len / (2 * sizeof(uint32_t));
-        rec.mappings.reserve(n);
-        Lpa prev = 0;
-        for (size_t i = 0; i < n; i++) {
+        rec.mappings.reserve(payload_len / (2 * sizeof(uint32_t)));
+        // take() bounded the whole payload: decode it in one pass.
+        for (const uint8_t *p = payload; p != payload + payload_len;
+             p += 2 * sizeof(uint32_t)) {
             uint32_t lpa = 0, ppa = 0;
-            take(log_, at, lpa);
-            take(log_, at, ppa);
-            if (i > 0 && lpa <= prev) {
+            std::memcpy(&lpa, p, sizeof(lpa));
+            std::memcpy(&ppa, p + sizeof(lpa), sizeof(ppa));
+            if (!rec.mappings.empty() && lpa <= rec.mappings.back().first) {
                 corrupt_ = true; // learn runs are strictly increasing
                 return false;
             }
-            prev = lpa;
             rec.mappings.emplace_back(lpa, ppa);
         }
     } else if (type == static_cast<uint8_t>(JournalRecord::Type::Trim)) {
@@ -189,15 +174,15 @@ JournalReader::next(JournalRecord &rec)
             return false;
         }
         rec.type = JournalRecord::Type::Trim;
-        take(log_, at, rec.trim_lpa);
+        std::memcpy(&rec.trim_lpa, payload, sizeof(Lpa));
     } else {
         corrupt_ = true; // unknown record type
         return false;
     }
     last_seq_ = seq;
     have_seq_ = true;
-    at_ = at;
-    valid_bytes_ = at;
+    at_ = r.pos();
+    valid_bytes_ = at_;
     return true;
 }
 

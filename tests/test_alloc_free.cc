@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cli/sim_cli.hh"
+#include "ftl/leaftl.hh"
 #include "learned/learned_table.hh"
 #include "sim/runner.hh"
 #include "ssd/ssd.hh"
@@ -147,6 +148,110 @@ TEST_P(AllocFreeTable, LearnTrimAndCompactAllocateNothingOnceWarm)
 
 INSTANTIATE_TEST_SUITE_P(Gammas, AllocFreeTable,
                          ::testing::Values(0u, 1u, 4u, 16u));
+
+/** A gamma-4 table over @a lpas LPAs after @a batches GC batches. */
+void
+learnBatches(LearnedTable &table, Rng &rng, uint32_t lpas, int batches,
+             Ppa &ppa)
+{
+    for (int b = 0; b < batches; b++)
+        table.learn(gcBatch(rng, 2048, lpas, ppa));
+}
+
+TEST(AllocFreeSnapshot, SerializeAndSerializeDirtyAllocateOnce)
+{
+    LearnedTable table(4);
+    Rng rng(3);
+    Ppa ppa = 0;
+    learnBatches(table, rng, 1u << 16, 50, ppa);
+    table.compact();
+    ASSERT_GT(table.numApproximate(), 0u);
+    table.clearDirty();
+    learnBatches(table, rng, 1u << 15, 2, ppa);
+
+    uint64_t full_allocs = 0, dirty_allocs = 0;
+    std::vector<uint8_t> full, dirty;
+    {
+        AllocCounter counter;
+        full = table.serialize();
+        full_allocs = counter.count();
+    }
+    {
+        AllocCounter counter;
+        dirty = table.serializeDirty();
+        dirty_allocs = counter.count();
+    }
+    EXPECT_EQ(full_allocs, 1u);
+    EXPECT_EQ(dirty_allocs, 1u);
+    // Presized exactly: the blobs carry no slack capacity.
+    EXPECT_EQ(full.capacity(), full.size());
+    EXPECT_EQ(dirty.capacity(), dirty.size());
+    EXPECT_LT(dirty.size(), full.size());
+    EXPECT_EQ(LearnedTable::deserialize(full)->serialize(), full);
+}
+
+class MockOps : public FtlOps
+{
+  public:
+    void chargeTransRead() override {}
+    void chargeTransWrite() override {}
+};
+
+/**
+ * A crash restores a warmed LeaFTL's table in place from a snapshot
+ * and two deltas, over a table that has moved on since. The groups,
+ * CRBs and directory chunks keep their storage, so what the restore
+ * allocates (the statistics it resets) is a constant, the same at 256
+ * and at 4096 groups.
+ */
+uint64_t
+restoreChainAllocs(uint32_t lpas)
+{
+    MockOps ops;
+    LeaFtl ftl(ops, 4);
+    LearnedTable &table = *ftl.learnedTable();
+    Rng rng(lpas);
+    Ppa ppa = 0;
+    auto learn = [&](int batches) {
+        for (int b = 0; b < batches; b++)
+            ftl.recordMappings(gcBatch(rng, 2048, lpas, ppa));
+    };
+    learn(200);
+    ftl.periodicMaintenance();
+    const std::vector<uint8_t> base = table.serialize();
+    table.clearDirty();
+    std::vector<std::vector<uint8_t>> deltas;
+    for (int d = 0; d < 2; d++) {
+        learn(20);
+        deltas.push_back(table.serializeDirty());
+        table.clearDirty();
+    }
+    learn(20);
+    ftl.periodicMaintenance();
+    const size_t groups = table.numGroups();
+
+    uint64_t allocs = 0;
+    {
+        AllocCounter counter;
+        ftl.restoreChain(base, deltas);
+        allocs = counter.count();
+    }
+    EXPECT_EQ(table.numGroups(), groups);
+    auto fresh = LearnedTable::deserialize(base);
+    for (const auto &delta : deltas)
+        EXPECT_TRUE(fresh->applyDelta(delta));
+    EXPECT_EQ(table.serialize(), fresh->serialize());
+    table.checkInvariants();
+    return allocs;
+}
+
+TEST(AllocFreeSnapshot, RestoreChainAllocatesAConstantInPlace)
+{
+    const uint64_t small = restoreChainAllocs(1u << 16);
+    const uint64_t large = restoreChainAllocs(1u << 20);
+    EXPECT_EQ(small, large);
+    EXPECT_LE(large, 2u);
+}
 
 /**
  * A GC-heavy run shaped like the rand-gc benchmark workloads (uniform

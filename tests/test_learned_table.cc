@@ -162,6 +162,95 @@ TEST(LearnedTable, EmptySerializeRoundTrip)
     EXPECT_FALSE(restored->lookup(0).has_value());
 }
 
+/** Sorted random run of @a n LPAs in [first, first + span). */
+std::vector<std::pair<Lpa, Ppa>>
+randomRun(Rng &rng, Lpa first, uint32_t span, uint32_t n, Ppa &next_ppa)
+{
+    std::set<Lpa> lpas;
+    while (lpas.size() < n)
+        lpas.insert(first + static_cast<Lpa>(rng.nextBounded(span)));
+    std::vector<std::pair<Lpa, Ppa>> run;
+    for (const Lpa lpa : lpas)
+        run.emplace_back(lpa, next_ppa++);
+    return run;
+}
+
+TEST(LearnedTable, RestoreInPlaceMatchesAFreshlyDeserializedChain)
+{
+    // Snapshot groups 0-15, a delta over groups 4-7, then learn into
+    // groups 40-55 that neither blob holds, compact, and look up (so
+    // the stats are not zero). Restoring the chain in place must drop
+    // groups 40-55 and leave exactly what a new table restored from
+    // the chain holds.
+    LearnedTable t(4);
+    Rng rng(29);
+    Ppa ppa = 0;
+    for (int i = 0; i < 20; i++)
+        t.learn(randomRun(rng, 0, 16 * kGroupSpan, 300, ppa));
+    const std::vector<uint8_t> base = t.serialize();
+    t.clearDirty();
+    for (int i = 0; i < 5; i++)
+        t.learn(randomRun(rng, 4 * kGroupSpan, 4 * kGroupSpan, 200, ppa));
+    const std::vector<uint8_t> delta = t.serializeDirty();
+    t.clearDirty();
+    for (int i = 0; i < 20; i++)
+        t.learn(randomRun(rng, 40 * kGroupSpan, 16 * kGroupSpan, 300, ppa));
+    t.compact();
+    for (Lpa lpa = 0; lpa < 56 * kGroupSpan; lpa += 7)
+        (void)t.lookup(lpa);
+    ASSERT_EQ(t.numGroups(), 32u);
+
+    auto fresh = LearnedTable::deserialize(base);
+    ASSERT_TRUE(fresh->applyDelta(delta));
+    ASSERT_TRUE(t.restore(base));
+    ASSERT_TRUE(t.applyDelta(delta));
+    t.checkInvariants();
+
+    EXPECT_EQ(t.numGroups(), 16u);
+    EXPECT_EQ(t.numGroups(), fresh->numGroups());
+    EXPECT_EQ(t.numSegments(), fresh->numSegments());
+    EXPECT_EQ(t.memoryBytes(), fresh->memoryBytes());
+    EXPECT_EQ(t.serialize(), fresh->serialize());
+    EXPECT_EQ(t.serializeDirty(), fresh->serializeDirty());
+    EXPECT_EQ(t.group(40), nullptr);
+
+    // Same statistics, before and after the same lookups.
+    auto expectSameStats = [&](const char *when) {
+        const LearnedTableStats &a = t.stats();
+        const LearnedTableStats &b = fresh->stats();
+        EXPECT_EQ(a.segments_created, b.segments_created) << when;
+        EXPECT_EQ(a.accurate_created, b.accurate_created) << when;
+        EXPECT_EQ(a.approximate_created, b.approximate_created) << when;
+        EXPECT_EQ(a.creation_lengths.count(), b.creation_lengths.count())
+            << when;
+        EXPECT_EQ(a.lookups, b.lookups) << when;
+        EXPECT_EQ(a.lookup_levels_total, b.lookup_levels_total) << when;
+        EXPECT_EQ(a.lookup_levels.count(), b.lookup_levels.count()) << when;
+        EXPECT_EQ(a.lookup_cache_hits, b.lookup_cache_hits) << when;
+    };
+    expectSameStats("after restore");
+    EXPECT_EQ(t.stats().lookups, 0u);
+    for (Lpa lpa = 0; lpa < 56 * kGroupSpan; lpa += 3) {
+        const auto a = t.lookup(lpa);
+        const auto b = fresh->lookup(lpa);
+        ASSERT_EQ(a.has_value(), b.has_value()) << lpa;
+        if (a) {
+            EXPECT_EQ(a->ppa, b->ppa) << lpa;
+            EXPECT_EQ(a->levels_visited, b->levels_visited) << lpa;
+        }
+    }
+    expectSameStats("after lookups");
+    EXPECT_GT(t.stats().lookups, 0u);
+
+    // The restored table learns on exactly like the fresh one.
+    const auto more = randomRun(rng, 40 * kGroupSpan, 16 * kGroupSpan, 300,
+                                ppa);
+    t.learn(more);
+    fresh->learn(more);
+    EXPECT_EQ(t.serialize(), fresh->serialize());
+    EXPECT_EQ(t.serializeDirty(), fresh->serializeDirty());
+}
+
 TEST(LearnedTable, CompactionNeverLosesMappings)
 {
     LearnedTable t(0);
