@@ -2,7 +2,8 @@
 # bad value the way leaftl_sim does; a misspelled flag must not run
 # the default experiment instead. Each run is time-boxed: a value
 # that slips through (say a negative request count wrapped to 2^64)
-# would otherwise replay forever.
+# would otherwise replay forever; a DRAM budget of 2^44 MiB wrapped to
+# 0 bytes and ran the derived default.
 # Invoked by CTest with -DBENCH_BIN=<path to a parseScale bench>.
 
 if(NOT BENCH_BIN)
@@ -10,6 +11,7 @@ if(NOT BENCH_BIN)
 endif()
 
 foreach(case "--gamma=abc|bad gamma 'abc'" "--requests=-5|bad requests '-5'"
+             "--dram-mb=17592186044416|bad dram-mb"
              "--gama=4|unknown flag '--gama=4'")
     string(REPLACE "|" ";" case "${case}")
     list(GET case 0 flag)

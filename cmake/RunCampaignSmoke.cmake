@@ -1,8 +1,9 @@
 # End-to-end smoke of the campaign runner: run the tiny campaign
 # twice into a fresh directory and assert that (1) the first pass
-# executes every unique run and writes one fingerprinted CSV each
-# plus a BENCH_*.json, and (2) the second pass is a pure resume --
-# zero re-executed runs, CSV bytes untouched. Invoked by CTest with
+# announces and executes every unique run and writes one fingerprinted
+# CSV each plus a BENCH_*.json, and (2) the second pass is a pure
+# resume -- nothing announced, zero re-executed runs, CSV bytes
+# untouched. Invoked by CTest with
 # -DSIM_BIN=... -DCAMPAIGN_CONFIG=... -DWORK_DIR=...
 
 if(NOT SIM_BIN OR NOT CAMPAIGN_CONFIG OR NOT WORK_DIR)
@@ -18,6 +19,10 @@ execute_process(
     RESULT_VARIABLE first_rc)
 if(NOT first_rc EQUAL 0)
     message(FATAL_ERROR "campaign run 1 exited with ${first_rc}:\n${first_out}")
+endif()
+
+if(NOT first_out MATCHES ", 3 to execute")
+    message(FATAL_ERROR "run 1 should announce 3 runs:\n${first_out}")
 endif()
 
 file(GLOB run_csvs ${WORK_DIR}/run-*.csv)
@@ -48,6 +53,10 @@ execute_process(
     RESULT_VARIABLE second_rc)
 if(NOT second_rc EQUAL 0)
     message(FATAL_ERROR "campaign run 2 exited with ${second_rc}:\n${second_out}")
+endif()
+
+if(NOT second_out MATCHES ", 0 to execute")
+    message(FATAL_ERROR "rerun should announce 0 runs:\n${second_out}")
 endif()
 
 file(READ ${WORK_DIR}/BENCH_tiny.json second_json)

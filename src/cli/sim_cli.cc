@@ -8,6 +8,7 @@
 #include <functional>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -31,51 +32,57 @@ namespace cli
 namespace
 {
 
+/** A synthetic pattern: its name and what it adds to a pure random mix. */
+struct SyntheticPattern
+{
+    const char *name;
+    void (*preset)(MixSpec &spec);
+};
+
 /** Synthetic pattern presets, each one access shape from paper Fig. 1. */
+const SyntheticPattern kSyntheticPatterns[] = {
+    {"seq", [](MixSpec &s) { s.p_seq = 1.0; s.seq_len_mean = 128; }},
+    {"rand", [](MixSpec &) {}},
+    {"zipf", [](MixSpec &s) { s.zipf_theta = 0.99; }},
+    {"stride",
+     [](MixSpec &s) {
+         s.p_stride = 1.0; s.stride = 4; s.stride_len_mean = 64;
+     }},
+    {"log", [](MixSpec &s) { s.p_log = 1.0; s.read_ratio = 0.2; }},
+    {"mix",
+     [](MixSpec &s) {
+         s.p_seq = 0.3; s.p_stride = 0.1; s.p_log = 0.1; s.zipf_theta = 0.9;
+     }},
+};
+
+/** The spec's seed and read-ratio/inter-arrival overrides, onto @a mix. */
+void
+applyOverrides(MixSpec &mix, const config::ExperimentSpec &opts)
+{
+    mix.seed = opts.seed;
+    if (opts.read_ratio >= 0.0)
+        mix.read_ratio = opts.read_ratio;
+    if (opts.interarrival_us >= 0.0)
+        mix.interarrival =
+            static_cast<Tick>(opts.interarrival_us * kMicrosecond);
+}
+
 MixSpec
-syntheticSpec(const std::string &pattern, const config::ExperimentSpec &opts,
-              bool &known)
+syntheticSpec(const SyntheticPattern &pattern,
+              const config::ExperimentSpec &opts)
 {
     MixSpec spec;
-    spec.name = "synthetic:" + pattern;
+    spec.name = std::string("synthetic:") + pattern.name;
     spec.working_set_pages = opts.working_set_pages;
     spec.num_requests = opts.requests;
-    spec.seed = opts.seed;
     // Start from a pure random mix; each preset adds one component
     // (MixSpec's own defaults carry a nonzero p_seq).
     spec.p_seq = 0.0;
     spec.p_stride = 0.0;
     spec.p_log = 0.0;
     spec.zipf_theta = 0.0;
-    known = true;
-
-    if (pattern == "seq") {
-        spec.p_seq = 1.0;
-        spec.seq_len_mean = 128;
-    } else if (pattern == "rand") {
-        spec.zipf_theta = 0.0;
-    } else if (pattern == "zipf") {
-        spec.zipf_theta = 0.99;
-    } else if (pattern == "stride") {
-        spec.p_stride = 1.0;
-        spec.stride = 4;
-        spec.stride_len_mean = 64;
-    } else if (pattern == "log") {
-        spec.p_log = 1.0;
-        spec.read_ratio = 0.2;
-    } else if (pattern == "mix") {
-        spec.p_seq = 0.3;
-        spec.p_stride = 0.1;
-        spec.p_log = 0.1;
-        spec.zipf_theta = 0.9;
-    } else {
-        known = false;
-    }
-    if (opts.read_ratio >= 0.0)
-        spec.read_ratio = opts.read_ratio;
-    if (opts.interarrival_us >= 0.0)
-        spec.interarrival =
-            static_cast<Tick>(opts.interarrival_us * kMicrosecond);
+    pattern.preset(spec);
+    applyOverrides(spec, opts);
     return spec;
 }
 
@@ -88,31 +95,24 @@ isNamedModel(const std::vector<std::string> &names, const std::string &name)
 /**
  * Wrap @a wl per the replay mode and fill the matching RunOptions:
  * closed runs unshaped with closed admission; every other mode runs
- * open admission, the rate-driven ones behind an arrival shaper.
+ * open admission behind its arrival shaper.
  */
 std::unique_ptr<WorkloadSource>
 applyMode(std::unique_ptr<WorkloadSource> wl, const std::string &mode,
           double rate, const config::ExperimentSpec &opts, RunOptions &ropts)
 {
-    if (mode == "closed") {
+    const config::ReplayMode *replay = config::findMode(mode);
+    LEAFTL_ASSERT(replay, "applyMode: unknown mode '" + mode + "'");
+    if (!replay->shaper) {
         ropts.admission = Admission::Closed;
         return wl;
     }
     ropts.admission = Admission::Open;
     ShaperSpec spec;
+    spec.kind = *replay->shaper;
     spec.rate_iops = rate;
     spec.seed = opts.seed;
     spec.duty = opts.burst_duty;
-    if (mode == "open")
-        spec.kind = ShaperKind::AsRecorded;
-    else if (mode == "fixed")
-        spec.kind = ShaperKind::FixedRate;
-    else if (mode == "poisson")
-        spec.kind = ShaperKind::Poisson;
-    else if (mode == "burst")
-        spec.kind = ShaperKind::Burst;
-    else
-        LEAFTL_PANIC("applyMode: unknown mode '" + mode + "'");
     return shapeArrivals(std::move(wl), spec);
 }
 
@@ -147,86 +147,73 @@ using R = const CsvRowInput &;
 
 } // namespace
 
+namespace
+{
+
+/**
+ * One usage entry: "  <flag>", then @a help word-wrapped in a column
+ * (starting two spaces after a flag too wide for it).
+ */
+std::string
+usageEntry(const std::string &flag, const std::string &help)
+{
+    constexpr size_t kColumn = 19;
+    constexpr size_t kWidth = 79;
+    std::string out;
+    std::string line = "  " + flag;
+    line.resize(std::max(line.size() + 2, kColumn), ' ');
+    std::istringstream words(help);
+    for (std::string word; words >> word;) {
+        if (line.back() != ' ' && line.size() + 1 + word.size() > kWidth) {
+            out += line + '\n';
+            line.assign(kColumn, ' ');
+        }
+        line += (line.back() == ' ' ? "" : " ") + word;
+    }
+    return out + line + '\n';
+}
+
+} // namespace
+
 std::string
 usage()
 {
-    std::string preset_names;
-    for (const auto &name : devicePresetNames()) {
-        if (!preset_names.empty())
-            preset_names += ", ";
-        preset_names += name;
-    }
-    std::ostringstream out;
-    out << "leaftl_sim -- trace-driven FTL comparison driver\n"
-        << "\n"
-        << "Usage: leaftl_sim [options]\n"
-        << "  --config FILE    load an [experiment] config file (flags\n"
-        << "                   after --config override its values)\n"
-        << "  --set KEY=VALUE  override one experiment key (same names\n"
-        << "                   as the config file: ftl, workload, ...)\n"
-        << "  --campaign FILE  expand the file's sweep grid into\n"
-        << "                   fingerprinted runs (one CSV per run, a\n"
-        << "                   BENCH_<name>.json summary, resume by\n"
-        << "                   skipping fingerprints already on disk)\n"
-        << "  --campaign-dir D override the campaign output directory\n"
-        << "  --ftl LIST       comma list of leaftl,dftl,sftl "
-           "(default leaftl)\n"
-        << "  --workload LIST  comma list of workload specs "
-           "(default synthetic:zipf)\n"
-        << "                   synthetic:{seq,rand,zipf,stride,log,mix},\n"
-        << "                   msr:<name>, app:<name>, trace:<csv path>,\n"
-        << "                   fiu:<trace path>; see --list\n"
-        << "  --gamma LIST     comma list of error bounds (default 0)\n"
-        << "  --qd LIST        comma list of queue depths (outstanding\n"
-        << "                   host requests per run, default 1)\n"
-        << "  --device LIST    comma list of device presets: auto (derive\n"
-        << "                   the geometry from --ws, default),\n"
-        << "                   " << preset_names << "; see --list\n"
-        << "  --mode LIST      comma list of replay modes: closed\n"
-        << "                   (default), open (recorded arrivals,\n"
-        << "                   open-loop latency), fixed, poisson, burst\n"
-        << "                   (arrival shapers driven by --rate)\n"
-        << "  --rate LIST      comma list of offered loads in requests/s\n"
-        << "                   for the fixed/poisson/burst modes\n"
-        << "  --burst-duty F   on-fraction of each burst cycle "
-           "(default 0.25)\n"
-        << "  --trace-strict   fail on malformed trace lines instead of\n"
-        << "                   skipping them\n"
-        << "  --jobs N         sweep worker threads (default: hardware\n"
-        << "                   concurrency; rows stay in sweep order)\n"
-        << "  --campaign-diff A B  compare two BENCH_<name>.json\n"
-        << "                   summaries by run fingerprint and print\n"
-        << "                   per-run throughput/p99 deltas\n"
-        << "  --diff-threshold PCT with --campaign-diff: exit 1 when a\n"
-        << "                   shared run regresses by more than PCT%\n"
-        << "  --requests N     requests per run (default 100000)\n"
-        << "  --ws PAGES       working-set pages (default 65536)\n"
-        << "  --dram-mb MB     DRAM budget; 0 derives from the working "
-           "set (default)\n"
-        << "  --prefill FRAC   prefilled fraction of the working set "
-           "(default 0.85)\n"
-        << "  --read-ratio R   override the workload read ratio\n"
-        << "  --interarrival U override the mean request inter-arrival\n"
-        << "                   gap in us (synthetic/model workloads)\n"
-        << "  --seed N         workload RNG seed (default 42)\n"
-        << "  --journal-threshold B  learn-journal bytes that trigger an\n"
-        << "                   incremental snapshot (default 0 = no\n"
-        << "                   journal)\n"
-        << "  --crash-at LIST  comma list of request indices where the\n"
-        << "                   replay crashes and recovers the device\n"
-        << "                   (LeaFTL only; DFTL/SFTL are rejected)\n"
-        << "  --output PATH    write CSV to PATH instead of stdout\n"
-        << "  --list           print known workloads and exit\n"
-        << "  --help           this text\n";
-    return out.str();
+    std::string out = "leaftl_sim -- trace-driven FTL comparison driver\n"
+                      "\n"
+                      "Usage: leaftl_sim [options]\n";
+    out += usageEntry("--config FILE",
+                      "load an [experiment] config file (flags after "
+                      "--config override its values)");
+    out += usageEntry("--set KEY=VALUE",
+                      "override one experiment key: any --KEY flag below, "
+                      "as in a config file");
+    out += usageEntry("--campaign FILE",
+                      "expand the file's sweep grid into fingerprinted runs "
+                      "(one CSV per run, a BENCH_<name>.json summary, resume "
+                      "by skipping fingerprints already on disk)");
+    out += usageEntry("--campaign-dir D",
+                      "override the campaign output directory");
+    out += usageEntry("--campaign-diff A B",
+                      "compare two BENCH_<name>.json summaries by run "
+                      "fingerprint and print per-run throughput/p99 deltas");
+    out += usageEntry("--diff-threshold PCT",
+                      "with --campaign-diff: exit 1 when a shared run "
+                      "regresses by more than PCT%");
+    for (const config::ExperimentKey &key : config::experimentKeys())
+        out += usageEntry(std::string("--") + key.name + " " + key.value,
+                          key.help);
+    out += usageEntry("--output PATH", "write CSV to PATH instead of stdout");
+    out += usageEntry("--list", "print known workloads and exit");
+    out += usageEntry("--help", "this text");
+    return out;
 }
 
 std::vector<std::string>
 knownWorkloads()
 {
     std::vector<std::string> out;
-    for (const char *p : {"seq", "rand", "zipf", "stride", "log", "mix"})
-        out.push_back(std::string("synthetic:") + p);
+    for (const SyntheticPattern &p : kSyntheticPatterns)
+        out.push_back(std::string("synthetic:") + p.name);
     for (const auto &n : msrWorkloadNames())
         out.push_back("msr:" + n);
     for (const auto &n : appWorkloadNames())
@@ -240,118 +227,86 @@ bool
 parseArgs(int argc, const char *const *argv, SimOptions &opts,
           std::string &err)
 {
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; i++)
-        args.emplace_back(argv[i]);
-
-    // Normalize "--flag=value" to "--flag" "value".
-    std::vector<std::string> norm;
-    for (const auto &a : args) {
-        const auto eq = a.find('=');
-        if (a.rfind("--", 0) == 0 && eq != std::string::npos) {
-            norm.push_back(a.substr(0, eq));
-            norm.push_back(a.substr(eq + 1));
-        } else {
-            norm.push_back(a);
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (size_t i = 0; i < args.size(); i++) {
+        // "--flag=value" carries its value inline.
+        std::string arg = args[i];
+        std::optional<std::string> v;
+        const auto eq = arg.find('=');
+        if (arg.rfind("--", 0) == 0 && eq != std::string::npos) {
+            v = arg.substr(eq + 1);
+            arg.resize(eq);
         }
-    }
-
-    auto need_value = [&](size_t &i, std::string &value) {
-        if (i + 1 >= norm.size()) {
-            err = norm[i] + " requires a value";
-            return false;
-        }
-        value = norm[++i];
-        return true;
-    };
-
-    // Every experiment axis/scalar lowers through the same named-key
-    // application the config-file loader uses, so a flag, a config
-    // line, and a --set override validate (and conflict) identically.
-    const std::map<std::string, std::string> spec_flags = {
-        {"--ftl", "ftl"},
-        {"--workload", "workload"},
-        {"--gamma", "gamma"},
-        {"--qd", "qd"},
-        {"--device", "device"},
-        {"--mode", "mode"},
-        {"--rate", "rate"},
-        {"--burst-duty", "burst-duty"},
-        {"--jobs", "jobs"},
-        {"--requests", "requests"},
-        {"--ws", "ws"},
-        {"--dram-mb", "dram-mb"},
-        {"--prefill", "prefill"},
-        {"--read-ratio", "read-ratio"},
-        {"--interarrival", "interarrival"},
-        {"--seed", "seed"},
-        {"--journal-threshold", "journal-threshold"},
-        {"--crash-at", "crash-at"},
-    };
-
-    for (size_t i = 0; i < norm.size(); i++) {
-        const std::string &arg = norm[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
+        auto value = [&]() {
+            if (!v && i + 1 < args.size())
+                v = args[++i];
+            if (!v)
+                err = arg + " requires a value";
+            return v.has_value();
+        };
+        // Every experiment key is a flag, applied by the same table row
+        // as a config line or a --set override, so all three validate
+        // (and conflict) identically.
+        const config::ExperimentKey *key =
+            arg.rfind("--", 0) == 0 ? config::findExperimentKey(arg.substr(2))
+                                    : nullptr;
+        if ((arg == "--help" || arg == "-h") && !v) {
             opts.help = true;
-        } else if (arg == "--list") {
+        } else if (arg == "--list" && !v) {
             opts.list = true;
-        } else if (arg == "--trace-strict") {
-            opts.trace_strict = true;
+        } else if (key && key->bare && !v &&
+                   (i + 1 == args.size() || args[i + 1].rfind("-", 0) == 0)) {
+            // Bare form (--trace-strict): no value follows.
+            if (!key->apply(opts, key->name, key->bare, err))
+                return false;
+        } else if (key) {
+            if (!value() || !key->apply(opts, key->name, *v, err))
+                return false;
         } else if (arg == "--output") {
-            if (!need_value(i, value))
+            if (!value())
                 return false;
-            opts.output = value;
+            opts.output = *v;
         } else if (arg == "--config") {
-            if (!need_value(i, value))
-                return false;
-            if (!config::loadExperimentFile(value, opts, err))
+            if (!value() || !config::loadExperimentFile(*v, opts, err))
                 return false;
         } else if (arg == "--set") {
-            if (!need_value(i, value))
+            if (!value())
                 return false;
-            const auto eq = value.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                err = "--set expects KEY=VALUE, got '" + value + "'";
+            const auto set_eq = v->find('=');
+            if (set_eq == std::string::npos || set_eq == 0) {
+                err = "--set expects KEY=VALUE, got '" + *v + "'";
                 return false;
             }
-            const std::string skey = value.substr(0, eq);
-            const std::string sval = value.substr(eq + 1);
+            const std::string skey = v->substr(0, set_eq);
+            const std::string sval = v->substr(set_eq + 1);
             if (!config::applyExperimentKey(opts, skey, sval, err))
                 return false;
             opts.set_overrides.emplace_back(skey, sval);
         } else if (arg == "--campaign") {
-            if (!need_value(i, value))
+            if (!value())
                 return false;
-            opts.campaign = value;
+            opts.campaign = *v;
         } else if (arg == "--campaign-dir") {
-            if (!need_value(i, value))
+            if (!value())
                 return false;
-            opts.campaign_dir = value;
+            opts.campaign_dir = *v;
         } else if (arg == "--campaign-diff") {
-            if (i + 2 >= norm.size()) {
+            if (!value() || i + 1 == args.size()) {
                 err = "--campaign-diff requires two BENCH json paths";
                 return false;
             }
-            opts.diff_a = norm[++i];
-            opts.diff_b = norm[++i];
+            opts.diff_a = *v;
+            opts.diff_b = args[++i];
         } else if (arg == "--diff-threshold") {
-            if (!need_value(i, value))
+            // parseDouble rejects NaN, which would turn the gate off.
+            if (!value())
                 return false;
-            try {
-                opts.diff_threshold = std::stod(value);
-            } catch (...) {
-                err = "bad --diff-threshold '" + value + "'";
+            if (!parseDouble(*v, opts.diff_threshold)) {
+                err = "bad --diff-threshold '" + *v + "'";
                 return false;
             }
-        } else if (spec_flags.count(arg)) {
-            if (!need_value(i, value))
-                return false;
-            if (!config::applyExperimentKey(opts, spec_flags.at(arg),
-                                            value, err))
-                return false;
         } else {
-            err = "unknown argument '" + arg + "'";
+            err = "unknown argument '" + args[i] + "'";
             return false;
         }
     }
@@ -369,13 +324,12 @@ makeWorkload(const std::string &spec, const config::ExperimentSpec &opts,
         colon == std::string::npos ? spec : spec.substr(colon + 1);
 
     if (scheme == "synthetic") {
-        bool known = false;
-        MixSpec mix = syntheticSpec(rest, opts, known);
-        if (!known) {
-            err = "unknown synthetic pattern '" + rest + "'";
-            return nullptr;
+        for (const SyntheticPattern &p : kSyntheticPatterns) {
+            if (rest == p.name)
+                return std::make_unique<MixWorkload>(syntheticSpec(p, opts));
         }
-        return std::make_unique<MixWorkload>(mix);
+        err = "unknown synthetic pattern '" + rest + "'";
+        return nullptr;
     }
     // Named models, with or without their scheme: MSR/FIU traces and
     // applications.
@@ -396,12 +350,7 @@ makeWorkload(const std::string &spec, const config::ExperimentSpec &opts,
             return nullptr;
         }
         MixSpec mix = m.spec(rest, opts.working_set_pages, opts.requests);
-        mix.seed = opts.seed;
-        if (opts.read_ratio >= 0.0)
-            mix.read_ratio = opts.read_ratio;
-        if (opts.interarrival_us >= 0.0)
-            mix.interarrival =
-                static_cast<Tick>(opts.interarrival_us * kMicrosecond);
+        applyOverrides(mix, opts);
         return std::make_unique<MixWorkload>(mix);
     }
     if (scheme == "trace" || scheme == "fiu") {

@@ -66,7 +66,8 @@ struct SimOptions : config::ExperimentSpec
      * --diff-threshold PCT: --campaign-diff exits 1 when any shared
      * run regresses by more than this percentage on throughput or
      * improves p99 read latency's inverse (i.e. p99 grows) beyond it.
-     * <= 0 disables the regression gate (report only).
+     * <= 0 disables the regression gate (report only); a value that
+     * is not a finite number is rejected.
      */
     double diff_threshold = 0.0;
 

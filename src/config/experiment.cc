@@ -1,6 +1,8 @@
 #include "config/experiment.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 
 #include "flash/presets.hh"
 #include "util/common.hh"
@@ -42,33 +44,191 @@ editDistance(const std::string &a, const std::string &b)
     return prev[b.size()];
 }
 
+/** "a, b, or c" ("a or b" for two names). */
+std::string
+oneOf(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (size_t i = 0; i < names.size(); i++) {
+        if (i > 0)
+            out += names.size() > 2 ? ", " : " ";
+        out += (i > 0 && i + 1 == names.size() ? "or " : "") + names[i];
+    }
+    return out;
+}
+
+/** The name of every row of @a table, in order. */
+template <typename Table>
+std::vector<std::string>
+namesOf(const Table &table)
+{
+    std::vector<std::string> out;
+    for (const auto &row : table)
+        out.emplace_back(row.name);
+    return out;
+}
+
+struct FtlName
+{
+    const char *name;
+    FtlKind kind;
+};
+
+const FtlName kFtls[] = {
+    {"leaftl", FtlKind::LeaFTL},
+    {"dftl", FtlKind::DFTL},
+    {"sftl", FtlKind::SFTL},
+};
+
+/** The replay modes, in presentation order; the first is the default. */
+const ReplayMode kModes[] = {
+    {"closed", std::nullopt, false},
+    {"open", ShaperKind::AsRecorded, false},
+    {"fixed", ShaperKind::FixedRate, true},
+    {"poisson", ShaperKind::Poisson, true},
+    {"burst", ShaperKind::Burst, true},
+};
+
+/**
+ * Element parser for one value: a V (uint64_t, double or bool) that
+ * @a ok accepts, stored in the element's type; otherwise "bad <what>
+ * '<text>'<hint>", @a what defaulting to the key's name.
+ */
+template <typename V, typename Ok>
+auto
+checked(Ok ok, const char *hint = "", const char *what = nullptr)
+{
+    return [=](const std::string &key, const std::string &text, auto &out,
+               std::string &err) {
+        V v{};
+        bool parsed;
+        if constexpr (std::is_same_v<V, double>)
+            parsed = parseDouble(text, v);
+        else if constexpr (std::is_same_v<V, bool>)
+            parsed = parseBool(text, v);
+        else
+            parsed = parseU64(text, v);
+        if (!parsed || !ok(v)) {
+            err = "bad " + (what ? std::string(what) : key) + " '" + text +
+                  "'" + hint;
+            return false;
+        }
+        out = static_cast<std::remove_reference_t<decltype(out)>>(v);
+        return true;
+    };
+}
+
+/**
+ * Element parser for a name that @a known accepts: a string element
+ * stores the name, any other one is set by known(name, out).
+ * Otherwise "unknown <what> '<name>' (expected <expected>)", @a what
+ * defaulting to the key's name.
+ */
+template <typename Known>
+auto
+named(const std::string &expected, Known known, const char *what = nullptr)
+{
+    return [=](const std::string &key, const std::string &name, auto &out,
+               std::string &err) {
+        bool ok;
+        if constexpr (std::is_same_v<decltype(out), std::string &>) {
+            out = name;
+            ok = static_cast<bool>(known(name));
+        } else {
+            ok = known(name, out);
+        }
+        if (!ok)
+            err = "unknown " + (what ? std::string(what) : key) + " '" +
+                  name + "' (expected " + expected + ")";
+        return ok;
+    };
+}
+
+/** A range check: lo <= v <= hi. */
+template <typename V>
+auto
+within(V lo, V hi)
+{
+    return [=](V v) { return v >= lo && v <= hi; };
+}
+
+constexpr auto kAny = [](const auto &) { return true; };
+constexpr auto kNonNegative = [](double v) { return v >= 0.0; };
+
+using Apply = decltype(ExperimentKey::apply);
+
+/** A scalar key: the value is a V that @a ok accepts (see checked()). */
+template <typename V, typename T, typename Ok>
+Apply
+scalar(T ExperimentSpec::*field, Ok ok, const char *hint = "")
+{
+    return [=](ExperimentSpec &spec, const std::string &key,
+               const std::string &value, std::string &err) {
+        return checked<V>(ok, hint)(key, value, spec.*field, err);
+    };
+}
+
+/**
+ * A list key: clear the list, split the value on commas, parse each
+ * element with @a element, and reject an empty list.
+ */
+template <typename T, typename Element>
+Apply
+list(std::vector<T> ExperimentSpec::*field, Element element)
+{
+    return [=](ExperimentSpec &spec, const std::string &key,
+               const std::string &value, std::string &err) {
+        std::vector<T> &out = spec.*field;
+        out.clear();
+        for (const std::string &text : splitList(value)) {
+            T v{};
+            if (!element(key, text, v, err))
+                return false;
+            out.push_back(std::move(v));
+        }
+        if (out.empty()) {
+            err = key + " list is empty";
+            return false;
+        }
+        return true;
+    };
+}
+
 } // namespace
 
 bool
 parseFtlName(const std::string &name, FtlKind &kind)
 {
-    if (name == "leaftl") {
-        kind = FtlKind::LeaFTL;
-    } else if (name == "dftl") {
-        kind = FtlKind::DFTL;
-    } else if (name == "sftl") {
-        kind = FtlKind::SFTL;
-    } else {
-        return false;
+    for (const FtlName &ftl : kFtls) {
+        if (name == ftl.name) {
+            kind = ftl.kind;
+            return true;
+        }
     }
-    return true;
+    return false;
+}
+
+const ReplayMode *
+findMode(const std::string &name)
+{
+    for (const ReplayMode &m : kModes) {
+        if (name == m.name)
+            return &m;
+    }
+    return nullptr;
 }
 
 std::vector<std::string>
 knownModes()
 {
-    return {"closed", "open", "fixed", "poisson", "burst"};
+    return namesOf(kModes);
 }
 
 bool
 modeUsesRate(const std::string &mode)
 {
-    return mode == "fixed" || mode == "poisson" || mode == "burst";
+    const ReplayMode *m = findMode(mode);
+    return m && m->uses_rate;
 }
 
 bool
@@ -87,16 +247,125 @@ checkCrashSupport(const ExperimentSpec &spec, std::string &err)
     return true;
 }
 
+const std::vector<ExperimentKey> &
+experimentKeys()
+{
+    using S = ExperimentSpec;
+    using Str = const std::string;
+    static const std::vector<ExperimentKey> keys = {
+        {"ftl", "LIST",
+         "comma list of FTLs: " + oneOf(namesOf(kFtls)) +
+             " (default leaftl)",
+         list(&S::ftls, named(oneOf(namesOf(kFtls)), parseFtlName, "FTL"))},
+        {"workload", "LIST",
+         "comma list of workload specs (default synthetic:zipf); --list "
+         "prints the known ones",
+         // Each spec is resolved (or rejected) when the sweep is validated.
+         list(&S::workloads, named("", kAny))},
+        {"gamma", "LIST",
+         "comma list of LeaFTL error bounds, 0..4096 (default 0)",
+         list(&S::gammas, checked<uint64_t>(within<uint64_t>(0, 4096)))},
+        {"qd", "LIST",
+         "comma list of queue depths: outstanding host requests per run, "
+         "1..65536 (default 1)",
+         list(&S::queue_depths, checked<uint64_t>(within<uint64_t>(1, 65536),
+                                                  "", "queue depth"))},
+        {"device", "LIST",
+         "comma list of devices: auto (the default, derives the geometry "
+         "from --ws) or a preset: " +
+             oneOf(devicePresetNames()) + "; see --list",
+         list(&S::devices, named("auto or a preset; see --list", [](Str &n) {
+                  return n == "auto" || findDevicePreset(n);
+              }))},
+        {"mode", "LIST",
+         "comma list of replay modes: " + oneOf(knownModes()) +
+             ". The first (the default) admits closed-loop; the others "
+             "replay open-loop (latency from each arrival), the rate-driven "
+             "ones with arrivals shaped at each --rate",
+         list(&S::modes, named(oneOf(knownModes()), findMode))},
+        {"rate", "LIST",
+         "comma list of offered loads in requests/s for the rate-driven "
+         "modes",
+         list(&S::rates, checked<double>(kNonNegative))},
+        {"burst-duty", "F",
+         "on-fraction of each burst cycle, in (0, 1] (default 0.25)",
+         scalar<double>(&S::burst_duty,
+                        [](double v) { return v > 0.0 && v <= 1.0; })},
+        {"trace-strict", "[BOOL]",
+         "fail on malformed trace lines instead of skipping them",
+         scalar<bool>(&S::trace_strict, kAny, " (expected true/false)"),
+         "true"},
+        {"jobs", "N",
+         "sweep worker threads, 1..1024 (default: hardware concurrency; "
+         "rows stay in sweep order)",
+         scalar<uint64_t>(&S::jobs, within<uint64_t>(1, 1024))},
+        {"requests", "N", "requests per run (default 100000)",
+         scalar<uint64_t>(&S::requests, within<uint64_t>(1, UINT64_MAX))},
+        {"ws", "PAGES", "working-set pages (default 65536)",
+         scalar<uint64_t>(&S::working_set_pages,
+                          within<uint64_t>(1, UINT64_MAX))},
+        {"dram-mb", "MB",
+         "DRAM budget in MiB; 0 derives it from the working set or the "
+         "device preset (default)",
+         [](S &spec, Str &key, Str &value, std::string &err) {
+             uint64_t mb = 0;
+             if (!checked<uint64_t>(within<uint64_t>(0, UINT64_MAX >> 20))(
+                     key, value, mb, err))
+                 return false;
+             spec.dram_bytes = mb << 20;
+             return true;
+         }},
+        {"dram-bytes", "B", "DRAM budget in bytes, 0 or >= 65536",
+         scalar<uint64_t>(
+             &S::dram_bytes, [](uint64_t v) { return v == 0 || v >= 65536; },
+             " (expected 0 or >= 65536 bytes)")},
+        {"prefill", "FRAC",
+         "prefilled fraction of the working set (default 0.85)",
+         scalar<double>(&S::prefill_frac, within(0.0, 1.0))},
+        {"read-ratio", "R", "override the workload read ratio, in [0, 1]",
+         scalar<double>(&S::read_ratio, within(0.0, 1.0))},
+        {"interarrival", "U",
+         "override the mean request inter-arrival gap in us "
+         "(synthetic/model workloads)",
+         scalar<double>(&S::interarrival_us, kNonNegative)},
+        {"seed", "N", "workload RNG seed (default 42)",
+         scalar<uint64_t>(&S::seed, kAny)},
+        {"journal-threshold", "B",
+         "learn-journal bytes that trigger an incremental snapshot, 0 or "
+         ">= 64 (default 0 = no journal)",
+         scalar<uint64_t>(
+             &S::journal_threshold_bytes,
+             [](uint64_t v) { return v == 0 || v >= 64; },
+             " (expected 0 or >= 64 bytes)")},
+        {"crash-at", "LIST",
+         "comma list of request indices where the replay crashes and "
+         "recovers the device (LeaFTL only; DFTL/SFTL are rejected)",
+         [](S &spec, Str &key, Str &value, std::string &err) {
+             if (!list(&S::crash_points, checked<uint64_t>(kAny))(spec, key,
+                                                                  value, err))
+                 return false;
+             std::sort(spec.crash_points.begin(), spec.crash_points.end());
+             return true;
+         }},
+    };
+    return keys;
+}
+
+const ExperimentKey *
+findExperimentKey(const std::string &key)
+{
+    const std::string canon = canonKey(key);
+    for (const ExperimentKey &k : experimentKeys()) {
+        if (canon == k.name)
+            return &k;
+    }
+    return nullptr;
+}
+
 std::vector<std::string>
 knownExperimentKeys()
 {
-    return {"ftl",     "workload",     "gamma",      "qd",
-            "device",  "mode",         "rate",       "burst-duty",
-            "trace-strict", "jobs",
-            "requests", "ws",
-            "dram-mb", "dram-bytes",   "prefill",    "read-ratio",
-            "interarrival", "seed",
-            "journal-threshold", "crash-at"};
+    return namesOf(experimentKeys());
 }
 
 std::string
@@ -105,247 +374,24 @@ nearestExperimentKey(const std::string &key)
     const std::string canon = canonKey(key);
     std::string best;
     size_t best_dist = SIZE_MAX;
-    for (const std::string &known : knownExperimentKeys()) {
-        const size_t d = editDistance(canon, known);
+    for (const ExperimentKey &known : experimentKeys()) {
+        const size_t d = editDistance(canon, known.name);
         if (d < best_dist) {
             best_dist = d;
-            best = known;
+            best = known.name;
         }
     }
     return best;
 }
 
 bool
-applyExperimentKey(ExperimentSpec &spec, const std::string &raw_key,
+applyExperimentKey(ExperimentSpec &spec, const std::string &key,
                    const std::string &value, std::string &err)
 {
-    const std::string key = canonKey(raw_key);
-    if (key == "ftl") {
-        spec.ftls.clear();
-        for (const auto &name : splitList(value)) {
-            FtlKind kind;
-            if (!parseFtlName(name, kind)) {
-                err = "unknown FTL '" + name +
-                      "' (expected leaftl, dftl, or sftl)";
-                return false;
-            }
-            spec.ftls.push_back(kind);
-        }
-        if (spec.ftls.empty()) {
-            err = "ftl list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "workload") {
-        spec.workloads = splitList(value);
-        if (spec.workloads.empty()) {
-            err = "workload list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "gamma") {
-        spec.gammas.clear();
-        for (const auto &g : splitList(value)) {
-            uint64_t v;
-            if (!parseU64(g, v) || v > 4096) {
-                err = "bad gamma '" + g + "'";
-                return false;
-            }
-            spec.gammas.push_back(static_cast<uint32_t>(v));
-        }
-        if (spec.gammas.empty()) {
-            err = "gamma list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "qd") {
-        spec.queue_depths.clear();
-        for (const auto &q : splitList(value)) {
-            uint64_t v;
-            if (!parseU64(q, v) || v == 0 || v > 65536) {
-                err = "bad queue depth '" + q + "'";
-                return false;
-            }
-            spec.queue_depths.push_back(static_cast<uint32_t>(v));
-        }
-        if (spec.queue_depths.empty()) {
-            err = "qd list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "device") {
-        spec.devices.clear();
-        for (const auto &name : splitList(value)) {
-            if (name != "auto" && !findDevicePreset(name)) {
-                err = "unknown device '" + name +
-                      "' (expected auto or a preset; see --list)";
-                return false;
-            }
-            spec.devices.push_back(name);
-        }
-        if (spec.devices.empty()) {
-            err = "device list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "mode") {
-        spec.modes.clear();
-        const auto known = knownModes();
-        for (const auto &name : splitList(value)) {
-            if (std::find(known.begin(), known.end(), name) ==
-                known.end()) {
-                err = "unknown mode '" + name +
-                      "' (expected closed, open, fixed, poisson, or "
-                      "burst)";
-                return false;
-            }
-            spec.modes.push_back(name);
-        }
-        if (spec.modes.empty()) {
-            err = "mode list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "rate") {
-        spec.rates.clear();
-        for (const auto &r : splitList(value)) {
-            double v;
-            if (!parseDouble(r, v) || v < 0.0) {
-                err = "bad rate '" + r + "'";
-                return false;
-            }
-            spec.rates.push_back(v);
-        }
-        if (spec.rates.empty()) {
-            err = "rate list is empty";
-            return false;
-        }
-        return true;
-    }
-    if (key == "burst-duty") {
-        if (!parseDouble(value, spec.burst_duty) ||
-            spec.burst_duty <= 0.0 || spec.burst_duty > 1.0) {
-            err = "bad burst-duty '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "trace-strict") {
-        if (!parseBool(value, spec.trace_strict)) {
-            err = "bad trace-strict '" + value + "' (expected true/false)";
-            return false;
-        }
-        return true;
-    }
-    if (key == "jobs") {
-        uint64_t v;
-        if (!parseU64(value, v) || v == 0 || v > 1024) {
-            err = "bad jobs '" + value + "'";
-            return false;
-        }
-        spec.jobs = static_cast<unsigned>(v);
-        return true;
-    }
-    if (key == "requests") {
-        if (!parseU64(value, spec.requests) || spec.requests == 0) {
-            err = "bad requests '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "ws") {
-        if (!parseU64(value, spec.working_set_pages) ||
-            spec.working_set_pages == 0) {
-            err = "bad ws '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "dram-mb") {
-        uint64_t mb;
-        if (!parseU64(value, mb)) {
-            err = "bad dram-mb '" + value + "'";
-            return false;
-        }
-        spec.dram_bytes = mb << 20;
-        return true;
-    }
-    if (key == "dram-bytes") {
-        uint64_t v;
-        if (!parseU64(value, v) || (v != 0 && v < (64u << 10))) {
-            err = "bad dram-bytes '" + value +
-                  "' (expected 0 or >= 65536 bytes)";
-            return false;
-        }
-        spec.dram_bytes = v;
-        return true;
-    }
-    if (key == "prefill") {
-        if (!parseDouble(value, spec.prefill_frac) ||
-            spec.prefill_frac < 0.0 || spec.prefill_frac > 1.0) {
-            err = "bad prefill '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "read-ratio") {
-        if (!parseDouble(value, spec.read_ratio) || spec.read_ratio < 0.0 ||
-            spec.read_ratio > 1.0) {
-            err = "bad read-ratio '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "interarrival") {
-        if (!parseDouble(value, spec.interarrival_us) ||
-            spec.interarrival_us < 0.0) {
-            err = "bad interarrival '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "seed") {
-        if (!parseU64(value, spec.seed)) {
-            err = "bad seed '" + value + "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "journal-threshold") {
-        uint64_t v;
-        if (!parseU64(value, v) || (v != 0 && v < 64)) {
-            err = "bad journal-threshold '" + value +
-                  "' (expected 0 or >= 64 bytes)";
-            return false;
-        }
-        spec.journal_threshold_bytes = v;
-        return true;
-    }
-    if (key == "crash-at") {
-        spec.crash_points.clear();
-        for (const auto &p : splitList(value)) {
-            uint64_t v;
-            if (!parseU64(p, v)) {
-                err = "bad crash-at '" + p + "'";
-                return false;
-            }
-            spec.crash_points.push_back(v);
-        }
-        if (spec.crash_points.empty()) {
-            err = "crash-at list is empty";
-            return false;
-        }
-        std::sort(spec.crash_points.begin(), spec.crash_points.end());
-        return true;
-    }
-    err = "unknown key '" + raw_key + "' (did you mean '" +
-          nearestExperimentKey(raw_key) + "'?)";
+    if (const ExperimentKey *k = findExperimentKey(key))
+        return k->apply(spec, k->name, value, err);
+    err = "unknown key '" + key + "' (did you mean '" +
+          nearestExperimentKey(key) + "'?)";
     return false;
 }
 
@@ -369,14 +415,10 @@ bool
 loadExperimentFile(const std::string &path, ExperimentSpec &spec,
                    std::string &err)
 {
+    // A missing section fails resolve(): "<path>: no [experiment] section".
     ConfigFile file;
-    if (!file.parseFile(path, err))
-        return false;
-    if (!file.hasSection("experiment")) {
-        err = path + ": no [experiment] section";
-        return false;
-    }
-    return loadExperiment(file, "experiment", spec, err);
+    return file.parseFile(path, err) &&
+           loadExperiment(file, "experiment", spec, err);
 }
 
 ExperimentSpec
@@ -394,13 +436,8 @@ loadCampaignFile(const std::string &path, CampaignSpec &campaign,
                  std::string &err)
 {
     ConfigFile file;
-    if (!file.parseFile(path, err))
-        return false;
-    if (!file.hasSection("experiment")) {
-        err = path + ": no [experiment] section";
-        return false;
-    }
-    if (!loadExperiment(file, "experiment", campaign.exp, err))
+    if (!file.parseFile(path, err) ||
+        !loadExperiment(file, "experiment", campaign.exp, err))
         return false;
 
     // Default name: the file's basename without extension.

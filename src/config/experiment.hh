@@ -5,12 +5,20 @@
  * An ExperimentSpec is the full cross product leaftl_sim sweeps —
  * device geometry/preset, workload specs, arrival shaping, the sweep
  * grid (ftl x workload x gamma x qd x device x mode x rate), and the
- * scalar run options. Command-line flags, `--set key=value`
- * overrides, and `[experiment]` sections of a config file all apply
- * the same named keys through applyExperimentKey(), so a value that
- * validates in one front end validates identically in the others and
- * an equivalent config file reproduces a flag invocation's rows
- * exactly.
+ * scalar run options. Command-line flags (`--<key>`), `--set
+ * key=value` overrides, and `[experiment]` sections of a config file
+ * all apply the same named keys through applyExperimentKey(), so a
+ * value that validates in one front end validates identically in the
+ * others and an equivalent config file reproduces a flag invocation's
+ * rows exactly.
+ *
+ * Each key is one row of the experimentKeys() table: its name, usage
+ * text and how it parses and range-checks a value. The flag parser,
+ * the usage text, the config loader and the "did you mean"
+ * suggestions all read that table, so adding a key takes one
+ * ExperimentSpec field plus one table row in experiment.cc -- plus a
+ * canonicalRunConfig() rule (config/fingerprint.cc) when the key can
+ * change a run's results.
  *
  * Unknown keys are rejected (never ignored) with the section named
  * and the nearest known key suggested.
@@ -19,11 +27,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "config/config_file.hh"
 #include "ssd/config.hh"
+#include "workload/arrival.hh"
 
 namespace leaftl
 {
@@ -37,12 +48,10 @@ struct ExperimentSpec
     std::vector<FtlKind> ftls = {FtlKind::LeaFTL};
 
     /**
-     * Workload specs (key "workload"). Grammar:
-     *   synthetic:{seq,rand,zipf,stride,log,mix}
-     *   msr:<name>   (or a bare MSR/FIU model name)
-     *   app:<name>
-     *   trace:<path> (MSR-Cambridge CSV)
-     *   fiu:<path>   (FIU/SPC text trace)
+     * Workload specs (key "workload"): synthetic:<pattern>, msr:<name>
+     * (or a bare MSR/FIU model name), app:<name>, trace:<MSR-Cambridge
+     * CSV path> or fiu:<FIU/SPC trace path>; cli::knownWorkloads()
+     * lists them.
      */
     std::vector<std::string> workloads = {"synthetic:zipf"};
 
@@ -53,19 +62,16 @@ struct ExperimentSpec
     std::vector<uint32_t> queue_depths = {1};
 
     /**
-     * Replay-mode sweep (key "mode"). "closed" is the historical
-     * closed-loop admission; the rest run open-loop (end-to-end
-     * latency measured from the arrival tick) with the named arrival
-     * shaper: "open" keeps recorded arrivals, "fixed"/"poisson"/
-     * "burst" rewrite them at each rate (requests/s).
+     * Replay-mode sweep (key "mode"): ReplayMode names. The default
+     * admits closed-loop; the others replay open-loop (end-to-end
+     * latency from the arrival tick) behind their arrival shapers.
      */
     std::vector<std::string> modes = {"closed"};
 
     /**
-     * Offered-load sweep in requests/s (key "rate"), used by the
-     * rate-driven modes (fixed/poisson/burst). Closed/open rows
-     * ignore it (and are deduplicated across rates, like gamma for
-     * non-learned FTLs).
+     * Offered-load sweep in requests/s (key "rate") for the rate-driven
+     * modes; other rows ignore it (and are deduplicated across rates,
+     * like gamma for non-learned FTLs).
      */
     std::vector<double> rates = {0.0};
 
@@ -77,14 +83,13 @@ struct ExperimentSpec
 
     /**
      * Device sweep (key "device"): "auto" (geometry derived from the
-     * working set, the historical behavior) or a named preset from
-     * flash/presets.hh (tiny, paper, paper-2tb). LPAs wrap modulo the
-     * device's host capacity, so one workload compares devices
-     * fairly.
+     * working set, the historical behavior) or a flash/presets.hh
+     * preset. LPAs wrap modulo the device's host capacity, so one
+     * workload compares devices fairly.
      */
     std::vector<std::string> devices = {"auto"};
 
-    /** Sweep worker threads (key "jobs"; 0 = hardware concurrency). */
+    /** Sweep workers (key "jobs", 1..1024); unset = hardware concurrency. */
     unsigned jobs = 0;
 
     uint64_t requests = 100'000;              ///< Key "requests".
@@ -109,16 +114,57 @@ struct ExperimentSpec
      * crash + recovery (comma list; stored sorted ascending).
      */
     std::vector<uint64_t> crash_points;
+
+    bool operator==(const ExperimentSpec &) const = default;
 };
 
 /** Map "leaftl"/"dftl"/"sftl" to the FtlKind. @return false if unknown. */
 bool parseFtlName(const std::string &name, FtlKind &kind);
 
+/** One replay mode (a "mode" key token). */
+struct ReplayMode
+{
+    const char *name;
+    /** Arrival shaper of an open-loop mode; empty = closed-loop admission. */
+    std::optional<ShaperKind> shaper;
+    /** Whether the mode consumes the rate axis. */
+    bool uses_rate;
+};
+
+/** The replay mode named @a name, or nullptr if there is none. */
+const ReplayMode *findMode(const std::string &name);
+
 /** Known "mode" tokens, in presentation order. */
 std::vector<std::string> knownModes();
 
-/** Whether @a mode consumes the rate axis (fixed/poisson/burst). */
+/** Whether @a mode is known and consumes the rate axis. */
 bool modeUsesRate(const std::string &mode);
+
+/**
+ * One experiment key: the name a flag (`--<name>`), a `--set`
+ * override and a config line all use, its usage text, and how it
+ * applies a value.
+ */
+struct ExperimentKey
+{
+    const char *name;
+    /** Value placeholder in the usage text ("LIST", "N", ...). */
+    const char *value;
+    /** Usage text, one paragraph (the CLI wraps it). */
+    std::string help;
+    /** Parse, check and store @a value; errors name @a key, the row's. */
+    std::function<bool(ExperimentSpec &spec, const std::string &key,
+                       const std::string &value, std::string &err)>
+        apply;
+    /** Value of a bare `--<name>` flag; nullptr = the flag needs one. */
+    const char *bare = nullptr;
+};
+
+/** Every experiment key, in presentation order. */
+const std::vector<ExperimentKey> &experimentKeys();
+
+/** The key named @a key ('_' and '-' are interchangeable), or nullptr. */
+const ExperimentKey *findExperimentKey(const std::string &key);
 
 /** Every key applyExperimentKey() accepts, in presentation order. */
 std::vector<std::string> knownExperimentKeys();
@@ -130,8 +176,8 @@ std::vector<std::string> knownExperimentKeys();
 std::string nearestExperimentKey(const std::string &key);
 
 /**
- * Apply one named key to @a spec with exactly the validation the
- * corresponding command-line flag performs ('_' and '-' are
+ * Apply one named key to @a spec through its experimentKeys() row,
+ * the same one the `--<key>` flag applies ('_' and '-' are
  * interchangeable in @a key). An unknown key fails with a "did you
  * mean" suggestion.
  * @return true on success; false with the problem in @a err.

@@ -34,8 +34,6 @@ enum class Admission : uint8_t
     Open,
 };
 
-const char *admissionName(Admission mode);
-
 /** Results of a Runner::replay. */
 struct RunResult
 {
@@ -94,11 +92,6 @@ struct RunResult
 
     /** Admission model the replay ran under. */
     Admission admission = Admission::Closed;
-    /**
-     * Admission label, admissionName(admission). The sweep CSV's mode
-     * column names the arrival shaper instead (cli::csvColumns).
-     */
-    std::string mode = "closed";
     /**
      * Measured arrival rate in requests/s: (requests - 1) over the
      * first-to-last arrival span. This is the load the workload

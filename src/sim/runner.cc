@@ -67,7 +67,6 @@ Runner::replay(Ssd &ssd, WorkloadSource &workload, const RunOptions &opts)
     res.queue_depth = qd;
     const bool open = opts.admission == Admission::Open;
     res.admission = opts.admission;
-    res.mode = admissionName(opts.admission);
 
     EventQueue inflight;
     Tick clock = 0;       // Latest submission/retirement processed.

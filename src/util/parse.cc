@@ -1,6 +1,7 @@
 #include "util/parse.hh"
 
 #include <cctype>
+#include <cmath>
 #include <sstream>
 
 namespace leaftl
@@ -30,7 +31,7 @@ parseDouble(const std::string &s, double &out)
     try {
         size_t pos = 0;
         const double v = std::stod(s, &pos);
-        if (pos != s.size())
+        if (pos != s.size() || !std::isfinite(v))
             return false;
         out = v;
     } catch (const std::exception &) {

@@ -25,8 +25,10 @@ namespace leaftl
 bool parseU64(const std::string &s, uint64_t &out);
 
 /**
- * Parse a floating-point number (full std::stod grammar, so "1e5"
- * works for rates). Rejects empty strings and trailing garbage.
+ * Parse a finite floating-point number (std::stod grammar, so "1e5"
+ * works for rates). Rejects empty strings, trailing garbage, and
+ * "nan"/"inf": no experiment value is meaningful at either, and a NaN
+ * slips past any range check that tests for the bad side (v < 0).
  * @return true and set @a out on success.
  */
 bool parseDouble(const std::string &s, double &out);

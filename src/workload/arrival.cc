@@ -7,22 +7,6 @@
 namespace leaftl
 {
 
-const char *
-shaperKindName(ShaperKind kind)
-{
-    switch (kind) {
-      case ShaperKind::AsRecorded:
-        return "as-recorded";
-      case ShaperKind::FixedRate:
-        return "fixed";
-      case ShaperKind::Poisson:
-        return "poisson";
-      case ShaperKind::Burst:
-        return "burst";
-    }
-    return "?";
-}
-
 FixedRateShaper::FixedRateShaper(std::unique_ptr<WorkloadSource> inner,
                                  double rate_iops)
     : ArrivalShaper(std::move(inner)),

@@ -40,8 +40,6 @@ enum class ShaperKind : uint8_t
     Burst,      ///< On/off bursts, mean rate_iops, duty-cycle on-time.
 };
 
-const char *shaperKindName(ShaperKind kind);
-
 /** Parameters of an arrival shaper. */
 struct ShaperSpec
 {

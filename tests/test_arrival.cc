@@ -156,9 +156,8 @@ TEST(ArrivalShaper, FactoryBuildsEveryKind)
         spec.rate_iops = 10'000;
         auto shaped = shapeArrivals(makeInner(10), spec);
         ASSERT_NE(shaped, nullptr);
-        EXPECT_EQ(drain(*shaped).size(), 10u) << shaperKindName(kind);
+        EXPECT_EQ(drain(*shaped).size(), 10u) << static_cast<int>(kind);
     }
-    EXPECT_STREQ(shaperKindName(ShaperKind::Poisson), "poisson");
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <fstream>
 
 #include "config/experiment.hh"
+#include "experiment_key_samples.hh"
 
 namespace leaftl
 {
@@ -67,24 +68,20 @@ applyError(const std::string &key, const std::string &value)
 
 TEST(ExperimentSpec, EveryKnownKeyApplies)
 {
+    const auto &samples = test::experimentKeySamples();
     ExperimentSpec spec;
-    apply(spec, "ftl", "leaftl,dftl,sftl");
-    apply(spec, "workload", "synthetic:zipf,msr:MSR-src2");
-    apply(spec, "gamma", "0,4,16");
-    apply(spec, "qd", "1,64");
-    apply(spec, "device", "auto,tiny");
-    apply(spec, "mode", "closed,poisson");
-    apply(spec, "rate", "25000,1e5");
-    apply(spec, "burst-duty", "0.5");
-    apply(spec, "trace-strict", "true");
-    apply(spec, "jobs", "4");
-    apply(spec, "requests", "1234");
-    apply(spec, "ws", "4096");
-    apply(spec, "dram-mb", "2");
-    apply(spec, "prefill", "0.5");
-    apply(spec, "read-ratio", "0.75");
-    apply(spec, "interarrival", "2.5");
-    apply(spec, "seed", "7");
+    for (const std::string &key : knownExperimentKeys()) {
+        const auto it = samples.find(key);
+        ASSERT_NE(it, samples.end()) << "no sample value for key '" << key
+                                     << "' in experiment_key_samples.hh";
+        // Alone, every key moves the spec off its defaults.
+        ExperimentSpec one;
+        apply(one, key, it->second);
+        EXPECT_NE(one, ExperimentSpec()) << key << " changed nothing";
+        apply(spec, key, it->second);
+    }
+    EXPECT_EQ(samples.size(), knownExperimentKeys().size())
+        << "a sample names a key the table does not have";
 
     EXPECT_EQ(spec.ftls.size(), 3u);
     EXPECT_EQ(spec.workloads,
@@ -99,15 +96,20 @@ TEST(ExperimentSpec, EveryKnownKeyApplies)
     EXPECT_EQ(spec.jobs, 4u);
     EXPECT_EQ(spec.requests, 1234u);
     EXPECT_EQ(spec.working_set_pages, 4096u);
-    EXPECT_EQ(spec.dram_bytes, 2u << 20);
     EXPECT_DOUBLE_EQ(spec.prefill_frac, 0.5);
     EXPECT_DOUBLE_EQ(spec.read_ratio, 0.75);
     EXPECT_DOUBLE_EQ(spec.interarrival_us, 2.5);
     EXPECT_EQ(spec.seed, 7u);
-
-    // dram-bytes takes the exact value (dram-mb shifts).
-    apply(spec, "dram-bytes", "65536");
+    EXPECT_EQ(spec.journal_threshold_bytes, 4096u);
+    EXPECT_EQ(spec.crash_points, (std::vector<uint64_t>{100, 500}));
+    // dram-bytes (applied after dram-mb) takes the exact value.
     EXPECT_EQ(spec.dram_bytes, 65536u);
+
+    // dram-mb shifts, up to the largest MiB count that fits in bytes.
+    apply(spec, "dram-mb", "2");
+    EXPECT_EQ(spec.dram_bytes, 2u << 20);
+    apply(spec, "dram-mb", "17592186044415");
+    EXPECT_EQ(spec.dram_bytes, 17592186044415ull << 20);
 }
 
 TEST(ExperimentSpec, UnderscoreAndDashSpellingsAreEqual)
@@ -141,6 +143,45 @@ TEST(ExperimentSpec, ValidationMatchesTheCliFlags)
               std::string::npos);
     EXPECT_NE(applyError("dram-bytes", "1000").find("bad dram-bytes"),
               std::string::npos);
+}
+
+TEST(ExperimentSpec, ErrorTextIsExact)
+{
+    EXPECT_EQ(applyError("ftl", "nftl"),
+              "unknown FTL 'nftl' (expected leaftl, dftl, or sftl)");
+    EXPECT_EQ(applyError("mode", "turbo"),
+              "unknown mode 'turbo' (expected closed, open, fixed, "
+              "poisson, or burst)");
+    EXPECT_EQ(applyError("device", "huge"),
+              "unknown device 'huge' (expected auto or a preset; see --list)");
+    EXPECT_EQ(applyError("qd", "1,0"), "bad queue depth '0'");
+    EXPECT_EQ(applyError("gamma", "4097"), "bad gamma '4097'");
+    EXPECT_EQ(applyError("jobs", "0"), "bad jobs '0'");
+    EXPECT_EQ(applyError("trace-strict", "maybe"),
+              "bad trace-strict 'maybe' (expected true/false)");
+    EXPECT_EQ(applyError("dram-bytes", "1000"),
+              "bad dram-bytes '1000' (expected 0 or >= 65536 bytes)");
+    EXPECT_EQ(applyError("journal-threshold", "5"),
+              "bad journal-threshold '5' (expected 0 or >= 64 bytes)");
+    EXPECT_EQ(applyError("crash-at", "1,x"), "bad crash-at 'x'");
+    for (const char *key : {"ftl", "workload", "gamma", "qd", "device",
+                            "mode", "rate", "crash-at"})
+        EXPECT_EQ(applyError(key, ","), std::string(key) + " list is empty");
+}
+
+TEST(ExperimentSpec, NonFiniteAndOverflowingValuesAreRejected)
+{
+    // NaN slipped past every range check and reached the shapers
+    // (asserts) or a float-to-int cast (prefill).
+    for (const char *key :
+         {"rate", "burst-duty", "prefill", "read-ratio", "interarrival"}) {
+        for (const char *v : {"nan", "inf", "-inf", "infinity", "NAN"})
+            EXPECT_EQ(applyError(key, v),
+                      "bad " + std::string(key) + " '" + v + "'");
+    }
+    // 2^44 MiB is 2^64 bytes: it used to wrap to 0 (the derived budget).
+    EXPECT_EQ(applyError("dram-mb", "17592186044416"),
+              "bad dram-mb '17592186044416'");
 }
 
 TEST(ExperimentSpec, UnknownKeySuggestsTheNearest)

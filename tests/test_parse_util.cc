@@ -60,6 +60,15 @@ TEST(ParseDouble, RejectsEmptyAndGarbage)
     EXPECT_DOUBLE_EQ(v, 3.5);
 }
 
+TEST(ParseDouble, RejectsNonFinite)
+{
+    double v = 3.5;
+    for (const char *s : {"nan", "NaN", "-nan", "nan(1)", "inf", "-inf",
+                          "INF", "infinity", "1e999", "-1e999"})
+        EXPECT_FALSE(parseDouble(s, v)) << s;
+    EXPECT_DOUBLE_EQ(v, 3.5);
+}
+
 TEST(ParseBool, AcceptsAllSpellings)
 {
     bool v = false;

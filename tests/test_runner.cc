@@ -356,8 +356,8 @@ TEST(RunnerOpenLoop, OpenAdmissionKeepsDeviceEvolutionIdentical)
     EXPECT_EQ(open.ssd.mispredictions, closed.ssd.mispredictions);
     EXPECT_EQ(open.mapping_bytes, closed.mapping_bytes);
 
-    EXPECT_EQ(std::string(closed.mode), "closed");
-    EXPECT_EQ(std::string(open.mode), "open");
+    EXPECT_EQ(closed.admission, Admission::Closed);
+    EXPECT_EQ(open.admission, Admission::Open);
     // Open-loop end-to-end latency anchors at the arrival tick, so it
     // is never below the service-only measurement.
     EXPECT_GE(open.e2e_all.mean(), closed.service.mean());

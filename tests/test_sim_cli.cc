@@ -18,6 +18,7 @@
 
 #include "cli/sim_cli.hh"
 #include "csv_test_util.hh"
+#include "experiment_key_samples.hh"
 
 namespace leaftl
 {
@@ -29,17 +30,25 @@ namespace
 using test::columnPrefix;
 using test::stripWallNs;
 
+/** parseArgs over @a args, asserting success. */
+SimOptions
+parseVec(const std::vector<std::string> &args)
+{
+    std::vector<const char *> argv = {"leaftl_sim"};
+    for (const std::string &a : args)
+        argv.push_back(a.c_str());
+    SimOptions opts;
+    std::string err;
+    EXPECT_TRUE(
+        parseArgs(static_cast<int>(argv.size()), argv.data(), opts, err))
+        << err;
+    return opts;
+}
+
 SimOptions
 parse(std::initializer_list<const char *> args)
 {
-    std::vector<const char *> argv = {"leaftl_sim"};
-    argv.insert(argv.end(), args.begin(), args.end());
-    SimOptions opts;
-    std::string err;
-    const bool ok =
-        parseArgs(static_cast<int>(argv.size()), argv.data(), opts, err);
-    EXPECT_TRUE(ok) << err;
-    return opts;
+    return parseVec(std::vector<std::string>(args.begin(), args.end()));
 }
 
 TEST(SimCliParse, Defaults)
@@ -205,6 +214,57 @@ TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
                                             "7"}),
                                      p),
               "cf196a066c1af262");
+}
+
+TEST(SimCliParse, EveryKeyIsAFlagASetOverrideAndAConfigLine)
+{
+    const std::string conf =
+        "/tmp/leaftl_sim_cli_keys." + std::to_string(::getpid()) + ".conf";
+    const std::string help = usage();
+    for (const std::string &key : config::knownExperimentKeys()) {
+        const auto it = test::experimentKeySamples().find(key);
+        ASSERT_NE(it, test::experimentKeySamples().end())
+            << "no sample value for key '" << key << "'";
+        const std::string &v = it->second;
+        const config::ExperimentSpec spaced = parseVec({"--" + key, v});
+        EXPECT_NE(spaced, config::ExperimentSpec()) << key;
+        EXPECT_EQ(config::ExperimentSpec(parseVec({"--" + key + "=" + v})),
+                  spaced)
+            << key;
+        EXPECT_EQ(config::ExperimentSpec(parseVec({"--set", key + "=" + v})),
+                  spaced)
+            << key;
+        {
+            std::ofstream file(conf);
+            file << "[experiment]\n" << key << " = " << v << "\n";
+        }
+        EXPECT_EQ(config::ExperimentSpec(parseVec({"--config", conf})),
+                  spaced)
+            << key;
+        EXPECT_NE(help.find("\n  --" + key + " "), std::string::npos)
+            << "usage() does not name --" << key;
+    }
+    std::remove(conf.c_str());
+
+    // A key with a bare form: a following flag is not its value.
+    const SimOptions bare = parse({"--trace-strict", "--seed", "3"});
+    EXPECT_TRUE(bare.trace_strict);
+    EXPECT_EQ(bare.seed, 3u);
+    EXPECT_TRUE(parse({"--trace-strict"}).trace_strict);
+    EXPECT_FALSE(
+        parse({"--trace-strict", "--trace-strict=false"}).trace_strict);
+}
+
+TEST(SimCliParse, DiffThresholdMustBeAFiniteNumber)
+{
+    EXPECT_DOUBLE_EQ(parse({"--diff-threshold", "5"}).diff_threshold, 5.0);
+    for (const char *v : {"5abc", "nan", "inf", ""}) {
+        const char *argv[] = {"leaftl_sim", "--diff-threshold", v, "--help"};
+        SimOptions opts;
+        std::string err;
+        EXPECT_FALSE(parseArgs(4, argv, opts, err)) << v;
+        EXPECT_EQ(err, std::string("bad --diff-threshold '") + v + "'");
+    }
 }
 
 TEST(SweepWorkers, AutoExplicitNeverZeroAndCappedAtRunCount)
