@@ -100,9 +100,9 @@ BM_Compaction(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(BM_Learn256)->Arg(0)->Arg(1)->Arg(4);
+BENCHMARK(BM_Learn256)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK(BM_LearnSequential256);
-BENCHMARK(BM_Lookup)->Arg(0)->Arg(1)->Arg(4);
+BENCHMARK(BM_Lookup)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK(BM_Compaction);
 
 BENCHMARK_MAIN();

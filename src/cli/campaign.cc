@@ -119,7 +119,10 @@ std::string
 jsonStringArray(const std::vector<std::string> &items)
 {
     return jsonArray(items, [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
+        std::string quoted = "\"";
+        quoted += jsonEscape(s);
+        quoted += '"';
+        return quoted;
     });
 }
 

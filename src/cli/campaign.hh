@@ -3,8 +3,9 @@
  * Fingerprinted campaign runner: expand a campaign config's sweep
  * grid into unique runs (cli::expandGrid, one per canonical-config
  * fingerprint), run the ones whose run-<fingerprint>.csv is not
- * already on disk, and write a BENCH_<campaign>.json summary — the
- * repo's perf-trajectory artifact.
+ * already on disk, and write a BENCH_<campaign>.json summary. The
+ * summary tracks the deterministic simulated metrics; host speed is
+ * measured by perfbench.
  *
  * Resume contract: a run is "done" iff <dir>/run-<fingerprint>.csv
  * exists with the current CSV header and a data row. CSVs are
@@ -45,7 +46,7 @@ int runCampaign(const config::CampaignSpec &campaign, std::ostream &log);
  * (B relative to A), plus the runs only one side has. The simulated
  * metrics are deterministic, so a nonzero delta on a shared
  * fingerprint means the simulator's behavior changed between the two
- * campaigns -- exactly what a perf-trajectory CI gate wants to catch.
+ * campaigns -- exactly what a simulated-metric CI gate wants to catch.
  *
  * @param threshold_pct When > 0, exit code 1 if any shared run's
  *        throughput drops, or its p99 read latency rises, by more

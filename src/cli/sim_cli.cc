@@ -540,8 +540,11 @@ std::string
 csvHeader()
 {
     std::string header;
-    for (const CsvColumn &col : csvColumns())
-        header += (header.empty() ? "" : ",") + std::string(col.name);
+    for (const CsvColumn &col : csvColumns()) {
+        if (!header.empty())
+            header += ',';
+        header += col.name;
+    }
     return header;
 }
 
@@ -554,8 +557,11 @@ csvRow(const config::ExperimentSpec &spec, const config::RunPoint &point,
             .geometry.page_size;
     const CsvRowInput row{point, res, page_size};
     std::string out;
-    for (const CsvColumn &col : csvColumns())
-        out += (out.empty() ? "" : ",") + col.cell(row);
+    for (const CsvColumn &col : csvColumns()) {
+        if (!out.empty())
+            out += ',';
+        out += col.cell(row);
+    }
     return out;
 }
 

@@ -74,7 +74,13 @@ struct SsdConfig
      */
     bool sort_flush = true;
 
-    /** Wear-leveling: trigger when erase-count spread exceeds this. */
+    /**
+     * Wear-leveling trigger, not a bound. Every 64 buffer flushes
+     * (Ssd::flushBuffer) the device checks the erase-count spread;
+     * when it exceeds this, Ssd::maybeWearLevel migrates one block
+     * (the coldest full one). Under a skewed stream the spread can
+     * keep growing past the threshold.
+     */
     uint32_t wear_delta_threshold = 64;
 
     /**

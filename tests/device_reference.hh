@@ -2,9 +2,8 @@
  * @file
  * Reference implementations of the device hot-path structures as they
  * existed before the flat/indexed overhaul, kept verbatim so the
- * fuzz-equivalence tests (tests/test_device_equiv.cc) and the
- * bench/perf_device microbench can pin the new containers against the
- * old observable behavior and measure the speedup honestly.
+ * fuzz-equivalence tests (tests/test_device_equiv.cc) can pin the new
+ * containers against the old observable behavior.
  *
  *   - RefDataCache:   std::list LRU + unordered_map index.
  *   - RefWriteBuffer: unordered_set membership + arrival log with a

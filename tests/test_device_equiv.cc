@@ -2,7 +2,7 @@
  * @file
  * Fuzz-equivalence suites pinning the flat device hot-path containers
  * to the implementations they replaced (kept verbatim in
- * bench/device_reference.hh), the same way PR 4 proved the learned
+ * tests/device_reference.hh), the same way PR 4 proved the learned
  * layer and PR 7 proved parallel replay:
  *
  *   - FlatLru vs an exact std::list model ((key, payload) pairs in
@@ -12,8 +12,9 @@
  *   - WriteBuffer vs RefWriteBuffer (coalescing adds, trim-path
  *     removes, drainSorted and the drainFifo ablation);
  *   - BlockManager victim index vs the old full scans (GC picks with
- *     randomized exclude lists, wear picks, eraseSpread) across
- *     randomized mark/erase/release sequences.
+ *     randomized exclude lists and in chained multi-victim rounds,
+ *     wear picks, eraseSpread) across randomized mark/erase/release
+ *     sequences.
  *
  * All sequences are seeded Rng streams: failures reproduce exactly.
  */
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <list>
+#include <optional>
 #include <vector>
 
 #include "device_reference.hh"
@@ -431,6 +433,17 @@ TEST(BlockManagerEquiv, VictimPicksMatchFullScanUnderFuzz)
             exclude.push_back(live[rng.nextBounded(live.size())]);
         ASSERT_EQ(bm.pickGcVictim(exclude), ref.pickGcVictim(exclude))
             << step;
+        // A multi-victim GC pass as Ssd::doGcPass makes it: up to 64
+        // chained picks, each excluding the victims before it.
+        std::vector<uint32_t> round;
+        while (round.size() < 64) {
+            const std::optional<uint32_t> v = bm.pickGcVictim(round);
+            ASSERT_EQ(v, ref.pickGcVictim(round))
+                << step << " pick " << round.size();
+            if (!v)
+                break;
+            round.push_back(*v);
+        }
         ASSERT_EQ(bm.eraseSpread(), ref.eraseSpread()) << step;
         for (uint32_t thr = 0; thr < 3; thr++) {
             ASSERT_EQ(bm.pickWearVictim(thr), ref.pickWearVictim(thr))

@@ -341,8 +341,8 @@ TEST(LintNodeContainers, FlatAndOutOfScopeContainersClean)
     // declaration of the std type.
     EXPECT_FALSE(hits("src/ssd/foo.cc", "auto x = group.map(fn);\n",
                       "hot-path-node-containers"));
-    // Other layers (CLIs, bench references) may keep node containers.
-    EXPECT_FALSE(hits("bench/device_reference.hh",
+    // Other layers (CLIs, test references) may keep node containers.
+    EXPECT_FALSE(hits("tests/device_reference.hh",
                       "#pragma once\nstd::list<Lpa> lru_;\n",
                       "hot-path-node-containers"));
 }

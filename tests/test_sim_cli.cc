@@ -595,7 +595,9 @@ TEST(SimCliCsv, ColumnTableDefinesTheHeader)
     for (const CsvColumn &col : columns) {
         EXPECT_TRUE(names.insert(col.name).second)
             << "duplicate column " << col.name;
-        joined += (joined.empty() ? "" : ",") + std::string(col.name);
+        if (!joined.empty())
+            joined += ',';
+        joined += col.name;
     }
     EXPECT_EQ(std::string(columns.back().name), "wall_ns");
     EXPECT_EQ(csvColumnIndex("wall_ns"), columns.size() - 1);
