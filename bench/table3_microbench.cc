@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "learned/learned_table.hh"
 #include "learned/plr.hh"
 #include "util/rng.hh"
@@ -56,13 +58,22 @@ BM_Lookup(benchmark::State &state)
 {
     const uint32_t gamma = static_cast<uint32_t>(state.range(0));
     LearnedTable table(gamma);
-    Rng rng(13);
-    for (int b = 0; b < 512; b++)
-        table.learn(makeBatch(b, 3));
+    // Probe only learned LPAs: a lookup the table answers walks levels
+    // and, for approximate segments, the CRB; a miss times neither.
+    std::vector<Lpa> learned;
+    for (int b = 0; b < 512; b++) {
+        const auto batch = makeBatch(b, 3);
+        table.learn(batch);
+        for (const auto &mapping : batch)
+            learned.push_back(mapping.first);
+    }
+    std::sort(learned.begin(), learned.end());
+    learned.erase(std::unique(learned.begin(), learned.end()),
+                  learned.end());
 
     Rng probe(99);
     for (auto _ : state) {
-        const Lpa lpa = static_cast<Lpa>(probe.nextBounded(1u << 20));
+        const Lpa lpa = learned[probe.nextBounded(learned.size())];
         auto r = table.lookup(lpa);
         benchmark::DoNotOptimize(r);
     }

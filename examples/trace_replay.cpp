@@ -6,6 +6,9 @@
  *
  *   ./trace_replay [--ftl=dftl|sftl|leaftl] [--gamma=N]
  *                  [--trace=/path/to/msr.csv | --model=MSR-hm]
+ *
+ * An unknown flag or FTL, or a gamma outside 0..4096, is an error:
+ * exit status 2.
  */
 
 #include <cstdio>
@@ -13,7 +16,9 @@
 #include <memory>
 #include <string>
 
+#include "config/experiment.hh"
 #include "sim/runner.hh"
+#include "util/parse.hh"
 #include "workload/msr_models.hh"
 #include "workload/trace.hh"
 
@@ -22,35 +27,38 @@ using namespace leaftl;
 int
 main(int argc, char **argv)
 {
-    std::string ftl_name = "leaftl";
     std::string trace_path;
     std::string model = "MSR-hm";
-    uint32_t gamma = 0;
-
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--ftl=", 0) == 0)
-            ftl_name = arg.substr(6);
-        else if (arg.rfind("--trace=", 0) == 0)
-            trace_path = arg.substr(8);
-        else if (arg.rfind("--model=", 0) == 0)
-            model = arg.substr(8);
-        else if (arg.rfind("--gamma=", 0) == 0)
-            gamma = static_cast<uint32_t>(std::stoul(arg.substr(8)));
-    }
-
     SsdConfig cfg;
     cfg.geometry.num_channels = 16;
     cfg.geometry.blocks_per_channel = 96;
     cfg.geometry.pages_per_block = 256;
-    cfg.gamma = gamma;
     cfg.dram_bytes = 8ull << 20;
-    if (ftl_name == "dftl")
-        cfg.ftl = FtlKind::DFTL;
-    else if (ftl_name == "sftl")
-        cfg.ftl = FtlKind::SFTL;
-    else
-        cfg.ftl = FtlKind::LeaFTL;
+
+    for (int i = 1; i < argc; i++) {
+        const std::string arg = argv[i];
+        const std::string value = arg.substr(arg.find('=') + 1);
+        std::string err;
+        if (arg.rfind("--ftl=", 0) == 0) {
+            if (!config::parseFtlName(value, cfg.ftl))
+                err = "unknown ftl '" + value + "'";
+        } else if (arg.rfind("--gamma=", 0) == 0) {
+            uint64_t gamma = 0;
+            if (!parseU64(value, gamma) || gamma > 4096)
+                err = "bad gamma '" + value + "'";
+            cfg.gamma = static_cast<uint32_t>(gamma);
+        } else if (arg.rfind("--trace=", 0) == 0) {
+            trace_path = value;
+        } else if (arg.rfind("--model=", 0) == 0) {
+            model = value;
+        } else {
+            err = "unknown flag '" + arg + "'";
+        }
+        if (!err.empty()) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+            return 2;
+        }
+    }
 
     Ssd ssd(cfg);
 

@@ -424,8 +424,8 @@ makeConfig(FtlKind ftl, uint32_t gamma, const config::ExperimentSpec &opts,
         // occupies ~75% of the host space and its own churn keeps GC
         // busy.
         const uint64_t host_pages = opts.working_set_pages * 4 / 3;
-        const uint64_t raw_pages =
-            static_cast<uint64_t>(host_pages / (1.0 - 0.20)) + 1;
+        const uint64_t raw_pages = static_cast<uint64_t>(
+            host_pages / (1.0 - SsdConfig::kOverprovisioning)) + 1;
         const uint64_t blocks =
             ceilDiv(raw_pages, cfg.geometry.pages_per_block);
         cfg.geometry.blocks_per_channel = static_cast<uint32_t>(

@@ -39,6 +39,21 @@ Dftl::translate(Lpa lpa)
     return {true, ppa, false};
 }
 
+TranslateResult
+Dftl::peek(Lpa lpa) const
+{
+    Ppa ppa;
+    if (const Ppa *e = cmt_.peek(lpa))
+        ppa = *e;
+    else if (materialized(tvpnOf(lpa)))
+        ppa = tpages_[tvpnOf(lpa)][slotOf(lpa)];
+    else
+        return {};
+    if (ppa == kInvalidPpa || ppa == kNeverWritten)
+        return {}; // Trimmed, or never written.
+    return {true, ppa, false};
+}
+
 void
 Dftl::trim(Lpa lpa)
 {

@@ -61,6 +61,13 @@ class Ftl
     virtual TranslateResult translate(Lpa lpa) = 0;
 
     /**
+     * What translate() would return, without its side effects: no
+     * metadata charge, no cache fill, promotion or eviction, and no
+     * lookup statistics (the device's test oracle).
+     */
+    virtual TranslateResult peek(Lpa lpa) const = 0;
+
+    /**
      * Record fresh mappings from a host buffer flush. @a run is sorted
      * by LPA with ascending PPAs (§3.3).
      */

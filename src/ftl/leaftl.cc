@@ -63,6 +63,18 @@ LeaFtl::translate(Lpa lpa)
     return {true, res->ppa, res->approximate};
 }
 
+TranslateResult
+LeaFtl::peek(Lpa lpa) const
+{
+    const Group *group = table_.group(groupOf(lpa));
+    if (!group)
+        return {}; // Never mapped.
+    const auto res = group->lookup(static_cast<uint8_t>(groupOffset(lpa)));
+    if (!res || (res->ppa == kTombstonePpa && !res->approximate))
+        return {}; // Never mapped, or trimmed.
+    return {true, res->ppa, res->approximate};
+}
+
 void
 LeaFtl::trim(Lpa lpa)
 {

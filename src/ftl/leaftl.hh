@@ -33,6 +33,7 @@ class LeaFtl : public Ftl
     LeaFtl(FtlOps &ops, uint32_t gamma);
 
     TranslateResult translate(Lpa lpa) override;
+    TranslateResult peek(Lpa lpa) const override;
     void trim(Lpa lpa) override;
     void recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run) override;
     void periodicMaintenance() override;

@@ -87,6 +87,15 @@ Sftl::translate(Lpa lpa)
         return {};
     if (makeResident(tvpn, /*charge_read=*/true))
         hits_++;
+    return peek(lpa);
+}
+
+TranslateResult
+Sftl::peek(Lpa lpa) const
+{
+    const uint32_t tvpn = tvpnOf(lpa);
+    if (!exists(tvpn))
+        return {};
     const Ppa ppa = tpages_[tvpn].entries[slotOf(lpa)];
     if (ppa == kInvalidPpa)
         return {};

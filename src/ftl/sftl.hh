@@ -35,6 +35,7 @@ class Sftl : public Ftl
     Sftl(FtlOps &ops, uint32_t page_size, uint64_t budget_bytes);
 
     TranslateResult translate(Lpa lpa) override;
+    TranslateResult peek(Lpa lpa) const override;
     void trim(Lpa lpa) override;
     void recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run) override;
     void

@@ -23,17 +23,13 @@ uint64_t
 SsdConfig::hostPages() const
 {
     const double raw = static_cast<double>(geometry.totalPages());
-    return static_cast<uint64_t>(std::floor(raw * (1.0 - overprovisioning)));
+    return static_cast<uint64_t>(std::floor(raw * (1.0 - kOverprovisioning)));
 }
 
 void
 SsdConfig::validate() const
 {
     geometry.validate();
-    LEAFTL_ASSERT(overprovisioning > 0.0 && overprovisioning < 0.9,
-                  "config: overprovisioning out of range");
-    LEAFTL_ASSERT(gc_free_threshold > 0.0 && gc_free_threshold < 0.5,
-                  "config: gc threshold out of range");
     LEAFTL_ASSERT(write_buffer_bytes >=
                       static_cast<uint64_t>(geometry.pages_per_block) *
                           geometry.page_size,

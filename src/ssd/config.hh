@@ -43,6 +43,12 @@ enum class DramPolicy
 /** Full device configuration. */
 struct SsdConfig
 {
+    /** Overprovisioned fraction of raw capacity (paper: 20%). */
+    static constexpr double kOverprovisioning = 0.20;
+
+    /** GC starts when free blocks drop below this fraction. */
+    static constexpr double kGcFreeThreshold = 0.15;
+
     Geometry geometry;
     LatencyConfig latency;
 
@@ -54,12 +60,6 @@ struct SsdConfig
 
     /** Write (data) buffer, bytes (paper default 8 MB). */
     uint64_t write_buffer_bytes = 8ull << 20;
-
-    /** Overprovisioned fraction of raw capacity (paper: 20%). */
-    double overprovisioning = 0.20;
-
-    /** GC starts when free blocks drop below this fraction. */
-    double gc_free_threshold = 0.15;
 
     /** Error bound for learned segments (paper default 0). */
     uint32_t gamma = 0;

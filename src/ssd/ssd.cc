@@ -16,7 +16,10 @@ Ssd::Ssd(const SsdConfig &cfg)
       buffer_(static_cast<uint32_t>(cfg.write_buffer_bytes /
                                     cfg.geometry.page_size)),
       cache_(0),
-      ftl_(makeFtl(cfg, *this))
+      ftl_(makeFtl(cfg, *this)),
+      // makeFtl builds the FTL cfg.ftl names.
+      lea_(cfg.ftl == FtlKind::LeaFTL ? static_cast<LeaFtl *>(ftl_.get())
+                                      : nullptr)
 {
     cfg_.validate();
     updateDramSplit();
@@ -45,25 +48,17 @@ Ssd::chargeTransWrite()
 std::optional<Ppa>
 Ssd::oraclePpa(Lpa lpa) const
 {
-    // Test oracle: walk all valid pages via PVT-backed peeks is too
-    // slow; instead resolve through the FTL without charges by
-    // scanning the prediction window. Only used by tests.
-    auto *self = const_cast<Ssd *>(this);
-    const SsdStats saved = stats_;
-    const Tick saved_time = self->cur_time_;
-    TranslateResult tr = self->ftl_->translate(lpa);
-    self->stats_ = saved;
-    self->cur_time_ = saved_time;
+    // Test oracle: walking every valid page is too slow, so scan the
+    // prediction's +-gamma window on the uncharged FTL peek. Only
+    // tests and perfbench's checks call it.
+    const TranslateResult tr = ftl_->peek(lpa);
     if (!tr.found)
         return std::nullopt;
-    tr.ppa = std::min<Ppa>(tr.ppa,
-                           static_cast<Ppa>(flash_.geometry().totalPages() - 1));
-    if (flash_.peekLpa(tr.ppa) == lpa && blocks_.isValid(tr.ppa))
-        return tr.ppa;
-    const uint32_t gamma = cfg_.gamma;
+    const int64_t total = static_cast<int64_t>(flash_.geometry().totalPages());
+    const int64_t gamma = cfg_.gamma;
     for (int64_t p = static_cast<int64_t>(tr.ppa) - gamma;
          p <= static_cast<int64_t>(tr.ppa) + gamma; p++) {
-        if (p < 0 || p >= static_cast<int64_t>(flash_.geometry().totalPages()))
+        if (p < 0 || p >= total)
             continue;
         const Ppa cand = static_cast<Ppa>(p);
         if (flash_.peekLpa(cand) == lpa && blocks_.isValid(cand))
@@ -72,13 +67,35 @@ Ssd::oraclePpa(Lpa lpa) const
     return std::nullopt;
 }
 
-Ppa
-Ssd::resolveExact(Lpa lpa, Ppa predicted, bool already_read)
+TranslateResult
+Ssd::translate(Lpa lpa)
 {
+    TranslateResult tr = ftl_->translate(lpa);
+    if (tr.found) {
+        stats_.translations++;
+        // Approximate predictions can overshoot the PPA space; clamp
+        // to a readable address (locate finds the real page).
+        tr.ppa = std::min<Ppa>(
+            tr.ppa, static_cast<Ppa>(flash_.geometry().totalPages() - 1));
+    }
+    return tr;
+}
+
+Ppa
+Ssd::locate(const TranslateResult &tr, Lpa lpa, bool already_read)
+{
+    const Ppa predicted = tr.ppa;
     // Fast path: the prediction is right (always, for exact FTLs and
     // accurate segments) -- validity checked against the DRAM PVT.
     if (flash_.peekLpa(predicted) == lpa && blocks_.isValid(predicted))
         return predicted;
+    // A wrong exact mapping is stale post-crash state: the page was
+    // trimmed (still carries this LPA, invalidated) or its block has
+    // since been erased and reused by GC (the OOB disagrees). Either
+    // way a live copy cannot exist -- any rewrite would have refreshed
+    // the mapping -- so there is nothing to search for.
+    if (!tr.approximate)
+        return kInvalidPpa;
 
     stats_.mispredictions++;
     const uint32_t gamma = cfg_.gamma;
@@ -97,7 +114,7 @@ Ssd::resolveExact(Lpa lpa, Ppa predicted, bool already_read)
     // neighbors [predicted - g, predicted + g] (§3.5); g can be
     // smaller than gamma when the OOB area cannot hold 2*gamma + 1
     // four-byte entries. Reuse one scratch buffer across recoveries:
-    // this path runs once per approximate translation.
+    // this path runs once per approximate miss.
     std::vector<Lpa> &window = oob_scratch_;
     flash_.oobWindow(predicted, gamma, window);
     const uint32_t g = (static_cast<uint32_t>(window.size()) - 1) / 2;
@@ -136,82 +153,74 @@ Ssd::resolveExact(Lpa lpa, Ppa predicted, bool already_read)
     return kInvalidPpa;
 }
 
+bool
+Ssd::invalidateLiveCopy(Lpa lpa)
+{
+    const TranslateResult tr = translate(lpa);
+    if (!tr.found)
+        return false;
+    // Approximate translations are verified through the same OOB path
+    // as reads (charged on mispredict only).
+    const Ppa live = locate(tr, lpa, /*already_read=*/false);
+    if (live != kInvalidPpa)
+        blocks_.invalidate(live);
+    return true;
+}
+
 Tick
 Ssd::read(Lpa lpa, Tick now)
 {
     LEAFTL_ASSERT(lpa < host_pages_, "host read beyond capacity");
     stats_.host_reads++;
     cur_time_ = now + cfg_.latency.dram_access;
+    serveRead(lpa);
+    const Tick lat = cur_time_ - now;
+    stats_.read_latency.add(static_cast<double>(lat));
+    return lat;
+}
 
+void
+Ssd::serveRead(Lpa lpa)
+{
     if (buffer_.contains(lpa)) {
         stats_.buffer_read_hits++;
-        const Tick lat = cur_time_ - now;
-        stats_.read_latency.add(static_cast<double>(lat));
-        return lat;
+        return;
     }
     // Skip the probe entirely while the cache is disabled (capacity
     // 0): it cannot hit, and mapping-first FTLs would otherwise pay a
     // hash lookup (and a spurious miss count) per host read.
-    if (cache_.capacity() != 0 && cache_.lookup(lpa)) {
-        const Tick lat = cur_time_ - now;
-        stats_.read_latency.add(static_cast<double>(lat));
-        return lat;
-    }
+    if (cache_.capacity() != 0 && cache_.lookup(lpa))
+        return;
 
-    TranslateResult tr = ftl_->translate(lpa);
+    const TranslateResult tr = translate(lpa);
     if (!tr.found) {
-        // Never-written page: served as zeros.
-        stats_.unmapped_reads++;
-        const Tick lat = cur_time_ - now;
-        stats_.read_latency.add(static_cast<double>(lat));
-        return lat;
+        stats_.unmapped_reads++; // Never-written page: served as zeros.
+        return;
     }
-    stats_.translations++;
-    // Approximate predictions can overshoot the PPA space; clamp to a
-    // readable address (OOB resolution finds the real page).
-    tr.ppa = std::min<Ppa>(tr.ppa,
-                           static_cast<Ppa>(flash_.geometry().totalPages() - 1));
 
-    // Data read at the predicted PPA.
+    // Data read at the predicted PPA; its OOB is then in hand.
     stats_.data_reads++;
     cur_time_ = channels_.access(flash_.geometry().channelOf(tr.ppa),
                                  cur_time_, cfg_.latency.flash_read);
-    const Lpa got = flash_.readPage(tr.ppa);
+    flash_.readPage(tr.ppa);
 
-    if (got != lpa || !blocks_.isValid(tr.ppa)) {
-        if (!tr.approximate) {
-            // A stale post-crash exact mapping: the page was trimmed
-            // (still carries this LPA, invalidated) or its block has
-            // since been erased and reused by GC (the OOB disagrees).
-            // Either way a live copy cannot exist — any rewrite would
-            // have refreshed the mapping — so the read is served as
-            // unresolved without a search.
-            stats_.unresolved_reads++;
-            const Tick lat = cur_time_ - now;
-            stats_.read_latency.add(static_cast<double>(lat));
-            return lat;
-        }
-        const Ppa actual = resolveExact(lpa, tr.ppa, /*already_read=*/true);
-        if (actual == kInvalidPpa) {
-            stats_.unresolved_reads++;
-            const Tick lat = cur_time_ - now;
-            stats_.read_latency.add(static_cast<double>(lat));
-            return lat;
-        }
-        if (actual != tr.ppa) {
-            stats_.data_reads++;
-            stats_.mispredict_extra_reads++;
-            cur_time_ = channels_.access(flash_.geometry().channelOf(actual),
-                                         cur_time_, cfg_.latency.flash_read);
-            const Lpa check = flash_.readPage(actual);
-            LEAFTL_ASSERT(check == lpa, "OOB resolution failed");
-        }
+    const Ppa actual = locate(tr, lpa, /*already_read=*/true);
+    if (actual == kInvalidPpa) {
+        stats_.unresolved_reads++;
+        return;
     }
-
+    if (actual != tr.ppa) {
+        // Fetch the resolved page. A page the boundary scan found was
+        // already read there and is charged twice: a known over-charge
+        // the golden outputs still carry.
+        stats_.data_reads++;
+        stats_.mispredict_extra_reads++;
+        cur_time_ = channels_.access(flash_.geometry().channelOf(actual),
+                                     cur_time_, cfg_.latency.flash_read);
+        const Lpa check = flash_.readPage(actual);
+        LEAFTL_ASSERT(check == lpa, "OOB resolution failed");
+    }
     cache_.insert(lpa);
-    const Tick lat = cur_time_ - now;
-    stats_.read_latency.add(static_cast<double>(lat));
-    return lat;
 }
 
 Tick
@@ -257,21 +266,7 @@ Ssd::trim(Lpa lpa, Tick now)
     buffer_.remove(lpa);
 
     // Invalidate the backing flash page so GC reclaims it for free.
-    TranslateResult tr = ftl_->translate(lpa);
-    if (tr.found) {
-        stats_.translations++;
-        tr.ppa = std::min<Ppa>(
-            tr.ppa,
-            static_cast<Ppa>(flash_.geometry().totalPages() - 1));
-        Ppa old = tr.approximate
-                      ? resolveExact(lpa, tr.ppa, /*already_read=*/false)
-                      : tr.ppa;
-        // As in invalidateOldLocations: a stale post-crash exact
-        // mapping may point at a block GC has reused for another LPA,
-        // so only invalidate pages whose OOB confirms ownership.
-        if (old != kInvalidPpa && blocks_.isValid(old) &&
-            flash_.peekLpa(old) == lpa)
-            blocks_.invalidate(old);
+    if (invalidateLiveCopy(lpa)) {
         ftl_->trim(lpa);
         // A trim mutates the mapping without programming any page, so
         // only the journal can make it survive a crash before the
@@ -352,36 +347,6 @@ Ssd::recordHostMappings(const std::vector<std::pair<Lpa, Ppa>> &run)
 }
 
 void
-Ssd::invalidateOldLocations(const std::vector<Lpa> &lpas)
-{
-    // Invalidate the old locations of overwritten LPAs, keeping
-    // BVC/PVT exact. Approximate translations are verified through
-    // the same OOB path as reads (charged on mispredict only).
-    for (const Lpa lpa : lpas) {
-        TranslateResult tr = ftl_->translate(lpa);
-        if (!tr.found)
-            continue;
-        stats_.translations++;
-        tr.ppa = std::min<Ppa>(
-            tr.ppa,
-            static_cast<Ppa>(flash_.geometry().totalPages() - 1));
-        Ppa old = tr.approximate
-                      ? resolveExact(lpa, tr.ppa, /*already_read=*/false)
-                      : tr.ppa;
-        // A stale post-crash mapping can point at a trimmed (invalid)
-        // page, or — once GC erases and reuses the block — at another
-        // LPA's live copy. Verify the OOB before invalidating; the
-        // check never fires outside crash recovery, where exact
-        // mappings are correct by construction.
-        if (old != kInvalidPpa &&
-            (!blocks_.isValid(old) || flash_.peekLpa(old) != lpa))
-            old = kInvalidPpa;
-        if (old != kInvalidPpa)
-            blocks_.invalidate(old);
-    }
-}
-
-void
 Ssd::flushBuffer(Tick)
 {
     if (buffer_.empty())
@@ -395,7 +360,8 @@ Ssd::flushBuffer(Tick)
     std::vector<Lpa> lpas =
         cfg_.sort_flush ? buffer_.drainSorted() : buffer_.drainFifo();
 
-    invalidateOldLocations(lpas);
+    for (const Lpa lpa : lpas)
+        invalidateLiveCopy(lpa); // Overwritten: keep BVC/PVT exact.
 
     const auto &run = programBatch(lpas, cur_time_, WriteKind::Host);
     recordHostMappings(run);
@@ -432,7 +398,8 @@ Ssd::drainBuffer(Tick now)
     if (!buffer_.empty()) {
         std::vector<Lpa> lpas =
             cfg_.sort_flush ? buffer_.drainSorted() : buffer_.drainFifo();
-        invalidateOldLocations(lpas);
+        for (const Lpa lpa : lpas)
+            invalidateLiveCopy(lpa);
         const auto &run = programBatch(lpas, cur_time_, WriteKind::Host);
         recordHostMappings(run);
         journalLearn(run);
@@ -445,7 +412,7 @@ Ssd::drainBuffer(Tick now)
 void
 Ssd::maybeGc(Tick now)
 {
-    while (blocks_.freeFraction() < cfg_.gc_free_threshold) {
+    while (blocks_.freeFraction() < SsdConfig::kGcFreeThreshold) {
         if (!doGcPass(now))
             break; // No forward progress possible.
     }
@@ -570,8 +537,7 @@ Ssd::updateDramSplit()
 bool
 Ssd::journalingEnabled() const
 {
-    return cfg_.journal_threshold_bytes > 0 &&
-           ftl_->learnedTable() != nullptr;
+    return cfg_.journal_threshold_bytes > 0 && lea_ != nullptr;
 }
 
 void
@@ -583,42 +549,27 @@ Ssd::snapshotIfJournalFull()
         persistMappingInternal();
 }
 
-void
-Ssd::crashPoint(CrashSite site)
+bool
+Ssd::crashDue(CrashSite site)
 {
     if (!crash_armed_ || in_recovery_)
-        return;
-    if (crash_site_ != site && crash_site_ != CrashSite::Any)
-        return;
-    if (--crash_countdown_ > 0)
-        return;
-    crash_armed_ = false;
-    throw CrashException{site};
-}
-
-bool
-Ssd::tornCrashTriggered()
-{
-    if (!crash_armed_ || in_recovery_ ||
-        crash_site_ != CrashSite::JournalTornAppend)
         return false;
-    if (--crash_countdown_ > 0)
+    // Any matches every site but the torn append, which must be
+    // armed by name.
+    const bool matches =
+        crash_site_ == site || (crash_site_ == CrashSite::Any &&
+                                site != CrashSite::JournalTornAppend);
+    if (!matches || --crash_countdown_ > 0)
         return false;
     crash_armed_ = false;
     return true;
 }
 
 void
-Ssd::chargeJournalBytes(size_t n)
+Ssd::crashPoint(CrashSite site)
 {
-    // Journal appends share translation pages; charge one flash write
-    // per page boundary crossed (the partial tail page is charged when
-    // the snapshot retires the journal).
-    journal_page_fill_ += n;
-    while (journal_page_fill_ >= cfg_.geometry.page_size) {
-        journal_page_fill_ -= cfg_.geometry.page_size;
-        chargeTransWrite();
-    }
+    if (crashDue(site))
+        throw CrashException{site};
 }
 
 void
@@ -636,15 +587,8 @@ Ssd::journalLearn(const std::vector<std::pair<Lpa, Ppa>> &run)
         std::sort(journal_sort_scratch_.begin(), journal_sort_scratch_.end());
         sorted = &journal_sort_scratch_;
     }
-    const uint32_t coverage =
-        static_cast<uint32_t>(blocks_since_persist_.size());
-    if (tornCrashTriggered()) {
-        journal_.appendLearn(journal_seq_++, coverage, *sorted);
-        journal_.tearLastRecord(torn_keep_pct_);
-        throw CrashException{CrashSite::JournalTornAppend};
-    }
-    chargeJournalBytes(
-        journal_.appendLearn(journal_seq_++, coverage, *sorted));
+    const auto coverage = static_cast<uint32_t>(blocks_since_persist_.size());
+    journalAppended(journal_.appendLearn(journal_seq_++, coverage, *sorted));
 }
 
 void
@@ -652,14 +596,26 @@ Ssd::journalTrim(Lpa lpa)
 {
     if (!journalingEnabled() || in_recovery_)
         return;
-    const uint32_t coverage =
-        static_cast<uint32_t>(blocks_since_persist_.size());
-    if (tornCrashTriggered()) {
-        journal_.appendTrim(journal_seq_++, coverage, lpa);
+    const auto coverage = static_cast<uint32_t>(blocks_since_persist_.size());
+    journalAppended(journal_.appendTrim(journal_seq_++, coverage, lpa));
+}
+
+void
+Ssd::journalAppended(size_t bytes)
+{
+    // Power loss mid-append leaves the record torn on flash.
+    if (crashDue(CrashSite::JournalTornAppend)) {
         journal_.tearLastRecord(torn_keep_pct_);
         throw CrashException{CrashSite::JournalTornAppend};
     }
-    chargeJournalBytes(journal_.appendTrim(journal_seq_++, coverage, lpa));
+    // Journal appends share translation pages; charge one flash write
+    // per page boundary crossed (the partial tail page is charged when
+    // the snapshot retires the journal).
+    journal_page_fill_ += bytes;
+    while (journal_page_fill_ >= cfg_.geometry.page_size) {
+        journal_page_fill_ -= cfg_.geometry.page_size;
+        chargeTransWrite();
+    }
 }
 
 void
@@ -672,10 +628,9 @@ Ssd::persistMapping(Tick now)
 void
 Ssd::persistMappingInternal()
 {
-    auto *lea = dynamic_cast<LeaFtl *>(ftl_.get());
-    if (!lea)
+    if (!lea_)
         return; // DFTL/SFTL translation pages already live on flash.
-    LearnedTable *table = lea->learnedTable();
+    LearnedTable &table = *lea_->learnedTable();
 
     // Emit only the groups dirtied since the last snapshot as a delta
     // chained to the last full blob; fold the chain back into a full
@@ -683,7 +638,7 @@ Ssd::persistMappingInternal()
     const bool full = persisted_table_.empty() ||
                       persisted_delta_bytes_ >= persisted_table_.size();
     std::vector<uint8_t> blob =
-        full ? table->serialize() : table->serializeDirty();
+        full ? table.serialize() : table.serializeDirty();
     // The crash window: snapshot built, nothing committed yet.
     crashPoint(CrashSite::SnapshotBeforeCommit);
     const uint64_t pages = ceilDiv(blob.size(), cfg_.geometry.page_size);
@@ -697,7 +652,7 @@ Ssd::persistMappingInternal()
         persisted_delta_bytes_ += blob.size();
         persisted_deltas_.push_back(std::move(blob));
     }
-    table->clearDirty();
+    table.clearDirty();
     if (journal_page_fill_ > 0) {
         chargeTransWrite(); // Flush the journal's partial tail page.
         journal_page_fill_ = 0;
@@ -710,8 +665,7 @@ RecoveryStats
 Ssd::crashAndRecover(Tick now)
 {
     RecoveryStats rec;
-    auto *lea = dynamic_cast<LeaFtl *>(ftl_.get());
-    if (!lea)
+    if (!lea_)
         return rec;
 
     // Recovery itself can no longer crash-inject.
@@ -751,9 +705,9 @@ Ssd::crashAndRecover(Tick now)
 
     // 1. Load the last full snapshot plus its chained deltas.
     if (!persisted_table_.empty())
-        lea->restoreChain(persisted_table_, persisted_deltas_);
+        lea_->restoreChain(persisted_table_, persisted_deltas_);
     else
-        lea->restoreChain(LearnedTable(cfg_.gamma).serialize(), {});
+        lea_->restoreChain(LearnedTable(cfg_.gamma).serialize(), {});
     rec.applied_deltas = persisted_deltas_.size();
     chargeLoadPages(snapshotBytes());
 
@@ -769,9 +723,9 @@ Ssd::crashAndRecover(Tick now)
             rec.replayed_journal_records++;
             max_cov = std::max(max_cov, jrec.coverage);
             if (jrec.type == JournalRecord::Type::Learn)
-                lea->recordMappingsGc(jrec.mappings);
+                lea_->recordMappingsGc(jrec.mappings);
             else
-                lea->trim(jrec.trim_lpa);
+                lea_->trim(jrec.trim_lpa);
         }
         rec.replayed_journal_bytes = reader.validBytes();
         chargeLoadPages(reader.validBytes());
@@ -803,7 +757,7 @@ Ssd::crashAndRecover(Tick now)
         std::sort(run.begin(), run.end());
         rec.relearned_mappings += run.size();
         if (!run.empty())
-            lea->recordMappingsGc(run);
+            lea_->recordMappingsGc(run);
     }
 
     // 4. Checkpoint the recovered state. Mappings relearned by the

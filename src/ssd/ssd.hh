@@ -33,6 +33,8 @@
 namespace leaftl
 {
 
+class LeaFtl;
+
 /** Device-level statistics. */
 struct SsdStats
 {
@@ -265,12 +267,15 @@ class Ssd : public FtlOps
     static constexpr size_t kMaxGcVictims = 64;
 
   private:
+    /** Everything read() does between the DRAM access and the exit. */
+    void serveRead(Lpa lpa);
     void flushBuffer(Tick now);
     /**
-     * Invalidate the old flash locations of a drained write batch
-     * (keeping BVC/PVT exact).
+     * Invalidate the valid flash page holding @a lpa, if any, keeping
+     * BVC/PVT exact (trims and overwritten flush batches).
+     * @return whether the FTL had a mapping for @a lpa.
      */
-    void invalidateOldLocations(const std::vector<Lpa> &lpas);
+    bool invalidateLiveCopy(Lpa lpa);
     /** Feed a programmed host batch to the FTL (honoring sort_flush). */
     void recordHostMappings(const std::vector<std::pair<Lpa, Ppa>> &run);
     void maybeGc(Tick now);
@@ -285,14 +290,22 @@ class Ssd : public FtlOps
     void updateDramSplit();
 
     /**
-     * Resolve the exact PPA behind a (possibly approximate)
-     * translation, charging the extra flash read(s) the paper's OOB
-     * scheme needs (§3.5). @a already_read indicates the device has
-     * just read @a predicted (so its OOB is in hand for free).
-     * @return kInvalidPpa when no valid page carries the LPA (stale
-     *         mapping of a trimmed page after recovery).
+     * The device's one translation step: Ftl::translate, counted in
+     * stats_.translations when it finds a mapping, with the PPA
+     * clamped into the flash.
      */
-    Ppa resolveExact(Lpa lpa, Ppa predicted, bool already_read);
+    TranslateResult translate(Lpa lpa);
+
+    /**
+     * Find the valid page holding @a lpa behind a found translation
+     * @a tr, charging the extra flash read(s) the paper's OOB scheme
+     * needs on an approximate miss (§3.5). @a already_read indicates
+     * the device has just read tr.ppa (so its OOB is in hand for free).
+     * @return kInvalidPpa when no valid page carries the LPA: a stale
+     *         post-crash exact mapping, or a stale mapping of a
+     *         trimmed page after recovery.
+     */
+    Ppa locate(const TranslateResult &tr, Lpa lpa, bool already_read);
 
     /** Who is writing (for per-path flash write accounting). */
     enum class WriteKind
@@ -335,10 +348,12 @@ class Ssd : public FtlOps
     WriteBuffer buffer_;
     DataCache cache_;
     std::unique_ptr<Ftl> ftl_;
+    /** ftl_ when it is LeaFTL (snapshots, journal, recovery), else null. */
+    LeaFtl *const lea_;
 
     SsdStats stats_;
 
-    /** Scratch OOB window reused by resolveExact (hot path). */
+    /** Scratch OOB window reused by locate (hot path). */
     std::vector<Lpa> oob_scratch_;
     /** Scratch (LPA, PPA) run reused by programBatch (learn path). */
     std::vector<std::pair<Lpa, Ppa>> run_scratch_;
@@ -365,8 +380,12 @@ class Ssd : public FtlOps
     void journalLearn(const std::vector<std::pair<Lpa, Ppa>> &run);
     /** Append a trim record to the journal (charged). */
     void journalTrim(Lpa lpa);
-    /** Charge journal appends to flash timing/WAF, page-granular. */
-    void chargeJournalBytes(size_t n);
+    /**
+     * Finish a journal append of @a bytes: tear it and crash when an
+     * armed torn-append crash is due, else charge it to flash timing
+     * and WAF, page-granular.
+     */
+    void journalAppended(size_t bytes);
     /**
      * Snapshot the learned table: a charged full blob, or a delta of
      * the groups dirtied since the last one. Retires the journal (if
@@ -375,10 +394,13 @@ class Ssd : public FtlOps
     void persistMappingInternal();
     /** Snapshot once the journal reaches its threshold (0 = no journal). */
     void snapshotIfJournalFull();
-    /** Throw CrashException when an armed crash matches this site. */
+    /**
+     * Count down an armed crash that matches @a site. @return true
+     * (and disarm) when this hit is the one it was armed for.
+     */
+    bool crashDue(CrashSite site);
+    /** Throw CrashException when an armed crash is due at this site. */
     void crashPoint(CrashSite site);
-    /** Armed torn-append crash fires on this append. */
-    bool tornCrashTriggered();
 
     /** Recovery snapshot (LeaFTL): last full blob + delta chain. */
     std::vector<uint8_t> persisted_table_;

@@ -71,6 +71,11 @@ class FlatLru
         const uint32_t e = findEntry(key);
         return e == kNil ? nullptr : &entries_[e].value;
     }
+    const V *peek(uint32_t key) const
+    {
+        const uint32_t e = findEntry(key);
+        return e == kNil ? nullptr : &entries_[e].value;
+    }
 
     /**
      * Single-probe insert-or-promote: a present key moves to MRU, an

@@ -18,7 +18,6 @@ TEST(Config, HostPagesHonorsOverprovisioning)
     cfg.geometry.num_channels = 2;
     cfg.geometry.blocks_per_channel = 10;
     cfg.geometry.pages_per_block = 100;
-    cfg.overprovisioning = 0.20;
     EXPECT_EQ(cfg.geometry.totalPages(), 2000u);
     EXPECT_EQ(cfg.hostPages(), 1600u);
     EXPECT_EQ(cfg.hostBytes(), 1600ull * cfg.geometry.page_size);
@@ -49,13 +48,6 @@ TEST(ConfigDeath, ZeroCompactionIntervalRejected)
     SsdConfig cfg;
     cfg.compaction_interval = 0;
     EXPECT_DEATH(cfg.validate(), "compaction");
-}
-
-TEST(ConfigDeath, AbsurdOverprovisioningRejected)
-{
-    SsdConfig cfg;
-    cfg.overprovisioning = 0.95;
-    EXPECT_DEATH(cfg.validate(), "overprovisioning");
 }
 
 TEST(GeometryDeath, PpaOverflowRejected)

@@ -119,6 +119,65 @@ TEST_P(SsdAllFtls, RandomWorkloadSurvivesGc)
         now += ssd.read(lpa, now);
 }
 
+/**
+ * Everything a run can observe of the device: SsdStats, the data
+ * cache, every channel's busy-until and the learned table's stats.
+ */
+std::vector<double>
+observableState(const Ssd &ssd)
+{
+    const SsdStats &s = ssd.stats();
+    std::vector<double> v = {
+        double(s.host_reads),        double(s.host_writes),
+        double(s.buffer_read_hits),  double(s.unmapped_reads),
+        double(s.unresolved_reads),  double(s.data_reads),
+        double(s.data_writes),       double(s.gc_runs),
+        double(s.gc_reads),          double(s.gc_writes),
+        double(s.gc_erases),         double(s.wear_migrations),
+        double(s.wear_writes),       double(s.wear_reads),
+        double(s.trans_reads),       double(s.trans_writes),
+        double(s.mispredictions),    double(s.mispredict_extra_reads),
+        double(s.translations),      double(s.compactions),
+        double(s.read_latency.count()), s.read_latency.mean(),
+        double(s.write_latency.count()), s.write_latency.mean(),
+        double(ssd.dataCacheHits()), double(ssd.dataCacheMisses()),
+    };
+    for (uint32_t c = 0; c < ssd.channels().numChannels(); c++)
+        v.push_back(double(ssd.channels().busyUntil(c)));
+    if (const LearnedTable *table = ssd.ftl().learnedTable()) {
+        const LearnedTableStats &t = table->stats();
+        v.push_back(double(t.lookups));
+        v.push_back(double(t.lookup_levels_total));
+        v.push_back(double(t.lookup_cache_hits));
+        v.push_back(double(t.segments_created));
+    }
+    return v;
+}
+
+TEST_P(SsdAllFtls, OracleLeavesNoTrace)
+{
+    // A small DRAM budget keeps DFTL's CMT, SFTL's resident pages and
+    // LeaFTL's resident groups churning, so any cache or charge the
+    // oracle touched would move the timeline.
+    SsdConfig cfg = smallConfig(GetParam(), /*gamma=*/4);
+    cfg.geometry.blocks_per_channel = 256;
+    cfg.dram_bytes = 64ull << 10;
+    auto run = [&](bool call_oracle) {
+        Ssd ssd(cfg);
+        Rng rng(11);
+        Tick now = 0;
+        for (int i = 0; i < 30000; i++) {
+            const Lpa lpa = static_cast<Lpa>(rng.nextBounded(20000));
+            now += rng.nextDouble() < 0.6 ? ssd.write(lpa, now)
+                                          : ssd.read(lpa, now);
+            if (call_oracle && i % 7 == 0)
+                (void)ssd.oraclePpa(lpa);
+        }
+        return observableState(ssd);
+    };
+    EXPECT_EQ(run(false), run(true));
+}
+
 INSTANTIATE_TEST_SUITE_P(Ftls, SsdAllFtls,
                          ::testing::Values(FtlKind::DFTL, FtlKind::SFTL,
                                            FtlKind::LeaFTL),
