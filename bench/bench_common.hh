@@ -36,11 +36,22 @@ namespace leaftl
 namespace bench
 {
 
-/** Scale knobs shared by all benches (override via flags). */
-struct BenchScale
+/**
+ * A bench's starting request count and working set, before any flag
+ * or --config: the shared defaults, or a bench's own smaller ones.
+ */
+struct ScaleDefaults
 {
     uint64_t requests = 200'000;
     uint64_t working_set_pages = 96 * 1024; ///< 384 MB at 4 KB pages.
+};
+
+/** Scale knobs shared by all benches (override via flags). */
+struct BenchScale
+{
+    /** Start at the bench's ScaleDefaults (see parseScale). */
+    uint64_t requests = 0;
+    uint64_t working_set_pages = 0;
     /**
      * 0 = derive from the working set (cli::makeConfig's default: DRAM
      * holds half the page-level mapping table, the paper's mapping-
@@ -84,15 +95,18 @@ scaleFromSpec(const config::ExperimentSpec &spec, BenchScale &s)
 
 /**
  * Parse --requests= --ws= --dram-mb= --gamma= --qd= --device=
- * --config=FILE --fast + free arg. The scale flags are leaftl_sim's
- * experiment keys: a bad value prints leaftl_sim's error and exits
- * with status 2. --config loads the file's [experiment] section (same
- * grammar and validation); flags and --config apply in order, later
- * wins. Any other argument goes to @a free_arg; a bench that takes
+ * --config=FILE --fast + free arg. Requests and ws start at
+ * @a defaults. The scale flags are leaftl_sim's experiment keys: a
+ * bad value prints leaftl_sim's error and exits with status 2.
+ * --config loads the file's [experiment] section (same grammar and
+ * validation); flags and --config apply in order, later wins, and
+ * --fast cuts the requests and ws reached so far to a tenth and a
+ * quarter. Any other argument goes to @a free_arg; a bench that takes
  * none rejects it as an unknown flag, exit status 2.
  */
 inline BenchScale
-parseScale(int argc, char **argv, std::string *free_arg = nullptr)
+parseScale(int argc, char **argv, std::string *free_arg = nullptr,
+           const ScaleDefaults &defaults = {})
 {
     static const std::pair<std::string, std::string> kScaleFlags[] = {
         {"--requests=", "requests"}, {"--ws=", "ws"},
@@ -101,9 +115,10 @@ parseScale(int argc, char **argv, std::string *free_arg = nullptr)
     };
     BenchScale s;
     // The spec's defaults are leaftl_sim's; requests and ws start at
-    // the historical bench defaults instead.
-    s.spec.requests = s.requests;
-    s.spec.working_set_pages = s.working_set_pages;
+    // the bench's instead.
+    s.requests = s.spec.requests = defaults.requests;
+    s.working_set_pages = s.spec.working_set_pages =
+        defaults.working_set_pages;
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
         const auto flag =

@@ -47,12 +47,10 @@ main(int argc, char **argv)
     using namespace leaftl;
     using namespace leaftl::bench;
 
-    BenchScale s = parseScale(argc, argv);
-    if (!s.from_config && !s.fast && s.requests == 200'000) {
-        // Three full replays (one per preset); trim the default.
-        s.requests = 60'000;
-        s.working_set_pages = 32 * 1024;
-    }
+    // Three full replays (one per preset): a smaller default scale.
+    BenchScale s = parseScale(argc, argv, nullptr,
+                              {.requests = 60'000,
+                               .working_set_pages = 32 * 1024});
     // The device axis: every preset by default, the config file's
     // device list with --config= (this bench measures the per-device
     // flash-store footprint, so "auto" geometry has no preset row).

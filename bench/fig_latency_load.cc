@@ -82,12 +82,10 @@ main(int argc, char **argv)
     using namespace leaftl::bench;
 
     std::string free_arg;
-    BenchScale s = parseScale(argc, argv, &free_arg);
-    if (!s.from_config && !s.fast && s.requests == 200'000) {
-        // Each (ftl, rate) pair is a full replay; trim the default.
-        s.requests = 40'000;
-        s.working_set_pages = 16 * 1024;
-    }
+    // Each (ftl, rate) pair is a full replay: a smaller default scale.
+    BenchScale s = parseScale(argc, argv, &free_arg,
+                              {.requests = 40'000,
+                               .working_set_pages = 16 * 1024});
     const std::vector<double> rates = parseRates(free_arg, s);
     const uint32_t qd = s.queue_depth > 1 ? s.queue_depth : 64;
     const std::vector<FtlKind> ftls =

@@ -54,12 +54,10 @@ main(int argc, char **argv)
     using namespace leaftl;
     using namespace leaftl::bench;
 
-    BenchScale s = parseScale(argc, argv);
-    if (!s.from_config && !s.fast && s.requests == 200'000) {
-        // The sweep runs 12 full replays; trim the default a bit.
-        s.requests = 60'000;
-        s.working_set_pages = 32 * 1024;
-    }
+    // The sweep runs 12 full replays: a smaller default scale.
+    BenchScale s = parseScale(argc, argv, nullptr,
+                              {.requests = 60'000,
+                               .working_set_pages = 32 * 1024});
     // A config file's [experiment] section replaces both sweep axes;
     // flags keep the historical 2-FTL x 6-depth grid.
     const std::vector<FtlKind> ftls =

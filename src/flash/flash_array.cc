@@ -9,41 +9,9 @@ FlashArray::FlashArray(const Geometry &geom)
     : geom_(geom),
       block_lpa_(geom.totalBlocks()),
       write_ptr_(geom.totalBlocks(), 0),
-      erase_cnt_(geom.totalBlocks(), 0),
-      erase_hist_(1, geom.totalBlocks()),
-      erase_head_(1, kNilBlock),
-      erase_prev_(geom.totalBlocks(), kNilBlock),
-      erase_next_(geom.totalBlocks(), kNilBlock)
+      erase_cnt_(geom.totalBlocks(), 0)
 {
     geom_.validate();
-    // Seed the count-0 wear bucket with every block (linked in
-    // ascending index order, though consumers never rely on it).
-    for (uint32_t b = geom_.totalBlocks(); b-- > 0;)
-        bucketLinkFront(b, 0);
-}
-
-void
-FlashArray::bucketUnlink(uint32_t block, uint32_t count)
-{
-    if (erase_prev_[block] != kNilBlock)
-        erase_next_[erase_prev_[block]] = erase_next_[block];
-    else
-        erase_head_[count] = erase_next_[block];
-    if (erase_next_[block] != kNilBlock)
-        erase_prev_[erase_next_[block]] = erase_prev_[block];
-    erase_prev_[block] = erase_next_[block] = kNilBlock;
-}
-
-void
-FlashArray::bucketLinkFront(uint32_t block, uint32_t count)
-{
-    if (count >= erase_head_.size())
-        erase_head_.resize(count + 1, kNilBlock);
-    erase_prev_[block] = kNilBlock;
-    erase_next_[block] = erase_head_[count];
-    if (erase_head_[count] != kNilBlock)
-        erase_prev_[erase_head_[count]] = block;
-    erase_head_[count] = block;
 }
 
 void
@@ -113,21 +81,8 @@ FlashArray::eraseBlock(uint32_t block)
         resident_blocks_--;
     }
     write_ptr_[block] = 0;
-    const uint32_t old_count = erase_cnt_[block]++;
+    erase_cnt_[block]++;
     counters_.block_erases++;
-
-    // Incremental wear stats: migrate the block one bucket up and
-    // nudge the histogram/min/max instead of rescanning the device.
-    bucketUnlink(block, old_count);
-    bucketLinkFront(block, old_count + 1);
-    if (old_count + 1 >= erase_hist_.size())
-        erase_hist_.resize(old_count + 2, 0);
-    erase_hist_[old_count]--;
-    erase_hist_[old_count + 1]++;
-    if (old_count + 1 > max_erase_)
-        max_erase_ = old_count + 1;
-    while (erase_hist_[min_erase_] == 0)
-        min_erase_++;
 }
 
 BlockState
@@ -155,14 +110,21 @@ FlashArray::eraseCount(uint32_t block) const
     return erase_cnt_[block];
 }
 
+uint32_t
+FlashArray::eraseSpread() const
+{
+    const auto [lo, hi] =
+        std::minmax_element(erase_cnt_.begin(), erase_cnt_.end());
+    return *hi - *lo;
+}
+
 uint64_t
 FlashArray::residentBytes() const
 {
     const uint64_t per_block_tables =
         static_cast<uint64_t>(geom_.totalBlocks()) *
         (sizeof(block_lpa_[0]) + sizeof(write_ptr_[0]) +
-         sizeof(erase_cnt_[0]) + sizeof(erase_prev_[0]) +
-         sizeof(erase_next_[0]));
+         sizeof(erase_cnt_[0]));
     const uint64_t live_arrays = static_cast<uint64_t>(resident_blocks_) *
                                  geom_.pages_per_block * sizeof(Lpa);
     return per_block_tables + live_arrays;

@@ -106,7 +106,7 @@ class FlashArray
      */
     void oobWindow(Ppa ppa, uint32_t gamma, std::vector<Lpa> &window) const;
 
-    /** Erase a block, resetting its pages and bumping its wear. */
+    /** Erase a block, resetting its pages and bumping its erase count. */
     void eraseBlock(uint32_t block);
 
     BlockState blockState(uint32_t block) const;
@@ -114,31 +114,11 @@ class FlashArray
     uint32_t eraseCount(uint32_t block) const;
 
     /**
-     * Wear statistics, maintained incrementally at eraseBlock time:
-     * a histogram of blocks per erase count plus running min/max, so
-     * the spread query is O(1) instead of a device-wide rescan. The
-     * min only ever advances (erase counts never decrease), making
-     * its catch-up loop amortized O(1).
+     * Erase-count spread, max - min over every block. A device-wide
+     * scan: only end-of-run reporting calls it, nothing on the I/O
+     * path.
      */
-    uint32_t minEraseCount() const { return min_erase_; }
-    uint32_t maxEraseCount() const { return max_erase_; }
-    uint32_t eraseSpread() const { return max_erase_ - min_erase_; }
-
-    /**
-     * Intrusive per-erase-count block lists (wear buckets): first
-     * block with erase count @a count (kNilBlock if none), and the
-     * chain link. Lets wear-leveling visit only blocks at the lowest
-     * wear instead of scanning the whole device.
-     */
-    static constexpr uint32_t kNilBlock = 0xFFFFFFFFu;
-    uint32_t eraseBucketHead(uint32_t count) const
-    {
-        return count < erase_head_.size() ? erase_head_[count] : kNilBlock;
-    }
-    uint32_t eraseBucketNext(uint32_t block) const
-    {
-        return erase_next_[block];
-    }
+    uint32_t eraseSpread() const;
 
     const FlashCounters &counters() const { return counters_; }
 
@@ -159,22 +139,11 @@ class FlashArray
         return block_lpa_[block].get();
     }
 
-    void bucketUnlink(uint32_t block, uint32_t count);
-    void bucketLinkFront(uint32_t block, uint32_t count);
-
     Geometry geom_;
     /** Per block: LPA per page, allocated on first program (sparse). */
     std::vector<std::unique_ptr<Lpa[]>> block_lpa_;
     std::vector<uint32_t> write_ptr_;  ///< Per block: next page to program.
     std::vector<uint32_t> erase_cnt_;  ///< Per block.
-    /** Blocks per erase count (index = count), grown on demand. */
-    std::vector<uint64_t> erase_hist_;
-    /** Wear-bucket list heads (index = erase count). */
-    std::vector<uint32_t> erase_head_;
-    std::vector<uint32_t> erase_prev_; ///< Per block, wear-bucket link.
-    std::vector<uint32_t> erase_next_; ///< Per block, wear-bucket link.
-    uint32_t min_erase_ = 0;
-    uint32_t max_erase_ = 0;
     size_t resident_blocks_ = 0;
     FlashCounters counters_;
 };

@@ -75,7 +75,7 @@ class Ftl
         const std::vector<std::pair<Lpa, Ppa>> &run) = 0;
 
     /**
-     * Record mappings moved by GC or wear leveling (§3.6). The default
+     * Record mappings moved by GC (§3.6). The default
      * treats them like a flush, which is what LeaFTL does: it relearns
      * segments in DRAM. DFTL/SFTL override it to update translation
      * pages directly (read-modify-write per page).

@@ -128,7 +128,7 @@ struct RunResult
     /** Raw data-cache counters behind cache_hit_ratio (CSV columns). */
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
-    /** GC/wear victim-selection cost: picks made, index nodes walked. */
+    /** GC victim-selection cost: picks made, index nodes walked. */
     uint64_t gc_pick_calls = 0;
     uint64_t gc_pick_scanned = 0;
 

@@ -181,33 +181,6 @@ BlockManager::pickGcVictim(const std::vector<uint32_t> &exclude) const
     return std::nullopt;
 }
 
-std::optional<uint32_t>
-BlockManager::pickWearVictim(uint32_t threshold) const
-{
-    if (flash_.eraseSpread() <= threshold)
-        return std::nullopt;
-    // The coldest data: the full block with the lowest erase count,
-    // served from the flash array's per-erase-count buckets from the
-    // coldest bucket upward (lowest index wins inside a bucket, like
-    // the old ascending scan).
-    for (uint32_t c = flash_.minEraseCount(); c <= flash_.maxEraseCount();
-         c++) {
-        uint32_t best = kNilBlock;
-        for (uint32_t b = flash_.eraseBucketHead(c);
-             b != FlashArray::kNilBlock; b = flash_.eraseBucketNext(b)) {
-            gc_pick_scanned_++;
-            if (in_free_pool_[b] ||
-                flash_.blockState(b) != BlockState::Full)
-                continue;
-            if (b < best)
-                best = b;
-        }
-        if (best != kNilBlock)
-            return best;
-    }
-    return std::nullopt;
-}
-
 double
 BlockManager::freeFraction() const
 {

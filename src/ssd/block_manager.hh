@@ -2,7 +2,7 @@
  * @file
  * Flash block management: the free-block pool, the Block Validity
  * Counter (BVC) and Page Validity Table (PVT) of Fig. 3, greedy GC
- * victim selection (§3.6), and wear-leveling bookkeeping.
+ * victim selection (§3.6).
  *
  * Victim selection is served from an incrementally maintained index:
  * every programmed block sits in a valid-count bucket (an intrusive
@@ -10,9 +10,7 @@
  * markValidRun/invalidate/invalidateBlock and dropped at releaseBlock.
  * `pickGcVictim` therefore walks buckets from emptiest upward instead
  * of scanning every block on the device, while preserving the old scan's
- * lowest-index-among-min tie-break exactly. Wear-leveling picks come
- * from FlashArray's analogous per-erase-count buckets, and
- * `eraseSpread` is O(1) off its incremental min/max.
+ * lowest-index-among-min tie-break exactly.
  */
 
 #pragma once
@@ -92,12 +90,6 @@ class BlockManager
     std::optional<uint32_t>
     pickGcVictim(const std::vector<uint32_t> &exclude = {}) const;
 
-    /**
-     * Wear-leveling candidate pair: (coldest full block, spread) when
-     * the erase-count spread exceeds @a threshold.
-     */
-    std::optional<uint32_t> pickWearVictim(uint32_t threshold) const;
-
     size_t freeBlocks() const { return free_pool_.size(); }
     double freeFraction() const;
 
@@ -113,7 +105,7 @@ class BlockManager
     void validPages(uint32_t block,
                     std::vector<std::pair<Lpa, Ppa>> &out) const;
 
-    /** Erase-count spread across all blocks (wear-leveling metric). */
+    /** Erase-count spread across all blocks (a reported statistic). */
     uint32_t eraseSpread() const { return flash_.eraseSpread(); }
 
     /** Blocks whose PVT bitmap is currently materialized. */

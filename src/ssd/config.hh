@@ -75,15 +75,6 @@ struct SsdConfig
     bool sort_flush = true;
 
     /**
-     * Wear-leveling trigger, not a bound. Every 64 buffer flushes
-     * (Ssd::flushBuffer) the device checks the erase-count spread;
-     * when it exceeds this, Ssd::maybeWearLevel migrates one block
-     * (the coldest full one). Under a skewed stream the spread can
-     * keep growing past the threshold.
-     */
-    uint32_t wear_delta_threshold = 64;
-
-    /**
      * Learn-journal size that triggers an automatic incremental
      * snapshot, in bytes. 0 = no journal: snapshots happen only on
      * explicit persistMapping() calls (and after each recovery), and

@@ -234,7 +234,7 @@ Ssd::write(Lpa lpa, Tick now)
     cache_.invalidate(lpa); // The cached copy (if any) is stale.
     buffer_.add(lpa);
     if (buffer_.full())
-        flushBuffer(cur_time_);
+        flushBuffer();
 
     const Tick lat = ack - now;
     stats_.write_latency.add(static_cast<double>(lat));
@@ -316,9 +316,6 @@ Ssd::programBatch(const std::vector<Lpa> &lpas, Tick now, WriteKind kind)
           case WriteKind::Gc:
             stats_.gc_writes += chunk;
             break;
-          case WriteKind::Wear:
-            stats_.wear_writes += chunk;
-            break;
         }
         i += chunk;
     }
@@ -347,7 +344,7 @@ Ssd::recordHostMappings(const std::vector<std::pair<Lpa, Ppa>> &run)
 }
 
 void
-Ssd::flushBuffer(Tick)
+Ssd::flushBuffer()
 {
     if (buffer_.empty())
         return;
@@ -378,11 +375,6 @@ Ssd::flushBuffer(Tick)
 
     updateDramSplit();
     maybeGc(cur_time_);
-    flushes_since_wear_check_++;
-    if (flushes_since_wear_check_ >= 64) {
-        flushes_since_wear_check_ = 0;
-        maybeWearLevel(cur_time_);
-    }
 
     // Automatic snapshotting runs in the background like the flush.
     snapshotIfJournalFull();
@@ -446,14 +438,13 @@ Ssd::doGcPass(Tick now)
         return false; // Device genuinely full of valid data.
 
     stats_.gc_runs++;
-    migrateVictims(victims, WriteKind::Gc, now);
+    migrateVictims(victims, now);
     updateDramSplit();
     return true;
 }
 
 void
-Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
-                    Tick now)
+Ssd::migrateVictims(const std::vector<uint32_t> &victims, Tick now)
 {
     // Read every survivor, then rewrite them sorted by LPA so the
     // relearned mapping is as compressible as a host flush (§3.6).
@@ -461,8 +452,6 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
     // charge; once read they are invalidated as a block. Both staging
     // vectors are member scratch: migrations recur all run long, and
     // per-pass allocations add up.
-    uint64_t &reads = kind == WriteKind::Gc ? stats_.gc_reads
-                                            : stats_.wear_reads;
     std::vector<std::pair<Lpa, Ppa>> &pages = gc_pages_scratch_;
     pages.clear();
     for (uint32_t victim : victims) {
@@ -474,7 +463,7 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
         channels_.access(cfg_.geometry.channelOfBlock(victim), now,
                          n * cfg_.latency.flash_read);
         flash_.countReads(n);
-        reads += n;
+        stats_.gc_reads += n;
         blocks_.invalidateBlock(victim);
     }
     std::sort(pages.begin(), pages.end());
@@ -485,10 +474,9 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
         lpas.push_back(page.first);
 
     if (!lpas.empty()) {
-        const auto &run = programBatch(lpas, now, kind);
+        const auto &run = programBatch(lpas, now, WriteKind::Gc);
         ftl_->recordMappingsGc(run);
-        if (kind == WriteKind::Gc)
-            crashPoint(CrashSite::GcAfterProgram);
+        crashPoint(CrashSite::GcAfterProgram);
         journalLearn(run);
     }
 
@@ -499,20 +487,7 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
         blocks_.releaseBlock(victim);
         stats_.gc_erases++;
     }
-    if (kind == WriteKind::Gc)
-        crashPoint(CrashSite::GcAfterErase);
-}
-
-void
-Ssd::maybeWearLevel(Tick now)
-{
-    const auto victim = blocks_.pickWearVictim(cfg_.wear_delta_threshold);
-    if (!victim)
-        return;
-    stats_.wear_migrations++;
-    std::vector<uint32_t> &victims = gc_victims_scratch_;
-    victims.assign(1, *victim);
-    migrateVictims(victims, WriteKind::Wear, now);
+    crashPoint(CrashSite::GcAfterErase);
 }
 
 void

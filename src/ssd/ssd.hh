@@ -1,14 +1,14 @@
 /**
  * @file
  * The simulated SSD device (§2 Fig. 2, §3.8): write buffer, data
- * cache, FTL, block manager, GC, wear leveling, channel timing, and
- * the DRAM budget split between mapping structures and the data cache.
+ * cache, FTL, block manager, GC, channel timing, and the DRAM budget
+ * split between mapping structures and the data cache.
  *
  * The host-facing API is page-granular read/write with a timestamp;
  * both return the request's service latency. Writes are acknowledged
- * at DRAM speed once buffered; buffer flushes, GC, and wear leveling
- * occupy flash channels in the background and delay later requests
- * that hit the same channels.
+ * at DRAM speed once buffered; buffer flushes and GC occupy flash
+ * channels in the background and delay later requests that hit the
+ * same channels.
  */
 
 #pragma once
@@ -59,7 +59,6 @@ struct SsdStats
     uint64_t gc_reads = 0;
     uint64_t gc_writes = 0;
     uint64_t gc_erases = 0;
-    uint64_t wear_migrations = 0;
 
     uint64_t trans_reads = 0;
     uint64_t trans_writes = 0;
@@ -77,14 +76,15 @@ struct SsdStats
     double
     waf() const
     {
-        const uint64_t actual =
-            data_writes + gc_writes + trans_writes + wear_writes;
+        const uint64_t actual = data_writes + gc_writes + trans_writes;
         return host_writes ? static_cast<double>(actual) / host_writes : 0.0;
     }
 
-    /** Pages wear leveling migrated: reads, and programs (in waf()). */
+    /**
+     * Always zero: the device has no wear leveling. Kept only because
+     * perfbench/bench.cc's counter list still names it.
+     */
     uint64_t wear_writes = 0;
-    uint64_t wear_reads = 0;
 
     /** Misprediction ratio over mapped translations (Fig. 24). */
     double
@@ -269,7 +269,7 @@ class Ssd : public FtlOps
   private:
     /** Everything read() does between the DRAM access and the exit. */
     void serveRead(Lpa lpa);
-    void flushBuffer(Tick now);
+    void flushBuffer();
     /**
      * Invalidate the valid flash page holding @a lpa, if any, keeping
      * BVC/PVT exact (trims and overwritten flush batches).
@@ -285,8 +285,6 @@ class Ssd : public FtlOps
      * @return true when at least one net block was reclaimed.
      */
     bool doGcPass(Tick now);
-    /** Move the coldest full block's data once wear spread is too wide. */
-    void maybeWearLevel(Tick now);
     void updateDramSplit();
 
     /**
@@ -312,7 +310,6 @@ class Ssd : public FtlOps
     {
         Host,
         Gc,
-        Wear,
     };
 
     /**
@@ -324,20 +321,17 @@ class Ssd : public FtlOps
     programBatch(const std::vector<Lpa> &lpas, Tick now, WriteKind kind);
 
     /**
-     * The one migration routine, shared by GC (@a kind Gc) and wear
-     * leveling (Wear): read the victims' survivors, rewrite them
+     * GC's migration step: read the victims' survivors, rewrite them
      * sorted by LPA and relearn them like a host flush (§3.6), journal
      * the run, then erase and release every victim.
      *
      * Work is per victim, not per page: a victim's survivors are
      * collected off its PVT words, charged as one read of n pages on
      * its channel (skipped when n is 0) and invalidated in one
-     * BlockManager::invalidateBlock. Reads count into gc_reads or
-     * wear_reads by @a kind; every erase counts into gc_erases. The
-     * GcAfterProgram and GcAfterErase crash sites fire for Gc only.
+     * BlockManager::invalidateBlock. Reads count into gc_reads and
+     * erases into gc_erases.
      */
-    void migrateVictims(const std::vector<uint32_t> &victims, WriteKind kind,
-                        Tick now);
+    void migrateVictims(const std::vector<uint32_t> &victims, Tick now);
 
     SsdConfig cfg_;
     /** cfg_.hostPages(), computed once (it takes a floating-point floor). */
@@ -361,7 +355,7 @@ class Ssd : public FtlOps
     std::vector<std::pair<Lpa, Ppa>> gc_pages_scratch_;
     /** Scratch LPA batch reused by migrateVictims. */
     std::vector<Lpa> gc_lpas_scratch_;
-    /** Scratch victim list reused by doGcPass and maybeWearLevel. */
+    /** Scratch victim list reused by doGcPass. */
     std::vector<uint32_t> gc_victims_scratch_;
     /** Scratch sorted copy of an unsorted run, reused by journalLearn. */
     std::vector<std::pair<Lpa, Ppa>> journal_sort_scratch_;
@@ -372,7 +366,6 @@ class Ssd : public FtlOps
     uint32_t trans_channel_rr_ = 0;
 
     uint64_t writes_since_compaction_ = 0;
-    uint64_t flushes_since_wear_check_ = 0;
 
     /** Journaling on: LeaFTL with a nonzero journal threshold. */
     bool journalingEnabled() const;

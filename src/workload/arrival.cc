@@ -10,7 +10,6 @@ namespace leaftl
 FixedRateShaper::FixedRateShaper(std::unique_ptr<WorkloadSource> inner,
                                  double rate_iops)
     : ArrivalShaper(std::move(inner)),
-      rate_iops_(rate_iops),
       period_ns_(static_cast<double>(kSecond) / rate_iops)
 {
     LEAFTL_ASSERT(rate_iops > 0.0, "fixed-rate shaper needs rate > 0");
@@ -25,7 +24,6 @@ FixedRateShaper::nextArrival(uint64_t index, Tick)
 PoissonShaper::PoissonShaper(std::unique_ptr<WorkloadSource> inner,
                              double rate_iops, uint64_t seed)
     : ArrivalShaper(std::move(inner)),
-      rate_iops_(rate_iops),
       mean_gap_ns_(static_cast<double>(kSecond) / rate_iops),
       seed_(seed),
       rng_(seed)
@@ -54,12 +52,9 @@ PoissonShaper::resetShape()
 }
 
 BurstShaper::BurstShaper(std::unique_ptr<WorkloadSource> inner,
-                         double rate_iops, double duty, uint32_t burst_len)
+                         double rate_iops, double duty)
     : ArrivalShaper(std::move(inner)),
-      rate_iops_(rate_iops),
-      duty_(duty),
-      burst_len_(burst_len ? burst_len : 1),
-      cycle_ns_(static_cast<double>(burst_len_) *
+      cycle_ns_(static_cast<double>(kBurstLen) *
                 static_cast<double>(kSecond) / rate_iops),
       on_gap_ns_(duty * static_cast<double>(kSecond) / rate_iops)
 {
@@ -71,8 +66,8 @@ BurstShaper::BurstShaper(std::unique_ptr<WorkloadSource> inner,
 Tick
 BurstShaper::nextArrival(uint64_t index, Tick)
 {
-    const uint64_t cycle = index / burst_len_;
-    const uint64_t slot = index % burst_len_;
+    const uint64_t cycle = index / kBurstLen;
+    const uint64_t slot = index % kBurstLen;
     return static_cast<Tick>(static_cast<double>(cycle) * cycle_ns_ +
                              static_cast<double>(slot) * on_gap_ns_);
 }
@@ -91,8 +86,7 @@ shapeArrivals(std::unique_ptr<WorkloadSource> inner, const ShaperSpec &spec)
                                                spec.rate_iops, spec.seed);
       case ShaperKind::Burst:
         return std::make_unique<BurstShaper>(std::move(inner),
-                                             spec.rate_iops, spec.duty,
-                                             spec.burst_len);
+                                             spec.rate_iops, spec.duty);
     }
     LEAFTL_PANIC("unknown shaper kind");
 }

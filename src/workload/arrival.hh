@@ -50,8 +50,6 @@ struct ShaperSpec
     uint64_t seed = 42;
     /** Fraction of each burst cycle that carries requests (burst). */
     double duty = 0.25;
-    /** Requests per burst cycle (burst). */
-    uint32_t burst_len = 64;
 };
 
 /**
@@ -123,13 +121,10 @@ class FixedRateShaper : public ArrivalShaper
     FixedRateShaper(std::unique_ptr<WorkloadSource> inner,
                     double rate_iops);
 
-    double rateIops() const { return rate_iops_; }
-
   protected:
     Tick nextArrival(uint64_t index, Tick recorded) override;
 
   private:
-    double rate_iops_;
     double period_ns_;
 };
 
@@ -144,14 +139,11 @@ class PoissonShaper : public ArrivalShaper
     PoissonShaper(std::unique_ptr<WorkloadSource> inner, double rate_iops,
                   uint64_t seed);
 
-    double rateIops() const { return rate_iops_; }
-
   protected:
     Tick nextArrival(uint64_t index, Tick recorded) override;
     void resetShape() override;
 
   private:
-    double rate_iops_;
     double mean_gap_ns_;
     uint64_t seed_;
     Rng rng_;
@@ -159,27 +151,24 @@ class PoissonShaper : public ArrivalShaper
 };
 
 /**
- * Bursty arrivals: cycles of burst_len requests. A cycle spans
- * burst_len/rate seconds (so the mean rate is exactly rate_iops), but
+ * Bursty arrivals: cycles of kBurstLen requests. A cycle spans
+ * kBurstLen/rate seconds (so the mean rate is exactly rate_iops), but
  * its requests arrive within the first @a duty fraction, followed by
  * silence -- the classic on/off overload shape.
  */
 class BurstShaper : public ArrivalShaper
 {
   public:
-    BurstShaper(std::unique_ptr<WorkloadSource> inner, double rate_iops,
-                double duty, uint32_t burst_len = 64);
+    /** Requests per burst cycle. */
+    static constexpr uint32_t kBurstLen = 64;
 
-    double rateIops() const { return rate_iops_; }
-    double duty() const { return duty_; }
+    BurstShaper(std::unique_ptr<WorkloadSource> inner, double rate_iops,
+                double duty);
 
   protected:
     Tick nextArrival(uint64_t index, Tick recorded) override;
 
   private:
-    double rate_iops_;
-    double duty_;
-    uint32_t burst_len_;
     double cycle_ns_;
     double on_gap_ns_;
 };

@@ -9,8 +9,8 @@
  *   - RefWriteBuffer: unordered_set membership + arrival log with a
  *                     dedup-set drainFifo.
  *   - RefVictimScan:  full-device scans for pickGcVictim /
- *                     pickWearVictim / eraseSpread over shadow
- *                     valid-count / free-pool arrays.
+ *                     eraseSpread over shadow valid-count /
+ *                     free-pool arrays.
  *
  * Not used by the simulator itself (and deliberately outside
  * src/ssd/, which the hot-path-node-containers lint rule polices).
@@ -200,28 +200,6 @@ class RefVictimScan
             if (valid_count_[b] < best_count) {
                 best = b;
                 best_count = valid_count_[b];
-                found = true;
-            }
-        }
-        if (!found)
-            return std::nullopt;
-        return best;
-    }
-
-    std::optional<uint32_t> pickWearVictim(uint32_t threshold) const
-    {
-        if (eraseSpread() <= threshold)
-            return std::nullopt;
-        uint32_t best = 0;
-        uint32_t best_erase = std::numeric_limits<uint32_t>::max();
-        bool found = false;
-        for (uint32_t b = 0; b < valid_count_.size(); b++) {
-            if (in_free_pool_[b] ||
-                flash_.blockState(b) != BlockState::Full)
-                continue;
-            if (flash_.eraseCount(b) < best_erase) {
-                best = b;
-                best_erase = flash_.eraseCount(b);
                 found = true;
             }
         }

@@ -128,7 +128,7 @@ TEST(ArrivalShaper, BurstCompressesCyclesButKeepsMeanRate)
     // 64-request cycles at 64k req/s: a cycle spans 1 ms; with duty
     // 0.25 its requests all arrive within the first 250 us.
     const double rate = 64'000;
-    BurstShaper shaped(makeInner(256), rate, 0.25, 64);
+    BurstShaper shaped(makeInner(256), rate, 0.25);
     const auto reqs = drain(shaped);
     ASSERT_EQ(reqs.size(), 256u);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the block manager: allocation, BVC/PVT bookkeeping, GC
- * victim selection, and wear-leveling candidates (§2 Fig. 3, §3.6).
+ * Tests for the block manager: allocation, BVC/PVT bookkeeping and GC
+ * victim selection (§2 Fig. 3, §3.6).
  */
 
 #include <gtest/gtest.h>
@@ -106,8 +106,9 @@ TEST(BlockManager, NoVictimOnPristineDevice)
     const Ppa first = f.flash.geometry().firstPpa(b);
     f.flash.programPage(first, 0);
     f.bm.markValidRun(first, 1);
-    // Open (partially programmed) blocks are valid GC candidates:
-    // wear-leveling destinations would otherwise leak space forever.
+    // Open (partially programmed) blocks are valid GC candidates: a
+    // GC pass's last, partly filled destination would otherwise leak
+    // space forever.
     auto victim = f.bm.pickGcVictim();
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, b);
@@ -149,27 +150,6 @@ TEST(BlockManagerDeath, ReleaseWithValidPagesAborts)
     const uint32_t b = f.bm.allocateBlock();
     f.fillBlock(b, 0);
     EXPECT_DEATH(f.bm.releaseBlock(b), "valid pages");
-}
-
-TEST(BlockManager, WearVictimRespectsThreshold)
-{
-    Fixture f;
-    // No spread yet: no victim.
-    EXPECT_FALSE(f.bm.pickWearVictim(2).has_value());
-
-    // Age block 0 by erasing it several times, then fill block 1
-    // (cold, never erased).
-    const uint32_t hot = f.bm.allocateBlock();
-    for (int i = 0; i < 5; i++)
-        f.flash.eraseBlock(hot);
-    const uint32_t cold = f.bm.allocateBlock();
-    f.fillBlock(cold, 0);
-
-    EXPECT_EQ(f.bm.eraseSpread(), 5u);
-    auto victim = f.bm.pickWearVictim(2);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(*victim, cold);
-    EXPECT_FALSE(f.bm.pickWearVictim(10).has_value());
 }
 
 TEST(BlockManagerSparsePvt, MaterializesOnFirstValidAndReleasesOnErase)

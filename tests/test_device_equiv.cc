@@ -13,8 +13,7 @@
  *     removes, drainSorted and the drainFifo ablation);
  *   - BlockManager victim index vs the old full scans (GC picks with
  *     randomized exclude lists and in chained multi-victim rounds,
- *     wear picks, eraseSpread) across randomized mark/erase/release
- *     sequences.
+ *     eraseSpread) across randomized mark/erase/release sequences.
  *
  * All sequences are seeded Rng streams: failures reproduce exactly.
  */
@@ -425,7 +424,7 @@ TEST(BlockManagerEquiv, VictimPicksMatchFullScanUnderFuzz)
         }
 
         // Victim parity: plain pick, pick under a random exclude
-        // list, wear pick across thresholds, and the spread.
+        // list, and the spread.
         ASSERT_EQ(bm.pickGcVictim(), ref.pickGcVictim()) << step;
         std::vector<uint32_t> exclude;
         const size_t n_excl = rng.nextBounded(4);
@@ -445,10 +444,6 @@ TEST(BlockManagerEquiv, VictimPicksMatchFullScanUnderFuzz)
             round.push_back(*v);
         }
         ASSERT_EQ(bm.eraseSpread(), ref.eraseSpread()) << step;
-        for (uint32_t thr = 0; thr < 3; thr++) {
-            ASSERT_EQ(bm.pickWearVictim(thr), ref.pickWearVictim(thr))
-                << step << " thr " << thr;
-        }
         for (uint32_t b = 0; b < flash.geometry().totalBlocks(); b++)
             ASSERT_EQ(bm.validCount(b), ref.validCount(b)) << step;
     }

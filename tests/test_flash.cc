@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the NAND flash array model: program/read/erase semantics,
- * NAND ordering rules, the OOB reverse-mapping window (§3.5), and the
- * sparse block-granular page store (residency O(live blocks), behavior
- * identical to the dense per-page store it replaced).
+ * NAND ordering rules, the OOB reverse-mapping window (§3.5), the
+ * erase-count spread, and the sparse block-granular page store
+ * (residency O(live blocks), behavior identical to the dense per-page
+ * store it replaced).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "flash/flash_array.hh"
@@ -79,6 +81,43 @@ TEST(FlashArray, BlockLifecycle)
     // Erased block can be programmed again from page 0.
     flash.programPage(0, 99);
     EXPECT_EQ(flash.peekLpa(0), 99u);
+}
+
+TEST(FlashArray, EraseSpreadTracksSkewedErases)
+{
+    FlashArray flash(smallGeom());
+    const uint32_t blocks = flash.geometry().totalBlocks();
+    EXPECT_EQ(flash.eraseSpread(), 0u);
+
+    // One hot block: the spread is its count while any block is
+    // still at zero, and shrinks once the coldest block catches up.
+    for (int i = 0; i < 5; i++)
+        flash.eraseBlock(3);
+    EXPECT_EQ(flash.eraseSpread(), 5u);
+    for (uint32_t b = 0; b < blocks; b++)
+        flash.eraseBlock(b);
+    EXPECT_EQ(flash.eraseSpread(), 5u);
+    for (uint32_t b = 0; b < blocks; b++) {
+        if (b != 3)
+            flash.eraseBlock(b);
+    }
+    EXPECT_EQ(flash.eraseSpread(), 4u);
+
+    // Skewed random erases (low blocks far hotter than high ones):
+    // the spread is max - min of eraseCount after every erase.
+    Rng rng(11);
+    for (int step = 0; step < 2000; step++) {
+        const uint32_t hot = static_cast<uint32_t>(rng.nextBounded(blocks));
+        flash.eraseBlock(static_cast<uint32_t>(rng.nextBounded(hot + 1)));
+        uint32_t lo = flash.eraseCount(0);
+        uint32_t hi = lo;
+        for (uint32_t b = 1; b < blocks; b++) {
+            lo = std::min(lo, flash.eraseCount(b));
+            hi = std::max(hi, flash.eraseCount(b));
+        }
+        ASSERT_EQ(flash.eraseSpread(), hi - lo) << step;
+    }
+    EXPECT_GT(flash.eraseSpread(), 100u);
 }
 
 TEST(FlashArrayDeath, OutOfOrderProgramAborts)

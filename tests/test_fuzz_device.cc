@@ -7,7 +7,7 @@
  *   - every live LPA resolves to a valid flash page carrying it;
  *   - trimmed LPAs do not resolve;
  *   - reads never return unresolved in trim-free phases;
- *   - the device survives GC/wear/compaction under all mixes.
+ *   - the device survives GC and compaction under all mixes.
  */
 
 #include <gtest/gtest.h>

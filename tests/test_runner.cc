@@ -202,7 +202,6 @@ TEST_P(RunnerDepthOneInvariance, MatchesLegacyClosedLoopExactly)
     EXPECT_EQ(res.ssd.trans_writes, legacy.ssd.trans_writes);
     EXPECT_EQ(res.ssd.mispredictions, legacy.ssd.mispredictions);
     EXPECT_EQ(res.ssd.translations, legacy.ssd.translations);
-    EXPECT_EQ(res.ssd.wear_writes, legacy.ssd.wear_writes);
     EXPECT_EQ(res.ssd.compactions, legacy.ssd.compactions);
 
     // Depth-1 queue metrics are degenerate by construction.

@@ -133,11 +133,10 @@ observableState(const Ssd &ssd)
         double(s.unresolved_reads),  double(s.data_reads),
         double(s.data_writes),       double(s.gc_runs),
         double(s.gc_reads),          double(s.gc_writes),
-        double(s.gc_erases),         double(s.wear_migrations),
-        double(s.wear_writes),       double(s.wear_reads),
-        double(s.trans_reads),       double(s.trans_writes),
-        double(s.mispredictions),    double(s.mispredict_extra_reads),
-        double(s.translations),      double(s.compactions),
+        double(s.gc_erases),         double(s.trans_reads),
+        double(s.trans_writes),      double(s.mispredictions),
+        double(s.mispredict_extra_reads), double(s.translations),
+        double(s.compactions),
         double(s.read_latency.count()), s.read_latency.mean(),
         double(s.write_latency.count()), s.write_latency.mean(),
         double(ssd.dataCacheHits()), double(ssd.dataCacheMisses()),
@@ -342,141 +341,6 @@ TEST(Ssd, CompactionTriggersOnInterval)
         now += ssd.write(l % 200, now);
     ssd.drainBuffer(now);
     EXPECT_GT(ssd.stats().compactions, 0u);
-}
-
-TEST(Ssd, WearLevelingBoundsEraseSpread)
-{
-    SsdConfig cfg = smallConfig(FtlKind::LeaFTL);
-    cfg.wear_delta_threshold = 8;
-    Ssd ssd(cfg);
-    const uint64_t ws = ssd.config().hostPages() / 4;
-    Rng rng(5);
-    Tick now = 0;
-    // Skewed updates age a few blocks much faster.
-    for (int i = 0; i < static_cast<int>(ws) * 20; i++) {
-        const Lpa lpa = static_cast<Lpa>(rng.nextBounded(ws / 4));
-        now += ssd.write(lpa, now);
-    }
-    ssd.drainBuffer(now);
-    // The spread can exceed the threshold transiently; it must not be
-    // unbounded.
-    EXPECT_LT(ssd.blocks().eraseSpread(), 64u);
-}
-
-/**
- * A skewed stream for a small device that levels wear at spread 8:
- * the whole host space written once (cold data that fills blocks and
- * stays), then uniform updates over a hot quarter of it, so the
- * blocks that cycle hot data age much faster than the cold ones and
- * GC victims still hold survivors.
- */
-std::vector<Lpa>
-skewedWearStream(const Ssd &ssd)
-{
-    const uint64_t host = ssd.config().hostPages();
-    std::vector<Lpa> lpas;
-    for (uint64_t lpa = 0; lpa < host; lpa++)
-        lpas.push_back(static_cast<Lpa>(lpa));
-    Rng rng(9);
-    for (uint64_t i = 0; i < host * 8; i++)
-        lpas.push_back(static_cast<Lpa>(rng.nextBounded(host / 4)));
-    return lpas;
-}
-
-SsdConfig
-wearConfig(FtlKind ftl)
-{
-    SsdConfig cfg = smallConfig(ftl);
-    cfg.wear_delta_threshold = 8;
-    return cfg;
-}
-
-/**
- * Wear leveling shares GC's migration routine. Pin its counters, the
- * erase spread and every channel's busy-until on a fixed stream, with
- * values taken from the implementation that had a separate per-page
- * wear-migration routine: one routine for both must charge the same.
- */
-TEST(Ssd, WearLevelingPinnedOnSkewedStream)
-{
-    struct Expected
-    {
-        FtlKind ftl;
-        uint64_t wear_migrations, wear_reads, wear_writes, gc_erases;
-        uint32_t erase_spread;
-        std::vector<Tick> busy_until;
-    };
-    const Expected cases[] = {
-        {FtlKind::LeaFTL, 11, 352, 352, 2422, 50,
-         {5847616000, 5664412000, 3658204000, 5162312000}},
-        {FtlKind::DFTL, 11, 352, 352, 2422, 50,
-         {6706172000, 6727552000, 6663592000, 6685092000}},
-    };
-    for (const Expected &want : cases) {
-        SCOPED_TRACE(static_cast<int>(want.ftl));
-        Ssd ssd(wearConfig(want.ftl));
-        Tick now = 0;
-        for (const Lpa lpa : skewedWearStream(ssd))
-            now += ssd.write(lpa, now);
-        ssd.drainBuffer(now);
-        const SsdStats &st = ssd.stats();
-        EXPECT_EQ(st.wear_migrations, want.wear_migrations);
-        EXPECT_EQ(st.wear_reads, want.wear_reads);
-        EXPECT_EQ(st.wear_writes, want.wear_writes);
-        EXPECT_EQ(st.gc_erases, want.gc_erases);
-        EXPECT_EQ(ssd.blocks().eraseSpread(), want.erase_spread);
-        ASSERT_EQ(ssd.channels().numChannels(), want.busy_until.size());
-        for (uint32_t ch = 0; ch < want.busy_until.size(); ch++)
-            EXPECT_EQ(ssd.channels().busyUntil(ch), want.busy_until[ch])
-                << "channel " << ch;
-    }
-}
-
-/**
- * GcAfterProgram is a GC crash site only. Take the first write whose
- * flush runs a wear migration that moves data, and arm the site with
- * countdown c = 1, 2, ... before it: each crash that fires must come
- * from a GC pass (maybeGc runs before maybeWearLevel, so the wear
- * count is still unchanged), and once c passes the GC hits the write
- * completes, migration done, with the crash still armed.
- */
-TEST(Ssd, GcCrashSiteNeverFiresInWearMigration)
-{
-    const SsdConfig cfg = wearConfig(FtlKind::LeaFTL);
-    std::vector<Lpa> lpas;
-    size_t k = 0;
-    {
-        Ssd ssd(cfg);
-        lpas = skewedWearStream(ssd);
-        Tick now = 0;
-        for (; k < lpas.size(); k++) {
-            const uint64_t moved = ssd.stats().wear_writes;
-            now += ssd.write(lpas[k], now);
-            if (ssd.stats().wear_writes > moved)
-                break;
-        }
-        ASSERT_LT(k, lpas.size()) << "no wear migration moved data";
-    }
-    for (uint64_t c = 1;; c++) {
-        ASSERT_LE(c, 64u) << "the site keeps firing";
-        Ssd ssd(cfg);
-        Tick now = 0;
-        for (size_t i = 0; i < k; i++)
-            now += ssd.write(lpas[i], now);
-        const SsdStats before = ssd.stats();
-        ssd.armCrash(CrashSite::GcAfterProgram, c);
-        try {
-            ssd.write(lpas[k], now);
-        } catch (const CrashException &e) {
-            EXPECT_EQ(e.site, CrashSite::GcAfterProgram);
-            EXPECT_EQ(ssd.stats().wear_migrations, before.wear_migrations);
-            EXPECT_GT(ssd.stats().gc_runs, before.gc_runs);
-            continue;
-        }
-        EXPECT_TRUE(ssd.crashArmed());
-        EXPECT_GT(ssd.stats().wear_writes, before.wear_writes);
-        break;
-    }
 }
 
 TEST(Ssd, UnsortedFlushAblationStaysCorrect)
