@@ -1,9 +1,8 @@
-# End-to-end smoke of the campaign runner: run the tiny campaign
-# twice into a fresh directory and assert that (1) the first pass
-# announces and executes every unique run and writes one fingerprinted
-# CSV each plus a BENCH_*.json, and (2) the second pass is a pure
-# resume -- nothing announced, zero re-executed runs, CSV bytes
-# untouched. Invoked by CTest with
+# End-to-end smoke of the campaign runner: run the tiny config as a
+# campaign twice into a fresh directory and assert that (1) the first
+# pass announces and executes every unique run and writes one
+# fingerprinted CSV each, and (2) the second pass is a pure resume --
+# zero runs to execute, CSV bytes untouched. Invoked by CTest with
 # -DSIM_BIN=... -DCAMPAIGN_CONFIG=... -DWORK_DIR=...
 
 if(NOT SIM_BIN OR NOT CAMPAIGN_CONFIG OR NOT WORK_DIR)
@@ -13,7 +12,7 @@ endif()
 file(REMOVE_RECURSE ${WORK_DIR})
 
 execute_process(
-    COMMAND ${SIM_BIN} --campaign ${CAMPAIGN_CONFIG}
+    COMMAND ${SIM_BIN} --config ${CAMPAIGN_CONFIG}
             --campaign-dir ${WORK_DIR}
     OUTPUT_VARIABLE first_out
     RESULT_VARIABLE first_rc)
@@ -31,12 +30,10 @@ list(LENGTH run_csvs n_csvs)
 if(NOT n_csvs EQUAL 3)
     message(FATAL_ERROR "expected 3 fingerprinted CSVs, got ${n_csvs}")
 endif()
-if(NOT EXISTS ${WORK_DIR}/BENCH_tiny.json)
-    message(FATAL_ERROR "BENCH_tiny.json missing after campaign run")
-endif()
-file(READ ${WORK_DIR}/BENCH_tiny.json first_json)
-if(NOT first_json MATCHES "\"runs_executed\": 3")
-    message(FATAL_ERROR "run 1 should execute 3 runs:\n${first_json}")
+# The run CSVs are the campaign's whole output.
+file(GLOB all_files ${WORK_DIR}/*)
+if(NOT all_files STREQUAL run_csvs)
+    message(FATAL_ERROR "campaign wrote more than its run CSVs: ${all_files}")
 endif()
 
 # Snapshot the CSV bytes; the resume pass must not touch them.
@@ -47,7 +44,7 @@ foreach(csv IN LISTS run_csvs)
 endforeach()
 
 execute_process(
-    COMMAND ${SIM_BIN} --campaign ${CAMPAIGN_CONFIG}
+    COMMAND ${SIM_BIN} --config ${CAMPAIGN_CONFIG}
             --campaign-dir ${WORK_DIR}
     OUTPUT_VARIABLE second_out
     RESULT_VARIABLE second_rc)
@@ -57,14 +54,6 @@ endif()
 
 if(NOT second_out MATCHES ", 0 to execute")
     message(FATAL_ERROR "rerun should announce 0 runs:\n${second_out}")
-endif()
-
-file(READ ${WORK_DIR}/BENCH_tiny.json second_json)
-if(NOT second_json MATCHES "\"runs_executed\": 0")
-    message(FATAL_ERROR "rerun should resume all runs:\n${second_json}")
-endif()
-if(NOT second_json MATCHES "\"runs_resumed\": 3")
-    message(FATAL_ERROR "rerun should report 3 resumed runs:\n${second_json}")
 endif()
 
 set(after "")

@@ -184,18 +184,14 @@ usage()
     out += usageEntry("--config FILE",
                       "load an [experiment] config file (flags after "
                       "--config override its values)");
-    out += usageEntry("--set KEY=VALUE",
-                      "override one experiment key: any --KEY flag below, "
-                      "as in a config file");
-    out += usageEntry("--campaign FILE",
-                      "expand the file's sweep grid into fingerprinted runs "
-                      "(one CSV per run, a BENCH_<name>.json summary, resume "
-                      "by skipping fingerprints already on disk)");
     out += usageEntry("--campaign-dir D",
-                      "override the campaign output directory");
+                      "run the sweep as a campaign in directory D: one "
+                      "run-<fingerprint>.csv per unique run, resumed by "
+                      "skipping fingerprints already on disk");
     out += usageEntry("--campaign-diff A B",
-                      "compare two BENCH_<name>.json summaries by run "
-                      "fingerprint and print per-run throughput/p99 deltas");
+                      "compare the run CSVs of campaign directories A and B "
+                      "by fingerprint and print per-run throughput/p99 "
+                      "deltas");
     out += usageEntry("--diff-threshold PCT",
                       "with --campaign-diff: exit 1 when a shared run "
                       "regresses by more than PCT%");
@@ -245,8 +241,7 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
             return v.has_value();
         };
         // Every experiment key is a flag, applied by the same table row
-        // as a config line or a --set override, so all three validate
-        // (and conflict) identically.
+        // as a config line, so both validate (and conflict) identically.
         const config::ExperimentKey *key =
             arg.rfind("--", 0) == 0 ? config::findExperimentKey(arg.substr(2))
                                     : nullptr;
@@ -269,30 +264,13 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         } else if (arg == "--config") {
             if (!value() || !config::loadExperimentFile(*v, opts, err))
                 return false;
-        } else if (arg == "--set") {
-            if (!value())
-                return false;
-            const auto set_eq = v->find('=');
-            if (set_eq == std::string::npos || set_eq == 0) {
-                err = "--set expects KEY=VALUE, got '" + *v + "'";
-                return false;
-            }
-            const std::string skey = v->substr(0, set_eq);
-            const std::string sval = v->substr(set_eq + 1);
-            if (!config::applyExperimentKey(opts, skey, sval, err))
-                return false;
-            opts.set_overrides.emplace_back(skey, sval);
-        } else if (arg == "--campaign") {
-            if (!value())
-                return false;
-            opts.campaign = *v;
         } else if (arg == "--campaign-dir") {
             if (!value())
                 return false;
             opts.campaign_dir = *v;
         } else if (arg == "--campaign-diff") {
             if (!value() || i + 1 == args.size()) {
-                err = "--campaign-diff requires two BENCH json paths";
+                err = "--campaign-diff requires two campaign directories";
                 return false;
             }
             opts.diff_a = *v;
@@ -307,8 +285,16 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
             }
         } else {
             err = "unknown argument '" + args[i] + "'";
+            if (arg.rfind("--", 0) == 0)
+                err += " (did you mean '--" +
+                       config::nearestExperimentKey(arg.substr(2)) + "'?)";
             return false;
         }
+    }
+    if (!opts.output.empty() && !opts.campaign_dir.empty()) {
+        err = "--output and --campaign-dir exclude each other (a campaign "
+              "writes one run CSV per run into its directory)";
+        return false;
     }
     return true;
 }
@@ -782,25 +768,8 @@ simMain(int argc, const char *const *argv)
                             std::cout);
     }
 
-    if (!opts.campaign.empty()) {
-        config::CampaignSpec camp;
-        if (!config::loadCampaignFile(opts.campaign, camp, err)) {
-            std::cerr << "leaftl_sim: " << err << '\n';
-            return 2;
-        }
-        // --set overrides apply on top of the campaign's config, so a
-        // one-key variant does not need its own file.
-        for (const auto &[key, value] : opts.set_overrides) {
-            if (!config::applyExperimentKey(camp.exp, key, value, err)) {
-                std::cerr << "leaftl_sim: --set " << key << ": " << err
-                          << '\n';
-                return 2;
-            }
-        }
-        if (!opts.campaign_dir.empty())
-            camp.dir = opts.campaign_dir;
-        return runCampaign(camp, std::cout);
-    }
+    if (!opts.campaign_dir.empty())
+        return runCampaign(opts, opts.campaign_dir, std::cout);
 
     // Validate before opening --output, so a rejected spec leaves no
     // file behind.

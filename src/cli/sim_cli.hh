@@ -10,12 +10,11 @@
  * thread pool (--jobs); rows are always emitted in combination order,
  * making the CSV byte-identical for any job count.
  *
- * Command-line flags, `--config FILE` (a declarative experiment
- * config, see config/config_file.hh), and `--set key=value`
- * overrides all lower into the same config::ExperimentSpec before
- * any run is constructed; `--campaign FILE` hands the spec to the
- * fingerprinted campaign runner (cli/campaign.hh) instead of the
- * inline sweep.
+ * Command-line flags and `--config FILE` (a declarative experiment
+ * config, see config/config_file.hh) lower into the same
+ * config::ExperimentSpec before any run is constructed;
+ * `--campaign-dir DIR` hands that spec to the fingerprinted campaign
+ * runner (cli/campaign.hh) instead of the inline sweep.
  *
  * Kept as a library (main() lives in main.cc) so tests can drive the
  * parser and the sweep without spawning a process.
@@ -52,13 +51,14 @@ struct SimOptions : config::ExperimentSpec
     /** Output CSV path; empty = stdout. */
     std::string output;
 
-    /** --campaign FILE: run the fingerprinted campaign runner. */
-    std::string campaign;
-
-    /** --campaign-dir DIR: override the campaign output directory. */
+    /**
+     * --campaign-dir DIR: run the grid as a campaign, one
+     * run-<fingerprint>.csv per unique run in DIR, instead of the
+     * inline sweep.
+     */
     std::string campaign_dir;
 
-    /** --campaign-diff A B: compare two BENCH_<name>.json summaries. */
+    /** --campaign-diff A B: compare two campaign directories. */
     std::string diff_a;
     std::string diff_b;
 
@@ -71,21 +71,14 @@ struct SimOptions : config::ExperimentSpec
      */
     double diff_threshold = 0.0;
 
-    /**
-     * --set KEY=VALUE overrides in flag order. Already applied to
-     * this spec; kept raw so --campaign can replay them on top of
-     * the campaign file's spec.
-     */
-    std::vector<std::pair<std::string, std::string>> set_overrides;
-
     bool list = false; ///< --list: print known workloads and exit.
     bool help = false; ///< --help/-h.
 };
 
 /**
  * Parse argv into @a opts. Flags are applied in order, so a flag
- * after --config overrides the file's value and --set overrides
- * both.
+ * after --config overrides the file's value. An unknown `--NAME`
+ * fails with the nearest experiment key suggested.
  * @return true on success; on failure @a err describes the problem.
  */
 bool parseArgs(int argc, const char *const *argv, SimOptions &opts,
@@ -207,8 +200,8 @@ struct CsvColumn
 };
 
 /**
- * The sweep CSV layout in column order: the header, every row and the
- * campaign's BENCH json fields derive from this one table. Columns
+ * The sweep CSV layout in column order: the header and every row of a
+ * sweep and of a campaign's run CSVs derive from this one table. Columns
  * keep their positions (downstream scripts parse by position), so new
  * ones go right before wall_ns, the host wall clock -- the one
  * nondeterministic cell, kept last so stripping it leaves a
@@ -235,7 +228,10 @@ std::string csvRow(const config::ExperimentSpec &spec,
  */
 int runSweep(const config::ExperimentSpec &opts, std::ostream &out);
 
-/** Full CLI: parse, dispatch --help/--list/--campaign, sweep. */
+/**
+ * Full CLI: parse, dispatch --help/--list/--campaign-diff, then run
+ * the spec as a campaign (--campaign-dir) or an inline sweep.
+ */
 int simMain(int argc, const char *const *argv);
 
 } // namespace cli

@@ -431,50 +431,5 @@ loadExperimentFileOrDie(const std::string &path)
     return spec;
 }
 
-bool
-loadCampaignFile(const std::string &path, CampaignSpec &campaign,
-                 std::string &err)
-{
-    ConfigFile file;
-    if (!file.parseFile(path, err) ||
-        !loadExperiment(file, "experiment", campaign.exp, err))
-        return false;
-
-    // Default name: the file's basename without extension.
-    std::string stem = path;
-    const auto slash = stem.find_last_of('/');
-    if (slash != std::string::npos)
-        stem = stem.substr(slash + 1);
-    const auto dot = stem.find_last_of('.');
-    if (dot != std::string::npos && dot > 0)
-        stem = stem.substr(0, dot);
-    campaign.name = stem;
-    campaign.dir.clear();
-
-    if (file.hasSection("campaign")) {
-        std::vector<std::pair<std::string, std::string>> resolved;
-        if (!file.resolve("campaign", resolved, err))
-            return false;
-        for (const auto &[key, value] : resolved) {
-            if (key == "name") {
-                campaign.name = value;
-            } else if (key == "dir") {
-                campaign.dir = value;
-            } else {
-                err = file.origin() + ": [campaign]: unknown key '" + key +
-                      "' (expected name or dir)";
-                return false;
-            }
-        }
-    }
-    if (campaign.name.empty()) {
-        err = path + ": empty campaign name";
-        return false;
-    }
-    if (campaign.dir.empty())
-        campaign.dir = "campaigns/" + campaign.name;
-    return true;
-}
-
 } // namespace config
 } // namespace leaftl

@@ -5,12 +5,11 @@
  * An ExperimentSpec is the full cross product leaftl_sim sweeps —
  * device geometry/preset, workload specs, arrival shaping, the sweep
  * grid (ftl x workload x gamma x qd x device x mode x rate), and the
- * scalar run options. Command-line flags (`--<key>`), `--set
- * key=value` overrides, and `[experiment]` sections of a config file
- * all apply the same named keys through applyExperimentKey(), so a
- * value that validates in one front end validates identically in the
- * others and an equivalent config file reproduces a flag invocation's
- * rows exactly.
+ * scalar run options. Command-line flags (`--<key>`) and
+ * `[experiment]` sections of a config file apply the same named keys
+ * through the same experimentKeys() rows, so a value that validates
+ * in one front end validates identically in the other and an
+ * equivalent config file reproduces a flag invocation's rows exactly.
  *
  * Each key is one row of the experimentKeys() table: its name, usage
  * text and how it parses and range-checks a value. The flag parser,
@@ -141,9 +140,8 @@ std::vector<std::string> knownModes();
 bool modeUsesRate(const std::string &mode);
 
 /**
- * One experiment key: the name a flag (`--<name>`), a `--set`
- * override and a config line all use, its usage text, and how it
- * applies a value.
+ * One experiment key: the name a flag (`--<name>`) and a config line
+ * both use, its usage text, and how it applies a value.
  */
 struct ExperimentKey
 {
@@ -216,34 +214,6 @@ bool loadExperimentFile(const std::string &path, ExperimentSpec &spec,
  * plumbing).
  */
 ExperimentSpec loadExperimentFileOrDie(const std::string &path);
-
-/** A campaign: a named experiment grid with an output directory. */
-struct CampaignSpec
-{
-    /**
-     * Campaign name ([campaign] key "name"; defaults to the config
-     * file's basename without extension). Names the BENCH_<name>.json
-     * summary artifact.
-     */
-    std::string name;
-
-    /**
-     * Output directory ([campaign] key "dir"; default
-     * "campaigns/<name>"). Holds one run-<fingerprint>.csv per grid
-     * point plus the BENCH summary.
-     */
-    std::string dir;
-
-    ExperimentSpec exp;
-};
-
-/**
- * Parse @a path as a campaign config: the [experiment] section (plus
- * any presets it references) defines the grid, the optional
- * [campaign] section names the campaign and its output directory.
- */
-bool loadCampaignFile(const std::string &path, CampaignSpec &campaign,
-                      std::string &err);
 
 } // namespace config
 } // namespace leaftl

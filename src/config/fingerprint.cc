@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/common.hh"
+
 namespace leaftl
 {
 namespace config
@@ -23,17 +25,6 @@ fmtDouble(double v)
 }
 
 } // namespace
-
-uint64_t
-fnv1a64(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::string
 canonicalRunConfig(const ExperimentSpec &spec, const RunPoint &point)

@@ -38,9 +38,6 @@ struct RunPoint
     double rate = 0.0;
 };
 
-/** FNV-1a 64-bit (deterministic across platforms and runs). */
-uint64_t fnv1a64(const std::string &s);
-
 /**
  * The canonical description of running @a point under @a spec's
  * scalar options: sorted "key=value\n" lines (see file comment for
@@ -49,7 +46,7 @@ uint64_t fnv1a64(const std::string &s);
 std::string canonicalRunConfig(const ExperimentSpec &spec,
                                const RunPoint &point);
 
-/** 16-hex-digit fingerprint of canonicalRunConfig(). */
+/** 16-hex-digit fingerprint of canonicalRunConfig() (fnv1a64). */
 std::string runFingerprint(const ExperimentSpec &spec,
                            const RunPoint &point);
 

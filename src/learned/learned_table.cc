@@ -176,10 +176,7 @@ LearnedTable::compact()
 SampleSet
 LearnedTable::levelsPerGroup() const
 {
-    // Sized to the group count so the figure percentiles stay exact
-    // (the set is transient; only per-lookup series need the default
-    // reservoir cap).
-    SampleSet s(groups_.size());
+    SampleSet s;
     groups_.forEach([&](uint32_t, const Group &group) {
         s.add(static_cast<double>(group.numLevels()));
     });
@@ -189,7 +186,7 @@ LearnedTable::levelsPerGroup() const
 SampleSet
 LearnedTable::crbSizes() const
 {
-    SampleSet s(groups_.size());
+    SampleSet s;
     groups_.forEach([&](uint32_t, const Group &group) {
         s.add(static_cast<double>(group.crb().sizeBytes()));
     });

@@ -97,4 +97,20 @@ groupOffset(Lpa lpa)
     return lpa % kGroupSpan;
 }
 
+/**
+ * FNV-1a 64-bit hash of @a s. Its definition fixes every output, so
+ * it is the same on every platform and standard library (std::hash
+ * is not): run fingerprints and the compaction golden digests use it.
+ */
+inline uint64_t
+fnv1a64(const std::string &s)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 } // namespace leaftl

@@ -9,35 +9,6 @@
 namespace leaftl
 {
 
-SampleSet::SampleSet(size_t cap)
-    : cap_(cap ? cap : 1), rng_state_(0x9E3779B97F4A7C15ull)
-{
-}
-
-void
-SampleSet::add(double x)
-{
-    count_++;
-    sum_ += x;
-    max_ = count_ == 1 ? x : std::max(max_, x);
-    if (samples_.size() < cap_) {
-        samples_.push_back(x);
-        sorted_ = false;
-        return;
-    }
-    // Algorithm R: keep each of the count_ samples with equal
-    // probability. splitmix64 keeps replacement deterministic.
-    uint64_t z = (rng_state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    const uint64_t j = z % count_;
-    if (j < cap_) {
-        samples_[j] = x;
-        sorted_ = false;
-    }
-}
-
 double
 SampleSet::percentile(double p) const
 {

@@ -17,40 +17,31 @@ namespace leaftl
 {
 
 /**
- * Percentile summary with bounded memory: exact while at most @a cap
- * samples have been added, then a uniform reservoir (Vitter's
- * Algorithm R with a deterministic internal generator, so results are
- * reproducible across runs and platforms). count(), mean() and max()
- * are always exact regardless of the cap. Per-lookup statistics feed
- * this on the translation hot path, so an add is O(1) and the memory
- * footprint is O(cap) no matter how many samples a run produces.
+ * Exact percentile summary: stores every sample, so percentile()
+ * interpolates between true order statistics. It summarizes one value
+ * per learned group (LearnedTable::levelsPerGroup(), crbSizes()), so
+ * its size is the table's; per-lookup series use CountHistogram.
  */
 class SampleSet
 {
   public:
-    /** Default reservoir bound (128 KB of doubles per set). */
-    static constexpr size_t kDefaultCap = 16384;
+    void
+    add(double x)
+    {
+        max_ = samples_.empty() ? x : std::max(max_, x);
+        sum_ += x;
+        samples_.push_back(x);
+        sorted_ = false;
+    }
 
-    explicit SampleSet(size_t cap = kDefaultCap);
-
-    void add(double x);
-
-    /** Total samples added (exact, not the stored count). */
-    uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
+    uint64_t count() const { return samples_.size(); }
+    double mean() const { return samples_.empty() ? 0.0 : sum_ / count(); }
     double percentile(double p) const; ///< p in [0, 100].
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Samples currently held (== count() until the cap is hit). */
-    size_t storedSamples() const { return samples_.size(); }
-    size_t capacity() const { return cap_; }
+    double max() const { return max_; }
 
   private:
-    size_t cap_;
-    uint64_t count_ = 0;
     double sum_ = 0.0;
     double max_ = 0.0;
-    uint64_t rng_state_;
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
 };

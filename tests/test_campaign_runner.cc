@@ -2,10 +2,11 @@
  * @file
  * Tests of the fingerprinted campaign runner (cli/campaign.hh): grid
  * expansion dedupes colliding fingerprints, a campaign writes one
- * run-<fingerprint>.csv per unique run plus a BENCH_<name>.json, its
- * rows are the inline sweep's rows, and an immediate rerun is a pure
- * resume — zero re-executed runs, CSV bytes untouched. Also the
- * --campaign-diff comparator over two BENCH_<name>.json summaries.
+ * run-<fingerprint>.csv per unique run and nothing else, its rows are
+ * the inline sweep's rows, every flag reaches its runs, and an
+ * immediate rerun is a pure resume — zero re-executed runs, CSV bytes
+ * untouched. Also the --campaign-diff comparator over two campaign
+ * directories.
  */
 
 #include <gtest/gtest.h>
@@ -72,6 +73,44 @@ slurp(const fs::path &p)
     return out.str();
 }
 
+constexpr const char *kTinyConf =
+    LEAFTL_SOURCE_DIR "/configs/campaign_tiny.conf";
+/** The run CSVs of kTinyConf, checked in as the CI diff baseline. */
+constexpr const char *kBaselineDir =
+    LEAFTL_SOURCE_DIR "/tests/data/campaign_tiny";
+
+/** Run simMain on @a args; @return its exit code, stderr in @a err. */
+int
+runMain(std::initializer_list<const char *> args, std::string &err)
+{
+    std::vector<const char *> argv = {"leaftl_sim"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    testing::internal::CaptureStderr();
+    const int rc = simMain(static_cast<int>(argv.size()), argv.data());
+    err = testing::internal::GetCapturedStderr();
+    return rc;
+}
+
+/** What @a body writes to stdout. */
+template <typename Fn>
+std::string
+captureStdout(Fn body)
+{
+    testing::internal::CaptureStdout();
+    body();
+    return testing::internal::GetCapturedStdout();
+}
+
+std::vector<std::string>
+splitCells(const std::string &line)
+{
+    std::vector<std::string> cells;
+    std::istringstream in(line);
+    for (std::string cell; std::getline(in, cell, ',');)
+        cells.push_back(cell);
+    return cells;
+}
+
 /** Contents of every run-*.csv in @a dir, keyed by file name. */
 std::map<std::string, std::string>
 runCsvs(const std::string &dir)
@@ -117,18 +156,17 @@ TEST(CampaignGrid, ClosedModeCollapsesTheRateAxis)
 TEST(CampaignRun, ExecutesThenResumesWithIdenticalCsvs)
 {
     const TempDir dir;
-    config::CampaignSpec camp;
-    camp.name = "unittest";
-    camp.dir = dir.path();
-    camp.exp = tinySpec();
-
     std::ostringstream log1;
-    ASSERT_EQ(runCampaign(camp, log1), 0) << log1.str();
+    ASSERT_EQ(runCampaign(tinySpec(), dir.path(), log1), 0) << log1.str();
     EXPECT_NE(log1.str().find("3 to execute"), std::string::npos)
         << log1.str();
 
+    // The run CSVs are the campaign's whole output.
     const auto first = runCsvs(dir.path());
     ASSERT_EQ(first.size(), 3u);
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir.path()),
+                            fs::directory_iterator()),
+              3);
     for (const auto &[name, content] : first) {
         EXPECT_EQ(content.compare(0, csvHeader().size(), csvHeader()), 0)
             << name << " must start with the sweep CSV header";
@@ -136,27 +174,15 @@ TEST(CampaignRun, ExecutesThenResumesWithIdenticalCsvs)
             << name << " must hold a data row";
     }
 
-    const std::string json_path =
-        dir.path() + "/BENCH_" + camp.name + ".json";
-    ASSERT_TRUE(fs::exists(json_path));
-    const std::string json1 = slurp(json_path);
-    EXPECT_NE(json1.find("\"campaign\": \"unittest\""), std::string::npos);
-    EXPECT_NE(json1.find("\"runs_total\": 3"), std::string::npos) << json1;
-    EXPECT_NE(json1.find("\"runs_executed\": 3"), std::string::npos);
-    EXPECT_NE(json1.find("\"runs_resumed\": 0"), std::string::npos);
-
-    // Rerun: a pure resume. No run re-executes, the CSV bytes are
-    // untouched, and the summary says so.
+    // Rerun: a pure resume. No run re-executes and the CSV bytes are
+    // untouched.
     std::ostringstream log2;
-    ASSERT_EQ(runCampaign(camp, log2), 0) << log2.str();
+    ASSERT_EQ(runCampaign(tinySpec(), dir.path(), log2), 0) << log2.str();
     EXPECT_NE(log2.str().find("0 to execute"), std::string::npos)
         << log2.str();
+    EXPECT_NE(log2.str().find("0 executed, 3 resumed"), std::string::npos)
+        << log2.str();
     EXPECT_EQ(runCsvs(dir.path()), first);
-
-    const std::string json2 = slurp(json_path);
-    EXPECT_NE(json2.find("\"runs_executed\": 0"), std::string::npos)
-        << json2;
-    EXPECT_NE(json2.find("\"runs_resumed\": 3"), std::string::npos);
 }
 
 TEST(CampaignRun, RowsMatchTheInlineSweep)
@@ -192,12 +218,8 @@ TEST(CampaignRun, RowsMatchTheInlineSweep)
         ASSERT_EQ(first_rows.size(), grid.runs.size());
 
         const TempDir dir;
-        config::CampaignSpec camp;
-        camp.name = "rows";
-        camp.dir = dir.path();
-        camp.exp = spec;
         std::ostringstream log;
-        ASSERT_EQ(runCampaign(camp, log), 0) << log.str();
+        ASSERT_EQ(runCampaign(spec, dir.path(), log), 0) << log.str();
         for (size_t i = 0; i < grid.runs.size(); i++) {
             const std::string csv = slurp(
                 dir.path() + "/run-" + grid.fingerprints[i] + ".csv");
@@ -213,16 +235,13 @@ TEST(CampaignRun, RowsMatchTheInlineSweep)
 TEST(CampaignRun, HalfWrittenCsvDoesNotCountAsDone)
 {
     const TempDir dir;
-    config::CampaignSpec camp;
-    camp.name = "partial";
-    camp.dir = dir.path();
-    camp.exp = tinySpec();
-    camp.exp.ftls = {FtlKind::DFTL};
-    camp.exp.gammas = {0};
+    config::ExperimentSpec spec = tinySpec();
+    spec.ftls = {FtlKind::DFTL};
+    spec.gammas = {0};
 
-    const auto runs = expandGrid(camp.exp).runs;
+    const auto runs = expandGrid(spec).runs;
     ASSERT_EQ(runs.size(), 1u);
-    const std::string fp = config::runFingerprint(camp.exp, runs[0]);
+    const std::string fp = config::runFingerprint(spec, runs[0]);
 
     // A header-only file (e.g. a crash between write and rename could
     // never produce this, but a stale partial from another tool can)
@@ -232,7 +251,7 @@ TEST(CampaignRun, HalfWrittenCsvDoesNotCountAsDone)
         out << csvHeader() << "\n";
     }
     std::ostringstream log;
-    ASSERT_EQ(runCampaign(camp, log), 0) << log.str();
+    ASSERT_EQ(runCampaign(spec, dir.path(), log), 0) << log.str();
     EXPECT_NE(log.str().find("1 to execute"), std::string::npos)
         << log.str();
 }
@@ -241,161 +260,286 @@ TEST(CampaignRun, CrashAtOnFtlWithoutRecoveryIsRejectedUpFront)
 {
     // The grid crosses every FTL with the shared crash schedule, so a
     // DFTL point would be a silent no-op recovery: exit 2 before any
-    // run CSV or summary exists.
+    // run CSV exists.
     const TempDir dir;
-    config::CampaignSpec camp;
-    camp.name = "crash";
-    camp.dir = dir.path() + "/out";
-    camp.exp = tinySpec(); // LeaFTL + DFTL.
-    camp.exp.crash_points = {50};
+    const std::string out_dir = dir.path() + "/out";
+    config::ExperimentSpec spec = tinySpec(); // LeaFTL + DFTL.
+    spec.crash_points = {50};
 
     testing::internal::CaptureStderr();
     std::ostringstream log;
-    EXPECT_EQ(runCampaign(camp, log), 2);
+    EXPECT_EQ(runCampaign(spec, out_dir, log), 2);
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("DFTL"), std::string::npos) << err;
-    EXPECT_FALSE(fs::exists(camp.dir));
+    EXPECT_FALSE(fs::exists(out_dir));
 
-    // The same rejection through the CLI: a campaign file plus a
-    // --set override that adds the crash schedule.
+    // The same rejection through the CLI: a config file plus a flag
+    // that adds the crash schedule.
     const std::string conf = dir.path() + "/crash.conf";
     {
         std::ofstream out(conf);
         out << "[experiment]\nftl = leaftl,sftl\ndevice = tiny\n"
-               "ws = 2048\nrequests = 200\n\n[campaign]\nname = crash\n";
+               "ws = 2048\nrequests = 200\n";
     }
     const std::string campaign_dir = dir.path() + "/cli";
-    const char *argv[] = {"leaftl_sim",       "--campaign",
-                          conf.c_str(),       "--campaign-dir",
-                          campaign_dir.c_str(), "--set",
-                          "crash-at=20"};
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(simMain(7, argv), 2);
-    const std::string cli_err = testing::internal::GetCapturedStderr();
+    std::string cli_err;
+    EXPECT_EQ(runMain({"--config", conf.c_str(), "--campaign-dir",
+                       campaign_dir.c_str(), "--crash-at", "20"},
+                      cli_err),
+              2);
     EXPECT_NE(cli_err.find("SFTL"), std::string::npos) << cli_err;
     EXPECT_FALSE(fs::exists(campaign_dir));
 
     // LeaFTL-only campaigns keep their crash schedule.
-    camp.exp.ftls = {FtlKind::LeaFTL};
+    spec.ftls = {FtlKind::LeaFTL};
     std::string check_err;
-    EXPECT_TRUE(config::checkCrashSupport(camp.exp, check_err)) << check_err;
+    EXPECT_TRUE(config::checkCrashSupport(spec, check_err)) << check_err;
+}
+
+TEST(CampaignRun, FlagsAfterTheConfigReachEveryRun)
+{
+    // A campaign builds its spec through the sweep's own parser, so a
+    // flag after --config overrides the file in every run CSV.
+    const TempDir dir;
+    std::string err;
+    std::string out = captureStdout([&] {
+        EXPECT_EQ(runMain({"--config", kTinyConf, "--requests", "50",
+                           "--campaign-dir", dir.path().c_str()},
+                          err),
+                  0)
+            << err;
+    });
+    EXPECT_NE(out.find("3 to execute"), std::string::npos) << out;
+    const auto csvs = runCsvs(dir.path());
+    ASSERT_EQ(csvs.size(), 3u);
+    const size_t requests = csvColumnIndex("requests");
+    for (const auto &[name, content] : csvs) {
+        std::istringstream lines(content);
+        std::string header, row;
+        ASSERT_TRUE(std::getline(lines, header));
+        ASSERT_TRUE(std::getline(lines, row));
+        EXPECT_EQ(splitCells(row).at(requests), "50") << name;
+    }
+}
+
+TEST(CampaignRun, OutputWithCampaignDirExits2)
+{
+    // A campaign writes one CSV per run into its directory; --output
+    // would name a file nothing writes.
+    const TempDir dir;
+    const std::string campaign_dir = dir.path() + "/campaign";
+    const std::string csv = dir.path() + "/out.csv";
+    std::string err;
+    EXPECT_EQ(runMain({"--config", kTinyConf, "--campaign-dir",
+                       campaign_dir.c_str(), "--output", csv.c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("--output and --campaign-dir"), std::string::npos)
+        << err;
+    EXPECT_FALSE(fs::exists(campaign_dir));
+    EXPECT_FALSE(fs::exists(csv));
+}
+
+TEST(CampaignRun, TinyConfigReproducesTheCheckedInBaseline)
+{
+    // tests/data/campaign_tiny holds the run CSVs of
+    // configs/campaign_tiny.conf: a fresh campaign writes the same
+    // file names and rows (modulo wall_ns), and diffs clean against
+    // it at the CI gate's threshold.
+    const TempDir dir;
+    std::string err;
+    captureStdout([&] {
+        EXPECT_EQ(runMain({"--config", kTinyConf, "--campaign-dir",
+                           dir.path().c_str()},
+                          err),
+                  0)
+            << err;
+    });
+    std::map<std::string, std::string> fresh, baseline;
+    for (const auto &[name, content] : runCsvs(dir.path()))
+        fresh[name] = test::stripWallNs(content);
+    for (const auto &[name, content] : runCsvs(kBaselineDir))
+        baseline[name] = test::stripWallNs(content);
+    ASSERT_EQ(baseline.size(), 3u);
+    EXPECT_EQ(fresh, baseline);
+
+    std::ostringstream out;
+    EXPECT_EQ(campaignDiff(kBaselineDir, dir.path(), 5.0, out), 0)
+        << out.str();
+    size_t unchanged = 0;
+    for (size_t at = out.str().find("(+0.00%)"); at != std::string::npos;
+         at = out.str().find("(+0.00%)", at + 1))
+        unchanged++;
+    EXPECT_EQ(unchanged, 6u) << out.str(); // Throughput and p99, x3.
 }
 
 // --------------------------------------------------------------------
 // --campaign-diff.
 
-class DiffTempDir
+std::vector<std::string>
+csvColumnNames()
 {
-  public:
-    DiffTempDir()
-    {
-        char name[] = "/tmp/leaftl_diff_XXXXXX";
-        EXPECT_NE(mkdtemp(name), nullptr);
-        path_ = name;
-    }
-    ~DiffTempDir() { fs::remove_all(path_); }
-    const fs::path &path() const { return path_; }
-
-  private:
-    fs::path path_;
-};
-
-std::string
-benchJson(const std::string &fp, double throughput, double p99,
-          uint64_t wall, const std::string &extra_run = "")
-{
-    std::ostringstream j;
-    j << "{\n  \"campaign\": \"t\",\n  \"runs\": [\n"
-      << "    {\"fingerprint\": \"" << fp << "\", \"csv\": \"run-" << fp
-      << ".csv\", \"executed\": true,\n"
-      << "     \"ftl\": \"LeaFTL\", \"workload\": \"synthetic:zipf\", "
-         "\"gamma\": 4, \"qd\": 8, \"device\": \"auto\", \"mode\": "
-         "\"closed\", \"rate\": 0,\n"
-      << "     \"throughput_mbps\": " << throughput
-      << ", \"achieved_iops\": 100, \"p99_read_lat_us\": " << p99
-      << ", \"p99_lat_e2e_us\": 10, \"wall_ns\": " << wall << "}";
-    if (!extra_run.empty())
-        j << ",\n" << extra_run;
-    j << "\n  ]\n}\n";
-    return j.str();
+    std::vector<std::string> names;
+    for (const CsvColumn &col : csvColumns())
+        names.emplace_back(col.name);
+    return names;
 }
 
+/**
+ * Write @a dir/run-<fp>.csv with the columns @a columns, in that
+ * order: a fixed LeaFTL label, the three cells the diff reads, and
+ * "0" everywhere else.
+ */
 void
-writeFile(const fs::path &p, const std::string &content)
+writeRun(const fs::path &dir, const std::string &fp, double throughput,
+         double p99, uint64_t wall,
+         const std::vector<std::string> &columns = csvColumnNames())
 {
-    std::ofstream out(p);
-    out << content;
+    std::map<std::string, std::string> cell = {
+        {"ftl", "LeaFTL"},       {"workload", "synthetic:zipf"},
+        {"gamma", "4"},          {"qd", "8"},
+        {"device", "auto"},      {"mode", "closed"},
+        {"rate_iops", "0.0000"}, {"wall_ns", std::to_string(wall)}};
+    std::ostringstream t, p;
+    t << throughput;
+    p << p99;
+    cell["throughput_mbps"] = t.str();
+    cell["p99_read_lat_us"] = p.str();
+    std::string header, row;
+    for (const std::string &c : columns) {
+        header += (header.empty() ? "" : ",") + c;
+        row += (row.empty() ? "" : ",") + (cell.count(c) ? cell[c] : "0");
+    }
+    fs::create_directories(dir);
+    std::ofstream out(dir / ("run-" + fp + ".csv"));
+    out << header << '\n' << row << '\n';
     ASSERT_TRUE(out.good());
+}
+
+int
+diff(const fs::path &a, const fs::path &b, double threshold,
+     std::string &out)
+{
+    std::ostringstream report;
+    const int rc = campaignDiff(a.string(), b.string(), threshold, report);
+    out = report.str();
+    return rc;
 }
 
 TEST(CampaignDiff, IdenticalSummariesPass)
 {
-    DiffTempDir dir;
-    const fs::path a = dir.path() / "a.json";
-    const fs::path b = dir.path() / "b.json";
-    writeFile(a, benchJson("aaaa000011112222", 123.4, 55.5, 1000));
-    writeFile(b, benchJson("aaaa000011112222", 123.4, 55.5, 2000));
-    std::ostringstream out;
-    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 1.0, out), 0);
-    EXPECT_NE(out.str().find("1 shared"), std::string::npos);
-    EXPECT_NE(out.str().find("within 1"), std::string::npos);
+    const TempDir dir;
+    const fs::path a = fs::path(dir.path()) / "a";
+    const fs::path b = fs::path(dir.path()) / "b";
+    writeRun(a, "aaaa000011112222", 123.4, 55.5, 1000);
+    writeRun(b, "aaaa000011112222", 123.4, 55.5, 2000);
+    std::string out;
+    EXPECT_EQ(diff(a, b, 1.0, out), 0);
+    EXPECT_NE(out.find("1 shared"), std::string::npos) << out;
+    EXPECT_NE(out.find("LeaFTL/synthetic:zipf/gamma=4/qd=8/auto/closed"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("wall +100.00%"), std::string::npos) << out;
+    EXPECT_NE(out.find("within 1"), std::string::npos) << out;
 }
 
 TEST(CampaignDiff, ThroughputRegressionFailsGate)
 {
-    DiffTempDir dir;
-    const fs::path a = dir.path() / "a.json";
-    const fs::path b = dir.path() / "b.json";
-    writeFile(a, benchJson("aaaa000011112222", 100.0, 50.0, 1000));
-    writeFile(b, benchJson("aaaa000011112222", 90.0, 50.0, 1000));
-    std::ostringstream out;
+    const TempDir dir;
+    const fs::path a = fs::path(dir.path()) / "a";
+    const fs::path b = fs::path(dir.path()) / "b";
+    writeRun(a, "aaaa000011112222", 100.0, 50.0, 1000);
+    writeRun(b, "aaaa000011112222", 90.0, 50.0, 1000);
+    std::string out;
     // 10% drop: fails a 5% gate, passes a 15% one, and report-only
     // (threshold 0) always passes.
-    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 5.0, out), 1);
-    EXPECT_NE(out.str().find("REGRESSION"), std::string::npos);
-    std::ostringstream out2;
-    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 15.0, out2), 0);
-    std::ostringstream out3;
-    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 0.0, out3), 0);
+    EXPECT_EQ(diff(a, b, 5.0, out), 1);
+    EXPECT_NE(out.find("REGRESSION"), std::string::npos) << out;
+    EXPECT_EQ(diff(a, b, 15.0, out), 0);
+    EXPECT_EQ(diff(a, b, 0.0, out), 0);
 }
 
 TEST(CampaignDiff, P99RegressionFailsGateAndDisjointRunsReported)
 {
-    DiffTempDir dir;
-    const fs::path a = dir.path() / "a.json";
-    const fs::path b = dir.path() / "b.json";
-    writeFile(a, benchJson("aaaa000011112222", 100.0, 50.0, 1000));
+    const TempDir dir;
+    const fs::path a = fs::path(dir.path()) / "a";
+    const fs::path b = fs::path(dir.path()) / "b";
+    writeRun(a, "aaaa000011112222", 100.0, 50.0, 1000);
     // B shares the fingerprint but regresses p99, and adds a run A
     // does not have.
-    const std::string extra =
-        "    {\"fingerprint\": \"bbbb000011112222\", \"csv\": "
-        "\"run-b.csv\", \"executed\": true,\n"
-        "     \"ftl\": \"LeaFTL\", \"workload\": \"synthetic:seq\", "
-        "\"gamma\": 0, \"qd\": 1, \"device\": \"auto\", \"mode\": "
-        "\"closed\", \"rate\": 0,\n"
-        "     \"throughput_mbps\": 10, \"achieved_iops\": 10, "
-        "\"p99_read_lat_us\": 5, \"p99_lat_e2e_us\": 5, \"wall_ns\": 1}";
-    writeFile(b, benchJson("aaaa000011112222", 100.0, 60.0, 1000, extra));
-    std::ostringstream out;
-    EXPECT_EQ(cli::campaignDiff(a.string(), b.string(), 5.0, out), 1);
-    EXPECT_NE(out.str().find("only in"), std::string::npos);
-    EXPECT_NE(out.str().find("bbbb000011112222"), std::string::npos);
+    writeRun(b, "aaaa000011112222", 100.0, 60.0, 1000);
+    writeRun(b, "bbbb000011112222", 10.0, 5.0, 1);
+    std::string out;
+    EXPECT_EQ(diff(a, b, 5.0, out), 1);
+    EXPECT_NE(out.find("only in"), std::string::npos) << out;
+    EXPECT_NE(out.find("bbbb000011112222"), std::string::npos) << out;
+}
+
+TEST(CampaignDiff, MatchesColumnsByNameAcrossHeaderLayouts)
+{
+    // A's header is reordered; B predates two columns. Each file's own
+    // header locates the cells, and files that are not run CSVs (a
+    // temp file left by a killed run) are skipped.
+    const TempDir dir;
+    const fs::path a = fs::path(dir.path()) / "a";
+    const fs::path b = fs::path(dir.path()) / "b";
+    std::vector<std::string> reordered = csvColumnNames();
+    std::reverse(reordered.begin(), reordered.end());
+    std::vector<std::string> older = csvColumnNames();
+    older.erase(std::remove_if(older.begin(), older.end(),
+                               [](const std::string &c) {
+                                   return c == "trans_reads" ||
+                                          c == "trans_writes";
+                               }),
+                older.end());
+    writeRun(a, "aaaa000011112222", 100.0, 50.0, 1000, reordered);
+    writeRun(b, "aaaa000011112222", 100.0, 50.0, 1000, older);
+    {
+        std::ofstream tmp(a / "run-cccc000011112222.csv.tmp0");
+        tmp << "half a header";
+    }
+    std::string out;
+    EXPECT_EQ(diff(a, b, 5.0, out), 0) << out;
+    EXPECT_NE(out.find("(1 runs) vs"), std::string::npos) << out;
+    EXPECT_NE(out.find("throughput 100 -> 100 MB/s (+0.00%), p99 read 50 "
+                       "-> 50 us (+0.00%)"),
+              std::string::npos)
+        << out;
+
+    writeRun(b, "aaaa000011112222", 90.0, 50.0, 1000, older);
+    EXPECT_EQ(diff(a, b, 5.0, out), 1) << out;
+    EXPECT_EQ(diff(b, a, 5.0, out), 0) << out; // A 10% gain passes.
 }
 
 TEST(CampaignDiff, UnreadableInputIsExitCode2)
 {
-    DiffTempDir dir;
-    const fs::path a = dir.path() / "a.json";
-    writeFile(a, benchJson("aaaa000011112222", 1.0, 1.0, 1));
-    std::ostringstream out;
-    EXPECT_EQ(cli::campaignDiff(a.string(),
-                                (dir.path() / "missing.json").string(),
-                                0.0, out),
-              2);
-    const fs::path empty = dir.path() / "empty.json";
-    writeFile(empty, "{}\n");
-    std::ostringstream out2;
-    EXPECT_EQ(cli::campaignDiff(a.string(), empty.string(), 0.0, out2), 2);
+    const TempDir dir;
+    const fs::path a = fs::path(dir.path()) / "a";
+    writeRun(a, "aaaa000011112222", 1.0, 1.0, 1);
+    std::string out;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(diff(a, fs::path(dir.path()) / "missing", 0.0, out), 2);
+
+    const fs::path empty = fs::path(dir.path()) / "empty";
+    fs::create_directories(empty);
+    EXPECT_EQ(diff(a, empty, 0.0, out), 2);
+
+    const fs::path header_only = fs::path(dir.path()) / "header_only";
+    fs::create_directories(header_only);
+    {
+        std::ofstream csv(header_only / "run-aaaa000011112222.csv");
+        csv << csvHeader() << "\n";
+    }
+    EXPECT_EQ(diff(a, header_only, 0.0, out), 2);
+
+    std::vector<std::string> no_p99 = csvColumnNames();
+    no_p99.erase(std::find(no_p99.begin(), no_p99.end(), "p99_read_lat_us"));
+    const fs::path short_header = fs::path(dir.path()) / "short";
+    writeRun(short_header, "aaaa000011112222", 1.0, 1.0, 1, no_p99);
+    EXPECT_EQ(diff(a, short_header, 0.0, out), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("no p99_read_lat_us column"), std::string::npos)
+        << err;
 }
 
 } // namespace

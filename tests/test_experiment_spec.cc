@@ -249,48 +249,6 @@ TEST(ExperimentSpecDeathTest, OrDieRejectsMissingFileFatally)
                  "cannot open config file");
 }
 
-TEST(CampaignSpec, NameDefaultsToFileStemAndDirToCampaigns)
-{
-    const TempConfig conf("[experiment]\nrequests = 10\n");
-    CampaignSpec camp;
-    std::string err;
-    ASSERT_TRUE(loadCampaignFile(conf.path(), camp, err)) << err;
-    // Stem of /tmp/leaftl_test_conf_XXXXXX (mkstemp names have no
-    // extension, so the stem is the basename).
-    const std::string base = conf.path().substr(5); // Drop "/tmp/".
-    EXPECT_EQ(camp.name, base);
-    EXPECT_EQ(camp.dir, "campaigns/" + base);
-    EXPECT_EQ(camp.exp.requests, 10u);
-}
-
-TEST(CampaignSpec, CampaignSectionOverridesNameAndDir)
-{
-    const TempConfig conf("[experiment]\n"
-                          "requests = 10\n"
-                          "[campaign]\n"
-                          "name = nightly\n"
-                          "dir  = /tmp/nightly-out\n");
-    CampaignSpec camp;
-    std::string err;
-    ASSERT_TRUE(loadCampaignFile(conf.path(), camp, err)) << err;
-    EXPECT_EQ(camp.name, "nightly");
-    EXPECT_EQ(camp.dir, "/tmp/nightly-out");
-}
-
-TEST(CampaignSpec, UnknownCampaignKeyIsRejected)
-{
-    const TempConfig conf("[experiment]\n"
-                          "requests = 10\n"
-                          "[campaign]\n"
-                          "output = somewhere\n");
-    CampaignSpec camp;
-    std::string err;
-    EXPECT_FALSE(loadCampaignFile(conf.path(), camp, err));
-    EXPECT_NE(err.find("unknown key 'output' (expected name or dir)"),
-              std::string::npos)
-        << err;
-}
-
 } // namespace
 } // namespace config
 } // namespace leaftl

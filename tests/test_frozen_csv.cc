@@ -3,7 +3,8 @@
  * The refactor-freeze tests: the CSV a flags-only invocation emits is
  * frozen (modulo the trailing wall_ns column) against a golden file
  * captured before the config subsystem landed, and an equivalent
- * --config file (or --set override) must reproduce the same rows.
+ * --config file (with or without flags after it) must reproduce the
+ * same rows.
  * If one of these fails, the config lowering changed simulation
  * behavior — not just plumbing. A second golden file pins the cached
  * FTLs (LeaFTL, DFTL, SFTL) under DRAM pressure.
@@ -115,7 +116,7 @@ TEST(FrozenCsv, DramPressureSweepMatchesTheGoldenFile)
         {"--ftl", "leaftl,dftl,sftl", "--workload",
          "synthetic:rand,synthetic:zipf,synthetic:mix", "--gamma", "0,4",
          "--requests", "30000", "--ws", "131072", "--prefill", "0.5",
-         "--set", "dram-bytes=65536", "--jobs", "4"});
+         "--dram-bytes", "65536", "--jobs", "4"});
 
     std::ifstream golden_in(LEAFTL_SOURCE_DIR
                             "/tests/data/golden_pressure.csv");
@@ -152,7 +153,7 @@ TEST(FrozenCsv, ConfigFileReproducesTheFlagRows)
     EXPECT_EQ(sweepCsv(from_config), sweepCsv(flags));
 }
 
-TEST(FrozenCsv, SetOverridesWinOverTheConfigFile)
+TEST(FrozenCsv, FlagsWinOverTheConfigFile)
 {
     const TempConfig conf("[experiment]\n"
                           "ftl      = leaftl\n"
@@ -162,8 +163,8 @@ TEST(FrozenCsv, SetOverridesWinOverTheConfigFile)
                           "ws       = 2048\n"
                           "prefill  = 0.25\n");
     const SimOptions overridden =
-        parse({"--config", conf.path().c_str(), "--set", "gamma=4",
-               "--set", "requests=200"});
+        parse({"--config", conf.path().c_str(), "--gamma", "4",
+               "--requests", "200"});
     EXPECT_EQ(overridden.gammas, (std::vector<uint32_t>{4}));
     EXPECT_EQ(overridden.requests, 200u);
 
@@ -174,21 +175,15 @@ TEST(FrozenCsv, SetOverridesWinOverTheConfigFile)
     EXPECT_EQ(sweepCsv(overridden), sweepCsv(direct));
 }
 
-TEST(FrozenCsv, SetRequiresKeyEqualsValue)
+TEST(FrozenCsv, UnknownFlagSuggestsTheNearestKey)
 {
     SimOptions opts;
     std::string err;
-    {
-        const char *argv[] = {"leaftl_sim", "--set", "gamma"};
-        EXPECT_FALSE(parseArgs(3, argv, opts, err));
-        EXPECT_NE(err.find("KEY=VALUE"), std::string::npos) << err;
-    }
-    {
-        const char *argv[] = {"leaftl_sim", "--set", "gama=4"};
-        EXPECT_FALSE(parseArgs(3, argv, opts, err));
-        EXPECT_NE(err.find("did you mean 'gamma'?"), std::string::npos)
-            << err;
-    }
+    const char *argv[] = {"leaftl_sim", "--gama", "4"};
+    EXPECT_FALSE(parseArgs(3, argv, opts, err));
+    EXPECT_NE(err.find("unknown argument '--gama' (did you mean '--gamma'?)"),
+              std::string::npos)
+        << err;
 }
 
 } // namespace

@@ -20,8 +20,8 @@
 #include <sstream>
 #include <string>
 
-#include "config/fingerprint.hh"
 #include "learned/learned_table.hh"
+#include "util/common.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -669,7 +669,7 @@ compactionStream(uint32_t gamma, PinShape shape, uint64_t seed,
         std::snprintf(line, sizeof(line),
                       "%u %s %" PRIu64 " %d %016" PRIx64 "\n", gamma,
                       pinShapeName(shape), seed, b / compact_every,
-                      config::fnv1a64(std::string(blob.begin(), blob.end())));
+                      fnv1a64(std::string(blob.begin(), blob.end())));
         out << line;
     }
     return deepest;

@@ -166,8 +166,8 @@ TEST(SimCliParse, RejectsBadInput)
 TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
 {
     // There is no intra-run worker pool: the threads key fails like
-    // any unknown key, from a config file and from --set, and the
-    // --threads flag is an unknown argument.
+    // any unknown key in a config file, and the --threads flag is an
+    // unknown argument.
     SimOptions opts;
     std::string err;
     const std::string conf =
@@ -183,12 +183,6 @@ TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
             << err;
     }
     std::remove(conf.c_str());
-    {
-        const char *argv[] = {"leaftl_sim", "--set", "threads=2"};
-        EXPECT_FALSE(parseArgs(3, argv, opts, err));
-        EXPECT_NE(err.find("unknown key 'threads'"), std::string::npos)
-            << err;
-    }
     {
         const char *argv[] = {"leaftl_sim", "--threads", "2"};
         EXPECT_FALSE(parseArgs(3, argv, opts, err));
@@ -216,7 +210,7 @@ TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
               "cf196a066c1af262");
 }
 
-TEST(SimCliParse, EveryKeyIsAFlagASetOverrideAndAConfigLine)
+TEST(SimCliParse, EveryKeyIsAFlagAndAConfigLine)
 {
     const std::string conf =
         "/tmp/leaftl_sim_cli_keys." + std::to_string(::getpid()) + ".conf";
@@ -229,9 +223,6 @@ TEST(SimCliParse, EveryKeyIsAFlagASetOverrideAndAConfigLine)
         const config::ExperimentSpec spaced = parseVec({"--" + key, v});
         EXPECT_NE(spaced, config::ExperimentSpec()) << key;
         EXPECT_EQ(config::ExperimentSpec(parseVec({"--" + key + "=" + v})),
-                  spaced)
-            << key;
-        EXPECT_EQ(config::ExperimentSpec(parseVec({"--set", key + "=" + v})),
                   spaced)
             << key;
         {
@@ -253,6 +244,21 @@ TEST(SimCliParse, EveryKeyIsAFlagASetOverrideAndAConfigLine)
     EXPECT_TRUE(parse({"--trace-strict"}).trace_strict);
     EXPECT_FALSE(
         parse({"--trace-strict", "--trace-strict=false"}).trace_strict);
+}
+
+TEST(SimCliParse, SetAndCampaignAreUnknownArguments)
+{
+    // A key is set by its own flag, and a campaign is a sweep with
+    // --campaign-dir: neither has a second spelling.
+    for (const char *flag : {"--set", "--campaign"}) {
+        const char *argv[] = {"leaftl_sim", flag, "gamma=4"};
+        SimOptions opts;
+        std::string err;
+        EXPECT_FALSE(parseArgs(3, argv, opts, err)) << flag;
+        EXPECT_NE(err.find(std::string("unknown argument '") + flag + "'"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(SimCliParse, DiffThresholdMustBeAFiniteNumber)
@@ -295,8 +301,8 @@ TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
 {
     // Only LeaFTL models crash recovery; on DFTL/SFTL a crash point
     // would be a silent no-op counted as a recovery. Flags (in either
-    // order), --set and --config files all reject it with exit 2 and
-    // an error naming the FTL, before any run writes output.
+    // order, value inline or not) and --config files all reject it with
+    // exit 2 and an error naming the FTL, before any run writes output.
     const std::string tag = std::to_string(::getpid());
     const std::string out = "/tmp/leaftl_sim_cli_crash." + tag + ".csv";
     const std::string conf = "/tmp/leaftl_sim_cli_crash." + tag + ".conf";
@@ -315,7 +321,7 @@ TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
                       err),
               2);
     EXPECT_NE(err.find("SFTL"), std::string::npos) << err;
-    EXPECT_EQ(runMain({"--ftl", "dftl", "--set", "crash-at=3", "--output",
+    EXPECT_EQ(runMain({"--ftl", "dftl", "--crash-at=3", "--output",
                        out.c_str()},
                       err),
               2);
