@@ -98,7 +98,7 @@ scaleFromSpec(const config::ExperimentSpec &spec, BenchScale &s)
  * --config=FILE --fast + free arg. Requests and ws start at
  * @a defaults. The scale flags are leaftl_sim's experiment keys: a
  * bad value prints leaftl_sim's error and exits with status 2.
- * --config loads the file's [experiment] section (same grammar and
+ * --config applies the file's `key = value` lines (same keys and
  * validation); flags and --config apply in order, later wins, and
  * --fast cuts the requests and ws reached so far to a tenth and a
  * quarter. Any other argument goes to @a free_arg; a bench that takes
@@ -196,9 +196,8 @@ replayNamed(Ssd &ssd, const std::string &workload, const BenchScale &s)
 {
     auto wl = makeNamedWorkload(workload, s);
     RunOptions opts;
-    opts.prefill_pages = s.working_set_pages;
-    opts.mixed_prefill = true;
     opts.queue_depth = s.queue_depth;
+    Runner::prefillMixed(ssd, s.working_set_pages);
     return Runner::replay(ssd, *wl, opts);
 }
 

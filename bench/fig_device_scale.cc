@@ -10,8 +10,8 @@
  * first request; with the sparse store it costs megabytes and scales
  * with the blocks the workload actually touches.
  *
- * With --config=FILE the device axis comes from the file's
- * [experiment] section (named presets only) instead of every preset.
+ * With --config=FILE the device axis comes from the file's device
+ * key (named presets only) instead of every preset.
  */
 
 #include <cinttypes>
@@ -93,10 +93,9 @@ main(int argc, char **argv)
 
         auto wl = std::make_unique<MixWorkload>(scaleMixSpec(run));
         RunOptions opts;
-        opts.prefill_pages = std::min<uint64_t>(
-            run.working_set_pages, cfg.hostPages() * 3 / 4);
-        opts.mixed_prefill = true;
         opts.queue_depth = run.queue_depth;
+        Runner::prefillMixed(ssd, std::min<uint64_t>(run.working_set_pages,
+                                                     cfg.hostPages() * 3 / 4));
         const RunResult res = Runner::replay(ssd, *wl, opts);
 
         const double sim_s = static_cast<double>(res.sim_time_ns) /

@@ -12,7 +12,7 @@
  * Flags: the shared --requests/--ws/--qd/--gamma/--device/--fast set,
  * plus --rates=R1,R2,... (offered loads in requests/s). With
  * --config=FILE (e.g. configs/latency_load.conf) the FTL list, rate
- * grid, and read ratio come from the file's [experiment] section;
+ * grid, and read ratio come from the file's keys;
  * --rates= still wins over the file's rate axis.
  */
 
@@ -125,10 +125,9 @@ main(int argc, char **argv)
             auto wl = shapeArrivals(
                 std::make_unique<MixWorkload>(loadMixSpec(s)), shape);
             RunOptions opts;
-            opts.prefill_pages = s.working_set_pages;
-            opts.mixed_prefill = true;
             opts.queue_depth = qd;
             opts.admission = Admission::Open;
+            Runner::prefillMixed(ssd, s.working_set_pages);
             const RunResult res = Runner::replay(ssd, *wl, opts);
 
             std::printf(

@@ -10,7 +10,7 @@
  * queue unlocks.
  *
  * With --config=FILE the FTL list and the qd axis come from the
- * file's [experiment] section instead of the built-in sweep.
+ * file's keys instead of the built-in sweep.
  */
 
 #include <cinttypes>
@@ -58,8 +58,8 @@ main(int argc, char **argv)
     BenchScale s = parseScale(argc, argv, nullptr,
                               {.requests = 60'000,
                                .working_set_pages = 32 * 1024});
-    // A config file's [experiment] section replaces both sweep axes;
-    // flags keep the historical 2-FTL x 6-depth grid.
+    // A config file replaces both sweep axes; flags keep the historical
+    // 2-FTL x 6-depth grid.
     const std::vector<FtlKind> ftls =
         s.from_config ? s.spec.ftls
                       : std::vector<FtlKind>{FtlKind::LeaFTL, FtlKind::DFTL};
@@ -82,9 +82,8 @@ main(int argc, char **argv)
             Ssd ssd(cfg);
             auto wl = std::make_unique<MixWorkload>(qdMixSpec(run));
             RunOptions opts;
-            opts.prefill_pages = run.working_set_pages;
-            opts.mixed_prefill = true;
             opts.queue_depth = qd;
+            Runner::prefillMixed(ssd, run.working_set_pages);
             const RunResult res = Runner::replay(ssd, *wl, opts);
 
             const double sim_s = static_cast<double>(res.sim_time_ns) /

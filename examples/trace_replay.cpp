@@ -75,9 +75,8 @@ main(int argc, char **argv)
         wl = makeMsrWorkload(model, cfg.hostPages() / 2, 200000);
     }
 
-    RunOptions opts;
-    opts.prefill_pages = cfg.hostPages() / 2;
-    const RunResult res = Runner::replay(ssd, *wl, opts);
+    Runner::prefill(ssd, cfg.hostPages() / 2);
+    const RunResult res = Runner::replay(ssd, *wl);
 
     std::printf("\n=== %s on %s ===\n", res.ftl.c_str(),
                 res.workload.c_str());

@@ -14,7 +14,7 @@
  * written to a temp file and renamed, so an interrupted campaign
  * never leaves a half-written file that counts as done; rerunning
  * the same grid (or any config that canonicalizes to the same runs --
- * key order, inherit layout, and flag spelling do not matter)
+ * key order and flag spelling do not matter)
  * executes only what is missing.
  */
 

@@ -182,8 +182,9 @@ usage()
                       "\n"
                       "Usage: leaftl_sim [options]\n";
     out += usageEntry("--config FILE",
-                      "load an [experiment] config file (flags after "
-                      "--config override its values)");
+                      "apply a config file of 'key = value' lines, one "
+                      "per key below (flags after --config override its "
+                      "values)");
     out += usageEntry("--campaign-dir D",
                       "run the sweep as a campaign in directory D: one "
                       "run-<fingerprint>.csv per unique run, resumed by "
@@ -294,6 +295,12 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
     if (!opts.output.empty() && !opts.campaign_dir.empty()) {
         err = "--output and --campaign-dir exclude each other (a campaign "
               "writes one run CSV per run into its directory)";
+        return false;
+    }
+    if (!opts.diff_a.empty() &&
+        (!opts.output.empty() || !opts.campaign_dir.empty())) {
+        err = "--campaign-diff excludes --output and --campaign-dir (it "
+              "compares two existing campaigns and prints its report)";
         return false;
     }
     return true;
@@ -609,13 +616,12 @@ executeRun(const config::ExperimentSpec &spec, const config::RunPoint &p,
         return false;
     Ssd ssd(makeConfig(p.ftl, p.gamma, spec, p.device));
     RunOptions ropts;
-    ropts.prefill_pages =
-        static_cast<uint64_t>(spec.prefill_frac * spec.working_set_pages);
-    ropts.mixed_prefill = true;
     ropts.queue_depth = p.qd;
     ropts.crash_points = spec.crash_points;
     wl = applyMode(std::move(wl), p.mode, p.rate, spec, ropts);
     HostTimer timer;
+    Runner::prefillMixed(ssd, static_cast<uint64_t>(spec.prefill_frac *
+                                                    spec.working_set_pages));
     res = Runner::replay(ssd, *wl, ropts);
     res.host_wall_ns = timer.elapsedNs();
     return true;

@@ -10,9 +10,9 @@
  * thread pool (--jobs); rows are always emitted in combination order,
  * making the CSV byte-identical for any job count.
  *
- * Command-line flags and `--config FILE` (a declarative experiment
- * config, see config/config_file.hh) lower into the same
- * config::ExperimentSpec before any run is constructed;
+ * Command-line flags and `--config FILE` (the same keys written as
+ * `key = value` lines, see config::loadExperimentFile) lower into the
+ * same config::ExperimentSpec before any run is constructed;
  * `--campaign-dir DIR` hands that spec to the fingerprinted campaign
  * runner (cli/campaign.hh) instead of the inline sweep.
  *

@@ -1,7 +1,10 @@
 #include "config/experiment.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <map>
 #include <type_traits>
 
 #include "flash/presets.hh"
@@ -23,6 +26,18 @@ canonKey(const std::string &key)
     std::string out = key;
     std::replace(out.begin(), out.end(), '_', '-');
     return out;
+}
+
+/** @a s without leading and trailing whitespace. */
+std::string
+trim(const std::string &s)
+{
+    const auto space = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    const auto b = std::find_if_not(s.begin(), s.end(), space);
+    const auto e = std::find_if_not(s.rbegin(), s.rend(), space).base();
+    return b < e ? std::string(b, e) : std::string();
 }
 
 /** Edit distance for "did you mean" suggestions. */
@@ -396,29 +411,51 @@ applyExperimentKey(ExperimentSpec &spec, const std::string &key,
 }
 
 bool
-loadExperiment(const ConfigFile &file, const std::string &section,
-               ExperimentSpec &spec, std::string &err)
+loadExperimentFile(const std::string &path, ExperimentSpec &spec,
+                   std::string &err)
 {
-    std::vector<std::pair<std::string, std::string>> resolved;
-    if (!file.resolve(section, resolved, err))
+    std::ifstream in(path);
+    if (!in.good()) {
+        err = "cannot open config file '" + path + "'";
         return false;
-    for (const auto &[key, value] : resolved) {
-        if (!applyExperimentKey(spec, key, value, err)) {
-            err = file.origin() + ": [" + section + "]: " + err;
+    }
+    std::map<std::string, int> first_line; // By canonKey() spelling.
+    std::string raw;
+    for (int lineno = 1; std::getline(in, raw); lineno++) {
+        const std::string where = path + ":" + std::to_string(lineno) + ": ";
+        // '#' starts a comment anywhere on the line.
+        const std::string line = trim(raw.substr(0, raw.find('#')));
+        if (line.empty())
+            continue;
+        const auto eq = line.find('=');
+        if (line.front() == '[' || eq == std::string::npos) {
+            err = where + "expected 'key = value', got '" + line + "'" +
+                  (line.front() == '[' ? " (a config file has no sections)"
+                                       : "");
+            return false;
+        }
+        const std::string key = trim(line.substr(0, eq));
+        const bool named =
+            !key.empty() && std::all_of(key.begin(), key.end(), [](char c) {
+                return std::isalnum(static_cast<unsigned char>(c)) ||
+                       c == '-' || c == '_';
+            });
+        if (!named) {
+            err = where + "bad key '" + key + "'";
+            return false;
+        }
+        const auto [first, fresh] = first_line.emplace(canonKey(key), lineno);
+        if (!fresh) {
+            err = where + "duplicate key '" + key + "' (first set on line " +
+                  std::to_string(first->second) + ")";
+            return false;
+        }
+        if (!applyExperimentKey(spec, key, trim(line.substr(eq + 1)), err)) {
+            err = where + err;
             return false;
         }
     }
     return true;
-}
-
-bool
-loadExperimentFile(const std::string &path, ExperimentSpec &spec,
-                   std::string &err)
-{
-    // A missing section fails resolve(): "<path>: no [experiment] section".
-    ConfigFile file;
-    return file.parseFile(path, err) &&
-           loadExperiment(file, "experiment", spec, err);
 }
 
 ExperimentSpec

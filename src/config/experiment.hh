@@ -5,11 +5,12 @@
  * An ExperimentSpec is the full cross product leaftl_sim sweeps —
  * device geometry/preset, workload specs, arrival shaping, the sweep
  * grid (ftl x workload x gamma x qd x device x mode x rate), and the
- * scalar run options. Command-line flags (`--<key>`) and
- * `[experiment]` sections of a config file apply the same named keys
- * through the same experimentKeys() rows, so a value that validates
- * in one front end validates identically in the other and an
- * equivalent config file reproduces a flag invocation's rows exactly.
+ * scalar run options. Command-line flags (`--<key>`) and the
+ * `key = value` lines of a config file apply the same named keys
+ * through the same experimentKeys() rows, in the order given, so a
+ * value that validates in one front end validates identically in the
+ * other and an equivalent config file reproduces a flag invocation's
+ * rows exactly.
  *
  * Each key is one row of the experimentKeys() table: its name, usage
  * text and how it parses and range-checks a value. The flag parser,
@@ -19,8 +20,8 @@
  * canonicalRunConfig() rule (config/fingerprint.cc) when the key can
  * change a run's results.
  *
- * Unknown keys are rejected (never ignored) with the section named
- * and the nearest known key suggested.
+ * Unknown keys are rejected (never ignored) with the nearest known
+ * key suggested.
  */
 
 #pragma once
@@ -31,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "config/config_file.hh"
 #include "ssd/config.hh"
 #include "workload/arrival.hh"
 
@@ -194,16 +194,14 @@ bool applyExperimentKey(ExperimentSpec &spec, const std::string &key,
 bool checkCrashSupport(const ExperimentSpec &spec, std::string &err);
 
 /**
- * Lower the resolved @a section of @a file into @a spec (on top of
- * whatever @a spec already holds). Unknown keys are an error naming
- * the section and the nearest known key.
- */
-bool loadExperiment(const ConfigFile &file, const std::string &section,
-                    ExperimentSpec &spec, std::string &err);
-
-/**
- * Parse @a path and lower its [experiment] section into @a spec.
- * The file must have an [experiment] section.
+ * Apply the config file at @a path to @a spec (on top of whatever
+ * @a spec already holds). The file is the sweep's flags written down:
+ * `#` comments, blank lines, and `key = value` lines, each applied in
+ * file order through applyExperimentKey(), as `--key value` is.
+ * @return true on success; false with the problem in @a err. A line
+ *         without '=', a `[section]` line, a bad key name, a key set
+ *         twice ('_' and '-' folded), an unknown key and a bad value
+ *         are each prefixed "path:line: ".
  */
 bool loadExperimentFile(const std::string &path, ExperimentSpec &spec,
                         std::string &err);

@@ -8,8 +8,8 @@
  * dropped — gamma for FTLs that ignore it, rate for modes that do
  * not shape arrivals, burst-duty outside burst mode, and host-side
  * knobs (jobs, output paths) always. Hashing that description gives
- * a fingerprint that is stable across config-file key order,
- * inherit layout, flag spelling, and axis-list ordering — the
+ * a fingerprint that is stable across config-file key order, flag
+ * spelling, and axis-list ordering — the
  * contract that lets a campaign resume by checking which
  * run-<fingerprint>.csv files already exist.
  */

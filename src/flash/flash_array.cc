@@ -33,15 +33,6 @@ FlashArray::programPage(Ppa ppa, Lpa lpa)
     }
     block_lpa_[block][page] = lpa;
     write_ptr_[block]++;
-    counters_.page_writes++;
-}
-
-std::vector<Lpa>
-FlashArray::oobWindow(Ppa ppa, uint32_t gamma) const
-{
-    std::vector<Lpa> window;
-    oobWindow(ppa, gamma, window);
-    return window;
 }
 
 void
@@ -82,7 +73,6 @@ FlashArray::eraseBlock(uint32_t block)
     }
     write_ptr_[block] = 0;
     erase_cnt_[block]++;
-    counters_.block_erases++;
 }
 
 BlockState

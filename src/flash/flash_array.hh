@@ -35,14 +35,6 @@
 namespace leaftl
 {
 
-/** Raw flash operation counters (basis of WAF, Fig. 25). */
-struct FlashCounters
-{
-    uint64_t page_reads = 0;
-    uint64_t page_writes = 0;
-    uint64_t block_erases = 0;
-};
-
 /** Lifecycle of a block. */
 enum class BlockState : uint8_t
 {
@@ -67,21 +59,11 @@ class FlashArray
      */
     void programPage(Ppa ppa, Lpa lpa);
 
-    /** Read a page; returns the LPA it carries (kInvalidLpa if unwritten). */
-    Lpa
-    readPage(Ppa ppa)
-    {
-        counters_.page_reads++;
-        return peekLpa(ppa);
-    }
-
     /**
-     * Count @a n page reads whose LPAs the caller takes through
-     * peekLpa: a GC victim's survivors, read as one batch.
+     * The LPA the page at @a ppa carries (kInvalidLpa if unwritten).
+     * The array keeps no operation counts: the Ssd charges each flash
+     * access it models to its channel and its SsdStats.
      */
-    void countReads(uint64_t n) { counters_.page_reads += n; }
-
-    /** Peek the carried LPA without charging a read (internal checks). */
     Lpa
     peekLpa(Ppa ppa) const
     {
@@ -91,18 +73,14 @@ class FlashArray
     }
 
     /**
-     * OOB reverse-mapping window around @a ppa: the LPAs of PPAs
-     * [ppa - gamma, ppa + gamma] clipped to the block (kInvalidLpa for
-     * out-of-block or unwritten slots). Reading the page at @a ppa
+     * OOB reverse-mapping window around @a ppa, written into @a window
+     * (resized to 2*g + 1, g = gamma clipped to the OOB's entries): the
+     * LPAs of PPAs [ppa - g, ppa + g] clipped to the block (kInvalidLpa
+     * for out-of-block or unwritten slots). Reading the page at @a ppa
      * already transfers its OOB, so this costs no extra flash access.
-     */
-    std::vector<Lpa> oobWindow(Ppa ppa, uint32_t gamma) const;
-
-    /**
-     * Same window, written into a caller-provided scratch buffer
-     * (resized to 2*g + 1). The misprediction-recovery hot path calls
-     * this once per approximate translation; reusing one buffer there
-     * avoids a heap allocation per lookup.
+     * The misprediction-recovery hot path calls this once per
+     * approximate translation; reusing one buffer there avoids a heap
+     * allocation per lookup.
      */
     void oobWindow(Ppa ppa, uint32_t gamma, std::vector<Lpa> &window) const;
 
@@ -119,8 +97,6 @@ class FlashArray
      * path.
      */
     uint32_t eraseSpread() const;
-
-    const FlashCounters &counters() const { return counters_; }
 
     /** Blocks whose LPA array is currently materialized. */
     size_t residentBlocks() const { return resident_blocks_; }
@@ -145,7 +121,6 @@ class FlashArray
     std::vector<uint32_t> write_ptr_;  ///< Per block: next page to program.
     std::vector<uint32_t> erase_cnt_;  ///< Per block.
     size_t resident_blocks_ = 0;
-    FlashCounters counters_;
 };
 
 } // namespace leaftl

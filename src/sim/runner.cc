@@ -53,13 +53,6 @@ Runner::prefillMixed(Ssd &ssd, uint64_t pages, uint64_t seed)
 RunResult
 Runner::replay(Ssd &ssd, WorkloadSource &workload, const RunOptions &opts)
 {
-    if (opts.prefill_pages > 0) {
-        if (opts.mixed_prefill)
-            prefillMixed(ssd, opts.prefill_pages);
-        else
-            prefill(ssd, opts.prefill_pages);
-    }
-
     RunResult res;
     res.workload = workload.name();
     res.ftl = ssd.ftl().name();

@@ -45,21 +45,6 @@ namespace leaftl
 /** Replay options. */
 struct RunOptions
 {
-    /**
-     * Pages written before measurement to warm up the device (creates
-     * initial mappings and dirties blocks so GC runs during the
-     * measured phase, §4.1). 0 = no prefill.
-     */
-    uint64_t prefill_pages = 0;
-    /**
-     * Warm-up pattern. The paper warms the device with "a set of
-     * workloads consisting of various real-world and synthetic
-     * traces"; mixed prefill emulates that with sequential, strided,
-     * and scattered regions so the warm state is not trivially
-     * compressible. Sequential prefill is kept for deterministic
-     * tests.
-     */
-    bool mixed_prefill = false;
     /** Drain the write buffer after the last request. */
     bool drain_at_end = true;
     /**
@@ -91,19 +76,27 @@ class Runner
 {
   public:
     /**
-     * Replay @a workload against @a ssd.
+     * Replay @a workload against @a ssd. A caller that warms the device
+     * first calls prefill() or prefillMixed() just before this.
      * @return Aggregated metrics (the device keeps its cumulative
      *         counters; the result snapshots them).
      */
     static RunResult replay(Ssd &ssd, WorkloadSource &workload,
                             const RunOptions &opts = {});
 
-    /** Sequentially write @a pages LPAs (device warm-up). */
+    /**
+     * Sequentially write @a pages LPAs (device warm-up: creates initial
+     * mappings and dirties blocks so GC runs during the measured
+     * phase, §4.1).
+     */
     static void prefill(Ssd &ssd, uint64_t pages);
 
     /**
-     * Mixed-pattern warm-up: 50% sequential, 20% strided, 30%
-     * scattered over the first @a pages LPAs.
+     * Mixed-pattern warm-up: 55% sequential, 25% strided, the rest
+     * scattered over the first @a pages LPAs. The paper warms the
+     * device with "a set of workloads consisting of various real-world
+     * and synthetic traces"; this emulates that, so the warm state is
+     * not trivially compressible.
      */
     static void prefillMixed(Ssd &ssd, uint64_t pages, uint64_t seed = 1);
 };

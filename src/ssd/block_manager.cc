@@ -188,14 +188,6 @@ BlockManager::freeFraction() const
            flash_.geometry().totalBlocks();
 }
 
-std::vector<std::pair<Lpa, Ppa>>
-BlockManager::validPages(uint32_t block) const
-{
-    std::vector<std::pair<Lpa, Ppa>> pages;
-    validPages(block, pages);
-    return pages;
-}
-
 void
 BlockManager::validPages(uint32_t block,
                          std::vector<std::pair<Lpa, Ppa>> &out) const

@@ -93,14 +93,11 @@ class BlockManager
     size_t freeBlocks() const { return free_pool_.size(); }
     double freeFraction() const;
 
-    /** Valid LPAs of a block in PPA order (GC migration source). */
-    std::vector<std::pair<Lpa, Ppa>> validPages(uint32_t block) const;
-
     /**
-     * Scratch-buffer overload: append the block's valid (LPA, PPA)
-     * pairs to @a out, walking the PVT a word at a time. The GC
-     * migrate loop reuses one buffer across victims, avoiding a
-     * vector allocation per reclaimed block.
+     * Append the block's valid (LPA, PPA) pairs, in PPA order, to
+     * @a out (the GC migration source), walking the PVT a word at a
+     * time. The GC migrate loop reuses one buffer across victims,
+     * avoiding a vector allocation per reclaimed block.
      */
     void validPages(uint32_t block,
                     std::vector<std::pair<Lpa, Ppa>> &out) const;

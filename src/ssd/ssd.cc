@@ -107,7 +107,6 @@ Ssd::locate(const TranslateResult &tr, Lpa lpa, bool already_read)
         stats_.mispredict_extra_reads++;
         cur_time_ = channels_.access(flash_.geometry().channelOf(predicted),
                                      cur_time_, cfg_.latency.flash_read);
-        flash_.readPage(predicted);
     }
 
     // The OOB of the predicted page names the LPAs of its in-block
@@ -145,7 +144,7 @@ Ssd::locate(const TranslateResult &tr, Lpa lpa, bool already_read)
         stats_.mispredict_extra_reads++;
         cur_time_ = channels_.access(flash_.geometry().channelOf(cand),
                                      cur_time_, cfg_.latency.flash_read);
-        if (flash_.readPage(cand) == lpa && blocks_.isValid(cand))
+        if (flash_.peekLpa(cand) == lpa && blocks_.isValid(cand))
             return cand;
     }
     // No valid page carries this LPA: a stale mapping of a trimmed
@@ -202,7 +201,6 @@ Ssd::serveRead(Lpa lpa)
     stats_.data_reads++;
     cur_time_ = channels_.access(flash_.geometry().channelOf(tr.ppa),
                                  cur_time_, cfg_.latency.flash_read);
-    flash_.readPage(tr.ppa);
 
     const Ppa actual = locate(tr, lpa, /*already_read=*/true);
     if (actual == kInvalidPpa) {
@@ -217,8 +215,7 @@ Ssd::serveRead(Lpa lpa)
         stats_.mispredict_extra_reads++;
         cur_time_ = channels_.access(flash_.geometry().channelOf(actual),
                                      cur_time_, cfg_.latency.flash_read);
-        const Lpa check = flash_.readPage(actual);
-        LEAFTL_ASSERT(check == lpa, "OOB resolution failed");
+        LEAFTL_ASSERT(flash_.peekLpa(actual) == lpa, "OOB resolution failed");
     }
     cache_.insert(lpa);
 }
@@ -462,7 +459,6 @@ Ssd::migrateVictims(const std::vector<uint32_t> &victims, Tick now)
             continue; // A zero-length charge would still move busy-until.
         channels_.access(cfg_.geometry.channelOfBlock(victim), now,
                          n * cfg_.latency.flash_read);
-        flash_.countReads(n);
         stats_.gc_reads += n;
         blocks_.invalidateBlock(victim);
     }
@@ -725,7 +721,6 @@ Ssd::crashAndRecover(Tick now)
                 continue;
             rec.scanned_pages++;
             channels_.access(channel, scan_now, cfg_.latency.flash_read);
-            flash_.readPage(ppa);
             if (blocks_.isValid(ppa))
                 run.emplace_back(flash_.peekLpa(ppa), ppa);
         }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "flash/flash_array.hh"
@@ -26,6 +27,15 @@ smallGeom()
     g.blocks_per_channel = 4;
     g.pages_per_block = 4;
     return g;
+}
+
+/** The valid (LPA, PPA) pairs of @a block, read into a fresh buffer. */
+std::vector<std::pair<Lpa, Ppa>>
+survivors(const BlockManager &bm, uint32_t block)
+{
+    std::vector<std::pair<Lpa, Ppa>> out;
+    bm.validPages(block, out);
+    return out;
 }
 
 struct Fixture
@@ -123,7 +133,7 @@ TEST(BlockManager, ValidPagesListsSurvivors)
     f.fillBlock(b, 200);
     const Ppa first = f.flash.geometry().firstPpa(b);
     f.bm.invalidate(first + 1);
-    const auto pages = f.bm.validPages(b);
+    const auto pages = survivors(f.bm, b);
     ASSERT_EQ(pages.size(), 3u);
     EXPECT_EQ(pages[0].first, 200u);
     EXPECT_EQ(pages[0].second, first);
@@ -178,7 +188,7 @@ TEST(BlockManagerSparsePvt, MaterializesOnFirstValidAndReleasesOnErase)
 
     // Unmaterialized blocks read as all-invalid.
     EXPECT_FALSE(f.bm.isValid(first));
-    EXPECT_TRUE(f.bm.validPages(block).empty());
+    EXPECT_TRUE(survivors(f.bm, block).empty());
 }
 
 /**
@@ -248,7 +258,7 @@ TEST(BlockManagerSparsePvt, MatchesDenseReferenceUnderFuzz)
                 expect_count += dense[b][p] ? 1 : 0;
             }
             EXPECT_EQ(f.bm.validCount(b), expect_count);
-            EXPECT_EQ(f.bm.validPages(b).size(), expect_count);
+            EXPECT_EQ(survivors(f.bm, b).size(), expect_count);
         }
         // Residency never exceeds the blocks programmed since erase.
         resident = f.bm.residentPvtBlocks();
@@ -353,7 +363,7 @@ TEST(BlockManagerRunOps, MatchPerPageOpsUnderFuzz)
                 ASSERT_EQ(run_bm.isValid(ppa), page_bm.isValid(ppa))
                     << "step " << step << " ppa " << ppa;
             }
-            ASSERT_EQ(run_bm.validPages(b), page_bm.validPages(b))
+            ASSERT_EQ(survivors(run_bm, b), survivors(page_bm, b))
                 << "step " << step << " block " << b;
         }
         ASSERT_EQ(picks(run_bm), picks(page_bm)) << "step " << step;

@@ -278,8 +278,7 @@ TEST(CampaignRun, CrashAtOnFtlWithoutRecoveryIsRejectedUpFront)
     const std::string conf = dir.path() + "/crash.conf";
     {
         std::ofstream out(conf);
-        out << "[experiment]\nftl = leaftl,sftl\ndevice = tiny\n"
-               "ws = 2048\nrequests = 200\n";
+        out << "ftl = leaftl,sftl\ndevice = tiny\nws = 2048\nrequests = 200\n";
     }
     const std::string campaign_dir = dir.path() + "/cli";
     std::string cli_err;

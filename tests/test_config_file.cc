@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests of the hierarchical config-file parser (config/config_file.hh):
- * section/key parsing, $(var) expansion, preset inheritance with
- * cycle detection, and line-numbered error reporting.
+ * Tests of the config-file reader inside config::loadExperimentFile:
+ * comments, blank lines and `key = value` lines applied in file
+ * order, and a "path:line:" prefix on every error.
  */
 
 #include <gtest/gtest.h>
 
-#include "config/config_file.hh"
+#include "config/experiment.hh"
+#include "temp_config.hh"
 
 namespace leaftl
 {
@@ -16,244 +17,117 @@ namespace config
 namespace
 {
 
-/** Parse @a text, asserting success. */
-ConfigFile
-parsed(const std::string &text)
+using test::TempConfig;
+
+/** The spec @a text lowers to (asserts loading succeeds). */
+ExperimentSpec
+loaded(const std::string &text)
 {
-    ConfigFile file;
+    const TempConfig conf(text);
+    ExperimentSpec spec;
     std::string err;
-    EXPECT_TRUE(file.parseString(text, err)) << err;
-    return file;
+    EXPECT_TRUE(loadExperimentFile(conf.path(), spec, err)) << err;
+    return spec;
 }
 
-/** Resolve @a section of @a text, asserting success. */
-std::vector<std::pair<std::string, std::string>>
-resolved(const std::string &text, const std::string &section)
-{
-    const ConfigFile file = parsed(text);
-    std::vector<std::pair<std::string, std::string>> out;
-    std::string err;
-    EXPECT_TRUE(file.resolve(section, out, err)) << err;
-    return out;
-}
-
-/** The parse error for @a text (asserts parsing fails). */
+/**
+ * The error @a text fails with, its "path:" prefix replaced by
+ * "<conf>:" (asserts loading fails).
+ */
 std::string
-parseError(const std::string &text)
+loadError(const std::string &text)
 {
-    ConfigFile file;
+    const TempConfig conf(text);
+    ExperimentSpec spec;
     std::string err;
-    EXPECT_FALSE(file.parseString(text, err)) << "expected parse failure";
-    return err;
-}
-
-/** The resolve error for @a section of @a text (asserts failure). */
-std::string
-resolveError(const std::string &text, const std::string &section)
-{
-    const ConfigFile file = parsed(text);
-    std::vector<std::pair<std::string, std::string>> out;
-    std::string err;
-    EXPECT_FALSE(file.resolve(section, out, err))
-        << "expected resolve failure";
+    EXPECT_FALSE(loadExperimentFile(conf.path(), spec, err))
+        << "expected a load failure";
+    if (err.rfind(conf.path() + ":", 0) == 0)
+        err = "<conf>" + err.substr(conf.path().size());
     return err;
 }
 
 TEST(ConfigFileParse, SectionsKeysAndComments)
 {
-    const ConfigFile file = parsed("# header comment\n"
-                                   "global = 1   # trailing comment\n"
-                                   "\n"
-                                   "[alpha]\n"
-                                   "a = x\n"
-                                   "[beta]\n"
-                                   "b = y z\n");
-    EXPECT_TRUE(file.hasSection("alpha"));
-    EXPECT_TRUE(file.hasSection("beta"));
-    EXPECT_FALSE(file.hasSection("gamma"));
-    EXPECT_EQ(file.sectionNames(),
-              (std::vector<std::string>{"alpha", "beta"}));
+    const ExperimentSpec spec = loaded("# header comment\n"
+                                       "gamma = 4   # trailing comment\n"
+                                       "\n"
+                                       "   workload =  synthetic:rand  \n");
+    EXPECT_EQ(spec.gammas, (std::vector<uint32_t>{4}));
+    EXPECT_EQ(spec.workloads, (std::vector<std::string>{"synthetic:rand"}));
 
-    // Values keep interior whitespace; edges are trimmed.
-    const auto beta = resolved("[beta]\nb =  y z \n", "beta");
-    ASSERT_EQ(beta.size(), 1u);
-    EXPECT_EQ(beta[0], (std::pair<std::string, std::string>{"b", "y z"}));
+    // A section header is not a key line: the file is flat.
+    EXPECT_EQ(loadError("gamma = 4\n[experiment]\n"),
+              "<conf>:2: expected 'key = value', got '[experiment]' (a "
+              "config file has no sections)");
 }
 
-TEST(ConfigFileParse, ResolveReturnsKeysSorted)
+TEST(ConfigFileParse, LinesApplyInFileOrder)
 {
-    const auto out = resolved("[s]\nzeta = 1\nalpha = 2\nmiddle = 3\n", "s");
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0].first, "alpha");
-    EXPECT_EQ(out[1].first, "middle");
-    EXPECT_EQ(out[2].first, "zeta");
-}
-
-TEST(ConfigFileParse, VariableExpansionScopeThenGlobal)
-{
-    const auto out = resolved("base = 100\n"
-                              "[s]\n"
-                              "local = 7\n"
-                              "both  = $(local)-$(base)\n",
-                              "s");
-    for (const auto &[key, value] : out) {
-        if (key == "both") {
-            EXPECT_EQ(value, "7-100");
-        }
-    }
-}
-
-TEST(ConfigFileParse, VariableExpansionIsRecursive)
-{
-    const auto out = resolved("a = 1\n"
-                              "b = $(a)2\n"
-                              "[s]\n"
-                              "c = $(b)3\n",
-                              "s");
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].second, "123");
-}
-
-TEST(ConfigFileParse, SectionScopeShadowsGlobalInExpansion)
-{
-    const auto out = resolved("v = global\n"
-                              "[s]\n"
-                              "v = local\n"
-                              "ref = $(v)\n",
-                              "s");
-    for (const auto &[key, value] : out) {
-        if (key == "ref") {
-            EXPECT_EQ(value, "local");
-        }
-    }
-}
-
-TEST(ConfigFileParse, InheritChainNearestWins)
-{
-    const std::string text = "[base]\n"
-                             "device = tiny\n"
-                             "ws     = 1024\n"
-                             "[mid]\n"
-                             "inherit = base\n"
-                             "ws      = 2048\n"
-                             "[top]\n"
-                             "inherit = mid\n"
-                             "gamma   = 4\n";
-    const auto out = resolved(text, "top");
-    ASSERT_EQ(out.size(), 3u); // inherit itself is consumed.
-    EXPECT_EQ(out[0], (std::pair<std::string, std::string>{"device",
-                                                           "tiny"}));
-    EXPECT_EQ(out[1], (std::pair<std::string, std::string>{"gamma", "4"}));
-    EXPECT_EQ(out[2], (std::pair<std::string, std::string>{"ws", "2048"}));
-}
-
-TEST(ConfigFileParse, InheritedValuesExpandInDerivedScope)
-{
-    // The preset's $(var) sees the derived section's value: presets
-    // are templates, and the nearest definition wins for expansion
-    // exactly as it does for plain shadowing.
-    const auto out = resolved("[preset]\n"
-                              "derived = $(knob)00\n"
-                              "[s]\n"
-                              "inherit = preset\n"
-                              "knob    = 5\n",
-                              "s");
-    for (const auto &[key, value] : out) {
-        if (key == "derived") {
-            EXPECT_EQ(value, "500");
-        }
-    }
+    // dram-mb and dram-bytes set one field: the later line wins, as the
+    // later of two flags does.
+    EXPECT_EQ(loaded("dram-mb = 1\ndram-bytes = 65536\n").dram_bytes,
+              65536u);
+    EXPECT_EQ(loaded("dram-bytes = 65536\ndram-mb = 1\n").dram_bytes,
+              1u << 20);
 }
 
 TEST(ConfigFileErrors, MalformedLineCarriesLineNumber)
 {
-    const std::string err = parseError("a = 1\n"
-                                       "not a key value line\n");
-    EXPECT_NE(err.find("<string>:2:"), std::string::npos) << err;
-    EXPECT_NE(err.find("expected 'key = value'"), std::string::npos)
-        << err;
+    EXPECT_EQ(loadError("gamma = 4\n"
+                        "not a key value line\n"),
+              "<conf>:2: expected 'key = value', got 'not a key value "
+              "line'");
 }
 
 TEST(ConfigFileErrors, UnterminatedSectionHeader)
 {
-    const std::string err = parseError("[oops\n");
-    EXPECT_NE(err.find("<string>:1:"), std::string::npos) << err;
-    EXPECT_NE(err.find("unterminated section header"), std::string::npos)
+    const std::string err = loadError("[oops\n");
+    EXPECT_NE(err.find("<conf>:1: expected 'key = value'"),
+              std::string::npos)
         << err;
 }
 
 TEST(ConfigFileErrors, BadSectionAndKeyNames)
 {
-    EXPECT_NE(parseError("[has space]\n").find("bad section name"),
+    EXPECT_NE(loadError("[has space]\n").find("<conf>:1: "),
               std::string::npos);
-    EXPECT_NE(parseError("a b = 1\n").find("bad key"), std::string::npos);
+    EXPECT_EQ(loadError("a b = 1\n"), "<conf>:1: bad key 'a b'");
+    EXPECT_EQ(loadError("= 1\n"), "<conf>:1: bad key ''");
 }
 
 TEST(ConfigFileErrors, DuplicatesNameTheFirstDefinition)
 {
-    const std::string key_err = parseError("[s]\n"
-                                           "a = 1\n"
-                                           "a = 2\n");
-    EXPECT_NE(key_err.find("<string>:3:"), std::string::npos) << key_err;
-    EXPECT_NE(key_err.find("first set on line 2"), std::string::npos)
-        << key_err;
-
-    const std::string sec_err = parseError("[s]\n[t]\n[s]\n");
-    EXPECT_NE(sec_err.find("<string>:3:"), std::string::npos) << sec_err;
-    EXPECT_NE(sec_err.find("first defined on line 1"), std::string::npos)
-        << sec_err;
+    EXPECT_EQ(loadError("gamma = 0\n"
+                        "ws    = 2048\n"
+                        "gamma = 4\n"),
+              "<conf>:3: duplicate key 'gamma' (first set on line 1)");
+    // '_' and '-' spell one key.
+    EXPECT_EQ(loadError("read-ratio = 0.5\n"
+                        "read_ratio = 0.9\n"),
+              "<conf>:2: duplicate key 'read_ratio' (first set on line 1)");
 }
 
-TEST(ConfigFileErrors, UnknownSectionAndInheritTarget)
+TEST(ConfigFileErrors, UnknownKeyAndBadValueCarryTheLine)
 {
-    EXPECT_NE(resolveError("[s]\na = 1\n", "missing")
-                  .find("no [missing] section"),
-              std::string::npos);
-    const std::string err = resolveError("[s]\ninherit = ghost\n", "s");
-    EXPECT_NE(err.find("unknown preset 'ghost'"), std::string::npos)
-        << err;
-    EXPECT_NE(err.find("<string>:2:"), std::string::npos) << err;
-}
-
-TEST(ConfigFileErrors, InheritCycleListsTheChain)
-{
-    const std::string err = resolveError("[a]\n"
-                                         "inherit = b\n"
-                                         "[b]\n"
-                                         "inherit = a\n",
-                                         "a");
-    EXPECT_NE(err.find("preset reference cycle"), std::string::npos)
-        << err;
-    EXPECT_NE(err.find("[a] -> [b] -> [a]"), std::string::npos) << err;
-}
-
-TEST(ConfigFileErrors, UndefinedAndUnterminatedVariables)
-{
-    const std::string undef = resolveError("[s]\na = $(nope)\n", "s");
-    EXPECT_NE(undef.find("undefined variable $(nope)"), std::string::npos)
-        << undef;
-    EXPECT_NE(undef.find("<string>:2:"), std::string::npos) << undef;
-
-    const std::string unterm = resolveError("[s]\na = $(open\n", "s");
-    EXPECT_NE(unterm.find("unterminated $("), std::string::npos) << unterm;
-}
-
-TEST(ConfigFileErrors, VariableReferenceCycleIsCaught)
-{
-    const std::string err = resolveError("[s]\n"
-                                         "a = $(b)\n"
-                                         "b = $(a)\n",
-                                         "s");
-    EXPECT_NE(err.find("expansion too deep"), std::string::npos) << err;
+    EXPECT_EQ(loadError("ws = 2048\n"
+                        "gama = 4\n"),
+              "<conf>:2: unknown key 'gama' (did you mean 'gamma'?)");
+    EXPECT_EQ(loadError("# comment\n"
+                        "\n"
+                        "gamma = x\n"),
+              "<conf>:3: bad gamma 'x'");
+    // There are no variables: a reference is an ordinary bad value.
+    EXPECT_EQ(loadError("rate = 25000,$(rate_knee)\n"),
+              "<conf>:1: bad rate '$(rate_knee)'");
 }
 
 TEST(ConfigFileErrors, MissingFileIsAnError)
 {
-    ConfigFile file;
+    ExperimentSpec spec;
     std::string err;
-    EXPECT_FALSE(file.parseFile("/nonexistent/leaftl.conf", err));
-    EXPECT_NE(err.find("cannot open config file"), std::string::npos)
-        << err;
+    EXPECT_FALSE(loadExperimentFile("/nonexistent/leaftl.conf", spec, err));
+    EXPECT_EQ(err, "cannot open config file '/nonexistent/leaftl.conf'");
 }
 
 } // namespace

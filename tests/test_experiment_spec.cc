@@ -9,13 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <map>
 
 #include "config/experiment.hh"
 #include "experiment_key_samples.hh"
+#include "temp_config.hh"
 
 namespace leaftl
 {
@@ -24,26 +23,7 @@ namespace config
 namespace
 {
 
-/** A config file written to a unique temp path, removed on scope exit. */
-class TempConfig
-{
-  public:
-    explicit TempConfig(const std::string &text)
-    {
-        char name[] = "/tmp/leaftl_test_conf_XXXXXX";
-        const int fd = mkstemp(name);
-        EXPECT_GE(fd, 0);
-        path_ = name;
-        const ssize_t n = write(fd, text.data(), text.size());
-        EXPECT_EQ(static_cast<size_t>(n), text.size());
-        close(fd);
-    }
-    ~TempConfig() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using test::TempConfig;
 
 /** applyExperimentKey asserting success. */
 void
@@ -195,16 +175,14 @@ TEST(ExperimentSpec, UnknownKeySuggestsTheNearest)
     EXPECT_NE(err.find("did you mean 'gamma'?"), std::string::npos) << err;
 }
 
-TEST(ExperimentSpec, LoadExperimentFileLowersThroughPresets)
+TEST(ExperimentSpec, LoadExperimentFileAppliesEveryLine)
 {
-    const TempConfig conf("base_ws = 4096\n"
-                          "[slow-device]\n"
+    const TempConfig conf("# One key a line, as the flags would set it.\n"
                           "device = tiny\n"
-                          "ws     = $(base_ws)\n"
-                          "[experiment]\n"
-                          "inherit = slow-device\n"
-                          "ftl     = leaftl,dftl\n"
-                          "gamma   = 0,4\n");
+                          "ws     = 4096   # pages\n"
+                          "\n"
+                          "ftl    = leaftl,dftl\n"
+                          "gamma  = 0,4\n");
     ExperimentSpec spec;
     std::string err;
     ASSERT_TRUE(loadExperimentFile(conf.path(), spec, err)) << err;
@@ -214,31 +192,91 @@ TEST(ExperimentSpec, LoadExperimentFileLowersThroughPresets)
     EXPECT_EQ(spec.gammas, (std::vector<uint32_t>{0, 4}));
 }
 
-TEST(ExperimentSpec, LoadExperimentFileRequiresTheSection)
+TEST(ExperimentSpec, UnknownConfigKeyNamesLineAndSuggestion)
 {
-    const TempConfig conf("[device]\ndevice = tiny\n");
+    const TempConfig conf("gamma = 4\ngama = 4\n");
     ExperimentSpec spec;
     std::string err;
     EXPECT_FALSE(loadExperimentFile(conf.path(), spec, err));
-    EXPECT_NE(err.find("no [experiment] section"), std::string::npos)
-        << err;
+    EXPECT_EQ(err, conf.path() +
+                       ":2: unknown key 'gama' (did you mean 'gamma'?)");
 }
 
-TEST(ExperimentSpec, UnknownConfigKeyNamesSectionAndSuggestion)
+/**
+ * Each config file shipped in configs/ against the ExperimentSpec it
+ * lowered to while it was written as a preset section plus an
+ * [experiment] section inheriting it (latency_load.conf with its
+ * third rate as a $(rate_knee) variable). The flat files must lower
+ * to the same specs.
+ */
+TEST(ExperimentSpec, ShippedConfigsLowerToTheirCapturedSpecs)
 {
-    const TempConfig conf("[experiment]\ngama = 4\n");
-    ExperimentSpec spec;
-    std::string err;
-    EXPECT_FALSE(loadExperimentFile(conf.path(), spec, err));
-    EXPECT_NE(err.find("[experiment]:"), std::string::npos) << err;
-    EXPECT_NE(err.find("unknown key 'gama' (did you mean 'gamma'?)"),
-              std::string::npos)
-        << err;
+    std::map<std::string, ExperimentSpec> want;
+    ExperimentSpec &tiny = want["tiny.conf"];
+    tiny.devices = {"tiny"};
+    tiny.working_set_pages = 8192;
+    tiny.prefill_frac = 0.5;
+    tiny.ftls = {FtlKind::LeaFTL, FtlKind::DFTL};
+    tiny.workloads = {"synthetic:zipf"};
+    tiny.gammas = {0, 4};
+    tiny.requests = 2000;
+    tiny.seed = 42;
+
+    ExperimentSpec &campaign = want["campaign_tiny.conf"];
+    campaign = tiny;
+    campaign.working_set_pages = 4096;
+    campaign.prefill_frac = 0.25;
+    campaign.requests = 1000;
+
+    ExperimentSpec &paper = want["paper.conf"];
+    paper.devices = {"paper"};
+    paper.working_set_pages = 98304;
+    paper.prefill_frac = 0.85;
+    paper.ftls = {FtlKind::LeaFTL, FtlKind::DFTL, FtlKind::SFTL};
+    paper.workloads = {"synthetic:zipf", "msr:MSR-src2"};
+    paper.gammas = {0, 4, 16};
+    paper.requests = 200000;
+    paper.seed = 42;
+
+    ExperimentSpec &paper_2tb = want["paper-2tb.conf"];
+    paper_2tb = tiny;
+    paper_2tb.devices = {"paper-2tb"};
+    paper_2tb.working_set_pages = 262144;
+    paper_2tb.prefill_frac = 0.85;
+    paper_2tb.requests = 100000;
+
+    ExperimentSpec &load = want["latency_load.conf"];
+    load.workloads = {"synthetic:rand"};
+    load.read_ratio = 0.98;
+    load.working_set_pages = 16384;
+    load.dram_bytes = 65536;
+    load.ftls = {FtlKind::LeaFTL, FtlKind::DFTL};
+    load.modes = {"poisson"};
+    load.rates = {25000, 50000, 100000, 200000, 400000, 800000};
+    load.queue_depths = {64};
+    load.requests = 40000;
+    load.prefill_frac = 0.85;
+    load.seed = 42;
+
+    size_t checked = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             LEAFTL_SOURCE_DIR "/configs")) {
+        const std::string name = entry.path().filename().string();
+        const auto it = want.find(name);
+        ASSERT_NE(it, want.end()) << "no captured spec for " << name;
+        ExperimentSpec spec;
+        std::string err;
+        ASSERT_TRUE(loadExperimentFile(entry.path().string(), spec, err))
+            << err;
+        EXPECT_EQ(spec, it->second) << name;
+        checked++;
+    }
+    EXPECT_EQ(checked, want.size());
 }
 
 TEST(ExperimentSpecDeathTest, OrDieRejectsUnknownKeysFatally)
 {
-    const TempConfig conf("[experiment]\nqdepth = 8\n");
+    const TempConfig conf("qdepth = 8\n");
     EXPECT_DEATH(loadExperimentFileOrDie(conf.path()),
                  "unknown key 'qdepth' \\(did you mean 'qd'\\?\\)");
 }

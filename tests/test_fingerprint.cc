@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the canonical run fingerprints (config/fingerprint.hh):
- * stability across config layout and axis-list order, and the
+ * stability across config-file key order and axis-list order, and the
  * dedupe rules (result-irrelevant keys dropped so equivalent runs
  * collide — the contract behind campaign resume).
  */
@@ -11,8 +11,8 @@
 #include <cctype>
 #include <sstream>
 
-#include "config/config_file.hh"
 #include "config/fingerprint.hh"
+#include "temp_config.hh"
 
 namespace leaftl
 {
@@ -87,32 +87,24 @@ TEST(Fingerprint, IndependentOfAxisListOrderAndLayout)
     EXPECT_EQ(runFingerprint(a, point()), runFingerprint(b, point()));
 }
 
-TEST(Fingerprint, StableAcrossConfigFileKeyOrderAndInheritance)
+TEST(Fingerprint, StableAcrossConfigFileKeyOrder)
 {
-    // The same experiment written flat vs. through a preset with the
-    // keys in a different order must fingerprint identically.
-    const std::string flat_text = "[experiment]\n"
-                                  "ws       = 4096\n"
-                                  "device   = tiny\n"
-                                  "requests = 1000\n"
-                                  "seed     = 7\n";
-    const std::string preset_text = "[dev]\n"
-                                    "requests = 1000\n"
-                                    "device   = tiny\n"
-                                    "[experiment]\n"
-                                    "inherit  = dev\n"
-                                    "seed     = 7\n"
-                                    "ws       = 4096\n";
-    ExperimentSpec flat, layered;
-    ConfigFile f1, f2;
+    // The same experiment written with its keys in two orders must
+    // fingerprint identically.
+    const test::TempConfig first("ws       = 4096\n"
+                                 "device   = tiny\n"
+                                 "requests = 1000\n"
+                                 "seed     = 7\n");
+    const test::TempConfig reordered("seed     = 7\n"
+                                     "requests = 1000\n"
+                                     "ws       = 4096\n"
+                                     "device   = tiny\n");
+    ExperimentSpec a, b;
     std::string err;
-    ASSERT_TRUE(f1.parseString(flat_text, err)) << err;
-    ASSERT_TRUE(loadExperiment(f1, "experiment", flat, err)) << err;
-    ASSERT_TRUE(f2.parseString(preset_text, err)) << err;
-    ASSERT_TRUE(loadExperiment(f2, "experiment", layered, err)) << err;
+    ASSERT_TRUE(loadExperimentFile(first.path(), a, err)) << err;
+    ASSERT_TRUE(loadExperimentFile(reordered.path(), b, err)) << err;
 
-    EXPECT_EQ(runFingerprint(flat, point()),
-              runFingerprint(layered, point()));
+    EXPECT_EQ(runFingerprint(a, point()), runFingerprint(b, point()));
 }
 
 TEST(Fingerprint, ScalarOptionsChangeTheFingerprint)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the NAND flash array model: program/read/erase semantics,
+ * Tests for the NAND flash array model: program/peek/erase semantics,
  * NAND ordering rules, the OOB reverse-mapping window (§3.5), the
  * erase-count spread, and the sparse block-granular page store
  * (residency O(live blocks), behavior identical to the dense per-page
@@ -19,6 +19,15 @@ namespace leaftl
 {
 namespace
 {
+
+/** The OOB window of @a ppa, read into a fresh buffer. */
+std::vector<Lpa>
+window(const FlashArray &flash, Ppa ppa, uint32_t gamma)
+{
+    std::vector<Lpa> out;
+    flash.oobWindow(ppa, gamma, out);
+    return out;
+}
 
 Geometry
 smallGeom()
@@ -50,19 +59,9 @@ TEST(FlashArray, ProgramAndReadBack)
     FlashArray flash(smallGeom());
     flash.programPage(0, 111);
     flash.programPage(1, 222);
-    EXPECT_EQ(flash.readPage(0), 111u);
-    EXPECT_EQ(flash.readPage(1), 222u);
-    EXPECT_EQ(flash.readPage(2), kInvalidLpa);
-    EXPECT_EQ(flash.counters().page_writes, 2u);
-    EXPECT_EQ(flash.counters().page_reads, 3u);
-}
-
-TEST(FlashArray, PeekDoesNotCount)
-{
-    FlashArray flash(smallGeom());
-    flash.programPage(0, 5);
-    EXPECT_EQ(flash.peekLpa(0), 5u);
-    EXPECT_EQ(flash.counters().page_reads, 0u);
+    EXPECT_EQ(flash.peekLpa(0), 111u);
+    EXPECT_EQ(flash.peekLpa(1), 222u);
+    EXPECT_EQ(flash.peekLpa(2), kInvalidLpa);
 }
 
 TEST(FlashArray, BlockLifecycle)
@@ -134,7 +133,7 @@ TEST(FlashArray, OobWindowCoversNeighbors)
     for (Ppa p = 0; p < 8; p++)
         flash.programPage(p, 100 + p);
     // Window of gamma=2 around page 4: LPAs of pages 2..6.
-    const auto w = flash.oobWindow(4, 2);
+    const auto w = window(flash, 4, 2);
     ASSERT_EQ(w.size(), 5u);
     for (int i = 0; i < 5; i++)
         EXPECT_EQ(w[i], 102u + i);
@@ -149,14 +148,14 @@ TEST(FlashArray, OobWindowClipsAtBlockBoundary)
         flash.programPage(p, 90 + p);
 
     // Page 1's window of gamma=3 reaches below page 0: nulls there.
-    auto w = flash.oobWindow(1, 3);
+    auto w = window(flash, 1, 3);
     ASSERT_EQ(w.size(), 7u);
     EXPECT_EQ(w[0], kInvalidLpa);
     EXPECT_EQ(w[1], kInvalidLpa);
     EXPECT_EQ(w[2], 50u);
 
     // Page 7's window must not leak into block 1 (pages 8+).
-    w = flash.oobWindow(7, 2);
+    w = window(flash, 7, 2);
     ASSERT_EQ(w.size(), 5u);
     EXPECT_EQ(w[2], 57u);
     EXPECT_EQ(w[3], kInvalidLpa);
@@ -170,7 +169,7 @@ TEST(FlashArray, OobWindowClampsToPhysicalEntries)
     FlashArray flash(g);
     for (Ppa p = 0; p < 8; p++)
         flash.programPage(p, p);
-    const auto w = flash.oobWindow(4, 10);
+    const auto w = window(flash, 4, 10);
     EXPECT_EQ(w.size(), 5u);
 }
 
@@ -180,12 +179,22 @@ TEST(FlashArray, OobWindowScratchOverloadMatches)
     for (Ppa p = 0; p < 10; p++)
         flash.programPage(p, 200 + p);
 
+    // One reused buffer holds each window exactly as the per-page
+    // peeks of its in-block neighbors do (16 entries fit: g <= 15).
     std::vector<Lpa> scratch;
     for (Ppa ppa : {0u, 1u, 4u, 7u, 8u, 9u}) {
         for (uint32_t gamma : {0u, 1u, 3u, 50u}) {
             flash.oobWindow(ppa, gamma, scratch);
-            EXPECT_EQ(scratch, flash.oobWindow(ppa, gamma))
-                << "ppa=" << ppa << " gamma=" << gamma;
+            const uint32_t g = std::min(gamma, 15u);
+            const Ppa first = flash.geometry().firstPpa(
+                flash.geometry().blockOf(ppa));
+            std::vector<Lpa> peeked;
+            for (int64_t p = int64_t{ppa} - g; p <= int64_t{ppa} + g; p++) {
+                const bool in_block = p >= first && p < first + 8;
+                peeked.push_back(in_block ? flash.peekLpa(static_cast<Ppa>(p))
+                                          : kInvalidLpa);
+            }
+            EXPECT_EQ(scratch, peeked) << "ppa=" << ppa << " gamma=" << gamma;
         }
     }
     // The scratch buffer shrinks as well as grows between calls.
@@ -259,7 +268,7 @@ TEST(FlashArraySparse, MatchesDenseSemanticsUnderProgramEraseCycles)
             ASSERT_EQ(flash.peekLpa(p), dense[p]) << "step " << step;
         // Spot-check an OOB window against the dense model.
         const Ppa probe = static_cast<Ppa>(rng.nextBounded(g.totalPages()));
-        const auto w = flash.oobWindow(probe, 2);
+        const auto w = window(flash, probe, 2);
         for (uint32_t i = 0; i < w.size(); i++) {
             const int64_t p = static_cast<int64_t>(probe) - 2 + i;
             const Ppa first = g.firstPpa(g.blockOf(probe));

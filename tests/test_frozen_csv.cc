@@ -12,14 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "cli/sim_cli.hh"
 #include "csv_test_util.hh"
+#include "temp_config.hh"
 
 namespace leaftl
 {
@@ -30,6 +28,7 @@ namespace
 
 using test::columnPrefix;
 using test::stripWallNs;
+using test::TempConfig;
 
 /**
  * Columns the golden file freezes: everything up to (excluding) the
@@ -60,27 +59,6 @@ sweepCsv(const SimOptions &opts)
     EXPECT_EQ(runSweep(opts, out), 0);
     return stripWallNs(out.str());
 }
-
-/** A config file written to a unique temp path, removed on scope exit. */
-class TempConfig
-{
-  public:
-    explicit TempConfig(const std::string &text)
-    {
-        char name[] = "/tmp/leaftl_frozen_conf_XXXXXX";
-        const int fd = mkstemp(name);
-        EXPECT_GE(fd, 0);
-        path_ = name;
-        const ssize_t n = write(fd, text.data(), text.size());
-        EXPECT_EQ(static_cast<size_t>(n), text.size());
-        close(fd);
-    }
-    ~TempConfig() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 TEST(FrozenCsv, FlagsOnlySweepMatchesTheGoldenFile)
 {
@@ -137,15 +115,13 @@ TEST(FrozenCsv, ConfigFileReproducesTheFlagRows)
                "--workload", "synthetic:zipf", "--requests", "200",
                "--ws", "2048", "--prefill", "0.25", "--jobs", "2"});
 
-    const TempConfig conf("[scale]\n"
-                          "ws      = 2048\n"
-                          "prefill = 0.25\n"
-                          "[experiment]\n"
-                          "inherit  = scale\n"
+    const TempConfig conf("# The flag invocation above, one key a line.\n"
                           "ftl      = leaftl,dftl\n"
                           "gamma    = 0,4\n"
                           "workload = synthetic:zipf\n"
                           "requests = 200\n"
+                          "ws       = 2048\n"
+                          "prefill  = 0.25\n"
                           "jobs     = 2\n");
     const SimOptions from_config =
         parse({"--config", conf.path().c_str()});
@@ -155,8 +131,7 @@ TEST(FrozenCsv, ConfigFileReproducesTheFlagRows)
 
 TEST(FrozenCsv, FlagsWinOverTheConfigFile)
 {
-    const TempConfig conf("[experiment]\n"
-                          "ftl      = leaftl\n"
+    const TempConfig conf("ftl      = leaftl\n"
                           "gamma    = 0\n"
                           "workload = synthetic:zipf\n"
                           "requests = 100\n"

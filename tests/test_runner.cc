@@ -52,9 +52,8 @@ TEST_P(RunnerAllFtls, ReplayPopulatesMetrics)
 {
     Ssd ssd(testConfig(GetParam()));
     auto wl = makeMsrWorkload("MSR-hm", 4000, 20000);
-    RunOptions opts;
-    opts.prefill_pages = 2000;
-    const RunResult res = Runner::replay(ssd, *wl, opts);
+    Runner::prefill(ssd, 2000);
+    const RunResult res = Runner::replay(ssd, *wl);
 
     EXPECT_EQ(res.requests, 20000u);
     EXPECT_GE(res.pages_touched, res.requests);
@@ -106,13 +105,6 @@ RunResult
 legacyClosedLoopReplay(Ssd &ssd, WorkloadSource &workload,
                        const RunOptions &opts)
 {
-    if (opts.prefill_pages > 0) {
-        if (opts.mixed_prefill)
-            Runner::prefillMixed(ssd, opts.prefill_pages);
-        else
-            Runner::prefill(ssd, opts.prefill_pages);
-    }
-
     RunResult res;
     res.workload = workload.name();
     res.ftl = ssd.ftl().name();
@@ -160,17 +152,17 @@ class RunnerDepthOneInvariance : public ::testing::TestWithParam<FtlKind>
 TEST_P(RunnerDepthOneInvariance, MatchesLegacyClosedLoopExactly)
 {
     RunOptions opts;
-    opts.prefill_pages = 2000;
-    opts.mixed_prefill = true;
     opts.queue_depth = 1;
 
     Ssd legacy_ssd(testConfig(GetParam()));
     auto legacy_wl = makeMsrWorkload("MSR-hm", 4000, 20000);
+    Runner::prefillMixed(legacy_ssd, 2000);
     const RunResult legacy =
         legacyClosedLoopReplay(legacy_ssd, *legacy_wl, opts);
 
     Ssd ssd(testConfig(GetParam()));
     auto wl = makeMsrWorkload("MSR-hm", 4000, 20000);
+    Runner::prefillMixed(ssd, 2000);
     const RunResult res = Runner::replay(ssd, *wl, opts);
 
     // Replay-level aggregates: identical operation sequence implies
@@ -262,8 +254,8 @@ runAtDepth(uint32_t qd)
     Ssd ssd(qdTestConfig());
     MixWorkload wl(qdTestSpec());
     RunOptions opts;
-    opts.prefill_pages = 4096; // Map the whole working set.
     opts.queue_depth = qd;
+    Runner::prefill(ssd, 4096); // Map the whole working set.
     return Runner::replay(ssd, wl, opts);
 }
 
@@ -329,18 +321,18 @@ TEST(RunnerQueueDepth, DepthZeroIsTreatedAsOne)
 TEST(RunnerOpenLoop, OpenAdmissionKeepsDeviceEvolutionIdentical)
 {
     RunOptions opts;
-    opts.prefill_pages = 2000;
-    opts.mixed_prefill = true;
     opts.queue_depth = 8;
 
     opts.admission = Admission::Closed;
     Ssd closed_ssd(testConfig(FtlKind::LeaFTL));
     auto closed_wl = makeMsrWorkload("MSR-hm", 4000, 20000);
+    Runner::prefillMixed(closed_ssd, 2000);
     const RunResult closed = Runner::replay(closed_ssd, *closed_wl, opts);
 
     opts.admission = Admission::Open;
     Ssd open_ssd(testConfig(FtlKind::LeaFTL));
     auto open_wl = makeMsrWorkload("MSR-hm", 4000, 20000);
+    Runner::prefillMixed(open_ssd, 2000);
     const RunResult open = Runner::replay(open_ssd, *open_wl, opts);
 
     EXPECT_EQ(open.requests, closed.requests);
@@ -371,9 +363,9 @@ TEST(RunnerOpenLoop, EndToEndHistogramsPopulated)
     auto wl = shapeArrivals(std::make_unique<MixWorkload>(qdTestSpec()),
                             shape);
     RunOptions opts;
-    opts.prefill_pages = 4096;
     opts.queue_depth = 16;
     opts.admission = Admission::Open;
+    Runner::prefill(ssd, 4096);
     const RunResult res = Runner::replay(ssd, *wl, opts);
 
     EXPECT_EQ(res.e2e_all.count(), res.requests);
@@ -405,9 +397,9 @@ openLoopP99AtRate(double rate)
     auto wl = shapeArrivals(std::make_unique<MixWorkload>(qdTestSpec()),
                             shape);
     RunOptions opts;
-    opts.prefill_pages = 4096;
     opts.queue_depth = 64;
     opts.admission = Admission::Open;
+    Runner::prefill(ssd, 4096);
     const RunResult res = Runner::replay(ssd, *wl, opts);
     return res.e2e_all.percentile(99.0);
 }

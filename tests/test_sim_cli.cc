@@ -19,6 +19,7 @@
 #include "cli/sim_cli.hh"
 #include "csv_test_util.hh"
 #include "experiment_key_samples.hh"
+#include "temp_config.hh"
 
 namespace leaftl
 {
@@ -170,19 +171,13 @@ TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
     // unknown argument.
     SimOptions opts;
     std::string err;
-    const std::string conf =
-        "/tmp/leaftl_sim_cli_threads." + std::to_string(::getpid()) + ".conf";
     {
-        std::ofstream file(conf);
-        file << "[experiment]\nthreads = 2\n";
-    }
-    {
-        const char *argv[] = {"leaftl_sim", "--config", conf.c_str()};
+        const test::TempConfig conf("threads = 2\n");
+        const char *argv[] = {"leaftl_sim", "--config", conf.path().c_str()};
         EXPECT_FALSE(parseArgs(3, argv, opts, err));
         EXPECT_NE(err.find("unknown key 'threads'"), std::string::npos)
             << err;
     }
-    std::remove(conf.c_str());
     {
         const char *argv[] = {"leaftl_sim", "--threads", "2"};
         EXPECT_FALSE(parseArgs(3, argv, opts, err));
@@ -193,8 +188,8 @@ TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
 
     // The key never entered a run fingerprint, so campaign resume is
     // unaffected: these values were pinned while it still existed. The
-    // second spec is the flat layout of
-    // Fingerprint.StableAcrossConfigFileKeyOrderAndInheritance.
+    // second spec is the first layout of
+    // Fingerprint.StableAcrossConfigFileKeyOrder.
     config::RunPoint p;
     p.ftl = FtlKind::LeaFTL;
     p.workload = "synthetic:zipf";
@@ -212,8 +207,6 @@ TEST(SimCliParse, ThreadsIsAnUnknownKeyAndFingerprintsStay)
 
 TEST(SimCliParse, EveryKeyIsAFlagAndAConfigLine)
 {
-    const std::string conf =
-        "/tmp/leaftl_sim_cli_keys." + std::to_string(::getpid()) + ".conf";
     const std::string help = usage();
     for (const std::string &key : config::knownExperimentKeys()) {
         const auto it = test::experimentKeySamples().find(key);
@@ -225,17 +218,13 @@ TEST(SimCliParse, EveryKeyIsAFlagAndAConfigLine)
         EXPECT_EQ(config::ExperimentSpec(parseVec({"--" + key + "=" + v})),
                   spaced)
             << key;
-        {
-            std::ofstream file(conf);
-            file << "[experiment]\n" << key << " = " << v << "\n";
-        }
-        EXPECT_EQ(config::ExperimentSpec(parseVec({"--config", conf})),
+        const test::TempConfig conf(key + " = " + v + "\n");
+        EXPECT_EQ(config::ExperimentSpec(parseVec({"--config", conf.path()})),
                   spaced)
             << key;
         EXPECT_NE(help.find("\n  --" + key + " "), std::string::npos)
             << "usage() does not name --" << key;
     }
-    std::remove(conf.c_str());
 
     // A key with a bare form: a following flag is not its value.
     const SimOptions bare = parse({"--trace-strict", "--seed", "3"});
@@ -297,6 +286,32 @@ runMain(std::initializer_list<const char *> args, std::string &err)
     return rc;
 }
 
+TEST(SimCliParse, CampaignDiffRejectsOutputAndCampaignDir)
+{
+    // --campaign-diff prints a report comparing two existing campaigns;
+    // it writes no CSV and runs no campaign, so either flag beside it
+    // would be a silent no-op.
+    const char *dir = LEAFTL_SOURCE_DIR "/tests/data/campaign_tiny";
+    const std::string tag = std::to_string(::getpid());
+    const std::string out = "/tmp/leaftl_sim_cli_diff." + tag + ".csv";
+    const std::string campaign = "/tmp/leaftl_sim_cli_diff." + tag;
+    std::string err;
+    EXPECT_EQ(runMain({"--campaign-diff", dir, dir, "--output", out.c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("--campaign-diff excludes --output"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::ifstream(out).good());
+    EXPECT_EQ(runMain({"--campaign-dir", campaign.c_str(), "--campaign-diff",
+                       dir, dir},
+                      err),
+              2);
+    EXPECT_NE(err.find("--campaign-diff excludes"), std::string::npos)
+        << err;
+    EXPECT_FALSE(std::ifstream(campaign).good());
+}
+
 TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
 {
     // Only LeaFTL models crash recovery; on DFTL/SFTL a crash point
@@ -305,11 +320,7 @@ TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
     // exit 2 and an error naming the FTL, before any run writes output.
     const std::string tag = std::to_string(::getpid());
     const std::string out = "/tmp/leaftl_sim_cli_crash." + tag + ".csv";
-    const std::string conf = "/tmp/leaftl_sim_cli_crash." + tag + ".conf";
-    {
-        std::ofstream file(conf);
-        file << "[experiment]\nftl = sftl\ncrash-at = 5\n";
-    }
+    const test::TempConfig conf("ftl = sftl\ncrash-at = 5\n");
     std::string err;
     EXPECT_EQ(runMain({"--ftl", "leaftl,dftl", "--crash-at", "10",
                        "--requests", "100", "--output", out.c_str()},
@@ -326,12 +337,12 @@ TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
                       err),
               2);
     EXPECT_NE(err.find("DFTL"), std::string::npos) << err;
-    EXPECT_EQ(runMain({"--config", conf.c_str(), "--output", out.c_str()},
+    EXPECT_EQ(runMain({"--config", conf.path().c_str(), "--output",
+                       out.c_str()},
                       err),
               2);
     EXPECT_NE(err.find("SFTL"), std::string::npos) << err;
     EXPECT_FALSE(std::ifstream(out).good()) << "a rejected sweep ran";
-    std::remove(conf.c_str());
 
     // runSweep itself validates too: a direct call exits 2 and writes
     // nothing instead of draining DFTL at each crash point.
