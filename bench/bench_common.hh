@@ -99,8 +99,9 @@ scaleFromSpec(const config::ExperimentSpec &spec, BenchScale &s)
  * @a defaults. The scale flags are leaftl_sim's experiment keys: a
  * bad value prints leaftl_sim's error and exits with status 2.
  * --config applies the file's `key = value` lines (same keys and
- * validation); flags and --config apply in order, later wins, and
- * --fast cuts the requests and ws reached so far to a tenth and a
+ * validation; a bad file prints its `path:line:` error and exits
+ * with status 2 too); flags and --config apply in order, later wins,
+ * and --fast cuts the requests and ws reached so far to a tenth and a
  * quarter. Any other argument goes to @a free_arg; a bench that takes
  * none rejects it as an unknown flag, exit status 2.
  */
@@ -126,17 +127,15 @@ parseScale(int argc, char **argv, std::string *free_arg = nullptr,
                          [&](const auto &f) {
                              return arg.rfind(f.first, 0) == 0;
                          });
+        std::string err;
+        bool ok = true;
         if (arg.rfind("--config=", 0) == 0) {
-            s.spec = config::loadExperimentFileOrDie(arg.substr(9));
+            s.spec = config::ExperimentSpec();
+            ok = config::loadExperimentFile(arg.substr(9), s.spec, err);
             s.from_config = true;
         } else if (flag != std::end(kScaleFlags)) {
-            std::string err;
-            if (!config::applyExperimentKey(s.spec, flag->second,
-                                            arg.substr(flag->first.size()),
-                                            err)) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
-                std::exit(2);
-            }
+            ok = config::applyExperimentKey(
+                s.spec, flag->second, arg.substr(flag->first.size()), err);
         } else if (arg == "--fast") {
             s.fast = true;
             s.spec.requests /= 10;
@@ -146,6 +145,10 @@ parseScale(int argc, char **argv, std::string *free_arg = nullptr,
         } else {
             std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
                          arg.c_str());
+            std::exit(2);
+        }
+        if (!ok) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
             std::exit(2);
         }
         scaleFromSpec(s.spec, s);

@@ -225,6 +225,9 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
           std::string &err)
 {
     const std::vector<std::string> args(argv + 1, argv + argc);
+    // The first sweep setting given (an experiment key or --config),
+    // which --campaign-diff would silently ignore.
+    std::string sweep_flag;
     for (size_t i = 0; i < args.size(); i++) {
         // "--flag=value" carries its value inline.
         std::string arg = args[i];
@@ -246,6 +249,8 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         const config::ExperimentKey *key =
             arg.rfind("--", 0) == 0 ? config::findExperimentKey(arg.substr(2))
                                     : nullptr;
+        if (key && sweep_flag.empty())
+            sweep_flag = arg;
         if ((arg == "--help" || arg == "-h") && !v) {
             opts.help = true;
         } else if (arg == "--list" && !v) {
@@ -263,6 +268,8 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
                 return false;
             opts.output = *v;
         } else if (arg == "--config") {
+            if (sweep_flag.empty())
+                sweep_flag = arg;
             if (!value() || !config::loadExperimentFile(*v, opts, err))
                 return false;
         } else if (arg == "--campaign-dir") {
@@ -301,6 +308,11 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         (!opts.output.empty() || !opts.campaign_dir.empty())) {
         err = "--campaign-diff excludes --output and --campaign-dir (it "
               "compares two existing campaigns and prints its report)";
+        return false;
+    }
+    if (!opts.diff_a.empty() && !sweep_flag.empty()) {
+        err = "--campaign-diff excludes " + sweep_flag +
+              " (it compares two existing campaigns and runs nothing)";
         return false;
     }
     return true;

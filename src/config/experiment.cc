@@ -458,15 +458,5 @@ loadExperimentFile(const std::string &path, ExperimentSpec &spec,
     return true;
 }
 
-ExperimentSpec
-loadExperimentFileOrDie(const std::string &path)
-{
-    ExperimentSpec spec;
-    std::string err;
-    if (!loadExperimentFile(path, spec, err))
-        LEAFTL_FATAL(err);
-    return spec;
-}
-
 } // namespace config
 } // namespace leaftl

@@ -206,12 +206,5 @@ bool checkCrashSupport(const ExperimentSpec &spec, std::string &err);
 bool loadExperimentFile(const std::string &path, ExperimentSpec &spec,
                         std::string &err);
 
-/**
- * Bench front door: loadExperimentFile() or die with LEAFTL_FATAL
- * (config problems are the user's fault; benches have no error
- * plumbing).
- */
-ExperimentSpec loadExperimentFileOrDie(const std::string &path);
-
 } // namespace config
 } // namespace leaftl

@@ -113,6 +113,19 @@ class Ftl
     virtual LearnedTable *learnedTable() { return nullptr; }
     virtual const LearnedTable *learnedTable() const { return nullptr; }
 
+    /**
+     * Restore the learned table in place from a full snapshot plus an
+     * ordered chain of LearnedTable::serializeDirty() delta records
+     * (incremental recovery, §3.8). Only an FTL with a learnedTable()
+     * has snapshots; the device never calls this on any other.
+     */
+    virtual void
+    restoreChain(const std::vector<uint8_t> &,
+                 const std::vector<std::vector<uint8_t>> &)
+    {
+        LEAFTL_PANIC("restoreChain on an FTL without a learned table");
+    }
+
   protected:
     FtlOps &ops_;
 };

@@ -54,13 +54,12 @@ class LeaFtl : public Ftl
     const LearnedTable *learnedTable() const override { return &table_; }
 
     /**
-     * Restore the table in place from a full snapshot plus an ordered
-     * chain of serializeDirty() delta records (incremental recovery,
-     * §3.8). Aborts on a corrupt blob -- the chain lives in the
-     * device's battery-backed snapshot area, not on scanned flash.
+     * Aborts on a corrupt blob -- the chain lives in the device's
+     * battery-backed snapshot area, not on scanned flash.
      */
-    void restoreChain(const std::vector<uint8_t> &base,
-                      const std::vector<std::vector<uint8_t>> &deltas);
+    void
+    restoreChain(const std::vector<uint8_t> &base,
+                 const std::vector<std::vector<uint8_t>> &deltas) override;
 
     uint32_t gamma() const { return table_.gamma(); }
 

@@ -10,19 +10,6 @@ namespace leaftl
 namespace
 {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t
-fnv1a(const uint8_t *data, size_t n, uint64_t h = kFnvOffset)
-{
-    for (size_t i = 0; i < n; i++) {
-        h ^= data[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 /**
  * Encode one record onto @a log: one resize, then the header and the
  * payload through one cursor. The checksum covers the header fields
@@ -55,8 +42,8 @@ appendRecord(std::vector<uint8_t> &log, JournalRecord::Type type,
     } else {
         w.put<uint32_t>(trim_lpa);
     }
-    uint64_t h = fnv1a(rec, cksum_at);
-    h = fnv1a(rec + MappingJournal::kHeaderBytes, payload_len, h);
+    uint64_t h = fnv1a64(rec, cksum_at);
+    h = fnv1a64(rec + MappingJournal::kHeaderBytes, payload_len, h);
     ByteWriter(rec + cksum_at).put<uint64_t>(h);
     return log.size() - start;
 }
@@ -135,8 +122,8 @@ JournalReader::next(JournalRecord &rec)
     // Recompute the checksum with the checksum field zeroed.
     const uint8_t *const start = log_.data() + at_;
     const size_t cksum_at = MappingJournal::kHeaderBytes - sizeof(uint64_t);
-    uint64_t h = fnv1a(start, cksum_at);
-    h = fnv1a(payload, payload_len, h);
+    uint64_t h = fnv1a64(start, cksum_at);
+    h = fnv1a64(payload, payload_len, h);
     if (h != cksum) {
         corrupt_ = true;
         return false;

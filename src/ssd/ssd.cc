@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ftl/leaftl.hh"
+#include "learned/learned_table.hh"
 
 namespace leaftl
 {
@@ -16,10 +16,7 @@ Ssd::Ssd(const SsdConfig &cfg)
       buffer_(static_cast<uint32_t>(cfg.write_buffer_bytes /
                                     cfg.geometry.page_size)),
       cache_(0),
-      ftl_(makeFtl(cfg, *this)),
-      // makeFtl builds the FTL cfg.ftl names.
-      lea_(cfg.ftl == FtlKind::LeaFTL ? static_cast<LeaFtl *>(ftl_.get())
-                                      : nullptr)
+      ftl_(makeFtl(cfg, *this))
 {
     cfg_.validate();
     updateDramSplit();
@@ -27,22 +24,25 @@ Ssd::Ssd(const SsdConfig &cfg)
 
 Ssd::~Ssd() = default;
 
+Tick
+Ssd::accessTransPage(Tick at, Tick latency)
+{
+    trans_channel_rr_ = (trans_channel_rr_ + 1) % cfg_.geometry.num_channels;
+    return channels_.access(trans_channel_rr_, at, latency);
+}
+
 void
 Ssd::chargeTransRead()
 {
     stats_.trans_reads++;
-    trans_channel_rr_ = (trans_channel_rr_ + 1) % cfg_.geometry.num_channels;
-    cur_time_ =
-        channels_.access(trans_channel_rr_, cur_time_, cfg_.latency.flash_read);
+    cur_time_ = accessTransPage(cur_time_, cfg_.latency.flash_read);
 }
 
 void
 Ssd::chargeTransWrite()
 {
     stats_.trans_writes++;
-    trans_channel_rr_ = (trans_channel_rr_ + 1) % cfg_.geometry.num_channels;
-    cur_time_ = channels_.access(trans_channel_rr_, cur_time_,
-                                 cfg_.latency.flash_write);
+    cur_time_ = accessTransPage(cur_time_, cfg_.latency.flash_write);
 }
 
 std::optional<Ppa>
@@ -383,19 +383,7 @@ void
 Ssd::drainBuffer(Tick now)
 {
     cur_time_ = now;
-    const Tick host_cursor = cur_time_;
-    if (!buffer_.empty()) {
-        std::vector<Lpa> lpas =
-            cfg_.sort_flush ? buffer_.drainSorted() : buffer_.drainFifo();
-        for (const Lpa lpa : lpas)
-            invalidateLiveCopy(lpa);
-        const auto &run = programBatch(lpas, cur_time_, WriteKind::Host);
-        recordHostMappings(run);
-        journalLearn(run);
-        updateDramSplit();
-        maybeGc(cur_time_);
-    }
-    cur_time_ = host_cursor;
+    flushBuffer();
 }
 
 void
@@ -508,7 +496,7 @@ Ssd::updateDramSplit()
 bool
 Ssd::journalingEnabled() const
 {
-    return cfg_.journal_threshold_bytes > 0 && lea_ != nullptr;
+    return cfg_.journal_threshold_bytes > 0 && ftl_->learnedTable();
 }
 
 void
@@ -517,7 +505,7 @@ Ssd::snapshotIfJournalFull()
     // The threshold bounds the recovery replay volume.
     if (!in_recovery_ && journalingEnabled() &&
         journal_.sizeBytes() >= cfg_.journal_threshold_bytes)
-        persistMappingInternal();
+        persistMapping(cur_time_);
 }
 
 bool
@@ -593,15 +581,9 @@ void
 Ssd::persistMapping(Tick now)
 {
     cur_time_ = now;
-    persistMappingInternal();
-}
-
-void
-Ssd::persistMappingInternal()
-{
-    if (!lea_)
+    LearnedTable *const table = ftl_->learnedTable();
+    if (!table)
         return; // DFTL/SFTL translation pages already live on flash.
-    LearnedTable &table = *lea_->learnedTable();
 
     // Emit only the groups dirtied since the last snapshot as a delta
     // chained to the last full blob; fold the chain back into a full
@@ -609,7 +591,7 @@ Ssd::persistMappingInternal()
     const bool full = persisted_table_.empty() ||
                       persisted_delta_bytes_ >= persisted_table_.size();
     std::vector<uint8_t> blob =
-        full ? table.serialize() : table.serializeDirty();
+        full ? table->serialize() : table->serializeDirty();
     // The crash window: snapshot built, nothing committed yet.
     crashPoint(CrashSite::SnapshotBeforeCommit);
     const uint64_t pages = ceilDiv(blob.size(), cfg_.geometry.page_size);
@@ -623,7 +605,7 @@ Ssd::persistMappingInternal()
         persisted_delta_bytes_ += blob.size();
         persisted_deltas_.push_back(std::move(blob));
     }
-    table.clearDirty();
+    table->clearDirty();
     if (journal_page_fill_ > 0) {
         chargeTransWrite(); // Flush the journal's partial tail page.
         journal_page_fill_ = 0;
@@ -636,7 +618,7 @@ RecoveryStats
 Ssd::crashAndRecover(Tick now)
 {
     RecoveryStats rec;
-    if (!lea_)
+    if (!ftl_->learnedTable())
         return rec;
 
     // Recovery itself can no longer crash-inject.
@@ -646,7 +628,8 @@ Ssd::crashAndRecover(Tick now)
     // with the still-live pre-crash mapping state. The drained blocks
     // land after the journal's coverage and are picked up by the tail
     // scan, so the drain must not append journal records (the tail
-    // may already be torn).
+    // may already be torn). A compaction the drain's pages trigger
+    // runs on the pre-crash table, which the restore below replaces.
     in_recovery_ = true;
     drainBuffer(now);
     in_recovery_ = false;
@@ -667,18 +650,15 @@ Ssd::crashAndRecover(Tick now)
         const uint64_t pages = ceilDiv(bytes, cfg_.geometry.page_size);
         for (uint64_t i = 0; i < pages; i++) {
             stats_.trans_reads++;
-            trans_channel_rr_ =
-                (trans_channel_rr_ + 1) % cfg_.geometry.num_channels;
-            channels_.access(trans_channel_rr_, t0,
-                             cfg_.latency.flash_read);
+            accessTransPage(t0, cfg_.latency.flash_read);
         }
     };
 
     // 1. Load the last full snapshot plus its chained deltas.
     if (!persisted_table_.empty())
-        lea_->restoreChain(persisted_table_, persisted_deltas_);
+        ftl_->restoreChain(persisted_table_, persisted_deltas_);
     else
-        lea_->restoreChain(LearnedTable(cfg_.gamma).serialize(), {});
+        ftl_->restoreChain(LearnedTable(cfg_.gamma).serialize(), {});
     rec.applied_deltas = persisted_deltas_.size();
     chargeLoadPages(snapshotBytes());
 
@@ -694,9 +674,9 @@ Ssd::crashAndRecover(Tick now)
             rec.replayed_journal_records++;
             max_cov = std::max(max_cov, jrec.coverage);
             if (jrec.type == JournalRecord::Type::Learn)
-                lea_->recordMappingsGc(jrec.mappings);
+                ftl_->recordMappingsGc(jrec.mappings);
             else
-                lea_->trim(jrec.trim_lpa);
+                ftl_->trim(jrec.trim_lpa);
         }
         rec.replayed_journal_bytes = reader.validBytes();
         chargeLoadPages(reader.validBytes());
@@ -727,7 +707,7 @@ Ssd::crashAndRecover(Tick now)
         std::sort(run.begin(), run.end());
         rec.relearned_mappings += run.size();
         if (!run.empty())
-            lea_->recordMappingsGc(run);
+            ftl_->recordMappingsGc(run);
     }
 
     // 4. Checkpoint the recovered state. Mappings relearned by the
@@ -737,7 +717,7 @@ Ssd::crashAndRecover(Tick now)
     // delta captures exactly the replay+scan mutations (their groups
     // are the only dirty ones on a freshly restored table) and resets
     // the journal and the blocks-since-snapshot list.
-    persistMappingInternal();
+    persistMapping(cur_time_);
 
     rec.recovery_time = channels_.latestFree() > t0
                             ? channels_.latestFree() - t0

@@ -33,8 +33,6 @@
 namespace leaftl
 {
 
-class LeaFtl;
-
 /** Device-level statistics. */
 struct SsdStats
 {
@@ -169,13 +167,21 @@ class Ssd : public FtlOps
      */
     Tick trim(Lpa lpa, Tick now);
 
-    /** Force out buffered writes (shutdown / tests). */
+    /**
+     * Force out buffered writes at @a now (shutdown, power loss,
+     * tests): the flush a full buffer triggers, so the drained pages
+     * count toward compaction_interval, pass the flush crash points,
+     * and can trigger GC and a journal-threshold snapshot.
+     */
     void drainBuffer(Tick now);
 
     /**
-     * Persist the mapping table + BVC snapshot (LeaFTL recovery
-     * anchor, §3.8). No-op for DFTL/SFTL (their translation pages are
-     * already on flash).
+     * Snapshot the learned table at @a now (LeaFTL recovery anchor,
+     * §3.8): a charged full blob, or a delta of the groups dirtied
+     * since the last one; retires the journal and the
+     * blocks-since-snapshot list. The journal threshold and recovery's
+     * checkpoint call it too. No-op for DFTL/SFTL (their translation
+     * pages are already on flash).
      */
     void persistMapping(Tick now);
 
@@ -267,8 +273,14 @@ class Ssd : public FtlOps
     static constexpr size_t kMaxGcVictims = 64;
 
   private:
+    /**
+     * One translation-page access of @a latency from @a at on the next
+     * round-robin channel (uncounted). @return its completion tick.
+     */
+    Tick accessTransPage(Tick at, Tick latency);
     /** Everything read() does between the DRAM access and the exit. */
     void serveRead(Lpa lpa);
+    /** Flush the buffer and its knock-on work, in the background. */
     void flushBuffer();
     /**
      * Invalidate the valid flash page holding @a lpa, if any, keeping
@@ -342,8 +354,6 @@ class Ssd : public FtlOps
     WriteBuffer buffer_;
     DataCache cache_;
     std::unique_ptr<Ftl> ftl_;
-    /** ftl_ when it is LeaFTL (snapshots, journal, recovery), else null. */
-    LeaFtl *const lea_;
 
     SsdStats stats_;
 
@@ -367,7 +377,7 @@ class Ssd : public FtlOps
 
     uint64_t writes_since_compaction_ = 0;
 
-    /** Journaling on: LeaFTL with a nonzero journal threshold. */
+    /** Journaling on: a learned table and a nonzero journal threshold. */
     bool journalingEnabled() const;
     /** Append a learn batch to the journal (LPA-sorted, charged). */
     void journalLearn(const std::vector<std::pair<Lpa, Ppa>> &run);
@@ -379,12 +389,6 @@ class Ssd : public FtlOps
      * and WAF, page-granular.
      */
     void journalAppended(size_t bytes);
-    /**
-     * Snapshot the learned table: a charged full blob, or a delta of
-     * the groups dirtied since the last one. Retires the journal (if
-     * any) and the blocks-since-snapshot list.
-     */
-    void persistMappingInternal();
     /** Snapshot once the journal reaches its threshold (0 = no journal). */
     void snapshotIfJournalFull();
     /**

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -98,19 +99,28 @@ groupOffset(Lpa lpa)
 }
 
 /**
- * FNV-1a 64-bit hash of @a s. Its definition fixes every output, so
- * it is the same on every platform and standard library (std::hash
- * is not): run fingerprints and the compaction golden digests use it.
+ * FNV-1a 64-bit hash of @a n bytes at @a data, continuing from @a h
+ * (chain calls to hash discontiguous spans). Its definition fixes
+ * every output, so it is the same on every platform and standard
+ * library (std::hash is not): journal checksums, run fingerprints and
+ * the compaction golden digests use it.
  */
 inline uint64_t
-fnv1a64(const std::string &s)
+fnv1a64(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ull)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < n; i++) {
+        h ^= bytes[i];
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+/** FNV-1a 64-bit hash of the bytes of @a s. */
+inline uint64_t
+fnv1a64(const std::string &s)
+{
+    return fnv1a64(s.data(), s.size());
 }
 
 } // namespace leaftl

@@ -2,7 +2,8 @@
  * @file
  * Tests for the benches' shared flag parser (bench::parseScale): a
  * bench's own default scale applies before any flag or --config, so
- * an explicit --requests or --ws always wins, whatever its value.
+ * an explicit --requests or --ws always wins, whatever its value; a
+ * bad --config file exits with status 2 like a bad flag.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "temp_config.hh"
 
 namespace leaftl
 {
@@ -77,6 +79,21 @@ TEST(BenchScale, ConfigReplacesOwnDefaults)
     EXPECT_TRUE(s.from_config);
     EXPECT_EQ(s.requests, 2'000u);
     EXPECT_EQ(s.working_set_pages, 8'192u);
+}
+
+TEST(BenchScaleDeathTest, BadConfigKeyExitsWithStatus2)
+{
+    // The file's located error, not an abort.
+    const test::TempConfig conf("# scale\nqdepth = 8\n");
+    EXPECT_EXIT(parse({"--fast", "--config=" + conf.path()}, kSmall),
+                testing::ExitedWithCode(2),
+                ":2: unknown key 'qdepth' \\(did you mean 'qd'\\?\\)");
+}
+
+TEST(BenchScaleDeathTest, MissingConfigExitsWithStatus2)
+{
+    EXPECT_EXIT(parse({"--config=/nonexistent/x.conf"}, kSmall),
+                testing::ExitedWithCode(2), "cannot open config file");
 }
 
 } // namespace

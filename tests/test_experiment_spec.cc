@@ -274,19 +274,6 @@ TEST(ExperimentSpec, ShippedConfigsLowerToTheirCapturedSpecs)
     EXPECT_EQ(checked, want.size());
 }
 
-TEST(ExperimentSpecDeathTest, OrDieRejectsUnknownKeysFatally)
-{
-    const TempConfig conf("qdepth = 8\n");
-    EXPECT_DEATH(loadExperimentFileOrDie(conf.path()),
-                 "unknown key 'qdepth' \\(did you mean 'qd'\\?\\)");
-}
-
-TEST(ExperimentSpecDeathTest, OrDieRejectsMissingFileFatally)
-{
-    EXPECT_DEATH(loadExperimentFileOrDie("/nonexistent/x.conf"),
-                 "cannot open config file");
-}
-
 } // namespace
 } // namespace config
 } // namespace leaftl

@@ -2,7 +2,9 @@
  * @file
  * Crash-consistency tests (§3.8): persist the mapping table, crash,
  * recover from the snapshot plus an OOB scan of since-allocated
- * blocks, and verify every mapping survives.
+ * blocks, and verify every mapping survives. Also checks that
+ * drainBuffer is a full buffer flush: compaction counting, crash
+ * points and the journal-threshold snapshot all apply to it.
  */
 
 #include <gtest/gtest.h>
@@ -319,6 +321,84 @@ TEST(Recovery, BaselineFtlsNoOp)
     EXPECT_EQ(rec.scanned_blocks, 0u);
     // DFTL's translation pages persist by construction: still readable.
     now += ssd.read(50, now);
+}
+
+/** Write-buffer capacity of @a cfg in pages. */
+Lpa
+bufferPages(const SsdConfig &cfg)
+{
+    return static_cast<Lpa>(cfg.write_buffer_bytes / cfg.geometry.page_size);
+}
+
+TEST(DrainBuffer, DrainedPagesCountTowardCompaction)
+{
+    // An interval of 1.5 buffers: the one full-buffer flush stays
+    // under it, and only the drained half buffer crosses it (§3.7).
+    SsdConfig cfg = smallConfig();
+    cfg.compaction_interval = bufferPages(cfg) * 3 / 2;
+    Ssd ssd(cfg);
+    Tick now = 0;
+    for (Lpa l = 0; l < cfg.compaction_interval; l++)
+        now += ssd.write(l, now);
+    EXPECT_EQ(ssd.stats().compactions, 0u);
+    ssd.drainBuffer(now);
+    EXPECT_EQ(ssd.stats().compactions, 1u);
+}
+
+TEST(DrainBuffer, FlushCrashPointFiresInsideTheDrain)
+{
+    Ssd ssd(smallConfig());
+    std::set<Lpa> written;
+    Tick now = 0;
+    for (Lpa l = 0; l < 10; l++) {
+        written.insert(l);
+        now += ssd.write(l, now);
+    }
+    ssd.armCrash(CrashSite::FlushAfterProgram, 1);
+    try {
+        ssd.drainBuffer(now);
+        ADD_FAILURE() << "the drain passed an armed flush crash point";
+    } catch (const CrashException &e) {
+        EXPECT_EQ(e.site, CrashSite::FlushAfterProgram);
+    }
+    ssd.crashAndRecover(now); // The scan relearns the drained block.
+    verifyAll(ssd, written);
+}
+
+TEST(DrainBuffer, DrainPastTheJournalThresholdSnapshots)
+{
+    // Measure one full-buffer flush's journal record on a device whose
+    // threshold is never reached, then set the threshold one byte above
+    // it: the flush stays under, and the drain's record crosses it.
+    SsdConfig cfg = smallConfig();
+    cfg.journal_threshold_bytes = 1ull << 30;
+    uint64_t flush_record = 0;
+    {
+        Ssd probe(cfg);
+        Tick now = 0;
+        for (Lpa l = 0; l < bufferPages(cfg); l++)
+            now += probe.write(l, now);
+        flush_record = probe.journalBytes();
+    }
+    ASSERT_GT(flush_record, 0u);
+    cfg.journal_threshold_bytes = flush_record + 1;
+
+    Ssd ssd(cfg);
+    std::set<Lpa> written;
+    Tick now = 0;
+    for (Lpa l = 0; l < bufferPages(cfg) + 8; l++) {
+        written.insert(l);
+        now += ssd.write(l, now);
+    }
+    EXPECT_EQ(ssd.journalBytes(), flush_record);
+    ssd.drainBuffer(now);
+    EXPECT_EQ(ssd.journalBytes(), 0u);
+    EXPECT_GT(ssd.snapshotBytes(), 0u);
+
+    const auto rec = ssd.crashAndRecover(now);
+    EXPECT_EQ(rec.replayed_journal_records, 0u);
+    EXPECT_EQ(rec.scanned_blocks, 0u); // The snapshot covers the drain.
+    verifyAll(ssd, written);
 }
 
 } // namespace

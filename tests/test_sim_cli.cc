@@ -312,6 +312,37 @@ TEST(SimCliParse, CampaignDiffRejectsOutputAndCampaignDir)
     EXPECT_FALSE(std::ifstream(campaign).good());
 }
 
+TEST(SimCliParse, CampaignDiffRejectsSweepSettings)
+{
+    // --campaign-diff runs nothing, so an experiment key or a config
+    // file beside it would be ignored; each is refused by name.
+    const char *dir = LEAFTL_SOURCE_DIR "/tests/data/campaign_tiny";
+    const test::TempConfig conf("gamma = 4\n");
+    std::string err;
+    EXPECT_EQ(runMain({"--campaign-diff", dir, dir, "--gamma", "4",
+                       "--requests", "5"},
+                      err),
+              2);
+    EXPECT_NE(err.find("--campaign-diff excludes --gamma"), std::string::npos)
+        << err;
+    EXPECT_EQ(runMain({"--requests=5", "--campaign-diff", dir, dir}, err), 2);
+    EXPECT_NE(err.find("--campaign-diff excludes --requests"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(runMain({"--campaign-diff", dir, dir, "--config",
+                       conf.path().c_str()},
+                      err),
+              2);
+    EXPECT_NE(err.find("--campaign-diff excludes --config"),
+              std::string::npos)
+        << err;
+    // --diff-threshold is the diff's own flag.
+    EXPECT_EQ(runMain({"--campaign-diff", dir, dir, "--diff-threshold", "5"},
+                      err),
+              0)
+        << err;
+}
+
 TEST(SimCliCrashAt, RejectsFtlWithoutRecoveryModelBeforeRunning)
 {
     // Only LeaFTL models crash recovery; on DFTL/SFTL a crash point
